@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <set>
 #include <string>
 #include <thread>
 
@@ -16,23 +14,16 @@ using layout::GroupCoord;
 
 namespace {
 
-void backoff(const RecoveryOptions& opts, int attempt) {
-    if (opts.backoff_ms > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-            opts.backoff_ms * static_cast<double>(1 << attempt)));
-    }
-}
-
-/// Backoff with the wait recorded on the request trace (the sleep is the
-/// single biggest self-inflicted latency contributor, so it gets its own
-/// span rather than vanishing into the parent).
+/// Backoff before retry `attempt + 1`, with the wait recorded on the
+/// request trace (the sleep is the single biggest self-inflicted latency
+/// contributor, so it gets its own span rather than vanishing into the
+/// parent).
 void traced_backoff(const RecoveryOptions& opts, int attempt, DiskId disk, TraceCtx tc) {
-    if (tc.rt == nullptr || opts.backoff_ms <= 0.0) {
-        backoff(opts, attempt);
-        return;
-    }
+    if (opts.backoff_ms <= 0.0) return;
     const double t0 = obs::forensic_now_us();
-    backoff(opts, attempt);
+    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+        opts.backoff_ms * static_cast<double>(1 << attempt)));
+    if (tc.rt == nullptr) return;
     tc.rt->complete(tc.parent, "backoff.wait", t0, obs::forensic_now_us() - t0,
                     {{"disk", std::to_string(disk)}, {"attempt", std::to_string(attempt + 1)}});
 }
@@ -109,33 +100,22 @@ Status PlanExecutor::device_read(DiskId disk, RowId row, ByteSpan out) const {
 }
 
 Status PlanExecutor::device_write(DiskId disk, RowId row, ConstByteSpan data) const {
-    const RecoveryOptions opts = recovery();
-    const ExecutorMetrics& m = metrics();
-    for (int attempt = 0;; ++attempt) {
-        Status status = devices_[static_cast<std::size_t>(disk)]->write(row, data);
-        if (status.ok()) return status;
-        if (status.error().code != Error::Code::io_error || attempt >= opts.max_retries) {
-            return status;
-        }
-        if (m.retries != nullptr) m.retries->add(1);
-        backoff(opts, attempt);
-    }
+    store::BlockDevice& device = *devices_[static_cast<std::size_t>(disk)];
+    const std::span<const RowId> rows(&row, 1);
+    std::size_t done = 0;
+    return submit_queue(
+        disk, rows, recovery(), &done, {},
+        [&](std::size_t, std::size_t, std::size_t* completed) {
+            return device.write_batch(rows, std::span<const ConstByteSpan>(&data, 1), completed);
+        },
+        [&](std::size_t) { return device.write(row, data); });
 }
 
+template <typename Chunk, typename Single>
 Status PlanExecutor::submit_queue(DiskId disk, std::span<const RowId> rows,
-                                  std::span<const ByteSpan> outs, const RecoveryOptions& opts,
-                                  std::size_t* done, TraceCtx tc) const {
+                                  const RecoveryOptions& opts, std::size_t* done, TraceCtx tc,
+                                  Chunk&& chunk, Single&& single) const {
     *done = 0;
-    store::BlockDevice& device = *devices_[static_cast<std::size_t>(disk)];
-    if (opts.op_timeout_ms > 0.0) {
-        // Per-op deadline detection needs per-op timing: issue singly.
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            auto status = read_with_policy(disk, rows[i], outs[i], opts, tc);
-            if (!status.ok()) return status;
-            *done = i + 1;
-        }
-        return Status::success();
-    }
     const ExecutorMetrics& m = metrics();
     obs::DiskHeatModel* const heat = this->heat();
     const std::size_t depth =
@@ -144,18 +124,19 @@ Status PlanExecutor::submit_queue(DiskId disk, std::span<const RowId> rows,
     while (offset < rows.size()) {
         const std::size_t n = std::min(depth, rows.size() - offset);
         std::size_t completed = 0;
-        auto status = device.read_batch(rows.subspan(offset, n), outs.subspan(offset, n), &completed);
+        Status status = chunk(offset, n, &completed);
         *done += completed;
         if (status.ok()) {
             offset += n;
             continue;
         }
         // The op at `offset + completed` failed and the rest of the chunk
-        // was never attempted. Retry just that op under the policy — its
-        // in-batch failure already consumed attempt zero.
+        // was never attempted (or, async, left unspecified). Retry just
+        // that op under the policy — its in-chunk failure already consumed
+        // attempt zero; a write retry rewrites the full payload, healing
+        // a torn write.
         if (status.error().code != Error::Code::io_error || opts.max_retries < 1) return status;
         const std::size_t j = offset + completed;
-        Status retried = status;
         for (int attempt = 1; attempt <= opts.max_retries; ++attempt) {
             if (m.retries != nullptr) m.retries->add(1);
             if (heat != nullptr) heat->on_retry(disk, obs::DiskHeatModel::now_seconds());
@@ -165,76 +146,137 @@ Status PlanExecutor::submit_queue(DiskId disk, std::span<const RowId> rows,
                                 {{"disk", std::to_string(disk)},
                                  {"row", std::to_string(rows[j])},
                                  {"attempt", std::to_string(attempt)},
-                                 {"error", retried.error().message}});
+                                 {"error", status.error().message}});
             }
             traced_backoff(opts, attempt - 1, disk, tc);
-            retried = device.read(rows[j], outs[j]);
-            if (retried.ok()) break;
-            if (retried.error().code != Error::Code::io_error) return retried;
+            status = single(j);
+            if (status.ok() || status.error().code != Error::Code::io_error) break;
         }
-        if (!retried.ok()) return retried;
+        if (!status.ok()) return status;
         *done += 1;
         offset = j + 1;
     }
     return Status::success();
 }
 
-Status PlanExecutor::submit_write_queue(DiskId disk, std::span<const RowId> rows,
-                                        std::span<const ConstByteSpan> data,
-                                        const RecoveryOptions& opts, std::size_t* done,
-                                        TraceCtx tc) const {
-    *done = 0;
-    store::BlockDevice& device = *devices_[static_cast<std::size_t>(disk)];
-    const ExecutorMetrics& m = metrics();
-    obs::DiskHeatModel* const heat = this->heat();
-    const std::size_t depth =
-        opts.batch_elements > 0 ? static_cast<std::size_t>(opts.batch_elements) : rows.size();
-    std::size_t offset = 0;
-    while (offset < rows.size()) {
-        const std::size_t n = std::min(depth, rows.size() - offset);
-        std::size_t completed = 0;
-        auto status =
-            device.write_batch(rows.subspan(offset, n), data.subspan(offset, n), &completed);
-        *done += completed;
-        if (status.ok()) {
-            offset += n;
-            continue;
-        }
-        // The op at `offset + completed` failed and the rest of the chunk
-        // was never attempted. Retry just that op under the policy — a
-        // retry rewrites the full payload, healing a torn write.
-        if (status.error().code != Error::Code::io_error || opts.max_retries < 1) return status;
-        const std::size_t j = offset + completed;
-        Status retried = status;
-        for (int attempt = 1; attempt <= opts.max_retries; ++attempt) {
-            if (m.retries != nullptr) m.retries->add(1);
-            if (heat != nullptr) heat->on_retry(disk, obs::DiskHeatModel::now_seconds());
-            if (tc.rt != nullptr) {
-                tc.rt->count_retry();
-                tc.rt->complete(tc.parent, "retry", obs::forensic_now_us(), 0.0,
-                                {{"disk", std::to_string(disk)},
-                                 {"row", std::to_string(rows[j])},
-                                 {"attempt", std::to_string(attempt)},
-                                 {"error", retried.error().message}});
-            }
-            traced_backoff(opts, attempt - 1, disk, tc);
-            retried = device.write(rows[j], data[j]);
-            if (retried.ok()) break;
-            if (retried.error().code != Error::Code::io_error) return retried;
-        }
-        if (!retried.ok()) return retried;
-        *done += 1;
-        offset = j + 1;
+void PlanExecutor::start_round(const std::shared_ptr<Round>& r, TraceCtx tc, bool join) const {
+    const std::size_t n = r->queues.size();
+    if (pool_ == nullptr) {
+        for (std::size_t a = 0; a < n; ++a) start_queue(*r, a, tc);
+        return;
     }
-    return Status::success();
+    auto claim = [this, tc](Round& round) {
+        for (;;) {
+            const std::size_t a = round.next.fetch_add(1);
+            if (a >= round.queues.size()) return;
+            start_queue(round, a, tc);
+        }
+    };
+    const std::size_t tasks = join ? std::min(n, pool_->thread_count() + 1) - 1 : n;
+    for (std::size_t t = 0; t < tasks; ++t) {
+        orphan_started();
+        pool_->submit([this, r, claim] {
+            claim(*r);
+            orphan_finished();
+        });
+    }
+    if (join) claim(*r);
+}
+
+void PlanExecutor::start_queue(Round& r, std::size_t a, TraceCtx tc) const {
+    Round::Queue& q = r.queues[a];
+    if (r.timed) {
+        obs::Tracer* const tracer = this->tracer();
+        q.trace_us = tracer != nullptr ? tracer->now_us() : 0.0;
+        q.issue_us = obs::forensic_now_us();
+    }
+    if (r.heat != nullptr) r.heat->on_issue(q.disk);
+    const store::BlockDevice& device = *devices_[static_cast<std::size_t>(q.disk)];
+    if (pool_ == nullptr && r.data.empty() && r.opts.op_timeout_ms <= 0.0 &&
+        device.async_reads()) {
+        std::size_t n = q.end - q.begin;
+        if (r.opts.batch_elements > 0) {
+            n = std::min(n, static_cast<std::size_t>(r.opts.batch_elements));
+        }
+        q.batch = device.submit_read_batch(std::span<const RowId>(r.rows).subspan(q.begin, n),
+                                           std::span<const ByteSpan>(r.outs).subspan(q.begin, n));
+        return;
+    }
+    finish_queue(r, a, tc);
+}
+
+void PlanExecutor::finish_queue(Round& r, std::size_t a, TraceCtx tc) const {
+    Round::Queue& q = r.queues[a];
+    store::BlockDevice& device = *devices_[static_cast<std::size_t>(q.disk)];
+    const bool write = !r.data.empty();
+    const auto rows = std::span<const RowId>(r.rows).subspan(q.begin, q.end - q.begin);
+    if (write) {
+        const auto data = std::span<const ConstByteSpan>(r.data).subspan(q.begin, rows.size());
+        q.status = submit_queue(
+            q.disk, rows, r.opts, &q.done, tc,
+            [&](std::size_t off, std::size_t n, std::size_t* completed) {
+                return device.write_batch(rows.subspan(off, n), data.subspan(off, n), completed);
+            },
+            [&](std::size_t j) { return device.write(rows[j], data[j]); });
+    } else if (r.opts.op_timeout_ms > 0.0) {
+        // Per-op deadline detection needs per-op timing: issue singly.
+        for (q.done = 0; q.done < rows.size(); ++q.done) {
+            q.status = read_with_policy(q.disk, rows[q.done], r.outs[q.begin + q.done], r.opts, tc);
+            if (!q.status.ok()) break;
+        }
+    } else {
+        const auto outs = std::span<const ByteSpan>(r.outs).subspan(q.begin, rows.size());
+        q.status = submit_queue(
+            q.disk, rows, r.opts, &q.done, tc,
+            [&](std::size_t off, std::size_t n, std::size_t* completed) {
+                if (q.batch == nullptr) {
+                    return device.read_batch(rows.subspan(off, n), outs.subspan(off, n), completed);
+                }
+                auto in_flight = std::move(q.batch);  // the first chunk, submitted at start
+                return in_flight->await(completed);
+            },
+            [&](std::size_t j) { return device.read(rows[j], outs[j]); });
+    }
+    if (r.timed) q.dur_us = obs::forensic_now_us() - q.issue_us;
+    if (r.heat != nullptr) {
+        const double now_s = obs::DiskHeatModel::now_seconds();
+        const auto ops = static_cast<std::int64_t>(q.done);
+        if (write) {
+            r.heat->on_write_complete(q.disk, ops, ops * element_bytes_, now_s);
+        } else {
+            r.heat->on_complete(q.disk, ops, ops * element_bytes_, q.dur_us, now_s);
+        }
+        if (!q.status.ok() &&
+            q.status.error().code != (write ? Error::Code::disk_failed : Error::Code::timeout)) {
+            r.heat->on_error(q.disk, now_s);
+        }
+    }
+    if (pool_ == nullptr) {  // no other thread ever touches the round
+        q.finished = true;
+        return;
+    }
+    // Notify under the mutex: the waiter may drop its reference the
+    // moment the predicate holds.
+    std::lock_guard<std::mutex> lock(r.mu);
+    q.finished = true;
+    r.cv.notify_all();
+}
+
+void PlanExecutor::trace_queue(TraceCtx tc, const char* name, const Round::Queue& q) const {
+    if (tc.rt == nullptr) return;
+    const std::uint32_t node = tc.rt->complete(
+        tc.parent, name, q.issue_us, q.dur_us,
+        {obs::RequestTrace::IntAttr{"disk", q.disk},
+         {"elements", static_cast<std::int64_t>(q.end - q.begin)},
+         {"done", static_cast<std::int64_t>(q.done)},
+         {"bytes", static_cast<std::int64_t>(q.done) * element_bytes_}});
+    if (!q.status.ok()) tc.rt->attr(node, "error", q.status.error().message);
 }
 
 Result<PlanExecutor::WriteReport> PlanExecutor::write(const core::WritePlan& plan,
                                                       std::span<const ConstByteSpan> payloads,
                                                       TraceCtx tc, bool allow_degraded) const {
-    const RecoveryOptions opts = recovery();
     const ExecutorMetrics& m = metrics();
-    obs::DiskHeatModel* const heat = this->heat();
     const auto& writes = plan.writes();
     for (const core::WriteAccess& w : writes) {
         if (w.payload >= payloads.size()) return Error::invalid("write plan payload out of range");
@@ -243,118 +285,89 @@ Result<PlanExecutor::WriteReport> PlanExecutor::write(const core::WritePlan& pla
         }
     }
 
-    std::vector<core::WriteBatch> queues = plan.batches();
-    std::atomic<std::int64_t> written{0};
-    std::atomic<std::int64_t> skipped{0};
-    std::mutex state_mu;
-    std::optional<Error> first_error;  // guarded by state_mu
+    auto r = std::make_shared<Round>();
+    r->opts = recovery();
+    r->heat = heat();
+    r->timed = tc.rt != nullptr || r->heat != nullptr;
+    r->rows.reserve(writes.size());
+    r->data.reserve(writes.size());
+    const std::vector<core::WriteBatch> batches = plan.batches();
+    r->queues.reserve(batches.size());
+    for (const core::WriteBatch& batch : batches) {
+        Round::Queue& q = r->queues.emplace_back();
+        q.disk = batch.disk;
+        q.begin = r->rows.size();
+        r->rows.insert(r->rows.end(), batch.rows.begin(), batch.rows.end());
+        for (std::size_t i : batch.write_indices) r->data.push_back(payloads[writes[i].payload]);
+        q.end = r->rows.size();
+    }
+    start_round(r, tc, /*join=*/true);
 
-    auto run_queue = [&](std::size_t a) {
-        const core::WriteBatch& queue = queues[a];
-        std::vector<ConstByteSpan> data;
-        data.reserve(queue.write_indices.size());
-        for (std::size_t i : queue.write_indices) data.push_back(payloads[writes[i].payload]);
-        const double rt_issue_us = tc.rt != nullptr ? obs::forensic_now_us() : 0.0;
-        if (heat != nullptr) heat->on_issue(queue.disk);
-        std::size_t done = 0;
-        auto status = submit_write_queue(queue.disk, queue.rows,
-                                         std::span<const ConstByteSpan>(data.data(), data.size()),
-                                         opts, &done, tc);
-        if (heat != nullptr) {
-            const double now_s = obs::DiskHeatModel::now_seconds();
-            heat->on_write_complete(queue.disk, static_cast<std::int64_t>(done),
-                                    static_cast<std::int64_t>(done) * element_bytes_, now_s);
-            if (!status.ok() && status.error().code != Error::Code::disk_failed) {
-                heat->on_error(queue.disk, now_s);
-            }
+    WriteReport report;
+    std::optional<Error> first_error;
+    for (Round::Queue& q : r->queues) {
+        if (pool_ != nullptr) {
+            std::unique_lock<std::mutex> lock(r->mu);
+            r->cv.wait(lock, [&] { return q.finished; });
         }
-        if (tc.rt != nullptr) {
-            const std::uint32_t batch_node = tc.rt->complete(
-                tc.parent, "disk.write_batch", rt_issue_us, obs::forensic_now_us() - rt_issue_us,
-                {obs::RequestTrace::IntAttr{"disk", queue.disk},
-                 {"elements", static_cast<std::int64_t>(queue.write_indices.size())},
-                 {"done", static_cast<std::int64_t>(done)},
-                 {"bytes", static_cast<std::int64_t>(done) * element_bytes_}});
-            if (!status.ok()) tc.rt->attr(batch_node, "error", status.error().message);
+        trace_queue(tc, "disk.write_batch", q);
+        report.elements_written += static_cast<std::int64_t>(q.done);
+        if (q.status.ok()) continue;
+        if (q.status.error().code == Error::Code::disk_failed && allow_degraded) {
+            // Degraded write: whatever of this queue did not land stays
+            // recoverable through the group parities.
+            report.elements_skipped += static_cast<std::int64_t>(q.end - q.begin - q.done);
+        } else if (!first_error.has_value()) {
+            first_error = q.status.error();
         }
-        written.fetch_add(static_cast<std::int64_t>(done));
-        if (!status.ok()) {
-            if (status.error().code == Error::Code::disk_failed && allow_degraded) {
-                // Degraded write: whatever of this queue did not land
-                // stays recoverable through the group parities.
-                skipped.fetch_add(static_cast<std::int64_t>(queue.rows.size() - done));
-                return;
-            }
-            std::lock_guard<std::mutex> lock(state_mu);
-            if (!first_error.has_value()) first_error = status.error();
-        }
-    };
-
-    if (pool_ != nullptr && queues.size() > 1) {
-        parallel_for(*pool_, queues.size(), run_queue);
-    } else {
-        for (std::size_t a = 0; a < queues.size(); ++a) run_queue(a);
     }
 
     if (first_error.has_value()) return *first_error;
-    if (m.writes != nullptr) m.writes->add(written.load());
-    if (m.degraded_writes != nullptr && skipped.load() > 0) m.degraded_writes->add(skipped.load());
-    return WriteReport{written.load(), skipped.load()};
+    if (m.writes != nullptr) m.writes->add(report.elements_written);
+    if (m.degraded_writes != nullptr && report.elements_skipped > 0) {
+        m.degraded_writes->add(report.elements_skipped);
+    }
+    return report;
 }
 
-bool PlanExecutor::side_decode(const GroupCoord& coord, const std::vector<char>& avoid,
-                               ByteSpan target) const {
-    const auto& code = scheme_->code();
-    std::vector<int> sources;
-    for (int p = 0; p < code.n(); ++p) {
-        if (p == coord.position) continue;
-        const Location sloc = scheme_->layout().locate({coord.stripe, coord.group, p});
-        if (!avoid[static_cast<std::size_t>(sloc.disk)]) sources.push_back(p);
+void PlanExecutor::hedge(const Round& r, const std::vector<DiskId>& excluded,
+                         ElementMap& fetched, TraceCtx tc, double deadline_ms,
+                         bool auto_deadline) const {
+    const ExecutorMetrics& m = metrics();
+    std::vector<char> avoid(devices_.size(), 0);
+    std::size_t stragglers = 0;
+    for (const Round::Queue& q : r.queues) {
+        if (q.reaped) continue;
+        avoid[static_cast<std::size_t>(q.disk)] = 1;
+        ++stragglers;
     }
-    auto repair = code.solve_repair(coord.position, sources);
-    if (!repair.ok()) return false;
-    std::vector<AlignedBuffer> srcs;
-    std::vector<ByteSpan> buffers(static_cast<std::size_t>(code.n()));
-    srcs.reserve(repair->terms.size());
-    for (const auto& term : repair->terms) {
-        const Location sloc =
-            scheme_->layout().locate({coord.stripe, coord.group, term.source_position});
-        srcs.emplace_back(static_cast<std::size_t>(element_bytes_));
-        if (!devices_[static_cast<std::size_t>(sloc.disk)]->read(sloc.row, srcs.back().span()).ok()) {
-            return false;
-        }
-        buffers[static_cast<std::size_t>(term.source_position)] = srcs.back().span();
+    for (DiskId d : excluded) avoid[static_cast<std::size_t>(d)] = 1;
+    if (tc.rt != nullptr) {
+        tc.rt->complete(tc.parent, "hedge.trigger", obs::forensic_now_us(), 0.0,
+                        {{"stragglers", std::to_string(stragglers)},
+                         {"deadline_ms", std::to_string(deadline_ms)},
+                         {"auto", auto_deadline ? "true" : "false"}});
     }
-    buffers[static_cast<std::size_t>(coord.position)] = target;
-    codes::DecodePlan one;
-    one.repairs.push_back(repair.value());
-    codes::ErasureCode::apply_plan(one, buffers);
-    return true;
-}
-
-void PlanExecutor::run_hedged_queue(HedgeState& state, std::size_t a) const {
-    // Runs on the pool, possibly after the requesting frame returned: it
-    // may touch only `state` (co-owned), the devices, and the executor's
-    // attached sinks (kept alive by the orphan drain protocol). No
-    // RequestTrace — that dies with the request.
-    HedgeState::Queue& q = state.queues[a];
-    obs::DiskHeatModel* const heat = this->heat();
-    q.issue_us = obs::forensic_now_us();
-    const auto t0 = std::chrono::steady_clock::now();
-    if (heat != nullptr) heat->on_issue(q.disk);
-    std::vector<ByteSpan> outs;
-    outs.reserve(q.bufs.size());
-    for (ElementBuf& buf : q.bufs) outs.push_back(buf.span());
-    q.status = submit_queue(q.disk, q.rows, std::span<const ByteSpan>(outs.data(), outs.size()),
-                            state.opts, &q.done_ops, TraceCtx{});
-    q.dur_us =
-        std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - t0).count();
-    if (heat != nullptr) {
-        const double now_s = obs::DiskHeatModel::now_seconds();
-        heat->on_complete(q.disk, static_cast<std::int64_t>(q.done_ops),
-                          static_cast<std::int64_t>(q.done_ops) * element_bytes_, q.dur_us, now_s);
-        if (!q.status.ok() && q.status.error().code != Error::Code::timeout) {
-            heat->on_error(q.disk, now_s);
+    for (const Round::Queue& q : r.queues) {
+        if (q.reaped) continue;
+        for (std::size_t j = q.begin; j < q.end; ++j) {
+            const auto [stripe, group, position] = r.keys[j];
+            if (m.hedged_reads != nullptr) m.hedged_reads->add(1);
+            if (tc.rt != nullptr) tc.rt->count_hedge();
+            ElementBuf target =
+                ElementBuf::alloc(static_cast<std::size_t>(element_bytes_), buffer_pool_);
+            const double t0 = tc.rt != nullptr ? obs::forensic_now_us() : 0.0;
+            const bool decoded =
+                rebuild_element({stripe, group, position}, avoid, target.span()).ok();
+            if (tc.rt != nullptr) {
+                tc.rt->complete(tc.parent, "hedge.decode", t0, obs::forensic_now_us() - t0,
+                                {{"disk", std::to_string(q.disk)},
+                                 {"stripe", std::to_string(stripe)},
+                                 {"group", std::to_string(group)},
+                                 {"position", std::to_string(position)},
+                                 {"decoded", decoded ? "true" : "false"}});
+            }
+            if (decoded) fetched.emplace(r.keys[j], std::move(target));
         }
     }
 }
@@ -374,395 +387,173 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
     std::optional<AccessPlan> plan;
     bool request_load_recorded = false;  // heat records max load once per request
 
-    // Issue everything the plan wants that we don't already hold, one
-    // submission queue per disk — in parallel across disks when a thread
-    // pool is attached (devices serialise internally, so one queue per
-    // device is the natural unit, and it is also the granularity the
-    // tracer reports: the request finishes when the slowest queue does).
-    // `fetch_node` is the round's phase span on the request trace;
-    // per-disk batches, retries and hedge decodes hang under it.
+    // One fetch round: issue everything the plan wants that we don't
+    // already hold, one submission queue per disk (devices serialise
+    // internally, so one queue per device is the natural unit, and the
+    // request finishes when the slowest queue does), then reap the
+    // queues through one epilogue. `fetch_node` is the round's phase
+    // span on the request trace; per-disk batches, retries, hedge
+    // decodes and eager decodes hang under it.
     auto fetch_round = [&](const AccessPlan& p, std::uint32_t fetch_node) -> FetchOutcome {
         FetchOutcome outcome;
         const auto& fetches = p.fetches();
+        const std::vector<core::DiskBatch> batches = p.batches();
 
         // Effective hedge deadline for this round: static hedge_ms, or —
         // under auto_hedge with a warm heat window — derived from the
         // participating disks' live windowed p99 (median * factor), so
         // the deadline tracks the fleet's actual speed instead of a
-        // constant tuned for hardware that may no longer exist.
-        double hedge_deadline_ms = opts.hedge_ms;
+        // constant tuned for hardware that may no longer exist. Hedging
+        // needs a pool: the straggler must run somewhere while this
+        // thread decodes around it.
+        double hedge_ms = pool_ != nullptr ? opts.hedge_ms : 0.0;
         if (opts.auto_hedge && heat != nullptr && pool_ != nullptr) {
             std::vector<int> participating;
-            for (const core::DiskBatch& b : p.batches()) participating.push_back(b.disk);
+            for (const core::DiskBatch& b : batches) participating.push_back(b.disk);
             const double derived =
                 heat->hedge_deadline_ms(participating, opts.auto_hedge_factor,
                                         opts.auto_hedge_min_ms,
                                         obs::DiskHeatModel::now_seconds());
-            if (derived > 0.0) hedge_deadline_ms = derived;
+            if (derived > 0.0) hedge_ms = derived;
         }
-        const bool hedge_mode = pool_ != nullptr && hedge_deadline_ms > 0.0;
+        const bool hedged = hedge_ms > 0.0;
 
-        // Per-element buffers for this round; each belongs to exactly one
-        // queue, so queue workers never share a buffer (the map itself is
-        // built before dispatch and only looked up afterwards). Hedged
-        // rounds skip it: their queue tasks own their buffers outright so
-        // a straggling queue can outlive this frame.
-        ElementMap round;
-        std::vector<core::DiskBatch> queues;
-        for (core::DiskBatch& batch : p.batches()) {
-            core::DiskBatch pending;
-            pending.disk = batch.disk;
+        // Queue buffers go to the zero-copy sink unless the round is
+        // hedged: a straggling queue may outlive this frame, so it must
+        // own its buffers outright.
+        const Sink no_sink;
+        const Sink& queue_sink = hedged ? no_sink : sink;
+        auto r = std::make_shared<Round>();
+        r->opts = opts;
+        r->heat = heat;
+        r->timed = rt != nullptr || tracer != nullptr || heat != nullptr;
+        r->rows.reserve(fetches.size());
+        r->keys.reserve(fetches.size());
+        r->bufs.reserve(fetches.size());
+        r->queues.reserve(batches.size());
+        for (const core::DiskBatch& batch : batches) {
+            const std::size_t begin = r->rows.size();
             for (std::size_t j = 0; j < batch.fetch_indices.size(); ++j) {
-                const std::size_t i = batch.fetch_indices[j];
-                const Key key = key_of(fetches[i].coord);
+                const Key key = key_of(fetches[batch.fetch_indices[j]].coord);
                 if (fetched.find(key) != fetched.end()) continue;
-                pending.fetch_indices.push_back(i);
-                pending.rows.push_back(batch.rows[j]);
-                if (!hedge_mode) {
-                    round.try_emplace(key, make_element(key, sink));
-                }
+                r->rows.push_back(batch.rows[j]);
+                r->keys.push_back(key);
+                r->bufs.push_back(make_element(key, queue_sink));
             }
-            if (!pending.fetch_indices.empty()) queues.push_back(std::move(pending));
+            if (r->rows.size() == begin) continue;
+            Round::Queue& q = r->queues.emplace_back();
+            q.disk = batch.disk;
+            q.begin = begin;
+            q.end = r->rows.size();
         }
-        if (queues.empty()) return outcome;
+        if (r->queues.empty()) return outcome;
+        r->outs.reserve(r->bufs.size());
+        for (ElementBuf& buf : r->bufs) r->outs.push_back(buf.span());
 
         if (heat != nullptr && !request_load_recorded) {
             // First round's deepest queue is the request's max per-disk
             // load — the measured twin of closed_form_max_load.
             request_load_recorded = true;
             std::size_t max_load = 0;
-            for (const core::DiskBatch& q : queues) {
-                max_load = std::max(max_load, q.fetch_indices.size());
+            for (const Round::Queue& q : r->queues) {
+                max_load = std::max(max_load, q.end - q.begin);
             }
             heat->on_request(static_cast<std::int64_t>(max_load),
                              obs::DiskHeatModel::now_seconds());
         }
 
-        std::mutex state_mu;
-        std::set<Key> succeeded;          // guarded by state_mu
-        std::vector<DiskId> bad;          // guarded by state_mu
-        std::optional<Error> last_error;  // guarded by state_mu
+        // Hedged queues may outlive the request, so they get no trace
+        // context; their disk.batch spans are recorded here at reap.
+        const TraceCtx queue_tc = hedged ? TraceCtx{} : TraceCtx{rt, fetch_node};
+        start_round(r, queue_tc, /*join=*/!hedged);
+        const auto deadline = std::chrono::steady_clock::now() +
+                              std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                                  std::chrono::duration<double, std::milli>(hedge_ms));
+        bool hedge_fired = false;
 
-        auto run_queue = [&](std::size_t a) {
-            const core::DiskBatch& queue = queues[a];
-            const double issue_us = tracer != nullptr ? tracer->now_us() : 0.0;
-            const double rt_issue_us = rt != nullptr ? obs::forensic_now_us() : 0.0;
-            const auto heat_t0 = heat != nullptr ? std::chrono::steady_clock::now()
-                                                 : std::chrono::steady_clock::time_point{};
-            if (heat != nullptr) heat->on_issue(queue.disk);
-            std::vector<ByteSpan> outs;
-            outs.reserve(queue.fetch_indices.size());
-            for (std::size_t i : queue.fetch_indices) {
-                outs.push_back(round.find(key_of(fetches[i].coord))->second.span());
-            }
-            std::size_t done = 0;
-            auto status = submit_queue(queue.disk, queue.rows,
-                                       std::span<const ByteSpan>(outs.data(), outs.size()), opts,
-                                       &done, TraceCtx{rt, fetch_node});
-            if (heat != nullptr) {
-                const double queue_us = std::chrono::duration<double, std::micro>(
-                                            std::chrono::steady_clock::now() - heat_t0)
-                                            .count();
-                const double now_s = obs::DiskHeatModel::now_seconds();
-                heat->on_complete(queue.disk, static_cast<std::int64_t>(done),
-                                  static_cast<std::int64_t>(done) * element_bytes_, queue_us,
-                                  now_s);
-                if (!status.ok() && status.error().code != Error::Code::timeout) {
-                    heat->on_error(queue.disk, now_s);
+        // True when every unfinished queue's elements are already in hand
+        // (hedge-decoded), so none of them needs waiting for.
+        auto stragglers_covered = [&] {
+            for (const Round::Queue& q : r->queues) {
+                if (q.reaped || q.finished) continue;
+                for (std::size_t j = q.begin; j < q.end; ++j) {
+                    if (fetched.find(r->keys[j]) == fetched.end()) return false;
                 }
             }
-            if (rt != nullptr) {
-                const std::uint32_t batch_node = rt->complete(
-                    fetch_node, "disk.batch", rt_issue_us, obs::forensic_now_us() - rt_issue_us,
-                    {obs::RequestTrace::IntAttr{"disk", queue.disk},
-                     {"elements", static_cast<std::int64_t>(queue.fetch_indices.size())},
-                     {"done", static_cast<std::int64_t>(done)},
-                     {"bytes", static_cast<std::int64_t>(done) * element_bytes_}});
-                if (!status.ok()) rt->attr(batch_node, "error", status.error().message);
-            }
-            {
-                std::lock_guard<std::mutex> lock(state_mu);
-                for (std::size_t j = 0; j < done; ++j) {
-                    succeeded.insert(key_of(fetches[queue.fetch_indices[j]].coord));
-                }
-                if (!status.ok()) {
-                    // The device is suspect: abandon its remaining queue
-                    // and let the replan route around it.
-                    bad.push_back(queue.disk);
-                    last_error = status.error();
-                    return;
-                }
-            }
-            if (tracer != nullptr) {
-                tracer->complete("disk.batch", "io", issue_us, tracer->now_us() - issue_us,
-                                 {{"disk", std::to_string(queue.disk)},
-                                  {"elements", std::to_string(queue.fetch_indices.size())}});
-            }
+            return true;
         };
 
-        // Serial overlapped execution: without a pool, per-disk queues
-        // would otherwise run strictly one after another even though the
-        // devices can overlap (io_uring keeps a batch in flight per disk).
-        // When every participating device reports async_reads(), submit
-        // all queues first, then await them in submission order — the
-        // disks seek/read concurrently while this thread blocks on the
-        // first — and run decode recipes eagerly as each disk's elements
-        // land, so decode overlaps the remaining in-flight reads.
-        // Per-op timeouts need per-op timing, which async batches don't
-        // give; that policy keeps the submit_queue path.
-        bool async_overlap =
-            !hedge_mode && pool_ == nullptr && opts.op_timeout_ms <= 0.0 && queues.size() > 1;
-        if (async_overlap) {
-            for (const core::DiskBatch& q : queues) {
-                async_overlap =
-                    async_overlap && devices_[static_cast<std::size_t>(q.disk)]->async_reads();
+        // Reap: without a pool in submission order, finishing each queue
+        // in place (an async device's await lands here, so the disks
+        // overlap); with one, in completion order. A hedge is a deadline
+        // on this wait.
+        const std::size_t n = r->queues.size();
+        for (std::size_t reaped = 0; reaped < n;) {
+            std::size_t a = reaped;
+            if (pool_ == nullptr) {
+                if (!r->queues[a].finished) finish_queue(*r, a, queue_tc);
+            } else {
+                std::unique_lock<std::mutex> lock(r->mu);
+                auto ready = [&] {
+                    for (a = 0; a < n; ++a) {
+                        if (r->queues[a].finished && !r->queues[a].reaped) return true;
+                    }
+                    return false;
+                };
+                if (hedged && !hedge_fired) {
+                    if (!r->cv.wait_until(lock, deadline, ready)) {
+                        lock.unlock();
+                        hedge_fired = true;
+                        hedge(*r, excluded, fetched, TraceCtx{rt, fetch_node}, hedge_ms,
+                              opts.auto_hedge);
+                        continue;
+                    }
+                } else {
+                    // After a hedge, a straggler whose elements could not
+                    // all be decoded is joined after all — correctness
+                    // beats the deadline. (Typical cause: every queue
+                    // missed the deadline at once, e.g. a saturated pool,
+                    // so no disks were left to decode from.) The rest stay
+                    // orphaned on the pool; their late payload is dropped.
+                    r->cv.wait(lock, [&] {
+                        return ready() || (hedge_fired && stragglers_covered());
+                    });
+                    if (a == n) break;
+                }
             }
+
+            // The epilogue every queue goes through.
+            Round::Queue& q = r->queues[a];
+            q.reaped = true;
+            ++reaped;
+            trace_queue(TraceCtx{rt, fetch_node}, "disk.batch", q);
+            if (tracer != nullptr && q.status.ok()) {
+                tracer->complete("disk.batch", "io", q.trace_us, q.dur_us,
+                                 {{"disk", std::to_string(q.disk)},
+                                  {"elements", std::to_string(q.end - q.begin)}});
+            }
+            for (std::size_t j = q.begin; j < q.begin + q.done; ++j) {
+                fetched.emplace(r->keys[j], std::move(r->bufs[j]));
+            }
+            if (!q.status.ok()) {
+                // The device is suspect: abandon its remaining queue and
+                // let the replan route around it.
+                outcome.bad_disks.push_back(q.disk);
+                outcome.last_error = q.status.error();
+                continue;
+            }
+            // Let any recipe whose sources just landed decode now,
+            // overlapping the queues still in flight. Partial mode cannot
+            // fail: recipes missing sources wait for the final decode.
+            (void)try_decode(p, fetched, /*partial=*/true, TraceCtx{rt, fetch_node}, sink);
         }
 
-        ElementMap hedged;
-        if (hedge_mode) {
-            // Hedged execution: every queue is a self-contained task that
-            // owns its buffers and co-owns the shared round state. When
-            // the slowest queue is still running past the hedge deadline,
-            // its elements are decoded from the other disks and the round
-            // returns WITHOUT joining it — the orphaned queue finishes on
-            // the pool (tracked by the executor's orphan counter so sinks
-            // and devices outlive it), keeps feeding the heat model with
-            // its true stall latency, and its late payload is dropped
-            // with the last shared reference to the state.
-            auto state = std::make_shared<HedgeState>();
-            state->opts = opts;
-            state->queue_done.assign(queues.size(), 0);
-            state->queues.resize(queues.size());
-            for (std::size_t a = 0; a < queues.size(); ++a) {
-                HedgeState::Queue& hq = state->queues[a];
-                hq.disk = queues[a].disk;
-                hq.rows = queues[a].rows;
-                hq.keys.reserve(queues[a].fetch_indices.size());
-                hq.bufs.reserve(queues[a].fetch_indices.size());
-                for (std::size_t i : queues[a].fetch_indices) {
-                    hq.keys.push_back(key_of(fetches[i].coord));
-                    hq.bufs.push_back(
-                        ElementBuf::alloc(static_cast<std::size_t>(element_bytes_), buffer_pool_));
-                }
-            }
-            for (std::size_t a = 0; a < queues.size(); ++a) {
-                orphan_started();
-                pool_->submit([this, state, a] {
-                    run_hedged_queue(*state, a);
-                    {
-                        // Notify under the mutex: the waiter may drop its
-                        // state reference the moment the predicate holds.
-                        std::lock_guard<std::mutex> lock(state->mu);
-                        state->queue_done[a] = 1;
-                        ++state->done;
-                        state->cv.notify_all();
-                    }
-                    orphan_finished();
-                });
-            }
-            std::unique_lock<std::mutex> lock(state->mu);
-            const bool all_done =
-                state->cv.wait_for(lock,
-                                   std::chrono::duration<double, std::milli>(hedge_deadline_ms),
-                                   [&] { return state->done == state->queues.size(); });
-            if (!all_done) {
-                std::vector<char> avoid(devices_.size(), 0);
-                std::vector<std::size_t> stragglers;
-                for (std::size_t a = 0; a < queues.size(); ++a) {
-                    if (!state->queue_done[a]) {
-                        avoid[static_cast<std::size_t>(queues[a].disk)] = 1;
-                        stragglers.push_back(a);
-                    }
-                }
-                lock.unlock();
-                for (DiskId d : excluded) avoid[static_cast<std::size_t>(d)] = 1;
-                if (rt != nullptr) {
-                    rt->complete(fetch_node, "hedge.trigger", obs::forensic_now_us(), 0.0,
-                                 {{"stragglers", std::to_string(stragglers.size())},
-                                  {"deadline_ms", std::to_string(hedge_deadline_ms)},
-                                  {"auto", opts.auto_hedge ? "true" : "false"}});
-                }
-                for (std::size_t a : stragglers) {
-                    for (std::size_t i : queues[a].fetch_indices) {
-                        const Key key = key_of(fetches[i].coord);
-                        if (m.hedged_reads != nullptr) m.hedged_reads->add(1);
-                        if (rt != nullptr) rt->count_hedge();
-                        ElementBuf target =
-                            ElementBuf::alloc(static_cast<std::size_t>(element_bytes_),
-                                              buffer_pool_);
-                        const double hedge_t0 = rt != nullptr ? obs::forensic_now_us() : 0.0;
-                        const bool decoded = side_decode(fetches[i].coord, avoid, target.span());
-                        if (rt != nullptr) {
-                            rt->complete(fetch_node, "hedge.decode", hedge_t0,
-                                         obs::forensic_now_us() - hedge_t0,
-                                         {{"disk", std::to_string(queues[a].disk)},
-                                          {"stripe", std::to_string(fetches[i].coord.stripe)},
-                                          {"group", std::to_string(fetches[i].coord.group)},
-                                          {"position", std::to_string(fetches[i].coord.position)},
-                                          {"decoded", decoded ? "true" : "false"}});
-                        }
-                        if (decoded) hedged.emplace(key, std::move(target));
-                    }
-                }
-                lock.lock();
-                // A straggler whose elements could not all be hedge-decoded
-                // must be joined after all — correctness beats the
-                // deadline. (Typical cause: every queue missed the deadline
-                // at once, e.g. a saturated pool, so `avoid` left no disks
-                // to decode from. A genuinely slow minority decodes fully
-                // and this wait returns immediately.)
-                state->cv.wait(lock, [&] {
-                    for (std::size_t a : stragglers) {
-                        if (state->queue_done[a] != 0) continue;
-                        for (const Key& key : state->queues[a].keys) {
-                            if (hedged.find(key) == hedged.end()) return false;
-                        }
-                    }
-                    return true;
-                });
-            }
-            // Harvest every queue that has finished by now — the decode
-            // window above may have let a near-miss complete. Stragglers
-            // stay orphaned; their elements were hedge-decoded instead.
-            const std::vector<char> finished = state->queue_done;
-            lock.unlock();
-            for (std::size_t a = 0; a < state->queues.size(); ++a) {
-                if (finished[a] == 0) continue;
-                HedgeState::Queue& hq = state->queues[a];
-                if (rt != nullptr) {
-                    const std::uint32_t batch_node = rt->complete(
-                        fetch_node, "disk.batch", hq.issue_us, hq.dur_us,
-                        {obs::RequestTrace::IntAttr{"disk", hq.disk},
-                         {"elements", static_cast<std::int64_t>(hq.keys.size())},
-                         {"done", static_cast<std::int64_t>(hq.done_ops)},
-                         {"bytes", static_cast<std::int64_t>(hq.done_ops) * element_bytes_}});
-                    if (!hq.status.ok()) rt->attr(batch_node, "error", hq.status.error().message);
-                }
-                if (tracer != nullptr) {
-                    tracer->complete("disk.batch", "io", tracer->now_us() - hq.dur_us, hq.dur_us,
-                                     {{"disk", std::to_string(hq.disk)},
-                                      {"elements", std::to_string(hq.keys.size())}});
-                }
-                if (!hq.status.ok()) {
-                    bad.push_back(hq.disk);
-                    last_error = hq.status.error();
-                }
-                for (std::size_t j = 0; j < hq.done_ops; ++j) {
-                    fetched.emplace(hq.keys[j], std::move(hq.bufs[j]));
-                }
-            }
-        } else if (async_overlap) {
-            struct Flight {
-                std::vector<ByteSpan> outs;
-                std::unique_ptr<store::BlockDevice::AsyncBatch> batch;
-                double issue_us = 0.0;     // tracer clock
-                double rt_issue_us = 0.0;  // forensic clock
-                std::chrono::steady_clock::time_point heat_t0;
-            };
-            std::vector<Flight> flights(queues.size());
-            for (std::size_t a = 0; a < queues.size(); ++a) {
-                const core::DiskBatch& queue = queues[a];
-                Flight& f = flights[a];
-                f.issue_us = tracer != nullptr ? tracer->now_us() : 0.0;
-                f.rt_issue_us = rt != nullptr ? obs::forensic_now_us() : 0.0;
-                f.heat_t0 = std::chrono::steady_clock::now();
-                if (heat != nullptr) heat->on_issue(queue.disk);
-                f.outs.reserve(queue.fetch_indices.size());
-                for (std::size_t i : queue.fetch_indices) {
-                    f.outs.push_back(round.find(key_of(fetches[i].coord))->second.span());
-                }
-                f.batch = devices_[static_cast<std::size_t>(queue.disk)]->submit_read_batch(
-                    queue.rows, std::span<const ByteSpan>(f.outs.data(), f.outs.size()));
-            }
-            for (std::size_t a = 0; a < queues.size(); ++a) {
-                const core::DiskBatch& queue = queues[a];
-                Flight& f = flights[a];
-                std::size_t done = 0;
-                Status status = f.batch->await(&done);
-                f.batch.reset();
-                if (!status.ok() && status.error().code == Error::Code::io_error &&
-                    opts.max_retries > 0 && done < queue.rows.size()) {
-                    // Recover the suffix through the policy path: the
-                    // failed op and everything behind it get the retry /
-                    // backoff machinery, re-reading over whatever the
-                    // abandoned async ops may have scribbled.
-                    std::size_t more = 0;
-                    const std::span<const RowId> rows(queue.rows);
-                    const std::span<const ByteSpan> outs(f.outs.data(), f.outs.size());
-                    status = submit_queue(queue.disk, rows.subspan(done), outs.subspan(done),
-                                          opts, &more, TraceCtx{rt, fetch_node});
-                    done += more;
-                }
-                if (heat != nullptr) {
-                    const double queue_us = std::chrono::duration<double, std::micro>(
-                                                std::chrono::steady_clock::now() - f.heat_t0)
-                                                .count();
-                    const double now_s = obs::DiskHeatModel::now_seconds();
-                    heat->on_complete(queue.disk, static_cast<std::int64_t>(done),
-                                      static_cast<std::int64_t>(done) * element_bytes_, queue_us,
-                                      now_s);
-                    if (!status.ok() && status.error().code != Error::Code::timeout) {
-                        heat->on_error(queue.disk, now_s);
-                    }
-                }
-                if (rt != nullptr) {
-                    const std::uint32_t batch_node = rt->complete(
-                        fetch_node, "disk.batch", f.rt_issue_us,
-                        obs::forensic_now_us() - f.rt_issue_us,
-                        {obs::RequestTrace::IntAttr{"disk", queue.disk},
-                         {"elements", static_cast<std::int64_t>(queue.fetch_indices.size())},
-                         {"done", static_cast<std::int64_t>(done)},
-                         {"bytes", static_cast<std::int64_t>(done) * element_bytes_}});
-                    if (!status.ok()) rt->attr(batch_node, "error", status.error().message);
-                }
-                if (tracer != nullptr && status.ok()) {
-                    tracer->complete("disk.batch", "io", f.issue_us,
-                                     tracer->now_us() - f.issue_us,
-                                     {{"disk", std::to_string(queue.disk)},
-                                      {"elements", std::to_string(queue.fetch_indices.size())}});
-                }
-                // Single-threaded: harvest straight into `fetched` (the
-                // shared `succeeded` set is for the pooled paths) and let
-                // any recipe whose sources just completed decode now,
-                // overlapping the disks still in flight.
-                for (std::size_t j = 0; j < done; ++j) {
-                    const Key key = key_of(fetches[queue.fetch_indices[j]].coord);
-                    auto it = round.find(key);
-                    fetched.emplace(key, std::move(it->second));
-                }
-                if (!status.ok()) {
-                    bad.push_back(queue.disk);
-                    last_error = status.error();
-                    continue;
-                }
-                // Partial mode cannot fail: recipes missing sources are
-                // skipped and re-tried by the final decode stage.
-                Status eager = try_decode(p, fetched, /*partial=*/true,
-                                          TraceCtx{rt, fetch_node}, sink);
-                (void)eager;
-            }
-        } else if (pool_ != nullptr && queues.size() > 1) {
-            parallel_for(*pool_, queues.size(), run_queue);
-        } else {
-            for (std::size_t a = 0; a < queues.size(); ++a) run_queue(a);
-        }
-
-        for (const Key& key : succeeded) {
-            auto it = round.find(key);
-            fetched.emplace(key, std::move(it->second));
-        }
-        for (auto& [key, buf] : hedged) {
-            if (fetched.find(key) == fetched.end()) fetched.emplace(key, std::move(buf));
-        }
         for (const auto& access : fetches) {
             if (fetched.find(key_of(access.coord)) == fetched.end()) {
                 outcome.complete = false;
                 break;
             }
         }
-        outcome.bad_disks = std::move(bad);
-        outcome.last_error = std::move(last_error);
         return outcome;
     };
 
@@ -835,6 +626,7 @@ Status PlanExecutor::decode(const AccessPlan& plan, ElementMap& elements, TraceC
 Status PlanExecutor::try_decode(const AccessPlan& plan, ElementMap& elements, bool partial,
                                 TraceCtx tc, const Sink& sink) const {
     const ExecutorMetrics& m = metrics();
+    std::vector<ByteSpan> buffers;
     for (const auto& decode : plan.decodes()) {
         const Key target_key{decode.stripe, decode.group, decode.repair.target_position};
         // Recipes run in plan order (later recipes may chain on earlier
@@ -842,7 +634,7 @@ Status PlanExecutor::try_decode(const AccessPlan& plan, ElementMap& elements, bo
         // so each recipe is decoded and counted exactly once per fetch.
         if (elements.find(target_key) != elements.end()) continue;
         const double decode_t0 = tc.rt != nullptr ? obs::forensic_now_us() : 0.0;
-        std::vector<ByteSpan> buffers(static_cast<std::size_t>(scheme_->code().n()));
+        buffers.assign(static_cast<std::size_t>(scheme_->code().n()), ByteSpan{});
         bool ready = true;
         for (const auto& term : decode.repair.terms) {
             auto it = elements.find({decode.stripe, decode.group, term.source_position});

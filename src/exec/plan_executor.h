@@ -4,8 +4,9 @@
 //
 //   - per-disk submission queues: each AccessPlan::DiskBatch is issued as
 //     chunked vectored read_batch calls with a bounded in-flight depth
-//     (RecoveryOptions::batch_elements), one queue per disk, dispatched in
-//     parallel when a thread pool is attached;
+//     (RecoveryOptions::batch_elements), one queue per disk, all driven by
+//     one submit/reap loop — on a thread pool when one is attached,
+//     overlapped on async devices when not;
 //   - the self-healing policy: bounded retries with exponential backoff,
 //     per-op timeout detection, hedged reads that decode a straggling
 //     disk's elements from the others, and mid-flight degraded replans
@@ -133,12 +134,12 @@ class PlanExecutor {
 
     ~PlanExecutor() { drain_orphans(); }
 
-    /// Block until every orphaned hedge queue (a straggling per-disk fetch
-    /// abandoned at its hedge deadline, still finishing on the pool) has
-    /// completed. Owners of anything those queues touch — the devices, an
-    /// attached heat model or metric registry — must call this before
-    /// tearing that dependency down; attach() and the destructor do so
-    /// automatically.
+    /// Block until every pool task the executor dispatched has completed,
+    /// in particular orphaned hedge queues (straggling per-disk fetches
+    /// abandoned at their hedge deadline, still finishing on the pool).
+    /// Owners of anything those queues touch — the devices, an attached
+    /// heat model or metric registry — must call this before tearing that
+    /// dependency down; attach() and the destructor do so automatically.
     void drain_orphans() const {
         std::unique_lock<std::mutex> lock(orphan_mu_);
         orphan_cv_.wait(lock, [&] { return orphans_ == 0; });
@@ -209,10 +210,17 @@ class PlanExecutor {
     /// decodes as children of the round's fetch span. Safe across pool
     /// and hedge threads.
     /// `sink`, when given, routes elements straight into caller memory
-    /// (see Sink). On devices whose async_reads() is true and with no
-    /// thread pool attached, the serial path submits every disk's batch
-    /// before awaiting any (cross-disk overlap from one thread) and runs
-    /// decode recipes eagerly as their sources land.
+    /// (see Sink).
+    ///
+    /// Each round is one submit/reap loop. It starts every disk's queue:
+    /// on the pool when one is attached, otherwise in place — devices
+    /// whose async_reads() is true get their first chunk in flight before
+    /// any queue is awaited (cross-disk overlap from one thread), and the
+    /// rest run inline. It then reaps the queues (in completion order on
+    /// the pool, submission order without) through one epilogue that
+    /// records their spans, keeps their elements, and runs decode recipes
+    /// eagerly as their sources land. A hedge deadline bounds the reap:
+    /// queues still out when it passes are decoded around and abandoned.
     Result<FetchResult> fetch(const Replanner& replan, std::vector<DiskId> excluded,
                               obs::RequestTrace* rt = nullptr, const Sink& sink = {}) const;
 
@@ -227,7 +235,8 @@ class PlanExecutor {
 
     /// Rebuild one element into `target` from group sources living on
     /// disks not marked in `avoid` (indexed by DiskId), using policy
-    /// reads. Returns the number of source elements read.
+    /// reads. Returns the number of source elements read. Reconstruction
+    /// and hedged reads both use it.
     Result<std::int64_t> rebuild_element(const layout::GroupCoord& coord,
                                          const std::vector<char>& avoid, ByteSpan target) const;
 
@@ -277,23 +286,16 @@ class PlanExecutor {
     Status read_with_policy(DiskId disk, RowId row, ByteSpan out, const RecoveryOptions& opts,
                             TraceCtx tc = {}) const;
 
-    /// Issue one per-disk submission queue: rows/outs already row-sorted,
-    /// chunked to opts.batch_elements per read_batch call. `*done` counts
-    /// elements that landed (also on failure).
-    Status submit_queue(DiskId disk, std::span<const RowId> rows, std::span<const ByteSpan> outs,
-                        const RecoveryOptions& opts, std::size_t* done, TraceCtx tc = {}) const;
-
-    /// Write-side twin of submit_queue: chunked write_batch calls with
-    /// suffix retry of the failing op.
-    Status submit_write_queue(DiskId disk, std::span<const RowId> rows,
-                              std::span<const ConstByteSpan> data, const RecoveryOptions& opts,
-                              std::size_t* done, TraceCtx tc = {}) const;
-
-    /// Hedge path: decode one element directly from alive source disks
-    /// into `target`, bypassing the queue machinery. `avoid` marks disks
-    /// that must not be touched (stragglers and excluded disks).
-    bool side_decode(const layout::GroupCoord& coord, const std::vector<char>& avoid,
-                     ByteSpan target) const;
+    /// The chunk, suffix-retry and traced-backoff loop of one per-disk
+    /// submission queue, reads and writes alike: `chunk(offset, n,
+    /// &completed)` issues rows[offset, offset + n) as one vectored device
+    /// call, opts.batch_elements deep, and `single(j)` re-issues op j
+    /// alone. A transient failure retries just the failing op under the
+    /// policy (its in-chunk failure was attempt zero) and chunking resumes
+    /// behind it. `*done` counts ops that landed (also on failure).
+    template <typename Chunk, typename Single>
+    Status submit_queue(DiskId disk, std::span<const RowId> rows, const RecoveryOptions& opts,
+                        std::size_t* done, TraceCtx tc, Chunk&& chunk, Single&& single) const;
 
     /// Decode engine behind decode(): with `partial`, recipes whose
     /// sources are not all present are skipped instead of failing (the
@@ -312,33 +314,64 @@ class PlanExecutor {
         return ElementBuf::alloc(static_cast<std::size_t>(element_bytes_), buffer_pool_);
     }
 
-    /// Shared state of one hedged fetch round. Heap-allocated and co-owned
-    /// by every queue task, so the requesting frame can return at the
-    /// hedge deadline without joining a straggling queue: the orphaned
-    /// task finishes on the pool against this state, and its late result
-    /// dies with the last shared reference.
-    struct HedgeState {
+    /// One round of per-disk submission queues — a fetch round's reads or
+    /// a write plan's writes — with the elements laid out flat: queue q
+    /// owns [q.begin, q.end) of rows and of outs/keys/bufs (reads) or data
+    /// (writes). Heap-allocated and co-owned by every pool task working
+    /// on it, so a hedged round can return at its deadline without
+    /// joining a straggler: the orphaned task finishes against this state
+    /// and its late payload dies with the last reference.
+    struct Round {
         struct Queue {
             DiskId disk = -1;
-            std::vector<RowId> rows;
-            std::vector<Key> keys;            // keys[j] identifies rows[j]
-            std::vector<ElementBuf> bufs;     // bufs[j] receives rows[j]
+            std::size_t begin = 0;
+            std::size_t end = 0;
+            /// In-place reads on an async device: the first chunk, in flight.
+            std::unique_ptr<store::BlockDevice::AsyncBatch> batch;
             Status status = Status::success();
-            std::size_t done_ops = 0;
-            double issue_us = 0.0;  // forensic clock, for frame-side spans
+            std::size_t done = 0;   // leading ops that landed
+            double issue_us = 0.0;  // forensic clock; these three only when timed
+            double trace_us = 0.0;  // tracer clock
             double dur_us = 0.0;
+            bool finished = false;  // guarded by mu when a pool is attached
+            bool reaped = false;    // touched by the requesting thread only
         };
         RecoveryOptions opts;
+        obs::DiskHeatModel* heat = nullptr;  // fed as queues issue and finish
+        bool timed = false;  // a trace, tracer or heat model wants queue timings
+        std::vector<RowId> rows;
+        std::vector<ByteSpan> outs;       // reads: destination of rows[i]
+        std::vector<Key> keys;            // reads: identity of rows[i]
+        std::vector<ElementBuf> bufs;     // reads: storage behind outs[i]
+        std::vector<ConstByteSpan> data;  // writes: payload of rows[i]
+        std::vector<Queue> queues;
+        std::atomic<std::size_t> next{0};  // next queue for a pool task to claim
         std::mutex mu;
         std::condition_variable cv;
-        std::size_t done = 0;             // guarded by mu
-        std::vector<char> queue_done;     // guarded by mu
-        std::vector<Queue> queues;        // queues[a] owned by task a until done
     };
 
-    /// Task body of one hedged queue: self-contained device I/O + heat
-    /// feed, no access to the requesting frame (which may have returned).
-    void run_hedged_queue(HedgeState& state, std::size_t a) const;
+    /// Start every queue of `r`. With a pool, tasks claim queues off
+    /// r.next; `join` makes this thread claim queues too (nesting-safe:
+    /// a caller that blocks on the round also works it). Without a pool,
+    /// queues start in place: an async device's first read chunk goes in
+    /// flight, to be finished at reap; every other queue runs to
+    /// completion here.
+    void start_round(const std::shared_ptr<Round>& r, TraceCtx tc, bool join) const;
+    /// Issue queue `a`: clocks and heat, then either put its first chunk
+    /// in flight (no pool, reads, async device, no per-op timeout) or run
+    /// it to completion.
+    void start_queue(Round& r, std::size_t a, TraceCtx tc) const;
+    /// Run queue `a` to completion (awaiting its in-flight chunk, if
+    /// any), feed the heat model, and mark it finished.
+    void finish_queue(Round& r, std::size_t a, TraceCtx tc) const;
+    /// A fetch round's hedge deadline passed: rebuild every element of
+    /// the queues not yet reaped (the stragglers) into `fetched` from the
+    /// other disks, avoiding the stragglers and `excluded`, instead of
+    /// waiting.
+    void hedge(const Round& r, const std::vector<DiskId>& excluded, ElementMap& fetched,
+               TraceCtx tc, double deadline_ms, bool auto_deadline) const;
+    /// Record queue `q`'s `name` span on the request trace.
+    void trace_queue(TraceCtx tc, const char* name, const Round::Queue& q) const;
 
     void orphan_started() const {
         std::lock_guard<std::mutex> lock(orphan_mu_);
@@ -372,7 +405,7 @@ class PlanExecutor {
 
     mutable std::mutex orphan_mu_;
     mutable std::condition_variable orphan_cv_;
-    mutable std::int64_t orphans_ = 0;  // dispatched hedge queues not yet finished
+    mutable std::int64_t orphans_ = 0;  // dispatched pool tasks not yet finished
 };
 
 }  // namespace ecfrm::exec

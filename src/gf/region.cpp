@@ -54,10 +54,4 @@ void copy_region(ByteSpan dst, ConstByteSpan src) {
     if (!dst.empty()) std::memmove(dst.data(), src.data(), dst.size());
 }
 
-bool region_simd_active() { return active_tier() != SimdTier::scalar; }
-
-void set_region_simd(bool enabled) {
-    set_active_tier(enabled ? best_supported_tier() : SimdTier::scalar);
-}
-
 }  // namespace ecfrm::gf

@@ -29,13 +29,4 @@ void zero_region(ByteSpan dst);
 /// dst = src (plain copy, here for symmetry with the kernels above).
 void copy_region(ByteSpan dst, ConstByteSpan src);
 
-/// True when the GF multiply kernels are running any SIMD tier (i.e.
-/// active_tier() != SimdTier::scalar). Kept for existing callers; new code
-/// should use the tier API in gf/kernels.h.
-bool region_simd_active();
-
-/// Testing hook: false forces the scalar tier, true restores the best tier
-/// the CPU supports. Equivalent to set_active_tier() in gf/kernels.h.
-void set_region_simd(bool enabled);
-
 }  // namespace ecfrm::gf

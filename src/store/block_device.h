@@ -1,7 +1,10 @@
 // BlockDevice: the device abstraction under StripeStore. One device holds
 // fixed-size element slots addressed by row. Implementations: the
-// in-memory Disk (tests, benches, simulations) and the persistent
-// FileDisk (CLI tool / durable archives).
+// in-memory Disk (tests, benches, simulations); the persistent file
+// backends chosen by store::open_file_device — FileDisk (stdio streams)
+// and UringDisk (io_uring, falling back to positional pread; the one
+// device whose batch reads are truly asynchronous); and the FaultDevice
+// decorator, which injects scheduled faults into any of them.
 #pragma once
 
 #include <atomic>

@@ -404,6 +404,139 @@ TEST(PlanExecutorPolicy, SlowOpsSurfaceAsTimeout) {
     EXPECT_EQ(status.error().code, Error::Code::timeout);
 }
 
+// ------------------------------------------------- async submission path --
+
+/// In-memory disk that reports async_reads() and runs a submitted batch's
+/// reads in await(), with one injectable mid-batch fault: once armed,
+/// read ops [fail_op, fail_op + fail_count) — counted across every read
+/// path — fail with `fail_with`. A fail-stop fault (fail_count < 0) keeps
+/// failing every read from fail_op on.
+class AsyncFaultyDisk final : public store::BlockDevice {
+  public:
+    explicit AsyncFaultyDisk(std::int64_t elem) : inner_(elem) {}
+
+    void arm(std::int64_t fail_op, std::int64_t fail_count, Error fail_with) {
+        fail_op_ = fail_op;
+        fail_count_ = fail_count;
+        fail_with_ = std::move(fail_with);
+        ops_ = 0;
+        armed_ = true;
+    }
+    std::int64_t submits() const { return submits_.load(); }
+
+    std::int64_t element_bytes() const override { return inner_.element_bytes(); }
+    Status write(RowId row, ConstByteSpan data) override { return inner_.write(row, data); }
+    Status read(RowId row, ByteSpan out) const override {
+        const std::int64_t op = ops_.fetch_add(1);
+        if (armed_ && op >= fail_op_ && (fail_count_ < 0 || op < fail_op_ + fail_count_)) {
+            return fail_with_;
+        }
+        return inner_.read(row, out);
+    }
+    std::unique_ptr<AsyncBatch> submit_read_batch(std::span<const RowId> rows,
+                                                  std::span<const ByteSpan> outs) const override {
+        submits_.fetch_add(1);
+        return std::make_unique<Deferred>(*this, rows, outs);
+    }
+    bool async_reads() const override { return true; }
+    void fail() override { inner_.fail(); }
+    void replace() override { inner_.replace(); }
+    bool failed() const override { return inner_.failed(); }
+    RowId rows() const override { return inner_.rows(); }
+    Status corrupt_byte(RowId row, std::size_t offset) override {
+        return inner_.corrupt_byte(row, offset);
+    }
+
+  private:
+    class Deferred final : public AsyncBatch {
+      public:
+        Deferred(const AsyncFaultyDisk& disk, std::span<const RowId> rows,
+                 std::span<const ByteSpan> outs)
+            : disk_(disk), rows_(rows), outs_(outs) {}
+        Status await(std::size_t* completed) override {
+            if (completed != nullptr) *completed = 0;
+            for (std::size_t i = 0; i < rows_.size(); ++i) {
+                auto status = disk_.read(rows_[i], outs_[i]);
+                if (!status.ok()) return status;
+                if (completed != nullptr) *completed = i + 1;
+            }
+            return Status::success();
+        }
+
+      private:
+        const AsyncFaultyDisk& disk_;
+        std::span<const RowId> rows_;
+        std::span<const ByteSpan> outs_;
+    };
+
+    store::Disk inner_;
+    bool armed_ = false;
+    std::int64_t fail_op_ = 0;
+    std::int64_t fail_count_ = 0;
+    Error fail_with_ = Error::io("injected");
+    mutable std::atomic<std::int64_t> ops_{0};
+    mutable std::atomic<std::int64_t> submits_{0};
+};
+
+/// What one faulted read over AsyncFaultyDisks left behind.
+struct AsyncFaultRun {
+    obs::MetricRegistry metrics;
+    std::int64_t faulty_submits = 0;
+    bool bytes_ok = false;
+
+    std::int64_t counter(const char* name) { return metrics.counter(name).value(); }
+};
+
+/// A pool-free store over async devices reads 90 elements, ten per disk,
+/// while disk 2 fails its third read op and `fail_count - 1` after it.
+void run_async_fault(std::int64_t fail_count, const Error& fail_with, AsyncFaultRun& run) {
+    const std::int64_t elem = 64;
+    core::Scheme scheme = make_scheme("rs:6,3", LayoutKind::ecfrm);
+    std::vector<AsyncFaultyDisk*> disks(static_cast<std::size_t>(scheme.disks()));
+    auto opened = store::StripeStore::open(
+        std::move(scheme), elem, [&](int index) -> Result<std::unique_ptr<store::BlockDevice>> {
+            auto disk = std::make_unique<AsyncFaultyDisk>(elem);
+            disks[static_cast<std::size_t>(index)] = disk.get();
+            return std::unique_ptr<store::BlockDevice>(std::move(disk));
+        });
+    ASSERT_TRUE(opened.ok()) << opened.error().message;
+    auto& st = *opened.value();
+    Rng rng(17);
+    std::vector<std::uint8_t> data(static_cast<std::size_t>(elem) * 90);
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_below(256));
+    ASSERT_TRUE(st.append(ConstByteSpan(data.data(), data.size())).ok());
+    ASSERT_TRUE(st.flush().ok());
+    st.attach_observability(&run.metrics);
+
+    disks[2]->arm(/*fail_op=*/2, fail_count, fail_with);
+    auto out = st.read_bytes(0, static_cast<std::int64_t>(data.size()));
+    st.attach_observability(nullptr);
+    ASSERT_TRUE(out.ok()) << out.error().message;
+    run.bytes_ok = out.value() == data;
+    run.faulty_submits = disks[2]->submits();
+}
+
+TEST(PlanExecutorAsync, MidBatchTransientErrorRetriesSuffixWithoutReplan) {
+    // The op fails twice: once inside the async batch, once more on the
+    // first re-read, so the suffix recovery must go through the retry
+    // policy rather than a plain re-issue.
+    AsyncFaultRun run;
+    run_async_fault(/*fail_count=*/2, Error::io("injected transient EIO"), run);
+    EXPECT_TRUE(run.bytes_ok);
+    EXPECT_GE(run.faulty_submits, 1);  // the async submission path ran
+    EXPECT_GE(run.counter("ecfrm_store_retries_total"), 1);
+    EXPECT_EQ(run.counter("ecfrm_store_replans_total"), 0);
+}
+
+TEST(PlanExecutorAsync, MidBatchFailStopReplansAroundTheDisk) {
+    AsyncFaultRun run;
+    run_async_fault(/*fail_count=*/-1, Error::disk_failed("injected fail-stop"), run);
+    EXPECT_TRUE(run.bytes_ok);
+    EXPECT_GE(run.faulty_submits, 1);
+    EXPECT_GE(run.counter("ecfrm_store_replans_total"), 1);
+    EXPECT_GE(run.counter("ecfrm_store_decodes_total"), 1);
+}
+
 // ------------------------------------------------- executor write contract --
 
 TEST(PlanExecutorWrite, BatchedWritePlanLandsEveryPayloadByteExact) {

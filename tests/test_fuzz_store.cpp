@@ -24,6 +24,8 @@
 
 #include "codes/factory.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "obs/metrics.h"
 #include "store/fault_device.h"
 #include "store/io_backend.h"
 #include "store/stripe_store.h"
@@ -276,22 +278,41 @@ INSTANTIATE_TEST_SUITE_P(FaultyStreams, FuzzStoreTest, ::testing::ValuesIn(fault
 /// campaign. Every read must come back byte-identical to the reference
 /// model regardless of interleaving. (The fault schedule depends on the
 /// thread interleaving, so this variant checks correctness under any
-/// schedule rather than replaying one.)
-void run_concurrent_fuzz(const char* spec, LayoutKind kind, std::uint64_t seed) {
+/// schedule rather than replaying one.) With `pool_threads` > 0 the store
+/// fans each read's disk queues out on a thread pool. A `hedge_ms`
+/// deadline on top adds occasional 1 ms read stalls to the fault plan;
+/// the hedge must abandon those straggling queues to orphaned pool tasks
+/// and decode their elements instead, and the cell asserts hedges fired.
+void run_concurrent_fuzz(const char* spec, LayoutKind kind, std::uint64_t seed,
+                         int pool_threads = 0, double hedge_ms = 0.0) {
     auto code = codes::make_code(spec);
     ASSERT_TRUE(code.ok());
     ASSERT_GE(code.value()->fault_tolerance(), 2) << "chaos thread needs 2 spare failures";
 
     const std::int64_t elem = 32;
-    const FaultPlan plan = fuzz_fault_plan(seed);
+    FaultPlan plan = fuzz_fault_plan(seed);
+    if (hedge_ms > 0.0) {
+        FaultRule stall;
+        stall.kind = FaultKind::latency;
+        stall.op = FaultOp::read;
+        stall.count = 1'000'000'000;
+        stall.probability = 0.02;
+        stall.latency_ms = 1.0;
+        plan.rules.push_back(stall);
+    }
     SCOPED_TRACE("replay: seed=" + std::to_string(seed) + " fault_plan=" + plan.to_json());
+    // Declared before the store: both must outlive its orphaned queues.
+    obs::MetricRegistry metrics;
+    std::unique_ptr<ThreadPool> pool;
+    if (pool_threads > 0) pool = std::make_unique<ThreadPool>(static_cast<std::size_t>(pool_threads));
     auto opened = StripeStore::open(core::Scheme(code.value(), kind), elem,
-                                    faulty_memory_factory(elem, plan));
+                                    faulty_memory_factory(elem, plan), pool.get());
     ASSERT_TRUE(opened.ok()) << opened.error().message;
     auto store = std::move(opened).take();
     RecoveryOptions recovery;
     recovery.max_retries = 3;
     recovery.batch_elements = 2;
+    recovery.hedge_ms = hedge_ms;
     store->set_recovery(recovery);
 
     // Freeze a multi-extent committed prefix for the readers to verify.
@@ -307,6 +328,7 @@ void run_concurrent_fuzz(const char* spec, LayoutKind kind, std::uint64_t seed) 
     }
     const auto committed = static_cast<std::int64_t>(reference.size());
     ASSERT_EQ(store->committed_bytes(), committed);
+    store->attach_observability(&metrics);
 
     // One disk stays down so part of the run is degraded even between
     // chaos cycles; the chaos thread cycles a second one.
@@ -350,6 +372,9 @@ void run_concurrent_fuzz(const char* spec, LayoutKind kind, std::uint64_t seed) 
     chaos.join();
     EXPECT_EQ(read_errors.load(), 0);
     EXPECT_EQ(mismatches.load(), 0);
+    if (hedge_ms > 0.0) {
+        EXPECT_GT(metrics.counter("ecfrm_store_hedged_reads_total").value(), 0);
+    }
 
     // Heal fully and audit the stream end to end.
     ASSERT_TRUE(store->reconstruct_disk(down).ok());
@@ -362,13 +387,15 @@ struct ConcurrentFuzzParam {
     const char* spec;
     LayoutKind kind;
     std::uint64_t seed;
+    int pool_threads = 0;
+    double hedge_ms = 0.0;
 };
 
 class ConcurrentFuzzStoreTest : public ::testing::TestWithParam<ConcurrentFuzzParam> {};
 
 TEST_P(ConcurrentFuzzStoreTest, ConcurrentReadersMatchReferenceModel) {
-    const auto [spec, kind, seed] = GetParam();
-    run_concurrent_fuzz(spec, kind, seed);
+    const auto [spec, kind, seed, pool_threads, hedge_ms] = GetParam();
+    run_concurrent_fuzz(spec, kind, seed, pool_threads, hedge_ms);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -379,6 +406,14 @@ INSTANTIATE_TEST_SUITE_P(
                       ConcurrentFuzzParam{"lrc:6,2,2", LayoutKind::rotated, 204},
                       ConcurrentFuzzParam{"hhxor:6,4", LayoutKind::ecfrm, 205},
                       ConcurrentFuzzParam{"htec:9,6,3", LayoutKind::standard, 206}));
+
+// Pooled cells: disk queues run on a 4-thread pool, joined (no hedge) or
+// under a sub-millisecond hedge deadline, so straggling queues are
+// decoded around and left orphaned on the pool.
+INSTANTIATE_TEST_SUITE_P(
+    PooledStreams, ConcurrentFuzzStoreTest,
+    ::testing::Values(ConcurrentFuzzParam{"rs:6,3", LayoutKind::ecfrm, 207, 4, 0.0},
+                      ConcurrentFuzzParam{"lrc:6,2,2", LayoutKind::rotated, 208, 4, 0.05}));
 
 /// Backend-differential cells: the identical deterministic op stream
 /// (append / flush / read / fail / reconstruct / corrupt+scrub, fixed

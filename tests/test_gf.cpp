@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "gf/gf256.h"
 #include "gf/gf65536.h"
+#include "gf/kernels.h"
 #include "gf/region.h"
 
 namespace ecfrm::gf {
@@ -174,8 +175,13 @@ INSTANTIATE_TEST_SUITE_P(Lengths, RegionTest,
                                            std::size_t{8}, std::size_t{9}, std::size_t{63},
                                            std::size_t{64}, std::size_t{1000}, std::size_t{4096}));
 
+// The public region entry points on the best tier against the scalar
+// tier, at lengths that cross whole-vector boundaries. Scalar runs first,
+// so a failed assertion leaves the best tier active for later tests.
 TEST(RegionSimd, SimdAndScalarPathsAgree) {
-    if (!region_simd_active()) GTEST_SKIP() << "no AVX2 on this machine";
+    const SimdTier before = active_tier();
+    const SimdTier best = best_supported_tier();
+    if (best == SimdTier::scalar) GTEST_SKIP() << "no SIMD tier on this machine";
     Rng rng(1234);
     for (std::size_t len : {std::size_t{1}, std::size_t{31}, std::size_t{32}, std::size_t{33},
                             std::size_t{255}, std::size_t{4096}, std::size_t{4099}}) {
@@ -186,26 +192,25 @@ TEST(RegionSimd, SimdAndScalarPathsAgree) {
             scalar_dst[i] = simd_dst[i];
         }
         for (std::uint8_t c : {std::uint8_t{2}, std::uint8_t{0x1d}, std::uint8_t{0x8e}, std::uint8_t{0xff}}) {
-            set_region_simd(true);
-            addmul_region(simd_dst.span(), src.span(), c);
-            set_region_simd(false);
+            ASSERT_TRUE(set_active_tier(SimdTier::scalar));
             addmul_region(scalar_dst.span(), src.span(), c);
-            set_region_simd(true);
+            ASSERT_TRUE(set_active_tier(best));
+            addmul_region(simd_dst.span(), src.span(), c);
             for (std::size_t i = 0; i < len; ++i) {
                 ASSERT_EQ(simd_dst[i], scalar_dst[i]) << "len=" << len << " c=" << int(c) << " i=" << i;
             }
 
             AlignedBuffer m1(len), m2(len);
-            set_region_simd(true);
-            mul_region(m1.span(), src.span(), c);
-            set_region_simd(false);
+            ASSERT_TRUE(set_active_tier(SimdTier::scalar));
             mul_region(m2.span(), src.span(), c);
-            set_region_simd(true);
+            ASSERT_TRUE(set_active_tier(best));
+            mul_region(m1.span(), src.span(), c);
             for (std::size_t i = 0; i < len; ++i) {
                 ASSERT_EQ(m1[i], m2[i]) << "len=" << len << " c=" << int(c) << " i=" << i;
             }
         }
     }
+    EXPECT_TRUE(set_active_tier(before));
 }
 
 TEST(Region, AddmulIsMulPlusXor) {

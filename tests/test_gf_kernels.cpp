@@ -81,16 +81,6 @@ TEST(Kernels, SetActiveTier) {
     EXPECT_TRUE(ecfrm::gf::set_active_tier(before));
 }
 
-TEST(Kernels, RegionSimdCompatShims) {
-    ecfrm::gf::set_region_simd(false);
-    EXPECT_EQ(ecfrm::gf::active_tier(), SimdTier::scalar);
-    EXPECT_FALSE(ecfrm::gf::region_simd_active());
-    ecfrm::gf::set_region_simd(true);
-    EXPECT_EQ(ecfrm::gf::active_tier(), ecfrm::gf::best_supported_tier());
-    EXPECT_EQ(ecfrm::gf::region_simd_active(),
-              ecfrm::gf::best_supported_tier() != SimdTier::scalar);
-}
-
 // Every coefficient x offsets x tail lengths 0-63: mul and addmul against
 // the Gf256 table, through the raw per-tier kernel pointers.
 TEST_P(TierSuite, MulAddmulDifferentialExhaustive) {

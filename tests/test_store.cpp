@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <thread>
@@ -533,10 +534,16 @@ TEST(StoreRecovery, HedgedReadDecodesAroundStraggler) {
     ThreadPool pool(4);
     FaultyFixture f("rs:6,3", plan, recovery, &pool);
 
+    const auto t0 = std::chrono::steady_clock::now();
     auto out = f.store->read_bytes(0, static_cast<std::int64_t>(f.data.size()));
+    const double elapsed_ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
     ASSERT_TRUE(out.ok()) << out.error().message;
     EXPECT_EQ(out.value(), f.data);
     EXPECT_GE(f.counter("ecfrm_store_hedged_reads_total"), 1);
+    // The read returned at the hedge, not behind the straggler: waiting
+    // out even one stalled op would take the full 120 ms.
+    EXPECT_LT(elapsed_ms, 60.0);
 }
 
 TEST(StoreRecovery, ForensicsCaptureReplannedReadWithTiledPhases) {
@@ -576,7 +583,7 @@ TEST(StoreRecovery, ForensicsCaptureReplannedReadWithTiledPhases) {
     EXPECT_EQ(forensics.finished_total(obs::RequestClass::normal), 0);
 
     // Phase attribution accounts for the whole request (same tolerance
-    // the faultcamp audit enforces across all 42 cells).
+    // the faultcamp audit enforces across all its cells).
     double phase_sum = 0.0;
     for (const auto& [name, us] : rt.phase_totals()) phase_sum += us;
     EXPECT_GT(rt.dur_us(), 0.0);
