@@ -121,6 +121,7 @@ Result<ElementRepair> ErasureCode::solve_repair(int target, const std::vector<in
 
     ElementRepair repair;
     repair.target_position = target;
+    repair.terms.reserve(static_cast<std::size_t>(row));
     for (int r = 0; r < row; ++r) {
         const int col = pivot_col_of_row[static_cast<std::size_t>(r)];
         const std::uint8_t c = aug.at(r, s);
@@ -145,22 +146,37 @@ Result<DecodePlan> ErasureCode::plan_decode(const std::vector<int>& available, c
     return plan;
 }
 
-void ErasureCode::apply_plan(const DecodePlan& plan, const std::vector<ByteSpan>& buffers,
-                             ThreadPool* pool) {
-    std::vector<ConstByteSpan> srcs;
-    std::vector<std::uint8_t> coeffs;
-    for (const auto& repair : plan.repairs) {
-        // One fused single-destination pass per repair (the target never
-        // appears among its own sources, so in-place repair is safe).
-        srcs.clear();
-        coeffs.clear();
-        for (const auto& term : repair.terms) {
-            srcs.push_back(buffers[static_cast<std::size_t>(term.source_position)]);
-            coeffs.push_back(term.coeff);
-        }
-        const std::vector<ByteSpan> dst{buffers[static_cast<std::size_t>(repair.target_position)]};
-        gf::encode_regions(srcs, dst, coeffs.data(), pool);
+void ErasureCode::apply_repair(const ElementRepair& repair, std::span<const ByteSpan> buffers,
+                               ThreadPool* pool) {
+    // One fused single-destination pass (the target never appears among
+    // its own sources, so in-place repair is safe). Source tables up to
+    // kInlineTerms stay on the stack.
+    constexpr std::size_t kInlineTerms = 64;
+    const std::size_t k = repair.terms.size();
+    ConstByteSpan inline_srcs[kInlineTerms];
+    std::uint8_t inline_coeffs[kInlineTerms];
+    std::vector<ConstByteSpan> big_srcs;
+    std::vector<std::uint8_t> big_coeffs;
+    ConstByteSpan* srcs = inline_srcs;
+    std::uint8_t* coeffs = inline_coeffs;
+    if (k > kInlineTerms) {
+        big_srcs.resize(k);
+        big_coeffs.resize(k);
+        srcs = big_srcs.data();
+        coeffs = big_coeffs.data();
     }
+    for (std::size_t j = 0; j < k; ++j) {
+        srcs[j] = buffers[static_cast<std::size_t>(repair.terms[j].source_position)];
+        coeffs[j] = repair.terms[j].coeff;
+    }
+    const ByteSpan dst = buffers[static_cast<std::size_t>(repair.target_position)];
+    gf::encode_regions(std::span<const ConstByteSpan>(srcs, k), std::span<const ByteSpan>(&dst, 1),
+                       coeffs, pool);
+}
+
+void ErasureCode::apply_plan(const DecodePlan& plan, std::span<const ByteSpan> buffers,
+                             ThreadPool* pool) {
+    for (const auto& repair : plan.repairs) apply_repair(repair, buffers, pool);
 }
 
 }  // namespace ecfrm::codes

@@ -126,8 +126,14 @@ class ErasureCode {
     /// Execute a plan against element buffers (buffers[i] is position i's
     /// payload; repaired targets are overwritten in place). Each repair is
     /// one fused multi-source kernel pass, pool-chunked when `pool` is set.
-    static void apply_plan(const DecodePlan& plan, const std::vector<ByteSpan>& buffers,
+    static void apply_plan(const DecodePlan& plan, std::span<const ByteSpan> buffers,
                            ThreadPool* pool = nullptr);
+
+    /// Execute one repair against position-indexed element buffers, as
+    /// apply_plan does for each of its repairs; allocation-free for
+    /// repairs of up to 64 sources.
+    static void apply_repair(const ElementRepair& repair, std::span<const ByteSpan> buffers,
+                             ThreadPool* pool = nullptr);
 };
 
 }  // namespace ecfrm::codes

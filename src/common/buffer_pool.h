@@ -130,7 +130,7 @@ class BufferPool {
 /// Storage for one in-flight element: an owned buffer (pooled or heap) or
 /// a non-owning view of caller memory (the zero-copy path — the element
 /// is fetched or decoded directly into the user's output buffer). The
-/// executor's ElementMap holds these.
+/// executor's ElementTable holds these.
 class ElementBuf {
   public:
     ElementBuf() = default;

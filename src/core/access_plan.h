@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "codes/erasure_code.h"
@@ -27,11 +28,36 @@ struct Access {
 /// schedule model shared by the executor (which issues each batch as
 /// chunked read_batch calls), the cluster simulator (which prices each
 /// batch as one job), and `ecfrm_cli explain` (which reports it) — so
-/// simulated, explained and real execution can never drift.
+/// simulated, explained and real execution can never drift. Its spans
+/// view the PlanBatches that produced it.
 struct DiskBatch {
     DiskId disk = -1;
-    std::vector<std::size_t> fetch_indices;  // indices into fetches(), row-ascending
-    std::vector<RowId> rows;                 // parallel to fetch_indices
+    std::span<const std::size_t> fetch_indices;  // indices into fetches(), row-ascending
+    std::span<const RowId> rows;                 // parallel to fetch_indices
+};
+
+/// A plan's per-disk schedule (AccessPlan::batches()), laid out flat:
+/// every batch's fetch indices and rows are slices of two shared arrays,
+/// so the schedule costs three allocations whatever the fan-out.
+/// Move-only, because the batches view the arrays it owns.
+class PlanBatches {
+  public:
+    PlanBatches() = default;
+    PlanBatches(PlanBatches&&) noexcept = default;
+    PlanBatches& operator=(PlanBatches&&) noexcept = default;
+    PlanBatches(const PlanBatches&) = delete;
+    PlanBatches& operator=(const PlanBatches&) = delete;
+
+    std::size_t size() const { return batches_.size(); }
+    const DiskBatch& operator[](std::size_t i) const { return batches_[i]; }
+    std::vector<DiskBatch>::const_iterator begin() const { return batches_.begin(); }
+    std::vector<DiskBatch>::const_iterator end() const { return batches_.end(); }
+
+  private:
+    friend class AccessPlan;
+    std::vector<std::size_t> fetch_indices_;
+    std::vector<RowId> rows_;
+    std::vector<DiskBatch> batches_;
 };
 
 /// Decode recipe for one group that lost an element the user wants.
@@ -44,6 +70,9 @@ struct GroupDecode {
 class AccessPlan {
   public:
     explicit AccessPlan(int disks) : per_disk_(static_cast<std::size_t>(disks), 0) {}
+
+    /// Room for `fetches` fetches without regrowing.
+    void reserve(std::size_t fetches) { fetches_.reserve(fetches); }
 
     /// Record a fetch; the caller guarantees it is not a duplicate.
     void add_fetch(const Access& access) {
@@ -58,32 +87,40 @@ class AccessPlan {
     const std::vector<int>& per_disk_loads() const { return per_disk_; }
 
     /// Fetches grouped per disk, row-sorted: one DiskBatch per disk that
-    /// serves at least one element, in ascending disk order. The number of
-    /// batches is the plan's fan-out.
-    std::vector<DiskBatch> batches() const {
-        std::vector<DiskBatch> out;
-        std::vector<int> slot(per_disk_.size(), -1);
-        for (std::size_t i = 0; i < fetches_.size(); ++i) {
-            const auto d = static_cast<std::size_t>(fetches_[i].loc.disk);
-            if (slot[d] < 0) {
-                slot[d] = static_cast<int>(out.size());
-                out.push_back(DiskBatch{fetches_[i].loc.disk, {}, {}});
-            }
-            out[static_cast<std::size_t>(slot[d])].fetch_indices.push_back(i);
-        }
-        std::sort(out.begin(), out.end(),
-                  [](const DiskBatch& a, const DiskBatch& b) { return a.disk < b.disk; });
-        for (DiskBatch& batch : out) {
-            std::sort(batch.fetch_indices.begin(), batch.fetch_indices.end(),
-                      [this](std::size_t a, std::size_t b) {
-                          return fetches_[a].loc.row != fetches_[b].loc.row
-                                     ? fetches_[a].loc.row < fetches_[b].loc.row
-                                     : a < b;
-                      });
-            batch.rows.reserve(batch.fetch_indices.size());
-            for (std::size_t i : batch.fetch_indices) batch.rows.push_back(fetches_[i].loc.row);
+    /// serves at least one element, in ascending disk order.
+    PlanBatches batches() const {
+        PlanBatches out;
+        const std::size_t n = fetches_.size();
+        out.fetch_indices_.resize(n);
+        for (std::size_t i = 0; i < n; ++i) out.fetch_indices_[i] = i;
+        std::sort(out.fetch_indices_.begin(), out.fetch_indices_.end(),
+                  [this](std::size_t a, std::size_t b) {
+                      const Location& la = fetches_[a].loc;
+                      const Location& lb = fetches_[b].loc;
+                      if (la.disk != lb.disk) return la.disk < lb.disk;
+                      return la.row != lb.row ? la.row < lb.row : a < b;
+                  });
+        out.rows_.reserve(n);
+        for (std::size_t i : out.fetch_indices_) out.rows_.push_back(fetches_[i].loc.row);
+        out.batches_.reserve(static_cast<std::size_t>(fanout()));
+        const std::span<const std::size_t> indices(out.fetch_indices_);
+        const std::span<const RowId> rows(out.rows_);
+        std::size_t offset = 0;
+        for (std::size_t d = 0; d < per_disk_.size(); ++d) {
+            const auto load = static_cast<std::size_t>(per_disk_[d]);
+            if (load == 0) continue;
+            out.batches_.push_back({static_cast<DiskId>(d), indices.subspan(offset, load),
+                                    rows.subspan(offset, load)});
+            offset += load;
         }
         return out;
+    }
+
+    /// Disks serving at least one fetch: the number of batches().
+    int fanout() const {
+        int disks = 0;
+        for (int v : per_disk_) disks += v > 0 ? 1 : 0;
+        return disks;
     }
 
     /// Elements fetched from the most-loaded disk — the quantity the paper

@@ -42,7 +42,7 @@ Result<std::string> explain_read_json(const Scheme& scheme, ElementId start, std
 
     // The plan's schedule model: one submission batch per serving disk —
     // the same grouping the executor issues and the simulator prices.
-    const std::vector<DiskBatch> batches = plan.batches();
+    const PlanBatches batches = plan.batches();
     const int fan_out = static_cast<int>(batches.size());
 
     std::string out = "{\"schema\":\"ecfrm.explain.v1\"";

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <set>
 #include <tuple>
 
 #include "obs/metrics.h"
@@ -38,26 +37,31 @@ void note_plan(const AccessPlan& plan, PlanKindMetrics PlannerMetrics::* kind) {
     const PlanKindMetrics& m = all->*kind;
     m.max_load->record(plan.max_load());
     m.fetches->record(static_cast<double>(plan.total_fetched()));
-    int fanout = 0;
-    for (int load : plan.per_disk_loads()) fanout += load > 0 ? 1 : 0;
-    m.fanout->record(fanout);
+    m.fanout->record(plan.fanout());
 }
 
-/// Dedup key for an element within a plan.
-using Key = std::tuple<StripeId, int, int>;
-
-Key key_of(const GroupCoord& c) { return {c.stripe, c.group, c.position}; }
-
-/// Bookkeeping shared by both planners.
+/// Bookkeeping shared by the degraded and reconstruction planners.
 struct PlanBuilder {
-    explicit PlanBuilder(const Scheme& scheme, const std::vector<char>* stragglers = nullptr)
-        : scheme(scheme), plan(scheme.disks()), stragglers(stragglers) {}
+    /// Plans fetches within stripes [first_stripe, first_stripe + stripes).
+    PlanBuilder(const Scheme& scheme, StripeId first_stripe, StripeId stripes,
+                std::size_t fetch_hint, const std::vector<char>* stragglers = nullptr)
+        : scheme(scheme),
+          plan(scheme.disks()),
+          stragglers(stragglers),
+          first_stripe(first_stripe),
+          groups(scheme.layout().groups_per_stripe()),
+          positions(scheme.code().n()),
+          seen(static_cast<std::size_t>(stripes * groups * positions), 0) {
+        plan.reserve(fetch_hint);
+    }
 
     /// Fetch the element at `coord` once; later duplicate fetches are
     /// no-ops. All requested fetches happen before any repair fetch, so a
     /// duplicate can never need a requested-flag upgrade.
     void fetch(const GroupCoord& coord, bool requested) {
-        if (!seen.insert(key_of(coord)).second) return;
+        char& flag = seen[slot(coord)];
+        if (flag != 0) return;
+        flag = 1;
         Access access;
         access.coord = coord;
         access.loc = scheme.layout().locate(coord);
@@ -65,7 +69,7 @@ struct PlanBuilder {
         plan.add_fetch(access);
     }
 
-    bool fetched(const GroupCoord& coord) const { return seen.count(key_of(coord)) > 0; }
+    bool fetched(const GroupCoord& coord) const { return seen[slot(coord)] != 0; }
 
     int disk_load(DiskId d) const { return plan.per_disk_loads()[static_cast<std::size_t>(d)]; }
 
@@ -75,21 +79,32 @@ struct PlanBuilder {
                (*stragglers)[static_cast<std::size_t>(d)] != 0;
     }
 
+    /// Flat dedup index: one flag per element of the stripe window, so a
+    /// check is O(1) and whole-disk reconstruction plans stay linear.
+    std::size_t slot(const GroupCoord& c) const {
+        assert(c.stripe >= first_stripe);
+        const auto i = ((c.stripe - first_stripe) * groups + c.group) * positions + c.position;
+        assert(static_cast<std::size_t>(i) < seen.size());
+        return static_cast<std::size_t>(i);
+    }
+
     const Scheme& scheme;
     AccessPlan plan;
-    std::set<Key> seen;
     const std::vector<char>* stragglers = nullptr;
+    StripeId first_stripe;
+    std::int64_t groups;
+    std::int64_t positions;
+    std::vector<char> seen;
 };
 
 /// Survivor positions of the target's group, greedy-ordered: free riders
 /// (already being fetched) first, then healthy disks before flagged
 /// stragglers, then least-loaded disks. (A free rider on a straggler
 /// stays first: that disk is already on the critical path and the extra
-/// source costs nothing.)
-std::vector<int> greedy_order(PlanBuilder& b, const GroupCoord& target, const std::vector<int>& survivors) {
+/// source costs nothing; remaining ties keep position order.)
+std::vector<int> greedy_order(PlanBuilder& b, const GroupCoord& target, std::vector<int> order) {
     const auto& layout = b.scheme.layout();
-    std::vector<int> order = survivors;
-    std::stable_sort(order.begin(), order.end(), [&](int a, int c) {
+    std::sort(order.begin(), order.end(), [&](int a, int c) {
         const GroupCoord ca{target.stripe, target.group, a};
         const GroupCoord cc{target.stripe, target.group, c};
         const bool fa = b.fetched(ca);
@@ -100,7 +115,9 @@ std::vector<int> greedy_order(PlanBuilder& b, const GroupCoord& target, const st
         const bool sa = b.straggler(da);
         const bool sc = b.straggler(dc);
         if (sa != sc) return sc;
-        return b.disk_load(da) < b.disk_load(dc);
+        const int la = b.disk_load(da);
+        const int lc = b.disk_load(dc);
+        return la != lc ? la < lc : a < c;
     });
     return order;
 }
@@ -109,9 +126,9 @@ std::vector<int> greedy_order(PlanBuilder& b, const GroupCoord& target, const st
 /// MDS codes; possibly more for LRC when the local set is broken, fewer
 /// for sub-packetized codes whose substripes decode independently).
 Result<codes::ElementRepair> greedy_repair(PlanBuilder& b, const GroupCoord& target,
-                                           const std::vector<int>& survivors) {
+                                           std::vector<int> survivors) {
     const auto& code = b.scheme.code();
-    const std::vector<int> order = greedy_order(b, target, survivors);
+    const std::vector<int> order = greedy_order(b, target, std::move(survivors));
     const std::size_t min_count =
         std::min<std::size_t>(static_cast<std::size_t>(code.data_nodes()), order.size());
     Result<codes::ElementRepair> last = Error::undecodable("no survivors");
@@ -179,17 +196,10 @@ Result<codes::ElementRepair> choose_repair(PlanBuilder& b, const GroupCoord& tar
 
     // Structured candidate (e.g. the LRC local set), if fully alive.
     const codes::RepairSpec spec = code.repair_spec(target.position);
-    Result<codes::ElementRepair> structured = Error::undecodable("no structured repair");
-    if (!spec.preferred.empty()) {
-        bool intact = true;
-        for (int p : spec.preferred) {
-            if (!alive(p)) {
-                intact = false;
-                break;
-            }
-        }
-        if (intact) structured = code.solve_repair(target.position, spec.preferred);
-    }
+    bool intact = !spec.preferred.empty();
+    for (int p : spec.preferred) intact = intact && alive(p);
+    if (!intact) return greedy_repair(b, target, std::move(survivors));
+    auto structured = code.solve_repair(target.position, spec.preferred);
 
     // local_first keeps the structured set unless health says otherwise:
     // a structured repair that would drag a flagged straggler into the
@@ -200,7 +210,7 @@ Result<codes::ElementRepair> choose_repair(PlanBuilder& b, const GroupCoord& tar
         return structured;
     }
 
-    auto greedy = greedy_repair(b, target, survivors);
+    auto greedy = greedy_repair(b, target, std::move(survivors));
     if (!structured.ok()) return greedy;
     if (!greedy.ok()) return structured;
     return projected_cost(b, target, greedy.value()) < projected_cost(b, target, structured.value())
@@ -228,13 +238,17 @@ void attach_planner_metrics(obs::MetricRegistry* registry) {
 }
 
 AccessPlan plan_normal_read(const Scheme& scheme, ElementId start, std::int64_t count) {
-    PlanBuilder b(scheme);
+    // Distinct data elements never collide, so there is nothing to dedup.
+    const auto& layout = scheme.layout();
+    AccessPlan plan(scheme.disks());
+    plan.reserve(static_cast<std::size_t>(count));
     for (std::int64_t i = 0; i < count; ++i) {
-        b.fetch(scheme.layout().coord_of_data(start + i), /*requested=*/true);
+        const GroupCoord coord = layout.coord_of_data(start + i);
+        plan.add_fetch({layout.locate(coord), coord, /*requested=*/true});
     }
-    b.plan.set_requested(count);
-    note_plan(b.plan, &PlannerMetrics::normal);
-    return std::move(b.plan);
+    plan.set_requested(count);
+    note_plan(plan, &PlannerMetrics::normal);
+    return plan;
 }
 
 Result<AccessPlan> plan_degraded_read(const Scheme& scheme, ElementId start, std::int64_t count,
@@ -246,7 +260,12 @@ Result<AccessPlan> plan_degraded_read(const Scheme& scheme, ElementId start, std
                                       const std::vector<DiskId>& failed_disks, DegradedPolicy policy,
                                       const std::vector<char>* stragglers) {
     const auto& layout = scheme.layout();
-    PlanBuilder b(scheme, stragglers);
+    // Repair sources share their target's group, so every fetch lies in
+    // the stripes the request spans.
+    const StripeId first_stripe = count > 0 ? layout.coord_of_data(start).stripe : 0;
+    const StripeId stripes =
+        count > 0 ? layout.coord_of_data(start + count - 1).stripe - first_stripe + 1 : 0;
+    PlanBuilder b(scheme, first_stripe, stripes, static_cast<std::size_t>(count), stragglers);
 
     std::vector<bool> disk_failed(static_cast<std::size_t>(scheme.disks()), false);
     for (DiskId d : failed_disks) {
@@ -288,13 +307,13 @@ Result<AccessPlan> plan_degraded_read(const Scheme& scheme, ElementId start, std
 Result<AccessPlan> plan_reconstruction(const Scheme& scheme, DiskId failed_disk, StripeId stripes) {
     if (failed_disk < 0 || failed_disk >= scheme.disks()) return Error::range("no such disk");
     const auto& layout = scheme.layout();
-    PlanBuilder b(scheme);
+    const RowId rows = stripes * layout.rows_per_stripe();
+    PlanBuilder b(scheme, 0, stripes, static_cast<std::size_t>(rows * scheme.code().k()));
 
     std::vector<bool> disk_failed(static_cast<std::size_t>(scheme.disks()), false);
     disk_failed[static_cast<std::size_t>(failed_disk)] = true;
 
     std::int64_t rebuilt = 0;
-    const RowId rows = stripes * layout.rows_per_stripe();
     for (RowId row = 0; row < rows; ++row) {
         const GroupCoord target = layout.coord_at({failed_disk, row});
         auto repair = choose_repair(b, target, disk_failed, DegradedPolicy::local_first);

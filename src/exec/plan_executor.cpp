@@ -331,7 +331,7 @@ Result<PlanExecutor::WriteReport> PlanExecutor::write(const core::WritePlan& pla
 }
 
 void PlanExecutor::hedge(const Round& r, const std::vector<DiskId>& excluded,
-                         ElementMap& fetched, TraceCtx tc, double deadline_ms,
+                         ElementTable& fetched, TraceCtx tc, double deadline_ms,
                          bool auto_deadline) const {
     const ExecutorMetrics& m = metrics();
     std::vector<char> avoid(devices_.size(), 0);
@@ -351,7 +351,7 @@ void PlanExecutor::hedge(const Round& r, const std::vector<DiskId>& excluded,
     for (const Round::Queue& q : r.queues) {
         if (q.reaped) continue;
         for (std::size_t j = q.begin; j < q.end; ++j) {
-            const auto [stripe, group, position] = r.keys[j];
+            const auto [stripe, group, position] = r.elems[j].first;
             if (m.hedged_reads != nullptr) m.hedged_reads->add(1);
             if (tc.rt != nullptr) tc.rt->count_hedge();
             ElementBuf target =
@@ -367,23 +367,23 @@ void PlanExecutor::hedge(const Round& r, const std::vector<DiskId>& excluded,
                                  {"position", std::to_string(position)},
                                  {"decoded", decoded ? "true" : "false"}});
             }
-            if (decoded) fetched.emplace(r.keys[j], std::move(target));
+            if (decoded) fetched.emplace(r.elems[j].first, std::move(target));
         }
     }
 }
 
-Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
+Result<PlanExecutor::FetchResult> PlanExecutor::fetch(Replanner replan,
                                                       std::vector<DiskId> excluded,
-                                                      obs::RequestTrace* rt,
-                                                      const Sink& sink) const {
+                                                      obs::RequestTrace* rt, Sink sink) const {
     const RecoveryOptions opts = recovery();
     const ExecutorMetrics& m = metrics();
     obs::Tracer* const tracer = this->tracer();
     obs::DiskHeatModel* const heat = this->heat();
 
     // Elements fetched (or hedge-decoded) so far, kept across replan
-    // rounds so recovery never re-reads what it already holds.
-    ElementMap fetched;
+    // rounds so recovery never re-reads what it already holds. Sized per
+    // plan: every fetch plus every decode target.
+    ElementTable fetched;
     std::optional<AccessPlan> plan;
     bool request_load_recorded = false;  // heat records max load once per request
 
@@ -397,7 +397,8 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
     auto fetch_round = [&](const AccessPlan& p, std::uint32_t fetch_node) -> FetchOutcome {
         FetchOutcome outcome;
         const auto& fetches = p.fetches();
-        const std::vector<core::DiskBatch> batches = p.batches();
+        const core::PlanBatches batches = p.batches();
+        fetched.reserve(fetched.size() + fetches.size() + p.decodes().size());
 
         // Effective hedge deadline for this round: static hedge_ms, or —
         // under auto_hedge with a warm heat window — derived from the
@@ -421,24 +422,21 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
         // Queue buffers go to the zero-copy sink unless the round is
         // hedged: a straggling queue may outlive this frame, so it must
         // own its buffers outright.
-        const Sink no_sink;
-        const Sink& queue_sink = hedged ? no_sink : sink;
+        const Sink queue_sink = hedged ? Sink{} : sink;
         auto r = std::make_shared<Round>();
         r->opts = opts;
         r->heat = heat;
         r->timed = rt != nullptr || tracer != nullptr || heat != nullptr;
         r->rows.reserve(fetches.size());
-        r->keys.reserve(fetches.size());
-        r->bufs.reserve(fetches.size());
+        r->elems.reserve(fetches.size());
         r->queues.reserve(batches.size());
         for (const core::DiskBatch& batch : batches) {
             const std::size_t begin = r->rows.size();
             for (std::size_t j = 0; j < batch.fetch_indices.size(); ++j) {
                 const Key key = key_of(fetches[batch.fetch_indices[j]].coord);
-                if (fetched.find(key) != fetched.end()) continue;
+                if (fetched.contains(key)) continue;
                 r->rows.push_back(batch.rows[j]);
-                r->keys.push_back(key);
-                r->bufs.push_back(make_element(key, queue_sink));
+                r->elems.emplace_back(key, make_element(key, queue_sink));
             }
             if (r->rows.size() == begin) continue;
             Round::Queue& q = r->queues.emplace_back();
@@ -447,8 +445,8 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
             q.end = r->rows.size();
         }
         if (r->queues.empty()) return outcome;
-        r->outs.reserve(r->bufs.size());
-        for (ElementBuf& buf : r->bufs) r->outs.push_back(buf.span());
+        r->outs.reserve(r->elems.size());
+        for (auto& elem : r->elems) r->outs.push_back(elem.second.span());
 
         if (heat != nullptr && !request_load_recorded) {
             // First round's deepest queue is the request's max per-disk
@@ -477,7 +475,7 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
             for (const Round::Queue& q : r->queues) {
                 if (q.reaped || q.finished) continue;
                 for (std::size_t j = q.begin; j < q.end; ++j) {
-                    if (fetched.find(r->keys[j]) == fetched.end()) return false;
+                    if (!fetched.contains(r->elems[j].first)) return false;
                 }
             }
             return true;
@@ -533,7 +531,7 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
                                   {"elements", std::to_string(q.end - q.begin)}});
             }
             for (std::size_t j = q.begin; j < q.begin + q.done; ++j) {
-                fetched.emplace(r->keys[j], std::move(r->bufs[j]));
+                fetched.emplace(r->elems[j].first, std::move(r->elems[j].second));
             }
             if (!q.status.ok()) {
                 // The device is suspect: abandon its remaining queue and
@@ -549,7 +547,7 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
         }
 
         for (const auto& access : fetches) {
-            if (fetched.find(key_of(access.coord)) == fetched.end()) {
+            if (!fetched.contains(key_of(access.coord))) {
                 outcome.complete = false;
                 break;
             }
@@ -618,41 +616,42 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(const Replanner& replan,
     return FetchResult{std::move(*plan), std::move(fetched), std::move(excluded)};
 }
 
-Status PlanExecutor::decode(const AccessPlan& plan, ElementMap& elements, TraceCtx tc,
-                            const Sink& sink) const {
+Status PlanExecutor::decode(const AccessPlan& plan, ElementTable& elements, TraceCtx tc,
+                            Sink sink) const {
     return try_decode(plan, elements, /*partial=*/false, tc, sink);
 }
 
-Status PlanExecutor::try_decode(const AccessPlan& plan, ElementMap& elements, bool partial,
-                                TraceCtx tc, const Sink& sink) const {
+Status PlanExecutor::try_decode(const AccessPlan& plan, ElementTable& elements, bool partial,
+                                TraceCtx tc, Sink sink) const {
     const ExecutorMetrics& m = metrics();
+    // Position-indexed spans for apply_repair, allocated at the first
+    // recipe that runs; a repair reads only its own sources and target,
+    // so entries left by an earlier recipe need no reset.
     std::vector<ByteSpan> buffers;
     for (const auto& decode : plan.decodes()) {
         const Key target_key{decode.stripe, decode.group, decode.repair.target_position};
         // Recipes run in plan order (later recipes may chain on earlier
         // targets); ones already satisfied by an eager pass are skipped,
         // so each recipe is decoded and counted exactly once per fetch.
-        if (elements.find(target_key) != elements.end()) continue;
-        const double decode_t0 = tc.rt != nullptr ? obs::forensic_now_us() : 0.0;
-        buffers.assign(static_cast<std::size_t>(scheme_->code().n()), ByteSpan{});
+        if (elements.contains(target_key)) continue;
         bool ready = true;
         for (const auto& term : decode.repair.terms) {
-            auto it = elements.find({decode.stripe, decode.group, term.source_position});
-            if (it == elements.end()) {
-                if (partial) {
-                    ready = false;
-                    break;
-                }
-                return Error::internal("decode source missing from plan");
+            if (!elements.contains({decode.stripe, decode.group, term.source_position})) {
+                if (!partial) return Error::internal("decode source missing from plan");
+                ready = false;
+                break;
             }
-            buffers[static_cast<std::size_t>(term.source_position)] = it->second.span();
         }
         if (!ready) continue;
+        const double decode_t0 = tc.rt != nullptr ? obs::forensic_now_us() : 0.0;
+        if (buffers.empty()) buffers.resize(static_cast<std::size_t>(scheme_->code().n()));
+        for (const auto& term : decode.repair.terms) {
+            buffers[static_cast<std::size_t>(term.source_position)] =
+                elements.find({decode.stripe, decode.group, term.source_position})->span();
+        }
         ElementBuf target = make_element(target_key, sink);
         buffers[static_cast<std::size_t>(decode.repair.target_position)] = target.span();
-        codes::DecodePlan one;
-        one.repairs.push_back(decode.repair);
-        codes::ErasureCode::apply_plan(one, buffers, pool_);
+        codes::ErasureCode::apply_repair(decode.repair, buffers, pool_);
         elements.emplace(target_key, std::move(target));
         if (m.decodes != nullptr) m.decodes->add(1);
         if (tc.rt != nullptr) {
@@ -692,9 +691,7 @@ Result<std::int64_t> PlanExecutor::rebuild_element(const GroupCoord& coord,
         buffers[static_cast<std::size_t>(term.source_position)] = srcs.back().span();
     }
     buffers[static_cast<std::size_t>(coord.position)] = target;
-    codes::DecodePlan one;
-    one.repairs.push_back(repair.value());
-    codes::ErasureCode::apply_plan(one, buffers);
+    codes::ErasureCode::apply_repair(repair.value(), buffers);
     return static_cast<std::int64_t>(repair->terms.size());
 }
 

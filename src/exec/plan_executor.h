@@ -24,23 +24,22 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
-#include <tuple>
 #include <vector>
 
 #include "common/aligned_buffer.h"
 #include "common/buffer_pool.h"
+#include "common/function_ref.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "common/types.h"
 #include "core/access_plan.h"
 #include "core/scheme.h"
 #include "core/write_plan.h"
+#include "exec/element_table.h"
 #include "obs/heat.h"
 #include "obs/metrics.h"
 #include "obs/request_trace.h"
@@ -108,11 +107,7 @@ struct TraceCtx {
 class PlanExecutor {
   public:
     /// Identity of one stored element in candidate-code coordinates.
-    using Key = std::tuple<StripeId, int, int>;
-    /// Elements held by a request (fetched, hedged or decoded). ElementBuf
-    /// is either pool/heap-owned staging or an external view of caller
-    /// memory (the zero-copy path).
-    using ElementMap = std::map<Key, ElementBuf>;
+    using Key = ElementTable::Key;
     /// Zero-copy destination oracle: given an element key, return the
     /// caller buffer it should land in, or an empty span to use executor
     /// staging. Healthy-path data elements resolve to the user's output
@@ -121,11 +116,12 @@ class PlanExecutor {
     /// must own buffers that can outlive the requesting frame); a
     /// timed-out or failed op may have scribbled on its sink span, which
     /// is safe because the element is not marked fetched and recovery
-    /// overwrites the span.
-    using Sink = std::function<ByteSpan(const Key&)>;
+    /// overwrites the span. Non-owning: the callable must outlive the call
+    /// it is passed to.
+    using Sink = FunctionRef<ByteSpan(const Key&)>;
     /// Produces the plan for the current exclusion set. Called once up
     /// front and once per replan round; planning failures abort the fetch.
-    using Replanner = std::function<Result<core::AccessPlan>(const std::vector<DiskId>&)>;
+    using Replanner = FunctionRef<Result<core::AccessPlan>(const std::vector<DiskId>&)>;
 
     /// `scheme` must outlive the executor; `pool` may be null (serial
     /// execution, deterministic disk order).
@@ -190,11 +186,12 @@ class PlanExecutor {
 
     /// Everything a completed fetch pipeline hands back: the plan that
     /// finally completed (after any replans), every element it fetched or
-    /// hedge-decoded, and the exclusion set as grown by mid-flight
-    /// discoveries.
+    /// hedge-decoded (ElementBufs: pool-owned staging, or views of caller
+    /// memory on the zero-copy path), and the exclusion set as grown by
+    /// mid-flight discoveries.
     struct FetchResult {
         core::AccessPlan plan;
-        ElementMap elements;
+        ElementTable elements;
         std::vector<DiskId> excluded;
     };
 
@@ -221,8 +218,8 @@ class PlanExecutor {
     /// records their spans, keeps their elements, and runs decode recipes
     /// eagerly as their sources land. A hedge deadline bounds the reap:
     /// queues still out when it passes are decoded around and abandoned.
-    Result<FetchResult> fetch(const Replanner& replan, std::vector<DiskId> excluded,
-                              obs::RequestTrace* rt = nullptr, const Sink& sink = {}) const;
+    Result<FetchResult> fetch(Replanner replan, std::vector<DiskId> excluded,
+                              obs::RequestTrace* rt = nullptr, Sink sink = {}) const;
 
     /// Run the plan's decode recipes, materialising each missing element
     /// into `elements` from sources already present there. `tc` hangs a
@@ -230,8 +227,8 @@ class PlanExecutor {
     /// Recipes whose target is already present (e.g. decoded eagerly
     /// during fetch) are skipped; `sink` routes freshly decoded targets
     /// into caller memory.
-    Status decode(const core::AccessPlan& plan, ElementMap& elements, TraceCtx tc = {},
-                  const Sink& sink = {}) const;
+    Status decode(const core::AccessPlan& plan, ElementTable& elements, TraceCtx tc = {},
+                  Sink sink = {}) const;
 
     /// Rebuild one element into `target` from group sources living on
     /// disks not marked in `avoid` (indexed by DiskId), using policy
@@ -300,11 +297,11 @@ class PlanExecutor {
     /// Decode engine behind decode(): with `partial`, recipes whose
     /// sources are not all present are skipped instead of failing (the
     /// eager pass as per-disk completions arrive).
-    Status try_decode(const core::AccessPlan& plan, ElementMap& elements, bool partial,
-                      TraceCtx tc, const Sink& sink) const;
+    Status try_decode(const core::AccessPlan& plan, ElementTable& elements, bool partial,
+                      TraceCtx tc, Sink sink) const;
 
     /// Staging or zero-copy storage for `key` per the sink contract.
-    ElementBuf make_element(const Key& key, const Sink& sink) const {
+    ElementBuf make_element(const Key& key, Sink sink) const {
         if (sink) {
             const ByteSpan dest = sink(key);
             if (dest.size() == static_cast<std::size_t>(element_bytes_)) {
@@ -316,7 +313,7 @@ class PlanExecutor {
 
     /// One round of per-disk submission queues — a fetch round's reads or
     /// a write plan's writes — with the elements laid out flat: queue q
-    /// owns [q.begin, q.end) of rows and of outs/keys/bufs (reads) or data
+    /// owns [q.begin, q.end) of rows and of outs/elems (reads) or data
     /// (writes). Heap-allocated and co-owned by every pool task working
     /// on it, so a hedged round can return at its deadline without
     /// joining a straggler: the orphaned task finishes against this state
@@ -340,9 +337,9 @@ class PlanExecutor {
         obs::DiskHeatModel* heat = nullptr;  // fed as queues issue and finish
         bool timed = false;  // a trace, tracer or heat model wants queue timings
         std::vector<RowId> rows;
-        std::vector<ByteSpan> outs;       // reads: destination of rows[i]
-        std::vector<Key> keys;            // reads: identity of rows[i]
-        std::vector<ElementBuf> bufs;     // reads: storage behind outs[i]
+        std::vector<ByteSpan> outs;  // reads: destination of rows[i]
+        /// Reads: identity of rows[i] and the storage behind outs[i].
+        std::vector<std::pair<Key, ElementBuf>> elems;
         std::vector<ConstByteSpan> data;  // writes: payload of rows[i]
         std::vector<Queue> queues;
         std::atomic<std::size_t> next{0};  // next queue for a pool task to claim
@@ -368,7 +365,7 @@ class PlanExecutor {
     /// the queues not yet reaped (the stragglers) into `fetched` from the
     /// other disks, avoiding the stragglers and `excluded`, instead of
     /// waiting.
-    void hedge(const Round& r, const std::vector<DiskId>& excluded, ElementMap& fetched,
+    void hedge(const Round& r, const std::vector<DiskId>& excluded, ElementTable& fetched,
                TraceCtx tc, double deadline_ms, bool auto_deadline) const;
     /// Record queue `q`'s `name` span on the request trace.
     void trace_queue(TraceCtx tc, const char* name, const Round::Queue& q) const;

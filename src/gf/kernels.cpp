@@ -196,8 +196,11 @@ constexpr std::size_t kParallelMinBytes = 1 << 20;
 /// spread a few-MiB region over several workers. Even and 64-aligned.
 constexpr std::size_t kParallelChunkBytes = 256 << 10;
 
+/// Pointer tables up to this many regions live on the stack.
+constexpr std::size_t kInlineRegions = 64;
+
 template <typename Coeff>
-void encode_dispatch(const std::vector<ConstByteSpan>& srcs, const std::vector<ByteSpan>& dsts,
+void encode_dispatch(std::span<const ConstByteSpan> srcs, std::span<const ByteSpan> dsts,
                      const Coeff* coeffs, ThreadPool* pool,
                      void (*run)(std::uint8_t* const*, std::size_t, const std::uint8_t* const*,
                                  std::size_t, const Coeff*, std::size_t, std::size_t)) {
@@ -216,8 +219,21 @@ void encode_dispatch(const std::vector<ConstByteSpan>& srcs, const std::vector<B
         return;
     }
 
-    std::vector<std::uint8_t*> dptr(m);
-    std::vector<const std::uint8_t*> sptr(k);
+    // The usual fused call (a decode, a stripe encode) stays allocation-free.
+    std::uint8_t* dinline[kInlineRegions];
+    const std::uint8_t* sinline[kInlineRegions];
+    std::vector<std::uint8_t*> dbig;
+    std::vector<const std::uint8_t*> sbig;
+    std::uint8_t** dptr = dinline;
+    const std::uint8_t** sptr = sinline;
+    if (m > kInlineRegions) {
+        dbig.resize(m);
+        dptr = dbig.data();
+    }
+    if (k > kInlineRegions) {
+        sbig.resize(k);
+        sptr = sbig.data();
+    }
     for (std::size_t p = 0; p < m; ++p) dptr[p] = dsts[p].data();
     for (std::size_t j = 0; j < k; ++j) sptr[j] = srcs[j].data();
 
@@ -226,10 +242,10 @@ void encode_dispatch(const std::vector<ConstByteSpan>& srcs, const std::vector<B
         parallel_for(*pool, chunks, [&](std::size_t ci) {
             const std::size_t off = ci * kParallelChunkBytes;
             const std::size_t len = (n - off < kParallelChunkBytes) ? n - off : kParallelChunkBytes;
-            run(dptr.data(), m, sptr.data(), k, coeffs, off, len);
+            run(dptr, m, sptr, k, coeffs, off, len);
         });
     } else {
-        run(dptr.data(), m, sptr.data(), k, coeffs, 0, n);
+        run(dptr, m, sptr, k, coeffs, 0, n);
     }
 }
 
@@ -237,14 +253,14 @@ void run_encode8(std::uint8_t* const* dsts, std::size_t m, const std::uint8_t* c
                  std::size_t k, const std::uint8_t* coeffs, std::size_t off, std::size_t len) {
     // Shift the window rather than the pointer arrays: chunk counts are
     // small, so the per-chunk copies stay cheap and allocation-free.
-    std::uint8_t* d[64];
-    const std::uint8_t* s[64];
+    std::uint8_t* d[kInlineRegions];
+    const std::uint8_t* s[kInlineRegions];
     std::uint8_t* const* dp = dsts;
     const std::uint8_t* const* sp = srcs;
     std::vector<std::uint8_t*> dbig;
     std::vector<const std::uint8_t*> sbig;
     if (off != 0) {
-        if (m > 64 || k > 64) {
+        if (m > kInlineRegions || k > kInlineRegions) {
             dbig.resize(m);
             sbig.resize(k);
             for (std::size_t p = 0; p < m; ++p) dbig[p] = dsts[p] + off;
@@ -288,7 +304,7 @@ void run_encode16(std::uint8_t* const* dsts, std::size_t m, const std::uint8_t* 
 
 }  // namespace
 
-void encode_regions(const std::vector<ConstByteSpan>& srcs, const std::vector<ByteSpan>& dsts,
+void encode_regions(std::span<const ConstByteSpan> srcs, std::span<const ByteSpan> dsts,
                     const std::uint8_t* coeffs, ThreadPool* pool) {
     encode_dispatch(srcs, dsts, coeffs, pool, run_encode8);
 }

@@ -87,7 +87,7 @@ void attach_kernel_metrics(obs::MetricRegistry* registry);
 /// coeffs[p*k+j] * srcs[j]. All spans share one length. When `pool` is
 /// given and the regions are large, the byte range is chunked across it
 /// (parallel_for is nesting-safe: the caller participates).
-void encode_regions(const std::vector<ConstByteSpan>& srcs, const std::vector<ByteSpan>& dsts,
+void encode_regions(std::span<const ConstByteSpan> srcs, std::span<const ByteSpan> dsts,
                     const std::uint8_t* coeffs, ThreadPool* pool = nullptr);
 
 /// Same shape over GF(2^16) little-endian symbols (coeffs16 is m*k

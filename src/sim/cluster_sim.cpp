@@ -76,8 +76,8 @@ ClusterStats run_cluster(std::vector<ClusterRequest> requests, const DiskModel& 
     for (std::size_t i = 0; i < requests.size(); ++i) {
         auto& p = pending[i];
         if (requests[i].kind == SimJobKind::read) {
-            for (core::DiskBatch& b : requests[i].plan.batches()) {
-                p.batches.push_back(SimBatch{b.disk, std::move(b.rows)});
+            for (const core::DiskBatch& b : requests[i].plan.batches()) {
+                p.batches.push_back(SimBatch{b.disk, {b.rows.begin(), b.rows.end()}});
             }
             stats.results[i].requested_bytes = requests[i].plan.requested() * model.element_bytes();
         } else {

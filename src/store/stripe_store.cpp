@@ -55,7 +55,8 @@ void StripeStore::bind_executor() {
     // the devices are uring-backed the same arena is registered with
     // their rings, so staged reads are READ_FIXED-eligible, and orphaned
     // hedge queues can hold arena buffers past this store's lifetime.
-    executor_.set_buffer_pool(element_arena(element_bytes_));
+    arena_ = element_arena(element_bytes_);
+    executor_.set_buffer_pool(arena_);
 }
 
 void StripeStore::attach_observability(obs::MetricRegistry* metrics, obs::Tracer* tracer,
@@ -599,10 +600,9 @@ Status StripeStore::overwrite(std::int64_t offset, ConstByteSpan data) {
         };
         auto fetched = executor_.fetch(replanner, {}, rt.get(), {});
         if (!fetched.ok()) return fetched.error();
-        exec::PlanExecutor::ElementMap& elements = fetched.value().elements;
+        exec::ElementTable& elements = fetched.value().elements;
         auto element_of = [&](const GroupCoord& coord) -> ElementBuf* {
-            auto it = elements.find(exec::PlanExecutor::key_of(coord));
-            return it == elements.end() ? nullptr : &it->second;
+            return elements.find(exec::PlanExecutor::key_of(coord));
         };
 
         // FOLD: new_data = old patched with the dirty bytes; per group,
@@ -723,6 +723,10 @@ Result<std::vector<std::uint8_t>> StripeStore::read_bytes(std::int64_t offset, s
     if (length == 0) return out;
 
     // Walk the committed extents overlapping [offset, offset + length).
+    // Whole elements are fetched (or decoded) straight into `out`; only
+    // an element the range cuts — at most a head and a tail per extent —
+    // lands in arena staging and has its wanted part copied across.
+    const auto eb = static_cast<std::size_t>(element_bytes_);
     std::int64_t produced = 0;
     for (const Extent& e : extents_) {
         const std::int64_t e_end = e.logical_start + e.bytes;
@@ -734,13 +738,38 @@ Result<std::vector<std::uint8_t>> StripeStore::read_bytes(std::int64_t offset, s
         const ElementId first = e.element_start + lo / element_bytes_;
         const ElementId last = e.element_start + (hi - 1) / element_bytes_;
         const std::int64_t count = last - first + 1;
+        const std::int64_t skip = lo % element_bytes_;
+        // Bytes of the last element the range keeps.
+        const std::int64_t tail_bytes = hi - (last - e.element_start) * element_bytes_;
 
-        std::vector<std::uint8_t> elems(static_cast<std::size_t>(count * element_bytes_));
-        auto status = read_elements_locked(first, count, ByteSpan(elems.data(), elems.size()));
+        ReadDest dest;
+        dest.body = ByteSpan(out.data() + produced, static_cast<std::size_t>(hi - lo));
+        dest.skip = skip;
+        ElementBuf head;
+        ElementBuf tail;
+        if (skip != 0 || (count == 1 && tail_bytes < element_bytes_)) {
+            head = ElementBuf::alloc(eb, arena_);
+            dest.head = head.span();
+        }
+        if (count > 1 && tail_bytes < element_bytes_) {
+            tail = ElementBuf::alloc(eb, arena_);
+            dest.tail = tail.span();
+        }
+        auto status = read_elements_locked(first, count, dest);
         if (!status.ok()) return status.error();
 
-        const std::int64_t skip = lo - (first - e.element_start) * element_bytes_;
-        std::memcpy(out.data() + produced, elems.data() + skip, static_cast<std::size_t>(hi - lo));
+        std::int64_t copies = 0;
+        if (!dest.head.empty()) {
+            const std::int64_t n = std::min(hi - lo, element_bytes_ - skip);
+            std::memcpy(dest.body.data(), head.data() + skip, static_cast<std::size_t>(n));
+            ++copies;
+        }
+        if (!dest.tail.empty()) {
+            std::memcpy(dest.body.data() + dest.body.size() - static_cast<std::size_t>(tail_bytes),
+                        tail.data(), static_cast<std::size_t>(tail_bytes));
+            ++copies;
+        }
+        if (copies > 0) assemble_copies_.fetch_add(copies, std::memory_order_relaxed);
         produced += hi - lo;
     }
     if (produced != length) return Error::internal("extent walk produced wrong byte count");
@@ -749,16 +778,24 @@ Result<std::vector<std::uint8_t>> StripeStore::read_bytes(std::int64_t offset, s
 
 Status StripeStore::read_elements(ElementId start, std::int64_t count, ByteSpan out) {
     auto lk = reader_lock();
-    return read_elements_locked(start, count, out);
-}
-
-Status StripeStore::read_elements_locked(ElementId start, std::int64_t count, ByteSpan out) {
     if (start < 0 || count < 0 || start + count > stored_data_elements_locked()) {
         return Error::range("element range beyond stored data");
     }
     if (static_cast<std::int64_t>(out.size()) != count * element_bytes_) {
         return Error::invalid("output buffer size mismatch");
     }
+    return read_elements_locked(start, count, ReadDest{out});
+}
+
+ByteSpan StripeStore::ReadDest::at(std::int64_t i, std::int64_t count,
+                                   std::int64_t element_bytes) const {
+    if (i == 0 && !head.empty()) return head;
+    if (i == count - 1 && !tail.empty()) return tail;
+    return body.subspan(static_cast<std::size_t>(i * element_bytes - skip),
+                        static_cast<std::size_t>(element_bytes));
+}
+
+Status StripeStore::read_elements_locked(ElementId start, std::int64_t count, const ReadDest& dest) {
     if (count == 0) return Status::success();
 
     const StoreObs& o = store_obs();
@@ -768,10 +805,10 @@ Status StripeStore::read_elements_locked(ElementId start, std::int64_t count, By
     if (o.reads_total != nullptr) o.reads_total->add(1);
     if (o.read_elements_total != nullptr) o.read_elements_total->add(count);
 
-    return execute_read(start, count, out, unavailable_disks_locked());
+    return execute_read(start, count, dest, unavailable_disks_locked());
 }
 
-Status StripeStore::execute_read(ElementId start, std::int64_t count, ByteSpan out,
+Status StripeStore::execute_read(ElementId start, std::int64_t count, const ReadDest& dest,
                                  std::vector<DiskId> excluded) {
     const StoreObs& o = store_obs();
 
@@ -789,7 +826,7 @@ Status StripeStore::execute_read(ElementId start, std::int64_t count, ByteSpan o
                      static_cast<std::int64_t>(excluded.size()));
         }
     }
-    auto status = execute_read_traced(start, count, out, std::move(excluded), rt.get());
+    auto status = execute_read_traced(start, count, dest, std::move(excluded), rt.get());
     if (rt != nullptr) {
         if (!status.ok()) rt->attr(obs::RequestTrace::kRoot, "error", status.error().message);
         if (status.ok()) {
@@ -803,7 +840,7 @@ Status StripeStore::execute_read(ElementId start, std::int64_t count, ByteSpan o
     return status;
 }
 
-Status StripeStore::execute_read_traced(ElementId start, std::int64_t count, ByteSpan out,
+Status StripeStore::execute_read_traced(ElementId start, std::int64_t count, const ReadDest& dest,
                                         std::vector<DiskId> excluded, obs::RequestTrace* rt) {
     const StoreObs& o = store_obs();
 
@@ -871,27 +908,24 @@ Status StripeStore::execute_read_traced(ElementId start, std::int64_t count, Byt
                 plan_span->arg("max_load", static_cast<std::int64_t>(planned.value().max_load()));
             }
             if (o.read_max_load != nullptr) o.read_max_load->record(planned.value().max_load());
-            if (o.read_fanout != nullptr) {
-                o.read_fanout->record(static_cast<double>(planned.value().batches().size()));
-            }
+            if (o.read_fanout != nullptr) o.read_fanout->record(planned.value().fanout());
         }
         return planned;
     };
 
-    // Zero-copy sink: a requested data element lands directly in the
-    // caller's output slice — fetched there by the device, or decoded
-    // there — so the healthy path's assemble stage has nothing to copy.
-    // Repair sources, parities and hedge-owned buffers stay in executor
-    // staging (the sink returns an empty span for them).
-    std::map<exec::PlanExecutor::Key, std::int64_t> dest;
-    for (std::int64_t i = 0; i < count; ++i) {
-        dest.emplace(exec::PlanExecutor::key_of(scheme_.layout().coord_of_data(start + i)), i);
-    }
+    // Zero-copy sink: a requested data element lands directly in its
+    // destination — fetched there by the device, or decoded there — so
+    // the healthy path's assemble stage has nothing to copy. Requested
+    // means a data position whose logical id falls in the range. Repair
+    // sources, parities and hedge-owned buffers stay in executor staging
+    // (the sink returns an empty span for them).
+    const layout::Layout& layout = scheme_.layout();
     auto sink = [&](const exec::PlanExecutor::Key& key) -> ByteSpan {
-        auto it = dest.find(key);
-        if (it == dest.end()) return {};
-        return out.subspan(static_cast<std::size_t>(it->second * element_bytes_),
-                           static_cast<std::size_t>(element_bytes_));
+        const auto [stripe, group, position] = key;
+        if (position >= layout.data_per_group()) return {};
+        const ElementId id = layout.data_id({stripe, group, position});
+        if (id < start || id >= start + count) return {};
+        return dest.at(id - start, count, element_bytes_);
     };
 
     auto fetched = executor_.fetch(replanner, std::move(excluded), rt, sink);
@@ -927,15 +961,15 @@ Status StripeStore::execute_read_traced(ElementId start, std::int64_t count, Byt
     const std::uint32_t assemble_node = rt != nullptr ? rt->begin_phase("assemble") : 0;
     std::int64_t copies = 0;
     for (std::int64_t i = 0; i < count; ++i) {
-        const GroupCoord coord = scheme_.layout().coord_of_data(start + i);
-        auto it = result.elements.find(exec::PlanExecutor::key_of(coord));
-        if (it == result.elements.end()) {
+        const GroupCoord coord = layout.coord_of_data(start + i);
+        const ElementBuf* elem = result.elements.find(exec::PlanExecutor::key_of(coord));
+        if (elem == nullptr) {
             if (rt != nullptr) rt->end(assemble_node);
             return Error::internal("requested element missing after decode");
         }
-        std::uint8_t* const dst = out.data() + static_cast<std::size_t>(i * element_bytes_);
-        if (it->second.data() != dst) {
-            std::memcpy(dst, it->second.data(), static_cast<std::size_t>(element_bytes_));
+        const ByteSpan to = dest.at(i, count, element_bytes_);
+        if (elem->data() != to.data()) {
+            std::memcpy(to.data(), elem->data(), to.size());
             ++copies;
         }
     }
@@ -1239,9 +1273,7 @@ Result<ScrubReport> StripeStore::scrub_locked(obs::RequestTrace* rt, std::uint32
                 std::vector<AlignedBuffer> trial = bufs;
                 std::vector<ByteSpan> trial_spans(static_cast<std::size_t>(code.n()));
                 for (int p = 0; p < code.n(); ++p) trial_spans[static_cast<std::size_t>(p)] = trial[static_cast<std::size_t>(p)].span();
-                codes::DecodePlan one;
-                one.repairs.push_back(repair.value());
-                codes::ErasureCode::apply_plan(one, trial_spans);
+                codes::ErasureCode::apply_repair(repair.value(), trial_spans);
 
                 if (!group_consistent(code, trial, element_bytes_)) continue;
 

@@ -198,11 +198,14 @@ class StripeStore {
     /// (disk, row) without any error signal from the device.
     Status corrupt_element(DiskId disk, RowId row, std::size_t byte_offset);
 
-    /// Lifetime count of elements the assemble stage had to copy out of
-    /// executor staging. Zero-copy reads (the healthy path, and degraded
-    /// paths whose decode targets the caller buffer) leave it untouched;
-    /// hedged or recovery-staged elements increment it. Test/diagnostic
-    /// hook for the zero-staging-copy guarantee.
+    /// Lifetime count of staging copies on the read path: elements the
+    /// assemble stage had to copy out of executor staging, plus the
+    /// partial head/tail elements read_bytes copies the wanted bytes out
+    /// of (at most two per extent segment of an unaligned range).
+    /// Zero-copy reads (element-aligned ranges on the healthy path, and
+    /// degraded paths whose decode targets the caller buffer) leave it
+    /// untouched; hedged or recovery-staged elements increment it.
+    /// Test/diagnostic hook for the one-copy-per-byte guarantee.
     std::int64_t assemble_staging_copies() const {
         return assemble_copies_.load(std::memory_order_relaxed);
     }
@@ -284,10 +287,26 @@ class StripeStore {
     /// stripe parity-pending.
     Result<StripeId> commit_stripe(ConstByteSpan stripe_data, std::int64_t user_bytes,
                                    bool with_parity);
-    Status read_elements_locked(ElementId start, std::int64_t count, ByteSpan out);
-    Status execute_read(ElementId start, std::int64_t count, ByteSpan out,
+    /// Where each element of a read lands. Element i of the range goes
+    /// straight into the caller's buffer, at body[i * element_bytes -
+    /// skip] — except a partial head (i == 0, when `head` is set) or tail
+    /// (i == count - 1, when `tail` is set), which lands in its own
+    /// one-element staging span for read_bytes to copy the wanted part
+    /// out of.
+    struct ReadDest {
+        ByteSpan body{};
+        std::int64_t skip = 0;
+        ByteSpan head{};
+        ByteSpan tail{};
+
+        ByteSpan at(std::int64_t i, std::int64_t count, std::int64_t element_bytes) const;
+    };
+
+    /// Element range already validated by the caller.
+    Status read_elements_locked(ElementId start, std::int64_t count, const ReadDest& dest);
+    Status execute_read(ElementId start, std::int64_t count, const ReadDest& dest,
                         std::vector<DiskId> excluded);
-    Status execute_read_traced(ElementId start, std::int64_t count, ByteSpan out,
+    Status execute_read_traced(ElementId start, std::int64_t count, const ReadDest& dest,
                                std::vector<DiskId> excluded, obs::RequestTrace* rt);
     Result<ScrubReport> scrub_locked(obs::RequestTrace* rt, std::uint32_t scan_node);
     std::vector<DiskId> failed_disks_locked() const;
@@ -344,6 +363,7 @@ class StripeStore {
     std::unique_lock<std::shared_mutex> exclusive_lock() const;
 
     std::atomic<std::int64_t> assemble_copies_{0};
+    BufferPool* arena_ = nullptr;  // element staging (process-lifetime arena)
 
     std::vector<std::unique_ptr<BlockDevice>> disks_;
     std::vector<std::uint8_t> pending_;  // buffered tail; writers only (writer_mu_)

@@ -1,0 +1,176 @@
+// Exact heap-allocation gate for the read path. This executable replaces
+// the global operator new with a per-thread counting one, then pins how
+// many allocations a 10-element read makes from StripeStore down to the
+// devices: healthy and with one disk failed, through read_elements and
+// read_bytes, on in-memory RS(6,3) EC-FRM disks without a thread pool.
+// Everything on that path runs on the calling thread and allocates the
+// same way every time, so the counts are exact, not bounds: a change that
+// adds a per-element allocation anywhere on the path fails here.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <new>
+#include <vector>
+
+#include "codes/factory.h"
+#include "common/rng.h"
+#include "store/stripe_store.h"
+
+namespace {
+
+// A plain thread_local integer: no constructor, so operator new can bump
+// it without a TLS initialisation guard.
+thread_local std::uint64_t t_allocs = 0;
+
+void* counted_alloc(std::size_t size) {
+    ++t_allocs;
+    return std::malloc(size == 0 ? 1 : size);
+}
+
+void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
+    ++t_allocs;
+    std::size_t alignment = static_cast<std::size_t>(align);
+    if (alignment < sizeof(void*)) alignment = sizeof(void*);
+    void* p = nullptr;
+    if (posix_memalign(&p, alignment, size == 0 ? 1 : size) != 0) return nullptr;
+    return p;
+}
+
+void* checked(void* p) {
+    if (p == nullptr) throw std::bad_alloc();
+    return p;
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return checked(counted_alloc(size)); }
+void* operator new[](std::size_t size) { return checked(counted_alloc(size)); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept { return counted_alloc(size); }
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept { return counted_alloc(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+    return checked(counted_aligned_alloc(size, align));
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+    return checked(counted_aligned_alloc(size, align));
+}
+void* operator new(std::size_t size, std::align_val_t align, const std::nothrow_t&) noexcept {
+    return counted_aligned_alloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align, const std::nothrow_t&) noexcept {
+    return counted_aligned_alloc(size, align);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }
+
+namespace ecfrm::store {
+namespace {
+
+constexpr std::int64_t kElem = 4096;
+constexpr ElementId kStart = 25;  // crosses a stripe boundary (18 data elements per stripe)
+constexpr std::int64_t kCount = 10;
+constexpr DiskId kFailed = 4;
+
+// The pinned budgets. read_elements: the plan (per-disk loads, fetch
+// list), the per-disk schedule (fetch indices, rows, batch list), the
+// element table (entries, index) and the submission round (shared
+// state, rows, destinations, elements, queues). read_bytes adds its
+// result vector. The degraded read adds twelve: the exclusion list; the
+// planner's dedup flags, failed-disk mask, lost-element list and decode
+// list, and its fetch list regrowing past the requested count for the
+// repair sources; for its one lost element the survivor list, the chosen
+// sources, the solver's matrix and pivot table and the repair's terms;
+// and the decode's position-indexed buffer list.
+constexpr std::uint64_t kHealthyReadElements = 12;
+constexpr std::uint64_t kHealthyReadBytes = 13;
+constexpr std::uint64_t kDegradedReadElements = 24;
+constexpr std::uint64_t kDegradedReadBytes = 25;
+
+class ReadAllocs : public ::testing::Test {
+  protected:
+    void SetUp() override {
+        auto code = codes::make_code("rs:6,3");
+        ASSERT_TRUE(code.ok());
+        store_ = std::make_unique<StripeStore>(core::Scheme(code.value(), layout::LayoutKind::ecfrm),
+                                               kElem);
+        Rng rng(7);
+        data_.resize(static_cast<std::size_t>(kElem * 18 * 4));
+        for (auto& b : data_) b = static_cast<std::uint8_t>(rng.next_below(256));
+        ASSERT_TRUE(store_->append(ConstByteSpan(data_.data(), data_.size())).ok());
+        ASSERT_TRUE(store_->flush().ok());
+        out_.resize(static_cast<std::size_t>(kCount * kElem));
+    }
+
+    /// Allocations of one read_elements call, after a warm-up read that
+    /// absorbs one-time setup (buffer arena, kernel dispatch).
+    std::uint64_t read_elements_allocs() {
+        const ByteSpan out(out_.data(), out_.size());
+        EXPECT_TRUE(store_->read_elements(kStart, kCount, out).ok());
+        const std::uint64_t before = t_allocs;
+        const Status status = store_->read_elements(kStart, kCount, out);
+        const std::uint64_t allocs = t_allocs - before;
+        EXPECT_TRUE(status.ok());
+        EXPECT_EQ(std::memcmp(out_.data(), data_.data() + kStart * kElem, out_.size()), 0);
+        return allocs;
+    }
+
+    std::uint64_t read_bytes_allocs() {
+        EXPECT_TRUE(store_->read_bytes(kStart * kElem, kCount * kElem).ok());
+        const std::uint64_t before = t_allocs;
+        auto got = store_->read_bytes(kStart * kElem, kCount * kElem);
+        const std::uint64_t allocs = t_allocs - before;
+        EXPECT_TRUE(got.ok());
+        if (got.ok()) {
+            EXPECT_EQ(std::memcmp(got->data(), data_.data() + kStart * kElem, got->size()), 0);
+        }
+        return allocs;
+    }
+
+    std::unique_ptr<StripeStore> store_;
+    std::vector<std::uint8_t> data_;
+    std::vector<std::uint8_t> out_;
+};
+
+TEST_F(ReadAllocs, HealthyReadElements) {
+    EXPECT_EQ(read_elements_allocs(), kHealthyReadElements);
+}
+
+TEST_F(ReadAllocs, HealthyReadBytes) { EXPECT_EQ(read_bytes_allocs(), kHealthyReadBytes); }
+
+TEST_F(ReadAllocs, DegradedReadDecodes) {
+    // The degraded budgets cover a read that really decodes.
+    auto plan = core::plan_degraded_read(store_->scheme(), kStart, kCount, kFailed);
+    ASSERT_TRUE(plan.ok());
+    EXPECT_EQ(plan->decodes().size(), 1u);
+}
+
+TEST_F(ReadAllocs, DegradedReadElements) {
+    ASSERT_TRUE(store_->fail_disk(kFailed).ok());
+    EXPECT_EQ(read_elements_allocs(), kDegradedReadElements);
+}
+
+TEST_F(ReadAllocs, DegradedReadBytes) {
+    ASSERT_TRUE(store_->fail_disk(kFailed).ok());
+    EXPECT_EQ(read_bytes_allocs(), kDegradedReadBytes);
+}
+
+TEST_F(ReadAllocs, ElementAlignedReadsMakeNoStagingCopies) {
+    (void)read_bytes_allocs();
+    ASSERT_TRUE(store_->fail_disk(kFailed).ok());
+    (void)read_bytes_allocs();
+    EXPECT_EQ(store_->assemble_staging_copies(), 0);
+}
+
+}  // namespace
+}  // namespace ecfrm::store

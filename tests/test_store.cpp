@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -280,6 +281,62 @@ TEST(Store, FlushThenAppendKeepsLogicalStreamContiguous) {
     ASSERT_TRUE(spanning.ok());
     EXPECT_TRUE(std::equal(spanning->begin(), spanning->end(),
                            expect.begin() + static_cast<std::ptrdiff_t>(first.size()) - 20));
+}
+
+TEST_P(StoreTest, UnalignedReadsAcrossPaddedExtentBoundaryAreByteExact) {
+    // Two extents with a padding gap between them. Whole elements land
+    // straight in the result; only a cut head or tail element per extent
+    // segment is staged and copied, healthy or decoded around a failure.
+    const auto [spec, kind] = GetParam();
+    constexpr std::int64_t kElem = 64;
+    StripeStore store(make_scheme(spec, kind), kElem);
+    const auto first = random_bytes(kElem * 7 + 13, 31);  // partial stripe: flush pads
+    const auto second = random_bytes(kElem * 40 + 5, 32);
+    ASSERT_TRUE(store.append(ConstByteSpan(first.data(), first.size())).ok());
+    ASSERT_TRUE(store.flush().ok());
+    ASSERT_TRUE(store.append(ConstByteSpan(second.data(), second.size())).ok());
+    ASSERT_TRUE(store.flush().ok());
+    ASSERT_EQ(store.extents().size(), 2u);
+    ASSERT_GT(store.extents()[1].element_start * kElem, store.extents()[1].logical_start);
+
+    std::vector<std::uint8_t> expect = first;
+    expect.insert(expect.end(), second.begin(), second.end());
+    const auto total = static_cast<std::int64_t>(expect.size());
+    const auto boundary = static_cast<std::int64_t>(first.size());
+    auto check = [&](std::int64_t offset, std::int64_t length) -> std::int64_t {
+        const std::int64_t copies0 = store.assemble_staging_copies();
+        auto got = store.read_bytes(offset, length);
+        EXPECT_TRUE(got.ok()) << got.error().message;
+        if (!got.ok()) return 0;
+        EXPECT_TRUE(std::equal(got->begin(), got->end(), expect.begin() + offset))
+            << "offset " << offset << " length " << length;
+        return store.assemble_staging_copies() - copies0;
+    };
+
+    for (const bool degraded : {false, true}) {
+        SCOPED_TRACE(degraded ? "degraded" : "healthy");
+        if (degraded) {
+            ASSERT_TRUE(store.fail_disk(1).ok());
+        }
+        // Element-aligned ranges inside one extent copy nothing.
+        EXPECT_EQ(check(kElem, kElem * 5), 0);
+        EXPECT_EQ(check(boundary + kElem, kElem * 9), 0);
+        Rng rng(degraded ? 41 : 40);
+        for (int i = 0; i < 200; ++i) {
+            std::int64_t offset;
+            std::int64_t length;
+            if (i % 2 == 0) {  // straddle the extent boundary
+                offset = boundary - 1 - static_cast<std::int64_t>(rng.next_below(kElem * 3));
+                length = boundary - offset + 1 + static_cast<std::int64_t>(rng.next_below(kElem * 3));
+            } else {
+                offset = static_cast<std::int64_t>(rng.next_below(static_cast<std::uint64_t>(total)));
+                length = 1 + static_cast<std::int64_t>(
+                                 rng.next_below(static_cast<std::uint64_t>(total - offset)));
+            }
+            const std::int64_t segments = (offset < boundary ? 1 : 0) + (offset + length > boundary ? 1 : 0);
+            EXPECT_LE(check(offset, length), 2 * segments) << "offset " << offset << " length " << length;
+        }
+    }
 }
 
 TEST(Store, DegradedWritesStayRecoverable) {
@@ -600,6 +657,77 @@ TEST(StoreRecovery, ForensicsCaptureReplannedReadWithTiledPhases) {
     EXPECT_EQ(forensics.finished_total(obs::RequestClass::degraded), 2);
     EXPECT_EQ(forensics.finished_total(obs::RequestClass::normal), 0);
     f.store->attach_observability(nullptr);
+}
+
+/// Counts every element read per (disk, row) on its way to `inner`.
+class CountingDevice final : public BlockDevice {
+  public:
+    using Reads = std::map<std::pair<DiskId, RowId>, int>;
+    CountingDevice(std::unique_ptr<BlockDevice> inner, DiskId disk, Reads* reads)
+        : inner_(std::move(inner)), disk_(disk), reads_(reads) {}
+
+    std::int64_t element_bytes() const override { return inner_->element_bytes(); }
+    Status write(RowId row, ConstByteSpan data) override { return inner_->write(row, data); }
+    Status read(RowId row, ByteSpan out) const override {
+        ++(*reads_)[{disk_, row}];
+        return inner_->read(row, out);
+    }
+    void fail() override { inner_->fail(); }
+    void replace() override { inner_->replace(); }
+    bool failed() const override { return inner_->failed(); }
+    RowId rows() const override { return inner_->rows(); }
+    Status corrupt_byte(RowId row, std::size_t offset) override {
+        return inner_->corrupt_byte(row, offset);
+    }
+
+  private:
+    std::unique_ptr<BlockDevice> inner_;
+    DiskId disk_;
+    Reads* reads_;
+};
+
+TEST(StoreRecovery, FailStopMidFetchNeverRereadsFetchedElements) {
+    // Disk 2 fail-stops on its second read, mid-way through round 0 of a
+    // zero-copy read. The replan decodes its remaining elements from what
+    // round 0 already landed in the caller's buffer plus new parity reads:
+    // no element is read twice, and nothing is staged.
+    constexpr std::int64_t kElem = 64;
+    FaultPlan plan;
+    FaultRule stop;
+    stop.kind = FaultKind::fail_stop;
+    stop.disk = 2;
+    stop.op = FaultOp::read;
+    stop.first_op = 1;
+    plan.rules = {stop};
+    CountingDevice::Reads reads;
+    auto faulty = faulty_memory_factory(kElem, plan);
+    auto factory = [&](int index) -> Result<std::unique_ptr<BlockDevice>> {
+        auto device = faulty(index);
+        if (!device.ok()) return device.error();
+        return std::unique_ptr<BlockDevice>(
+            std::make_unique<CountingDevice>(std::move(device).take(), index, &reads));
+    };
+    auto opened = StripeStore::open(make_scheme("rs:6,3", LayoutKind::ecfrm), kElem, factory);
+    ASSERT_TRUE(opened.ok());
+    StripeStore& store = *opened.value();
+    obs::MetricRegistry metrics;
+    const auto data = random_bytes(kElem * 90, 78);
+    ASSERT_TRUE(store.append(ConstByteSpan(data.data(), data.size())).ok());
+    ASSERT_TRUE(store.flush().ok());
+    store.attach_observability(&metrics);
+    ASSERT_TRUE(reads.empty());
+
+    auto out = store.read_bytes(0, static_cast<std::int64_t>(data.size()));
+    ASSERT_TRUE(out.ok()) << out.error().message;
+    EXPECT_EQ(out.value(), data);
+    EXPECT_GE(metrics.counter("ecfrm_store_replans_total").value(), 1);
+    EXPECT_GE(metrics.counter("ecfrm_store_decodes_total").value(), 1);
+    EXPECT_EQ(store.assemble_staging_copies(), 0);
+    EXPECT_EQ(reads.count({2, 0}), 1u);  // round 0 did reach the failing disk
+    for (const auto& [slot, n] : reads) {
+        EXPECT_EQ(n, 1) << "disk " << slot.first << " row " << slot.second << " read " << n << " times";
+    }
+    store.attach_observability(nullptr);
 }
 
 TEST(StoreRecovery, CorruptionEverywhereSurfacesBeyondTolerance) {
