@@ -127,40 +127,12 @@ class BufferPool {
     std::int64_t exhausted_ = 0;  // guarded by mu_
 };
 
-/// Storage for one in-flight element: an owned buffer (pooled or heap) or
-/// a non-owning view of caller memory (the zero-copy path — the element
-/// is fetched or decoded directly into the user's output buffer). The
-/// executor's ElementTable holds these.
-class ElementBuf {
-  public:
-    ElementBuf() = default;
-
-    /// Owned storage: drawn from `pool` when given, else a heap buffer.
-    static ElementBuf alloc(std::size_t size, BufferPool* pool) {
-        ElementBuf e;
-        e.owned_ = (pool != nullptr && pool->buffer_bytes() >= size) ? pool->acquire()
-                                                                     : PooledBuffer::heap(size);
-        e.view_ = ByteSpan(e.owned_.data(), size);
-        return e;
-    }
-
-    /// Non-owning view of caller memory (zero-copy destination).
-    static ElementBuf external(ByteSpan view) {
-        ElementBuf e;
-        e.view_ = view;
-        return e;
-    }
-
-    bool external() const { return owned_.empty() && view_.data() != nullptr; }
-    std::uint8_t* data() { return view_.data(); }
-    const std::uint8_t* data() const { return view_.data(); }
-    std::size_t size() const { return view_.size(); }
-    ByteSpan span() { return view_; }
-    ConstByteSpan span() const { return {view_.data(), view_.size()}; }
-
-  private:
-    PooledBuffer owned_;
-    ByteSpan view_{};
-};
+/// A zeroed staging buffer of at least `size` bytes: a slab of `pool`
+/// when the pool is given and its slabs are big enough, else a heap
+/// buffer of exactly `size`.
+inline PooledBuffer staging_buffer(std::size_t size, BufferPool* pool) {
+    return pool != nullptr && pool->buffer_bytes() >= size ? pool->acquire()
+                                                           : PooledBuffer::heap(size);
+}
 
 }  // namespace ecfrm

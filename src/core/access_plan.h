@@ -38,7 +38,8 @@ struct DiskBatch {
 
 /// A plan's per-disk schedule (AccessPlan::batches()), laid out flat:
 /// every batch's fetch indices and rows are slices of two shared arrays,
-/// so the schedule costs three allocations whatever the fan-out.
+/// so the schedule costs a fixed handful of allocations whatever the
+/// fan-out, and none when refilled into storage that already has room.
 /// Move-only, because the batches view the arrays it owns.
 class PlanBatches {
   public:
@@ -58,6 +59,7 @@ class PlanBatches {
     std::vector<std::size_t> fetch_indices_;
     std::vector<RowId> rows_;
     std::vector<DiskBatch> batches_;
+    std::vector<std::size_t> cursor_;  // per disk: next free slot while filling
 };
 
 /// Decode recipe for one group that lost an element the user wants.
@@ -69,7 +71,15 @@ struct GroupDecode {
 
 class AccessPlan {
   public:
-    explicit AccessPlan(int disks) : per_disk_(static_cast<std::size_t>(disks), 0) {}
+    explicit AccessPlan(int disks = 0) : per_disk_(static_cast<std::size_t>(disks), 0) {}
+
+    /// Empty the plan for `disks` disks, keeping its storage.
+    void reset(int disks) {
+        fetches_.clear();
+        decodes_.clear();
+        per_disk_.assign(static_cast<std::size_t>(disks), 0);
+        requested_ = 0;
+    }
 
     /// Room for `fetches` fetches without regrowing.
     void reserve(std::size_t fetches) { fetches_.reserve(fetches); }
@@ -90,30 +100,56 @@ class AccessPlan {
     /// serves at least one element, in ascending disk order.
     PlanBatches batches() const {
         PlanBatches out;
+        batches(out);
+        return out;
+    }
+
+    /// batches(), refilled into `out`'s storage.
+    void batches(PlanBatches& out) const {
         const std::size_t n = fetches_.size();
         out.fetch_indices_.resize(n);
-        for (std::size_t i = 0; i < n; ++i) out.fetch_indices_[i] = i;
-        std::sort(out.fetch_indices_.begin(), out.fetch_indices_.end(),
-                  [this](std::size_t a, std::size_t b) {
-                      const Location& la = fetches_[a].loc;
-                      const Location& lb = fetches_[b].loc;
-                      if (la.disk != lb.disk) return la.disk < lb.disk;
-                      return la.row != lb.row ? la.row < lb.row : a < b;
-                  });
-        out.rows_.reserve(n);
-        for (std::size_t i : out.fetch_indices_) out.rows_.push_back(fetches_[i].loc.row);
+        out.rows_.resize(n);
+        out.batches_.clear();
+        out.cursor_.resize(per_disk_.size());
+        // Counting sort by disk: each disk's slice starts where the lower
+        // disks' loads end, and fetches keep plan order inside it.
+        std::size_t offset = 0;
+        for (std::size_t d = 0; d < per_disk_.size(); ++d) {
+            out.cursor_[d] = offset;
+            offset += static_cast<std::size_t>(per_disk_[d]);
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            const Location& loc = fetches_[i].loc;
+            const std::size_t at = out.cursor_[static_cast<std::size_t>(loc.disk)]++;
+            out.fetch_indices_[at] = i;
+            out.rows_[at] = loc.row;
+        }
         out.batches_.reserve(static_cast<std::size_t>(fanout()));
         const std::span<const std::size_t> indices(out.fetch_indices_);
         const std::span<const RowId> rows(out.rows_);
-        std::size_t offset = 0;
+        offset = 0;
         for (std::size_t d = 0; d < per_disk_.size(); ++d) {
             const auto load = static_cast<std::size_t>(per_disk_[d]);
             if (load == 0) continue;
+            // Row-sort the slice (ties: plan order) unless plan order
+            // already ascends, as it does for contiguous reads.
+            const auto first_row = out.rows_.begin() + static_cast<std::ptrdiff_t>(offset);
+            if (!std::is_sorted(first_row, first_row + static_cast<std::ptrdiff_t>(load))) {
+                const auto first = out.fetch_indices_.begin() + static_cast<std::ptrdiff_t>(offset);
+                std::sort(first, first + static_cast<std::ptrdiff_t>(load),
+                          [this](std::size_t a, std::size_t b) {
+                              const RowId ra = fetches_[a].loc.row;
+                              const RowId rb = fetches_[b].loc.row;
+                              return ra != rb ? ra < rb : a < b;
+                          });
+                for (std::size_t k = offset; k < offset + load; ++k) {
+                    out.rows_[k] = fetches_[out.fetch_indices_[k]].loc.row;
+                }
+            }
             out.batches_.push_back({static_cast<DiskId>(d), indices.subspan(offset, load),
                                     rows.subspan(offset, load)});
             offset += load;
         }
-        return out;
     }
 
     /// Disks serving at least one fetch: the number of batches().

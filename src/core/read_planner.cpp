@@ -40,26 +40,31 @@ void note_plan(const AccessPlan& plan, PlanKindMetrics PlannerMetrics::* kind) {
     m.fanout->record(plan.fanout());
 }
 
-/// Bookkeeping shared by the degraded and reconstruction planners.
+/// Bookkeeping shared by the degraded and reconstruction planners. It
+/// fills a caller's plan and works in a caller's scratch, so a caller
+/// that plans repeatedly reuses both.
 struct PlanBuilder {
     /// Plans fetches within stripes [first_stripe, first_stripe + stripes).
     PlanBuilder(const Scheme& scheme, StripeId first_stripe, StripeId stripes,
-                std::size_t fetch_hint, const std::vector<char>* stragglers = nullptr)
+                std::size_t fetch_hint, std::span<const char> stragglers, PlanScratch& scratch,
+                AccessPlan& plan)
         : scheme(scheme),
-          plan(scheme.disks()),
+          plan(plan),
+          s(scratch),
           stragglers(stragglers),
           first_stripe(first_stripe),
           groups(scheme.layout().groups_per_stripe()),
-          positions(scheme.code().n()),
-          seen(static_cast<std::size_t>(stripes * groups * positions), 0) {
+          positions(scheme.code().n()) {
+        plan.reset(scheme.disks());
         plan.reserve(fetch_hint);
+        s.seen.assign(static_cast<std::size_t>(stripes * groups * positions), 0);
     }
 
     /// Fetch the element at `coord` once; later duplicate fetches are
     /// no-ops. All requested fetches happen before any repair fetch, so a
     /// duplicate can never need a requested-flag upgrade.
     void fetch(const GroupCoord& coord, bool requested) {
-        char& flag = seen[slot(coord)];
+        char& flag = s.seen[slot(coord)];
         if (flag != 0) return;
         flag = 1;
         Access access;
@@ -69,14 +74,13 @@ struct PlanBuilder {
         plan.add_fetch(access);
     }
 
-    bool fetched(const GroupCoord& coord) const { return seen[slot(coord)] != 0; }
+    bool fetched(const GroupCoord& coord) const { return s.seen[slot(coord)] != 0; }
 
     int disk_load(DiskId d) const { return plan.per_disk_loads()[static_cast<std::size_t>(d)]; }
 
     bool straggler(DiskId d) const {
-        return stragglers != nullptr && d >= 0 &&
-               static_cast<std::size_t>(d) < stragglers->size() &&
-               (*stragglers)[static_cast<std::size_t>(d)] != 0;
+        return d >= 0 && static_cast<std::size_t>(d) < stragglers.size() &&
+               stragglers[static_cast<std::size_t>(d)] != 0;
     }
 
     /// Flat dedup index: one flag per element of the stripe window, so a
@@ -84,25 +88,25 @@ struct PlanBuilder {
     std::size_t slot(const GroupCoord& c) const {
         assert(c.stripe >= first_stripe);
         const auto i = ((c.stripe - first_stripe) * groups + c.group) * positions + c.position;
-        assert(static_cast<std::size_t>(i) < seen.size());
+        assert(static_cast<std::size_t>(i) < s.seen.size());
         return static_cast<std::size_t>(i);
     }
 
     const Scheme& scheme;
-    AccessPlan plan;
-    const std::vector<char>* stragglers = nullptr;
+    AccessPlan& plan;
+    PlanScratch& s;
+    std::span<const char> stragglers;
     StripeId first_stripe;
     std::int64_t groups;
     std::int64_t positions;
-    std::vector<char> seen;
 };
 
-/// Survivor positions of the target's group, greedy-ordered: free riders
+/// Sort the target group's survivor positions greedily: free riders
 /// (already being fetched) first, then healthy disks before flagged
 /// stragglers, then least-loaded disks. (A free rider on a straggler
 /// stays first: that disk is already on the critical path and the extra
 /// source costs nothing; remaining ties keep position order.)
-std::vector<int> greedy_order(PlanBuilder& b, const GroupCoord& target, std::vector<int> order) {
+void greedy_order(PlanBuilder& b, const GroupCoord& target, std::vector<int>& order) {
     const auto& layout = b.scheme.layout();
     std::sort(order.begin(), order.end(), [&](int a, int c) {
         const GroupCoord ca{target.stripe, target.group, a};
@@ -119,21 +123,22 @@ std::vector<int> greedy_order(PlanBuilder& b, const GroupCoord& target, std::vec
         const int lc = b.disk_load(dc);
         return la != lc ? la < lc : a < c;
     });
-    return order;
 }
 
-/// Smallest greedy prefix of the survivors that spans the target (k for
-/// MDS codes; possibly more for LRC when the local set is broken, fewer
-/// for sub-packetized codes whose substripes decode independently).
-Result<codes::ElementRepair> greedy_repair(PlanBuilder& b, const GroupCoord& target,
-                                           std::vector<int> survivors) {
+/// Smallest greedy prefix of the survivors (b.s.survivors, reordered in
+/// place) that spans the target (k for MDS codes; possibly more for LRC
+/// when the local set is broken, fewer for sub-packetized codes whose
+/// substripes decode independently).
+Result<codes::ElementRepair> greedy_repair(PlanBuilder& b, const GroupCoord& target) {
     const auto& code = b.scheme.code();
-    const std::vector<int> order = greedy_order(b, target, std::move(survivors));
+    std::vector<int>& order = b.s.survivors;
+    greedy_order(b, target, order);
     const std::size_t min_count =
         std::min<std::size_t>(static_cast<std::size_t>(code.data_nodes()), order.size());
     Result<codes::ElementRepair> last = Error::undecodable("no survivors");
     for (std::size_t count = min_count; count <= order.size(); ++count) {
-        std::vector<int> sources(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(count));
+        std::vector<int>& sources = b.s.sources;
+        sources.assign(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(count));
         std::sort(sources.begin(), sources.end());
         last = code.solve_repair(target.position, sources);
         if (last.ok()) return last;
@@ -148,7 +153,8 @@ Result<codes::ElementRepair> greedy_repair(PlanBuilder& b, const GroupCoord& tar
 std::tuple<int, int, int> projected_cost(PlanBuilder& b, const GroupCoord& target,
                                          const codes::ElementRepair& repair) {
     const auto& layout = b.scheme.layout();
-    std::vector<int> loads = b.plan.per_disk_loads();
+    std::vector<int>& loads = b.s.loads;
+    loads.assign(b.plan.per_disk_loads().begin(), b.plan.per_disk_loads().end());
     int new_fetches = 0;
     int straggler_fetches = 0;
     for (const auto& term : repair.terms) {
@@ -178,17 +184,19 @@ bool touches_straggler(PlanBuilder& b, const GroupCoord& target,
 
 /// Shared repair-source policy: structured set first (when fully alive),
 /// then a greedy survivor prefix. Under DegradedPolicy::balance both
-/// candidates compete on projected max load.
+/// candidates compete on projected max load. b.s.disk_failed marks the
+/// unavailable disks.
 Result<codes::ElementRepair> choose_repair(PlanBuilder& b, const GroupCoord& target,
-                                           const std::vector<bool>& disk_failed, DegradedPolicy policy) {
+                                           DegradedPolicy policy) {
     const auto& code = b.scheme.code();
     const auto& layout = b.scheme.layout();
     auto alive = [&](int position) {
         const Location loc = layout.locate({target.stripe, target.group, position});
-        return !disk_failed[static_cast<std::size_t>(loc.disk)];
+        return b.s.disk_failed[static_cast<std::size_t>(loc.disk)] == 0;
     };
 
-    std::vector<int> survivors;
+    std::vector<int>& survivors = b.s.survivors;
+    survivors.clear();
     survivors.reserve(static_cast<std::size_t>(code.n()) - 1);
     for (int p = 0; p < code.n(); ++p) {
         if (p != target.position && alive(p)) survivors.push_back(p);
@@ -198,7 +206,7 @@ Result<codes::ElementRepair> choose_repair(PlanBuilder& b, const GroupCoord& tar
     const codes::RepairSpec spec = code.repair_spec(target.position);
     bool intact = !spec.preferred.empty();
     for (int p : spec.preferred) intact = intact && alive(p);
-    if (!intact) return greedy_repair(b, target, std::move(survivors));
+    if (!intact) return greedy_repair(b, target);
     auto structured = code.solve_repair(target.position, spec.preferred);
 
     // local_first keeps the structured set unless health says otherwise:
@@ -210,7 +218,7 @@ Result<codes::ElementRepair> choose_repair(PlanBuilder& b, const GroupCoord& tar
         return structured;
     }
 
-    auto greedy = greedy_repair(b, target, std::move(survivors));
+    auto greedy = greedy_repair(b, target);
     if (!structured.ok()) return greedy;
     if (!greedy.ok()) return structured;
     return projected_cost(b, target, greedy.value()) < projected_cost(b, target, structured.value())
@@ -238,17 +246,34 @@ void attach_planner_metrics(obs::MetricRegistry* registry) {
 }
 
 AccessPlan plan_normal_read(const Scheme& scheme, ElementId start, std::int64_t count) {
+    AccessPlan plan;
+    plan_normal_read(scheme, start, count, plan);
+    return plan;
+}
+
+void plan_normal_read(const Scheme& scheme, ElementId start, std::int64_t count, AccessPlan& plan) {
     // Distinct data elements never collide, so there is nothing to dedup.
+    // Logical order is position-, then group-, then stripe-major, so the
+    // coordinates are walked by carrying instead of divided out per
+    // element.
     const auto& layout = scheme.layout();
-    AccessPlan plan(scheme.disks());
+    const int k = layout.data_per_group();
+    const int groups = layout.groups_per_stripe();
+    plan.reset(scheme.disks());
     plan.reserve(static_cast<std::size_t>(count));
+    GroupCoord coord = count > 0 ? layout.coord_of_data(start) : GroupCoord{};
     for (std::int64_t i = 0; i < count; ++i) {
-        const GroupCoord coord = layout.coord_of_data(start + i);
         plan.add_fetch({layout.locate(coord), coord, /*requested=*/true});
+        if (++coord.position == k) {
+            coord.position = 0;
+            if (++coord.group == groups) {
+                coord.group = 0;
+                ++coord.stripe;
+            }
+        }
     }
     plan.set_requested(count);
     note_plan(plan, &PlannerMetrics::normal);
-    return plan;
 }
 
 Result<AccessPlan> plan_degraded_read(const Scheme& scheme, ElementId start, std::int64_t count,
@@ -259,29 +284,45 @@ Result<AccessPlan> plan_degraded_read(const Scheme& scheme, ElementId start, std
 Result<AccessPlan> plan_degraded_read(const Scheme& scheme, ElementId start, std::int64_t count,
                                       const std::vector<DiskId>& failed_disks, DegradedPolicy policy,
                                       const std::vector<char>* stragglers) {
+    PlanScratch scratch;
+    AccessPlan plan;
+    auto status = plan_degraded_read(
+        scheme, start, count, failed_disks, policy,
+        stragglers != nullptr ? std::span<const char>(*stragglers) : std::span<const char>(),
+        scratch, plan);
+    if (!status.ok()) return status.error();
+    return plan;
+}
+
+Status plan_degraded_read(const Scheme& scheme, ElementId start, std::int64_t count,
+                          std::span<const DiskId> failed_disks, DegradedPolicy policy,
+                          std::span<const char> stragglers, PlanScratch& scratch,
+                          AccessPlan& plan) {
     const auto& layout = scheme.layout();
     // Repair sources share their target's group, so every fetch lies in
     // the stripes the request spans.
     const StripeId first_stripe = count > 0 ? layout.coord_of_data(start).stripe : 0;
     const StripeId stripes =
         count > 0 ? layout.coord_of_data(start + count - 1).stripe - first_stripe + 1 : 0;
-    PlanBuilder b(scheme, first_stripe, stripes, static_cast<std::size_t>(count), stragglers);
+    PlanBuilder b(scheme, first_stripe, stripes, static_cast<std::size_t>(count), stragglers,
+                  scratch, plan);
 
-    std::vector<bool> disk_failed(static_cast<std::size_t>(scheme.disks()), false);
+    std::vector<char>& disk_failed = scratch.disk_failed;
+    disk_failed.assign(static_cast<std::size_t>(scheme.disks()), 0);
     for (DiskId d : failed_disks) {
         if (d < 0 || d >= scheme.disks()) return Error::range("no such disk");
-        disk_failed[static_cast<std::size_t>(d)] = true;
+        disk_failed[static_cast<std::size_t>(d)] = 1;
     }
-    auto alive = [&](const GroupCoord& c) { return !disk_failed[static_cast<std::size_t>(layout.locate(c).disk)]; };
 
     // Pass 1: requested elements on surviving disks are plain fetches.
-    std::vector<GroupCoord> failed_elements;
+    std::vector<GroupCoord>& lost = scratch.lost;
+    lost.clear();
     for (std::int64_t i = 0; i < count; ++i) {
         const GroupCoord coord = layout.coord_of_data(start + i);
-        if (alive(coord)) {
+        if (disk_failed[static_cast<std::size_t>(layout.locate(coord).disk)] == 0) {
             b.fetch(coord, /*requested=*/true);
         } else {
-            failed_elements.push_back(coord);
+            lost.push_back(coord);
         }
     }
 
@@ -290,43 +331,46 @@ Result<AccessPlan> plan_degraded_read(const Scheme& scheme, ElementId start, std
     // substripe; exactly one for classic w = 1 codes), so f failed disks
     // erase up to f * w elements per group — each gets its own repair,
     // with the dedup in fetch() sharing sources across them.
-    for (const GroupCoord& target : failed_elements) {
-        auto repair = choose_repair(b, target, disk_failed, policy);
+    for (const GroupCoord& target : lost) {
+        auto repair = choose_repair(b, target, policy);
         if (!repair.ok()) return repair.error();
         for (const auto& term : repair->terms) {
             b.fetch({target.stripe, target.group, term.source_position}, /*requested=*/false);
         }
-        b.plan.add_decode({target.stripe, target.group, std::move(repair).take()});
+        plan.add_decode({target.stripe, target.group, std::move(repair).take()});
     }
 
-    b.plan.set_requested(count);
-    note_plan(b.plan, &PlannerMetrics::degraded);
-    return std::move(b.plan);
+    plan.set_requested(count);
+    note_plan(plan, &PlannerMetrics::degraded);
+    return Status::success();
 }
 
 Result<AccessPlan> plan_reconstruction(const Scheme& scheme, DiskId failed_disk, StripeId stripes) {
     if (failed_disk < 0 || failed_disk >= scheme.disks()) return Error::range("no such disk");
     const auto& layout = scheme.layout();
     const RowId rows = stripes * layout.rows_per_stripe();
-    PlanBuilder b(scheme, 0, stripes, static_cast<std::size_t>(rows * scheme.code().k()));
+    PlanScratch scratch;
+    AccessPlan plan;
+    PlanBuilder b(scheme, 0, stripes, static_cast<std::size_t>(rows * scheme.code().k()), {},
+                  scratch, plan);
 
-    std::vector<bool> disk_failed(static_cast<std::size_t>(scheme.disks()), false);
-    disk_failed[static_cast<std::size_t>(failed_disk)] = true;
+    scratch.disk_failed.assign(static_cast<std::size_t>(scheme.disks()), 0);
+    scratch.disk_failed[static_cast<std::size_t>(failed_disk)] = 1;
 
     std::int64_t rebuilt = 0;
     for (RowId row = 0; row < rows; ++row) {
         const GroupCoord target = layout.coord_at({failed_disk, row});
-        auto repair = choose_repair(b, target, disk_failed, DegradedPolicy::local_first);
+        auto repair = choose_repair(b, target, DegradedPolicy::local_first);
         if (!repair.ok()) return repair.error();
         for (const auto& term : repair->terms) {
             b.fetch({target.stripe, target.group, term.source_position}, /*requested=*/false);
         }
-        b.plan.add_decode({target.stripe, target.group, std::move(repair).take()});
+        plan.add_decode({target.stripe, target.group, std::move(repair).take()});
         ++rebuilt;
     }
-    b.plan.set_requested(rebuilt);
-    note_plan(b.plan, &PlannerMetrics::reconstruction);
-    return std::move(b.plan);
+    plan.set_requested(rebuilt);
+    note_plan(plan, &PlannerMetrics::reconstruction);
+    return plan;
 }
 
 }  // namespace ecfrm::core

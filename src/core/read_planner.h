@@ -8,6 +8,9 @@
 // bounds parallel read latency (paper Section III).
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "common/result.h"
 #include "core/access_plan.h"
 #include "core/scheme.h"
@@ -28,6 +31,19 @@ void attach_planner_metrics(obs::MetricRegistry* registry);
 
 /// Plan a failure-free read of `count` logical elements starting at `start`.
 AccessPlan plan_normal_read(const Scheme& scheme, ElementId start, std::int64_t count);
+/// plan_normal_read(), refilled into `plan`'s storage.
+void plan_normal_read(const Scheme& scheme, ElementId start, std::int64_t count, AccessPlan& plan);
+
+/// Working storage of the degraded planner, kept by a caller that plans
+/// repeatedly so a plan reuses the last one's capacity.
+struct PlanScratch {
+    std::vector<char> seen;         // dedup flag per element of the stripe window
+    std::vector<char> disk_failed;  // per disk
+    std::vector<layout::GroupCoord> lost;  // requested elements on failed disks
+    std::vector<int> survivors;     // repair candidates of one lost element
+    std::vector<int> sources;       // one candidate source set
+    std::vector<int> loads;         // projected per-disk loads
+};
 
 /// Repair-source policy for degraded reads.
 enum class DegradedPolicy {
@@ -62,6 +78,12 @@ Result<AccessPlan> plan_degraded_read(const Scheme& scheme, ElementId start, std
                                       const std::vector<DiskId>& failed_disks,
                                       DegradedPolicy policy = DegradedPolicy::local_first,
                                       const std::vector<char>* stragglers = nullptr);
+/// plan_degraded_read(), refilled into `plan`'s storage with `scratch`
+/// as working memory; `stragglers` may be empty (no health tie-break).
+Status plan_degraded_read(const Scheme& scheme, ElementId start, std::int64_t count,
+                          std::span<const DiskId> failed_disks, DegradedPolicy policy,
+                          std::span<const char> stragglers, PlanScratch& scratch,
+                          AccessPlan& plan);
 
 /// Plan the offline reconstruction of every element of `failed_disk` over
 /// `stripes` stored stripes: one decode per lost element, repair sources

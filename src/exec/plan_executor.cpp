@@ -96,7 +96,7 @@ Status PlanExecutor::read_with_policy(DiskId disk, RowId row, ByteSpan out,
 }
 
 Status PlanExecutor::device_read(DiskId disk, RowId row, ByteSpan out) const {
-    return read_with_policy(disk, row, out, recovery());
+    return read_with_policy(disk, row, out, options());
 }
 
 Status PlanExecutor::device_write(DiskId disk, RowId row, ConstByteSpan data) const {
@@ -104,7 +104,7 @@ Status PlanExecutor::device_write(DiskId disk, RowId row, ConstByteSpan data) co
     const std::span<const RowId> rows(&row, 1);
     std::size_t done = 0;
     return submit_queue(
-        disk, rows, recovery(), &done, {},
+        disk, rows, options(), &done, {},
         [&](std::size_t, std::size_t, std::size_t* completed) {
             return device.write_batch(rows, std::span<const ConstByteSpan>(&data, 1), completed);
         },
@@ -165,10 +165,14 @@ void PlanExecutor::start_round(const std::shared_ptr<Round>& r, TraceCtx tc, boo
         for (std::size_t a = 0; a < n; ++a) start_queue(*r, a, tc);
         return;
     }
-    auto claim = [this, tc](Round& round) {
+    // A task touches the round only through queues it claims (each
+    // finished under r.mu) and the atomic claim counter — never its
+    // queue list — so a task still holding a reaped round cannot race
+    // the scratch that reuses it.
+    auto claim = [this, tc, n](Round& round) {
         for (;;) {
             const std::size_t a = round.next.fetch_add(1);
-            if (a >= round.queues.size()) return;
+            if (a >= n) return;
             start_queue(round, a, tc);
         }
     };
@@ -286,7 +290,7 @@ Result<PlanExecutor::WriteReport> PlanExecutor::write(const core::WritePlan& pla
     }
 
     auto r = std::make_shared<Round>();
-    r->opts = recovery();
+    r->opts = options();
     r->heat = heat();
     r->timed = tc.rt != nullptr || r->heat != nullptr;
     r->rows.reserve(writes.size());
@@ -351,14 +355,13 @@ void PlanExecutor::hedge(const Round& r, const std::vector<DiskId>& excluded,
     for (const Round::Queue& q : r.queues) {
         if (q.reaped) continue;
         for (std::size_t j = q.begin; j < q.end; ++j) {
-            const auto [stripe, group, position] = r.elems[j].first;
+            const auto [stripe, group, position] = r.elems[j].key;
             if (m.hedged_reads != nullptr) m.hedged_reads->add(1);
             if (tc.rt != nullptr) tc.rt->count_hedge();
-            ElementBuf target =
-                ElementBuf::alloc(static_cast<std::size_t>(element_bytes_), buffer_pool_);
+            const ByteSpan target =
+                fetched.stage(static_cast<std::size_t>(element_bytes_), buffer_pool_);
             const double t0 = tc.rt != nullptr ? obs::forensic_now_us() : 0.0;
-            const bool decoded =
-                rebuild_element({stripe, group, position}, avoid, target.span()).ok();
+            const bool decoded = rebuild_element({stripe, group, position}, avoid, target).ok();
             if (tc.rt != nullptr) {
                 tc.rt->complete(tc.parent, "hedge.decode", t0, obs::forensic_now_us() - t0,
                                 {{"disk", std::to_string(q.disk)},
@@ -367,24 +370,73 @@ void PlanExecutor::hedge(const Round& r, const std::vector<DiskId>& excluded,
                                  {"position", std::to_string(position)},
                                  {"decoded", decoded ? "true" : "false"}});
             }
-            if (decoded) fetched.emplace(r.elems[j].first, std::move(target));
+            if (decoded) fetched.emplace(r.elems[j].key, target, /*sunk=*/false);
         }
     }
 }
 
-Result<PlanExecutor::FetchResult> PlanExecutor::fetch(Replanner replan,
-                                                      std::vector<DiskId> excluded,
-                                                      obs::RequestTrace* rt, Sink sink) const {
-    const RecoveryOptions opts = recovery();
+PlanExecutor::Round& PlanExecutor::next_round(RequestScratch& s) {
+    if (s.round == nullptr || s.round.use_count() != 1) {
+        s.round = std::make_shared<Round>();
+        return *s.round;
+    }
+    Round& r = *s.round;
+    // Sole owner: no pool task can reach the round any more. Taking its
+    // mutex orders this reuse after the last task's final queue finished.
+    std::lock_guard<std::mutex> lock(r.mu);
+    r.rows.clear();
+    r.outs.clear();
+    r.elems.clear();
+    r.owned.clear();
+    r.data.clear();
+    r.queues.clear();
+    r.next.store(0, std::memory_order_relaxed);
+    return r;
+}
+
+void RequestScratch::release() {
+    elements.clear();
+    excluded.clear();
+    // A round still co-owned by an orphaned queue keeps its staging until
+    // that queue lets go; drop this scratch's share rather than wait.
+    if (round != nullptr && round.use_count() == 1) {
+        std::lock_guard<std::mutex> lock(round->mu);
+        round->owned.clear();
+    } else {
+        round.reset();
+    }
+}
+
+namespace {
+
+/// The calling thread's idle scratch, or null while it is leased out.
+thread_local std::unique_ptr<RequestScratch> t_idle_scratch;
+
+}  // namespace
+
+ScratchLease::ScratchLease()
+    : scratch_(t_idle_scratch != nullptr ? std::move(t_idle_scratch)
+                                         : std::make_unique<RequestScratch>()) {}
+
+ScratchLease::~ScratchLease() {
+    scratch_->release();
+    // Nested leases end first; the outermost one's scratch is the one kept.
+    t_idle_scratch = std::move(scratch_);
+}
+
+Status PlanExecutor::fetch(RequestScratch& s, Replanner replan, obs::RequestTrace* rt,
+                           Sink sink) const {
+    const RecoveryOptions& opts = options();
     const ExecutorMetrics& m = metrics();
     obs::Tracer* const tracer = this->tracer();
     obs::DiskHeatModel* const heat = this->heat();
+    const auto eb = static_cast<std::size_t>(element_bytes_);
 
     // Elements fetched (or hedge-decoded) so far, kept across replan
     // rounds so recovery never re-reads what it already holds. Sized per
     // plan: every fetch plus every decode target.
-    ElementTable fetched;
-    std::optional<AccessPlan> plan;
+    ElementTable& fetched = s.elements;
+    fetched.clear();
     bool request_load_recorded = false;  // heat records max load once per request
 
     // One fetch round: issue everything the plan wants that we don't
@@ -394,10 +446,12 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(Replanner replan,
     // queues through one epilogue. `fetch_node` is the round's phase
     // span on the request trace; per-disk batches, retries, hedge
     // decodes and eager decodes hang under it.
-    auto fetch_round = [&](const AccessPlan& p, std::uint32_t fetch_node) -> FetchOutcome {
+    auto fetch_round = [&](std::uint32_t fetch_node) -> FetchOutcome {
         FetchOutcome outcome;
+        const AccessPlan& p = s.plan;
         const auto& fetches = p.fetches();
-        const core::PlanBatches batches = p.batches();
+        p.batches(s.batches);
+        const core::PlanBatches& batches = s.batches;
         fetched.reserve(fetched.size() + fetches.size() + p.decodes().size());
 
         // Effective hedge deadline for this round: static hedge_ms, or —
@@ -419,41 +473,51 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(Replanner replan,
         }
         const bool hedged = hedge_ms > 0.0;
 
-        // Queue buffers go to the zero-copy sink unless the round is
-        // hedged: a straggling queue may outlive this frame, so it must
-        // own its buffers outright.
-        const Sink queue_sink = hedged ? Sink{} : sink;
-        auto r = std::make_shared<Round>();
-        r->opts = opts;
-        r->heat = heat;
-        r->timed = rt != nullptr || tracer != nullptr || heat != nullptr;
-        r->rows.reserve(fetches.size());
-        r->elems.reserve(fetches.size());
-        r->queues.reserve(batches.size());
+        // Queue destinations: the zero-copy sink where it routes an
+        // element, else staging — held by the element table, or, when
+        // the round is hedged, by the round itself: a straggling queue may
+        // outlive this frame, so it must own its buffers outright.
+        Round& r = next_round(s);
+        r.opts = opts;
+        r.heat = heat;
+        r.timed = rt != nullptr || tracer != nullptr || heat != nullptr;
+        r.rows.reserve(fetches.size());
+        r.outs.reserve(fetches.size());
+        r.elems.reserve(fetches.size());
+        r.queues.reserve(batches.size());
         for (const core::DiskBatch& batch : batches) {
-            const std::size_t begin = r->rows.size();
+            const std::size_t begin = r.rows.size();
             for (std::size_t j = 0; j < batch.fetch_indices.size(); ++j) {
                 const Key key = key_of(fetches[batch.fetch_indices[j]].coord);
                 if (fetched.contains(key)) continue;
-                r->rows.push_back(batch.rows[j]);
-                r->elems.emplace_back(key, make_element(key, queue_sink));
+                ByteSpan out;
+                bool sunk = false;
+                if (hedged) {
+                    r.owned.push_back(staging_buffer(eb, buffer_pool_));
+                    out = r.owned.back().span().first(eb);
+                } else {
+                    out = sink_for(key, sink);
+                    sunk = !out.empty();
+                    if (!sunk) out = fetched.stage(eb, buffer_pool_);
+                }
+                r.rows.push_back(batch.rows[j]);
+                r.outs.push_back(out);
+                r.elems.push_back({key, sunk});
             }
-            if (r->rows.size() == begin) continue;
-            Round::Queue& q = r->queues.emplace_back();
+            if (r.rows.size() == begin) continue;
+            Round::Queue& q = r.queues.emplace_back();
             q.disk = batch.disk;
             q.begin = begin;
-            q.end = r->rows.size();
+            q.end = r.rows.size();
         }
-        if (r->queues.empty()) return outcome;
-        r->outs.reserve(r->elems.size());
-        for (auto& elem : r->elems) r->outs.push_back(elem.second.span());
+        if (r.queues.empty()) return outcome;
 
         if (heat != nullptr && !request_load_recorded) {
             // First round's deepest queue is the request's max per-disk
             // load — the measured twin of closed_form_max_load.
             request_load_recorded = true;
             std::size_t max_load = 0;
-            for (const Round::Queue& q : r->queues) {
+            for (const Round::Queue& q : r.queues) {
                 max_load = std::max(max_load, q.end - q.begin);
             }
             heat->on_request(static_cast<std::int64_t>(max_load),
@@ -463,19 +527,21 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(Replanner replan,
         // Hedged queues may outlive the request, so they get no trace
         // context; their disk.batch spans are recorded here at reap.
         const TraceCtx queue_tc = hedged ? TraceCtx{} : TraceCtx{rt, fetch_node};
-        start_round(r, queue_tc, /*join=*/!hedged);
-        const auto deadline = std::chrono::steady_clock::now() +
-                              std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                                  std::chrono::duration<double, std::milli>(hedge_ms));
+        start_round(s.round, queue_tc, /*join=*/!hedged);
+        const auto deadline =
+            hedged ? std::chrono::steady_clock::now() +
+                         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                             std::chrono::duration<double, std::milli>(hedge_ms))
+                   : std::chrono::steady_clock::time_point{};
         bool hedge_fired = false;
 
         // True when every unfinished queue's elements are already in hand
         // (hedge-decoded), so none of them needs waiting for.
         auto stragglers_covered = [&] {
-            for (const Round::Queue& q : r->queues) {
+            for (const Round::Queue& q : r.queues) {
                 if (q.reaped || q.finished) continue;
                 for (std::size_t j = q.begin; j < q.end; ++j) {
-                    if (!fetched.contains(r->elems[j].first)) return false;
+                    if (!fetched.contains(r.elems[j].key)) return false;
                 }
             }
             return true;
@@ -485,24 +551,25 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(Replanner replan,
         // in place (an async device's await lands here, so the disks
         // overlap); with one, in completion order. A hedge is a deadline
         // on this wait.
-        const std::size_t n = r->queues.size();
+        const std::size_t n = r.queues.size();
+        bool all_landed = true;  // every queue reaped, each op landed
         for (std::size_t reaped = 0; reaped < n;) {
             std::size_t a = reaped;
             if (pool_ == nullptr) {
-                if (!r->queues[a].finished) finish_queue(*r, a, queue_tc);
+                if (!r.queues[a].finished) finish_queue(r, a, queue_tc);
             } else {
-                std::unique_lock<std::mutex> lock(r->mu);
+                std::unique_lock<std::mutex> lock(r.mu);
                 auto ready = [&] {
                     for (a = 0; a < n; ++a) {
-                        if (r->queues[a].finished && !r->queues[a].reaped) return true;
+                        if (r.queues[a].finished && !r.queues[a].reaped) return true;
                     }
                     return false;
                 };
                 if (hedged && !hedge_fired) {
-                    if (!r->cv.wait_until(lock, deadline, ready)) {
+                    if (!r.cv.wait_until(lock, deadline, ready)) {
                         lock.unlock();
                         hedge_fired = true;
-                        hedge(*r, excluded, fetched, TraceCtx{rt, fetch_node}, hedge_ms,
+                        hedge(r, s.excluded, fetched, TraceCtx{rt, fetch_node}, hedge_ms,
                               opts.auto_hedge);
                         continue;
                     }
@@ -513,15 +580,18 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(Replanner replan,
                     // missed the deadline at once, e.g. a saturated pool,
                     // so no disks were left to decode from.) The rest stay
                     // orphaned on the pool; their late payload is dropped.
-                    r->cv.wait(lock, [&] {
+                    r.cv.wait(lock, [&] {
                         return ready() || (hedge_fired && stragglers_covered());
                     });
-                    if (a == n) break;
+                    if (a == n) {
+                        all_landed = false;
+                        break;
+                    }
                 }
             }
 
             // The epilogue every queue goes through.
-            Round::Queue& q = r->queues[a];
+            Round::Queue& q = r.queues[a];
             q.reaped = true;
             ++reaped;
             trace_queue(TraceCtx{rt, fetch_node}, "disk.batch", q);
@@ -531,9 +601,12 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(Replanner replan,
                                   {"elements", std::to_string(q.end - q.begin)}});
             }
             for (std::size_t j = q.begin; j < q.begin + q.done; ++j) {
-                fetched.emplace(r->elems[j].first, std::move(r->elems[j].second));
+                if (fetched.emplace(r.elems[j].key, r.outs[j], r.elems[j].sunk) && hedged) {
+                    fetched.hold(std::move(r.owned[j]));
+                }
             }
             if (!q.status.ok()) {
+                all_landed = false;
                 // The device is suspect: abandon its remaining queue and
                 // let the replan route around it.
                 outcome.bad_disks.push_back(q.disk);
@@ -543,9 +616,14 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(Replanner replan,
             // Let any recipe whose sources just landed decode now,
             // overlapping the queues still in flight. Partial mode cannot
             // fail: recipes missing sources wait for the final decode.
-            (void)try_decode(p, fetched, /*partial=*/true, TraceCtx{rt, fetch_node}, sink);
+            if (!p.decodes().empty()) {
+                (void)try_decode(s, /*partial=*/true, TraceCtx{rt, fetch_node}, sink);
+            }
         }
 
+        // Every fetch the round issued landed, and the rest were in hand
+        // before it; otherwise check each.
+        if (all_landed) return outcome;
         for (const auto& access : fetches) {
             if (!fetched.contains(key_of(access.coord))) {
                 outcome.complete = false;
@@ -566,30 +644,28 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(Replanner replan,
             rt != nullptr ? rt->begin_phase("plan",
                                             {{"round", round},
                                              {"excluded", static_cast<std::int64_t>(
-                                                              excluded.size())}})
+                                                              s.excluded.size())}})
                           : 0;
-        auto planned = replan(excluded);
+        const Status planned = replan(s.excluded, s.plan);
         if (rt != nullptr) {
             if (planned.ok()) {
                 rt->end_with(plan_node,
-                             {{"fetches", planned.value().total_fetched()},
-                              {"decodes",
-                               static_cast<std::int64_t>(planned.value().decodes().size())}});
+                             {{"fetches", s.plan.total_fetched()},
+                              {"decodes", static_cast<std::int64_t>(s.plan.decodes().size())}});
             } else {
                 rt->attr(plan_node, "error", planned.error().message);
                 rt->end(plan_node);
             }
         }
-        if (!planned.ok()) return planned.error();
+        if (!planned.ok()) return planned;
         if (round > 0) {
             if (m.replans != nullptr) m.replans->add(1);
             if (rt != nullptr) rt->count_replan();
         }
-        plan.emplace(std::move(planned).take());
 
         const std::uint32_t fetch_node =
             rt != nullptr ? rt->begin_phase("fetch", {{"round", round}}) : 0;
-        FetchOutcome outcome = fetch_round(*plan, fetch_node);
+        FetchOutcome outcome = fetch_round(fetch_node);
         if (rt != nullptr) {
             if (!outcome.bad_disks.empty()) {
                 rt->end_with(fetch_node, {{"bad_disks", static_cast<std::int64_t>(
@@ -602,8 +678,8 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(Replanner replan,
         if (outcome.complete) break;
         bool grew = false;
         for (DiskId d : outcome.bad_disks) {
-            if (std::find(excluded.begin(), excluded.end(), d) == excluded.end()) {
-                excluded.push_back(d);
+            if (std::find(s.excluded.begin(), s.excluded.end(), d) == s.excluded.end()) {
+                s.excluded.push_back(d);
                 grew = true;
             }
         }
@@ -612,23 +688,23 @@ Result<PlanExecutor::FetchResult> PlanExecutor::fetch(Replanner replan,
             return Error::io("element fetch failed during plan execution");
         }
     }
-
-    return FetchResult{std::move(*plan), std::move(fetched), std::move(excluded)};
+    return Status::success();
 }
 
-Status PlanExecutor::decode(const AccessPlan& plan, ElementTable& elements, TraceCtx tc,
-                            Sink sink) const {
-    return try_decode(plan, elements, /*partial=*/false, tc, sink);
+Status PlanExecutor::decode(RequestScratch& s, TraceCtx tc, Sink sink) const {
+    if (s.plan.decodes().empty()) return Status::success();
+    return try_decode(s, /*partial=*/false, tc, sink);
 }
 
-Status PlanExecutor::try_decode(const AccessPlan& plan, ElementTable& elements, bool partial,
-                                TraceCtx tc, Sink sink) const {
+Status PlanExecutor::try_decode(RequestScratch& s, bool partial, TraceCtx tc, Sink sink) const {
     const ExecutorMetrics& m = metrics();
-    // Position-indexed spans for apply_repair, allocated at the first
-    // recipe that runs; a repair reads only its own sources and target,
-    // so entries left by an earlier recipe need no reset.
-    std::vector<ByteSpan> buffers;
-    for (const auto& decode : plan.decodes()) {
+    ElementTable& elements = s.elements;
+    // Position-indexed spans for apply_repair; a repair reads only its own
+    // sources and target, so entries left by an earlier recipe need no
+    // reset.
+    std::vector<ByteSpan>& buffers = s.positions;
+    buffers.resize(static_cast<std::size_t>(scheme_->code().n()));
+    for (const auto& decode : s.plan.decodes()) {
         const Key target_key{decode.stripe, decode.group, decode.repair.target_position};
         // Recipes run in plan order (later recipes may chain on earlier
         // targets); ones already satisfied by an eager pass are skipped,
@@ -636,23 +712,23 @@ Status PlanExecutor::try_decode(const AccessPlan& plan, ElementTable& elements, 
         if (elements.contains(target_key)) continue;
         bool ready = true;
         for (const auto& term : decode.repair.terms) {
-            if (!elements.contains({decode.stripe, decode.group, term.source_position})) {
+            const ByteSpan source =
+                elements.find({decode.stripe, decode.group, term.source_position});
+            if (source.empty()) {
                 if (!partial) return Error::internal("decode source missing from plan");
                 ready = false;
                 break;
             }
+            buffers[static_cast<std::size_t>(term.source_position)] = source;
         }
         if (!ready) continue;
         const double decode_t0 = tc.rt != nullptr ? obs::forensic_now_us() : 0.0;
-        if (buffers.empty()) buffers.resize(static_cast<std::size_t>(scheme_->code().n()));
-        for (const auto& term : decode.repair.terms) {
-            buffers[static_cast<std::size_t>(term.source_position)] =
-                elements.find({decode.stripe, decode.group, term.source_position})->span();
-        }
-        ElementBuf target = make_element(target_key, sink);
-        buffers[static_cast<std::size_t>(decode.repair.target_position)] = target.span();
+        ByteSpan target = sink_for(target_key, sink);
+        const bool sunk = !target.empty();
+        if (!sunk) target = elements.stage(static_cast<std::size_t>(element_bytes_), buffer_pool_);
+        buffers[static_cast<std::size_t>(decode.repair.target_position)] = target;
         codes::ErasureCode::apply_repair(decode.repair, buffers, pool_);
-        elements.emplace(target_key, std::move(target));
+        elements.emplace(target_key, target, sunk);
         if (m.decodes != nullptr) m.decodes->add(1);
         if (tc.rt != nullptr) {
             tc.rt->add_decodes(1);

@@ -19,6 +19,11 @@
 // three share one I/O policy. All methods are thread-safe: N readers may
 // call fetch() concurrently, and recovery options / observability can be
 // swapped while requests are in flight.
+//
+// A request's metadata — plan, schedule, element table, submission round —
+// lives in a RequestScratch that each reading thread leases (ScratchLease)
+// and reuses request after request, so a steady-state healthy read
+// allocates nothing below the caller.
 #pragma once
 
 #include <atomic>
@@ -37,6 +42,7 @@
 #include "common/thread_pool.h"
 #include "common/types.h"
 #include "core/access_plan.h"
+#include "core/read_planner.h"
 #include "core/scheme.h"
 #include "core/write_plan.h"
 #include "exec/element_table.h"
@@ -47,6 +53,8 @@
 #include "store/block_device.h"
 
 namespace ecfrm::exec {
+
+struct RequestScratch;
 
 /// Self-healing knobs for the device I/O paths. Defaults are inert
 /// (no timeouts, no backoff sleeps, no hedging) so clean-path behaviour
@@ -121,7 +129,9 @@ class PlanExecutor {
     using Sink = FunctionRef<ByteSpan(const Key&)>;
     /// Produces the plan for the current exclusion set. Called once up
     /// front and once per replan round; planning failures abort the fetch.
-    using Replanner = FunctionRef<Result<core::AccessPlan>(const std::vector<DiskId>&)>;
+    /// Planning fills the given plan (the scratch's, so its storage is
+    /// reused).
+    using Replanner = FunctionRef<Status(const std::vector<DiskId>&, core::AccessPlan&)>;
 
     /// `scheme` must outlive the executor; `pool` may be null (serial
     /// execution, deterministic disk order).
@@ -153,14 +163,19 @@ class PlanExecutor {
     /// registered-buffer fixed reads.
     void set_buffer_pool(BufferPool* pool) { buffer_pool_ = pool; }
 
+    /// Publish new recovery options; race-free against in-flight
+    /// requests, which keep the options they started with (retired
+    /// bundles live until the executor is destroyed).
     void set_recovery(const RecoveryOptions& options) {
-        std::lock_guard<std::mutex> lock(opts_mu_);
-        recovery_ = options;
+        auto bundle = std::make_unique<const RecoveryOptions>(options);
+        const RecoveryOptions* fresh = bundle.get();
+        {
+            std::lock_guard<std::mutex> lock(metrics_mu_);
+            retired_recovery_.push_back(std::move(bundle));
+        }
+        recovery_.store(fresh, std::memory_order_release);
     }
-    RecoveryOptions recovery() const {
-        std::lock_guard<std::mutex> lock(opts_mu_);
-        return recovery_;
-    }
+    RecoveryOptions recovery() const { return options(); }
 
     /// Swap the observability sinks; race-free against in-flight requests
     /// (atomic bundle publication, retired bundles live until the executor
@@ -184,21 +199,15 @@ class PlanExecutor {
 
     static Key key_of(const layout::GroupCoord& c) { return {c.stripe, c.group, c.position}; }
 
-    /// Everything a completed fetch pipeline hands back: the plan that
-    /// finally completed (after any replans), every element it fetched or
-    /// hedge-decoded (ElementBufs: pool-owned staging, or views of caller
-    /// memory on the zero-copy path), and the exclusion set as grown by
-    /// mid-flight discoveries.
-    struct FetchResult {
-        core::AccessPlan plan;
-        ElementTable elements;
-        std::vector<DiskId> excluded;
-    };
-
-    /// Run the fetch pipeline: plan via `replan`, issue per-disk queues,
-    /// retry/hedge per policy, and replan around disks that misbehave
-    /// mid-flight — reusing every element already in hand. Fails with the
-    /// last typed device error when recovery is exhausted.
+    /// Run the fetch pipeline: plan via `replan` into s.plan, issue
+    /// per-disk queues, retry/hedge per policy, and replan around disks
+    /// that misbehave mid-flight — reusing every element already in hand.
+    /// On success s.plan is the plan that finally completed (after any
+    /// replans), s.elements holds every element it fetched or
+    /// hedge-decoded (views of caller memory on the zero-copy path, else
+    /// staging the table holds), and s.excluded, the initial exclusion
+    /// set, has grown by the mid-flight discoveries. Fails with the last
+    /// typed device error when recovery is exhausted.
     ///
     /// When `rt` is given, the pipeline appends its causal tree to the
     /// request: contiguous `plan`/`fetch` phase spans per round directly
@@ -218,17 +227,16 @@ class PlanExecutor {
     /// records their spans, keeps their elements, and runs decode recipes
     /// eagerly as their sources land. A hedge deadline bounds the reap:
     /// queues still out when it passes are decoded around and abandoned.
-    Result<FetchResult> fetch(Replanner replan, std::vector<DiskId> excluded,
-                              obs::RequestTrace* rt = nullptr, Sink sink = {}) const;
+    Status fetch(RequestScratch& s, Replanner replan, obs::RequestTrace* rt = nullptr,
+                 Sink sink = {}) const;
 
-    /// Run the plan's decode recipes, materialising each missing element
-    /// into `elements` from sources already present there. `tc` hangs a
+    /// Run s.plan's decode recipes, materialising each missing element
+    /// into s.elements from sources already present there. `tc` hangs a
     /// `decode.element` span per recipe under the caller's span.
     /// Recipes whose target is already present (e.g. decoded eagerly
     /// during fetch) are skipped; `sink` routes freshly decoded targets
     /// into caller memory.
-    Status decode(const core::AccessPlan& plan, ElementTable& elements, TraceCtx tc = {},
-                  Sink sink = {}) const;
+    Status decode(RequestScratch& s, TraceCtx tc = {}, Sink sink = {}) const;
 
     /// Rebuild one element into `target` from group sources living on
     /// disks not marked in `avoid` (indexed by DiskId), using policy
@@ -276,7 +284,10 @@ class PlanExecutor {
     Status device_write(DiskId disk, RowId row, ConstByteSpan data) const;
 
   private:
+    friend struct RequestScratch;
+
     const ExecutorMetrics& metrics() const { return *metrics_.load(std::memory_order_acquire); }
+    const RecoveryOptions& options() const { return *recovery_.load(std::memory_order_acquire); }
     obs::Tracer* tracer() const { return tracer_.load(std::memory_order_acquire); }
     obs::DiskHeatModel* heat() const { return heat_.load(std::memory_order_acquire); }
 
@@ -297,27 +308,24 @@ class PlanExecutor {
     /// Decode engine behind decode(): with `partial`, recipes whose
     /// sources are not all present are skipped instead of failing (the
     /// eager pass as per-disk completions arrive).
-    Status try_decode(const core::AccessPlan& plan, ElementTable& elements, bool partial,
-                      TraceCtx tc, Sink sink) const;
+    Status try_decode(RequestScratch& s, bool partial, TraceCtx tc, Sink sink) const;
 
-    /// Staging or zero-copy storage for `key` per the sink contract.
-    ElementBuf make_element(const Key& key, Sink sink) const {
-        if (sink) {
-            const ByteSpan dest = sink(key);
-            if (dest.size() == static_cast<std::size_t>(element_bytes_)) {
-                return ElementBuf::external(dest);
-            }
-        }
-        return ElementBuf::alloc(static_cast<std::size_t>(element_bytes_), buffer_pool_);
+    /// The caller's destination for `key` when `sink` routes it there,
+    /// else an empty span.
+    ByteSpan sink_for(const Key& key, Sink sink) const {
+        const ByteSpan dest = sink ? sink(key) : ByteSpan{};
+        return dest.size() == static_cast<std::size_t>(element_bytes_) ? dest : ByteSpan{};
     }
 
     /// One round of per-disk submission queues — a fetch round's reads or
     /// a write plan's writes — with the elements laid out flat: queue q
-    /// owns [q.begin, q.end) of rows and of outs/elems (reads) or data
-    /// (writes). Heap-allocated and co-owned by every pool task working
-    /// on it, so a hedged round can return at its deadline without
-    /// joining a straggler: the orphaned task finishes against this state
-    /// and its late payload dies with the last reference.
+    /// owns [q.begin, q.end) of rows and of outs/elems/owned (reads) or
+    /// data (writes). Heap-allocated and co-owned by every pool task
+    /// working on it, so a hedged round can return at its deadline
+    /// without joining a straggler: the orphaned task finishes against
+    /// this state and its late payload dies with the last reference. A
+    /// request scratch keeps its round and reuses it while it is the sole
+    /// owner (see next_round).
     struct Round {
         struct Queue {
             DiskId disk = -1;
@@ -336,16 +344,26 @@ class PlanExecutor {
         RecoveryOptions opts;
         obs::DiskHeatModel* heat = nullptr;  // fed as queues issue and finish
         bool timed = false;  // a trace, tracer or heat model wants queue timings
+        struct Elem {
+            Key key;
+            bool sunk = false;  // outs[i] is the caller's destination
+        };
         std::vector<RowId> rows;
         std::vector<ByteSpan> outs;  // reads: destination of rows[i]
-        /// Reads: identity of rows[i] and the storage behind outs[i].
-        std::vector<std::pair<Key, ElementBuf>> elems;
+        std::vector<Elem> elems;     // reads: identity of rows[i]
+        /// Hedged reads: the staging behind outs[i], owned by the round
+        /// because a straggling queue may outlive the request.
+        std::vector<PooledBuffer> owned;
         std::vector<ConstByteSpan> data;  // writes: payload of rows[i]
         std::vector<Queue> queues;
         std::atomic<std::size_t> next{0};  // next queue for a pool task to claim
         std::mutex mu;
         std::condition_variable cv;
     };
+
+    /// `s`'s round, emptied for reuse — or a fresh one while a pool task
+    /// (an orphaned hedge queue, say) still co-owns the last.
+    static Round& next_round(RequestScratch& s);
 
     /// Start every queue of `r`. With a pool, tasks claim queues off
     /// r.next; `join` makes this thread claim queues too (nesting-safe:
@@ -384,6 +402,10 @@ class PlanExecutor {
         static const ExecutorMetrics none;
         return &none;
     }
+    static const RecoveryOptions* default_recovery() {
+        static const RecoveryOptions defaults;
+        return &defaults;
+    }
 
     const core::Scheme* scheme_;
     std::int64_t element_bytes_;
@@ -391,18 +413,59 @@ class PlanExecutor {
     std::vector<store::BlockDevice*> devices_;
     BufferPool* buffer_pool_ = nullptr;
 
-    mutable std::mutex opts_mu_;  // guards recovery_
-    RecoveryOptions recovery_;
-
+    std::atomic<const RecoveryOptions*> recovery_{default_recovery()};
     std::atomic<const ExecutorMetrics*> metrics_{empty_metrics()};
-    std::mutex metrics_mu_;  // guards retired_
+    std::mutex metrics_mu_;  // guards retired_ and retired_recovery_
     std::vector<std::unique_ptr<const ExecutorMetrics>> retired_;
+    std::vector<std::unique_ptr<const RecoveryOptions>> retired_recovery_;
     std::atomic<obs::Tracer*> tracer_{nullptr};
     std::atomic<obs::DiskHeatModel*> heat_{nullptr};
 
     mutable std::mutex orphan_mu_;
     mutable std::condition_variable orphan_cv_;
     mutable std::int64_t orphans_ = 0;  // dispatched pool tasks not yet finished
+};
+
+/// The metadata one request needs from plan to assemble, kept per reading
+/// thread (see ScratchLease) so each request reuses the last one's
+/// capacity: a steady-state healthy read allocates none of it. Element
+/// bytes never live here — they sit in caller memory or arena staging
+/// that the lease releases when it ends.
+struct RequestScratch {
+    core::AccessPlan plan;          // the current round's plan
+    core::PlanBatches batches;      // its per-disk schedule
+    core::PlanScratch planner;      // degraded planner working memory
+    ElementTable elements;          // fetched, hedged and decoded elements
+    std::vector<DiskId> excluded;   // disks the plan routes around
+    std::vector<char> stragglers;   // heat-model straggler flags, per disk
+    std::vector<ByteSpan> positions;  // decode: position-indexed spans
+
+  private:
+    friend class PlanExecutor;
+    friend class ScratchLease;
+    /// Empty the elements and the round, releasing their staging.
+    void release();
+
+    std::shared_ptr<PlanExecutor::Round> round;
+};
+
+/// Lease of the calling thread's RequestScratch for one request: taken
+/// on construction, emptied of elements and returned on destruction. A
+/// lease taken while the thread's scratch is already out (a nested or
+/// concurrent request on the same thread) gets a fresh scratch, so
+/// leases never share one. Not movable: it belongs to its frame.
+class ScratchLease {
+  public:
+    ScratchLease();
+    ~ScratchLease();
+    ScratchLease(const ScratchLease&) = delete;
+    ScratchLease& operator=(const ScratchLease&) = delete;
+
+    RequestScratch& operator*() const { return *scratch_; }
+    RequestScratch* operator->() const { return scratch_.get(); }
+
+  private:
+    std::unique_ptr<RequestScratch> scratch_;
 };
 
 }  // namespace ecfrm::exec

@@ -4,7 +4,7 @@
 
 namespace ecfrm::layout {
 
-EcfrmLayout::EcfrmLayout(int n, int k) : Layout(n, k), r_(std::gcd(n, k)) {
+EcfrmLayout::EcfrmLayout(int n, int k) : Layout(n, k), r_(std::gcd(n, k)), rows_(n / r_) {
     assert(n > k && k > 0);
     const int groups = n_ / r_;
     const int rows = n_ / r_;

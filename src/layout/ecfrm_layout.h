@@ -24,8 +24,8 @@ class EcfrmLayout final : public Layout {
     EcfrmLayout(int n, int k);
 
     std::string name() const override { return "ecfrm"; }
-    int rows_per_stripe() const override { return n_ / r_; }
-    int groups_per_stripe() const override { return n_ / r_; }
+    int rows_per_stripe() const override { return rows_; }
+    int groups_per_stripe() const override { return rows_; }
     int data_rows_per_stripe() const override { return k_ / r_; }
 
     Location locate(const GroupCoord& c) const override;
@@ -41,6 +41,7 @@ class EcfrmLayout final : public Layout {
     };
 
     int r_;
+    int rows_;  // n / r: rows, and groups, per super-stripe
     // Forward map (group, position) -> (row-in-stripe, disk) and the
     // inverse grid, both precomputed from the closed-form equations.
     std::vector<Location> forward_;    // indexed group * n + position

@@ -1,6 +1,7 @@
 #include "obs/heat.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -23,7 +24,7 @@ std::string num(double v) {
     return buf;
 }
 
-double median_of(std::vector<double>& values) {
+double median_of(std::span<double> values) {
     if (values.empty()) return 0.0;
     const std::size_t mid = values.size() / 2;
     std::nth_element(values.begin(), values.begin() + static_cast<std::ptrdiff_t>(mid),
@@ -136,13 +137,18 @@ std::int64_t DiskHeatModel::in_flight(int disk) const {
 }
 
 double DiskHeatModel::fleet_median_mean_us(double now_seconds) const {
-    std::vector<double> means;
-    means.reserve(per_disk_.size());
+    // On the stack for up to kStackDisks disks: degraded read plans reach
+    // this through straggler_mask, and the read path allocates nothing.
+    constexpr std::size_t kStackDisks = 64;
+    std::array<double, kStackDisks> stack{};
+    std::vector<double> heap(per_disk_.size() > kStackDisks ? per_disk_.size() : 0);
+    const std::span<double> means = heap.empty() ? std::span<double>(stack) : std::span<double>(heap);
+    std::size_t n = 0;
     for (const auto& pd : per_disk_) {
         if (pd->latency_us.count(now_seconds) < options_.min_ops) continue;
-        means.push_back(pd->latency_us.mean(now_seconds));
+        means[n++] = pd->latency_us.mean(now_seconds);
     }
-    return median_of(means);
+    return median_of(means.first(n));
 }
 
 DiskHeatSnapshot DiskHeatModel::disk_snapshot(int disk, double now_seconds) const {
@@ -216,14 +222,19 @@ ClusterHeatSnapshot DiskHeatModel::snapshot(double now_seconds) const {
 
 std::vector<char> DiskHeatModel::straggler_mask(double now_seconds) const {
     std::vector<char> mask(per_disk_.size(), 0);
+    straggler_mask(now_seconds, mask);
+    return mask;
+}
+
+void DiskHeatModel::straggler_mask(double now_seconds, std::span<char> out) const {
+    std::fill(out.begin(), out.end(), 0);
     const double fleet = fleet_median_mean_us(now_seconds);
-    if (fleet <= 0.0) return mask;
-    for (std::size_t d = 0; d < per_disk_.size(); ++d) {
+    if (fleet <= 0.0) return;
+    for (std::size_t d = 0; d < std::min(out.size(), per_disk_.size()); ++d) {
         const PerDisk& pd = *per_disk_[d];
         if (pd.latency_us.count(now_seconds) < options_.min_ops) continue;
-        if (pd.latency_us.mean(now_seconds) >= options_.straggler_factor * fleet) mask[d] = 1;
+        if (pd.latency_us.mean(now_seconds) >= options_.straggler_factor * fleet) out[d] = 1;
     }
-    return mask;
 }
 
 double DiskHeatModel::hedge_deadline_ms(const std::vector<int>& participating, double factor,

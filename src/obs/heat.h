@@ -29,6 +29,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -137,6 +138,9 @@ class DiskHeatModel {
     /// Per-disk straggler flags (size disks(), 1 = flagged). Cheap enough
     /// to call per degraded replan.
     std::vector<char> straggler_mask(double now_seconds) const;
+    /// straggler_mask() into `out` (entry d for disk d; entries past
+    /// disks() are 0). Allocates nothing for up to 64 disks.
+    void straggler_mask(double now_seconds, std::span<char> out) const;
 
     /// Adaptive hedge deadline: factor * median of the participating
     /// disks' windowed p99 latencies (in ms), clamped to at least

@@ -133,10 +133,7 @@ void Disk::replace() {
     written_.clear();
 }
 
-bool Disk::failed() const {
-    std::lock_guard lk(mu_);
-    return failed_;
-}
+bool Disk::failed() const { return failed_.load(std::memory_order_acquire); }
 
 RowId Disk::rows() const {
     std::lock_guard lk(mu_);

@@ -3,6 +3,7 @@
 // lock so callers never hold references into resizable storage.
 #pragma once
 
+#include <atomic>
 #include <mutex>
 #include <vector>
 
@@ -55,7 +56,8 @@ class Disk final : public BlockDevice {
     std::int64_t element_bytes_;
     std::vector<AlignedBuffer> slots_;
     std::vector<bool> written_;
-    bool failed_ = false;
+    /// Written under mu_; failed() reads it without the lock.
+    std::atomic<bool> failed_{false};
 };
 
 }  // namespace ecfrm::store

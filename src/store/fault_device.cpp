@@ -329,8 +329,7 @@ void FaultDevice::replace() {
 }
 
 bool FaultDevice::failed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return tripped_ || inner_->failed();
+    return tripped_.load(std::memory_order_acquire) || inner_->failed();
 }
 
 std::vector<FaultDevice::Event> FaultDevice::events() const {

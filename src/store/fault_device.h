@@ -25,6 +25,7 @@
 // so bounded retries are guaranteed to make progress.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -147,7 +148,9 @@ class FaultDevice final : public BlockDevice {
     mutable std::int64_t read_ops_ = 0;
     mutable std::int64_t write_ops_ = 0;
     mutable int burst_ = 0;
-    mutable bool tripped_ = false;  // fail_stop fired (cleared by replace())
+    /// fail_stop fired (cleared by replace()). Written under mu_;
+    /// failed() reads it without the lock.
+    mutable std::atomic<bool> tripped_{false};
     mutable std::set<RowId> detected_rows_;  // EDC-flagged rows
     mutable std::vector<Event> events_;
 };

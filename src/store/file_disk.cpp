@@ -295,10 +295,7 @@ void FileDisk::replace() {
     (void)open_files();
 }
 
-bool FileDisk::failed() const {
-    std::lock_guard lk(mu_);
-    return failed_;
-}
+bool FileDisk::failed() const { return failed_.load(std::memory_order_acquire); }
 
 RowId FileDisk::rows() const {
     std::lock_guard lk(mu_);

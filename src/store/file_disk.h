@@ -7,6 +7,7 @@
 // and demonstrates that StripeStore is genuinely device-agnostic.
 #pragma once
 
+#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <mutex>
@@ -66,7 +67,8 @@ class FileDisk final : public BlockDevice {
     std::FILE* data_ = nullptr;
     std::FILE* map_ = nullptr;
     std::vector<bool> written_;
-    bool failed_ = false;
+    /// Written under mu_; failed() reads it without the lock.
+    std::atomic<bool> failed_{false};
 };
 
 }  // namespace ecfrm::store

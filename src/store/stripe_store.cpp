@@ -544,8 +544,10 @@ Status StripeStore::overwrite(std::int64_t offset, ConstByteSpan data) {
                                   " is parity-pending (online encode backlog)");
         }
     }
+    std::vector<DiskId> unavailable_disks;
+    unavailable_disks_locked(unavailable_disks);
     std::vector<char> unavailable(static_cast<std::size_t>(scheme_.disks()), 0);
-    for (DiskId d : unavailable_disks_locked()) unavailable[static_cast<std::size_t>(d)] = 1;
+    for (DiskId d : unavailable_disks) unavailable[static_cast<std::size_t>(d)] = 1;
     auto writable = [&](const Location& loc) { return unavailable[static_cast<std::size_t>(loc.disk)] == 0; };
     for (const Touch& t : touches) {
         if (!writable(t.loc)) {
@@ -583,25 +585,26 @@ Status StripeStore::overwrite(std::int64_t offset, ConstByteSpan data) {
         // fixed replanner refuses recovery rounds — a disk dying
         // mid-overwrite aborts the RMW rather than folding into a moved
         // parity set.
-        AccessPlan rplan(scheme_.disks());
-        for (const Touch& t : touches) rplan.add_fetch({t.loc, t.coord, true});
-        for (const auto& [sg, positions] : group_parities) {
-            for (int p : positions) {
-                const GroupCoord coord{sg.first, sg.second, p};
-                rplan.add_fetch({scheme_.layout().locate(coord), coord, false});
-            }
-        }
-        rplan.set_requested(static_cast<std::int64_t>(touches.size()));
-        auto replanner = [&](const std::vector<DiskId>& excl) -> Result<AccessPlan> {
+        auto replanner = [&](const std::vector<DiskId>& excl, AccessPlan& rplan) -> Status {
             if (!excl.empty()) {
                 return Error::disk_failed("disk failed mid-overwrite; read-modify-write aborted");
             }
-            return rplan;
+            rplan.reset(scheme_.disks());
+            for (const Touch& t : touches) rplan.add_fetch({t.loc, t.coord, true});
+            for (const auto& [sg, positions] : group_parities) {
+                for (int p : positions) {
+                    const GroupCoord coord{sg.first, sg.second, p};
+                    rplan.add_fetch({scheme_.layout().locate(coord), coord, false});
+                }
+            }
+            rplan.set_requested(static_cast<std::int64_t>(touches.size()));
+            return Status::success();
         };
-        auto fetched = executor_.fetch(replanner, {}, rt.get(), {});
-        if (!fetched.ok()) return fetched.error();
-        exec::ElementTable& elements = fetched.value().elements;
-        auto element_of = [&](const GroupCoord& coord) -> ElementBuf* {
+        exec::ScratchLease scratch;
+        auto fetched = executor_.fetch(*scratch, replanner, rt.get());
+        if (!fetched.ok()) return fetched;
+        const exec::ElementTable& elements = scratch->elements;
+        auto element_of = [&](const GroupCoord& coord) {
             return elements.find(exec::PlanExecutor::key_of(coord));
         };
 
@@ -613,10 +616,10 @@ Status StripeStore::overwrite(std::int64_t offset, ConstByteSpan data) {
         std::vector<AlignedBuffer> new_data;
         new_data.reserve(touches.size());
         for (const Touch& t : touches) {
-            ElementBuf* old_elem = element_of(t.coord);
-            if (old_elem == nullptr) return Error::internal("overwrite fetch missing data element");
+            const ByteSpan old_elem = element_of(t.coord);
+            if (old_elem.empty()) return Error::internal("overwrite fetch missing data element");
             AlignedBuffer nd(static_cast<std::size_t>(element_bytes_));
-            std::memcpy(nd.data(), old_elem->data(), static_cast<std::size_t>(element_bytes_));
+            std::memcpy(nd.data(), old_elem.data(), static_cast<std::size_t>(element_bytes_));
             std::memcpy(nd.data() + t.in_elem, data.data() + t.src,
                         static_cast<std::size_t>(t.chunk));
             new_data.push_back(std::move(nd));
@@ -634,9 +637,9 @@ Status StripeStore::overwrite(std::int64_t offset, ConstByteSpan data) {
             deltas.reserve(tidx.size());
             delta_spans.reserve(tidx.size());
             for (std::size_t i : tidx) {
-                ElementBuf* old_elem = element_of(touches[i].coord);
+                const ByteSpan old_elem = element_of(touches[i].coord);
                 AlignedBuffer d(static_cast<std::size_t>(element_bytes_));
-                std::memcpy(d.data(), old_elem->data(), static_cast<std::size_t>(element_bytes_));
+                std::memcpy(d.data(), old_elem.data(), static_cast<std::size_t>(element_bytes_));
                 gf::xor_region(d.span(), new_data[i].span());
                 deltas.push_back(std::move(d));
             }
@@ -656,9 +659,9 @@ Status StripeStore::overwrite(std::int64_t offset, ConstByteSpan data) {
             gf::encode_regions(delta_spans, scratch_spans, coeffs.data(), pool_);
             std::size_t pi = 0;
             for (int p : positions) {
-                ElementBuf* parity = element_of({sg.first, sg.second, p});
-                if (parity == nullptr) return Error::internal("overwrite fetch missing parity element");
-                gf::xor_region(parity->span(), scratch[pi].span());
+                const ByteSpan parity = element_of({sg.first, sg.second, p});
+                if (parity.empty()) return Error::internal("overwrite fetch missing parity element");
+                gf::xor_region(parity, scratch[pi].span());
                 ++pi;
                 ++parity_folds;
             }
@@ -681,9 +684,8 @@ Status StripeStore::overwrite(std::int64_t offset, ConstByteSpan data) {
         for (const auto& [sg, positions] : group_parities) {
             for (int p : positions) {
                 const GroupCoord coord{sg.first, sg.second, p};
-                ElementBuf* parity = element_of(coord);
                 wplan.add_write({scheme_.layout().locate(coord), coord, payloads.size(), true});
-                payloads.push_back(parity->span());
+                payloads.push_back(element_of(coord));
             }
         }
         if (o.write_max_load != nullptr) o.write_max_load->record(wplan.max_load());
@@ -745,15 +747,15 @@ Result<std::vector<std::uint8_t>> StripeStore::read_bytes(std::int64_t offset, s
         ReadDest dest;
         dest.body = ByteSpan(out.data() + produced, static_cast<std::size_t>(hi - lo));
         dest.skip = skip;
-        ElementBuf head;
-        ElementBuf tail;
+        PooledBuffer head;
+        PooledBuffer tail;
         if (skip != 0 || (count == 1 && tail_bytes < element_bytes_)) {
-            head = ElementBuf::alloc(eb, arena_);
-            dest.head = head.span();
+            head = staging_buffer(eb, arena_);
+            dest.head = head.span().first(eb);
         }
         if (count > 1 && tail_bytes < element_bytes_) {
-            tail = ElementBuf::alloc(eb, arena_);
-            dest.tail = tail.span();
+            tail = staging_buffer(eb, arena_);
+            dest.tail = tail.span().first(eb);
         }
         auto status = read_elements_locked(first, count, dest);
         if (!status.ok()) return status.error();
@@ -805,12 +807,14 @@ Status StripeStore::read_elements_locked(ElementId start, std::int64_t count, co
     if (o.reads_total != nullptr) o.reads_total->add(1);
     if (o.read_elements_total != nullptr) o.read_elements_total->add(count);
 
-    return execute_read(start, count, dest, unavailable_disks_locked());
+    return execute_read(start, count, dest);
 }
 
-Status StripeStore::execute_read(ElementId start, std::int64_t count, const ReadDest& dest,
-                                 std::vector<DiskId> excluded) {
+Status StripeStore::execute_read(ElementId start, std::int64_t count, const ReadDest& dest) {
     const StoreObs& o = store_obs();
+    exec::ScratchLease scratch;
+    const std::vector<DiskId>& excluded = scratch->excluded;
+    unavailable_disks_locked(scratch->excluded);
 
     // Request forensics: give the read a traced identity. The executor
     // appends contiguous plan/fetch phase spans per round; decode and
@@ -826,7 +830,7 @@ Status StripeStore::execute_read(ElementId start, std::int64_t count, const Read
                      static_cast<std::int64_t>(excluded.size()));
         }
     }
-    auto status = execute_read_traced(start, count, dest, std::move(excluded), rt.get());
+    auto status = execute_read_traced(start, count, dest, *scratch, rt.get());
     if (rt != nullptr) {
         if (!status.ok()) rt->attr(obs::RequestTrace::kRoot, "error", status.error().message);
         if (status.ok()) {
@@ -841,7 +845,7 @@ Status StripeStore::execute_read(ElementId start, std::int64_t count, const Read
 }
 
 Status StripeStore::execute_read_traced(ElementId start, std::int64_t count, const ReadDest& dest,
-                                        std::vector<DiskId> excluded, obs::RequestTrace* rt) {
+                                        exec::RequestScratch& s, obs::RequestTrace* rt) {
     const StoreObs& o = store_obs();
 
     // A degraded read of an element whose stripe is still parity-pending
@@ -873,44 +877,46 @@ Status StripeStore::execute_read_traced(ElementId start, std::int64_t count, con
     // (first round); the recovery rounds are accounted by the executor's
     // retry/replan counters.
     bool first_plan = true;
-    auto replanner = [&](const std::vector<DiskId>& excl) -> Result<AccessPlan> {
+    auto replanner = [&](const std::vector<DiskId>& excl, AccessPlan& plan) -> Status {
         auto guarded = pending_guard(excl);
-        if (!guarded.ok()) return guarded.error();
+        if (!guarded.ok()) return guarded;
         std::optional<obs::Span> plan_span;
         if (first_plan) plan_span.emplace(o.tracer, "store.plan", "store");
-        auto planned = [&]() -> Result<AccessPlan> {
-            if (excl.empty()) return core::plan_normal_read(scheme_, start, count);
+        if (excl.empty()) {
+            core::plan_normal_read(scheme_, start, count, plan);
+        } else {
             if (o.degraded_reads_total != nullptr) o.degraded_reads_total->add(1);
             // Health-aware planning: flagged stragglers lose repair-source
             // ties, so degraded reads drift off slow disks as the heat
             // window observes them.
-            std::vector<char> straggler_mask;
+            std::span<const char> stragglers;
             if (o.heat != nullptr) {
-                straggler_mask = o.heat->straggler_mask(obs::DiskHeatModel::now_seconds());
+                s.stragglers.resize(static_cast<std::size_t>(scheme_.disks()));
+                o.heat->straggler_mask(obs::DiskHeatModel::now_seconds(), s.stragglers);
+                stragglers = s.stragglers;
             }
-            auto degraded = core::plan_degraded_read(
-                scheme_, start, count, excl, core::DegradedPolicy::local_first,
-                straggler_mask.empty() ? nullptr : &straggler_mask);
-            if (!degraded.ok()) {
-                if (degraded.error().code == Error::Code::undecodable) {
+            auto planned = core::plan_degraded_read(scheme_, start, count, excl,
+                                                    core::DegradedPolicy::local_first, stragglers,
+                                                    s.planner, plan);
+            if (!planned.ok()) {
+                if (planned.error().code == Error::Code::undecodable) {
                     return Error::beyond_tolerance(
                         "read cannot be planned around " + std::to_string(excl.size()) +
-                        " unavailable disks: " + degraded.error().message);
+                        " unavailable disks: " + planned.error().message);
                 }
-                return degraded.error();
+                return planned;
             }
-            return degraded;
-        }();
-        if (first_plan && planned.ok()) {
+        }
+        if (first_plan) {
             first_plan = false;
             if (plan_span.has_value()) {
-                plan_span->arg("fetches", planned.value().total_fetched());
-                plan_span->arg("max_load", static_cast<std::int64_t>(planned.value().max_load()));
+                plan_span->arg("fetches", plan.total_fetched());
+                plan_span->arg("max_load", static_cast<std::int64_t>(plan.max_load()));
             }
-            if (o.read_max_load != nullptr) o.read_max_load->record(planned.value().max_load());
-            if (o.read_fanout != nullptr) o.read_fanout->record(planned.value().fanout());
+            if (o.read_max_load != nullptr) o.read_max_load->record(plan.max_load());
+            if (o.read_fanout != nullptr) o.read_fanout->record(plan.fanout());
         }
-        return planned;
+        return Status::success();
     };
 
     // Zero-copy sink: a requested data element lands directly in its
@@ -920,21 +926,23 @@ Status StripeStore::execute_read_traced(ElementId start, std::int64_t count, con
     // sources, parities and hedge-owned buffers stay in executor staging
     // (the sink returns an empty span for them).
     const layout::Layout& layout = scheme_.layout();
+    const int k = layout.data_per_group();
+    const std::int64_t per_stripe = layout.data_per_stripe();
     auto sink = [&](const exec::PlanExecutor::Key& key) -> ByteSpan {
         const auto [stripe, group, position] = key;
-        if (position >= layout.data_per_group()) return {};
-        const ElementId id = layout.data_id({stripe, group, position});
+        if (position >= k) return {};
+        // layout.data_id(), with the per-stripe count hoisted out.
+        const ElementId id = stripe * per_stripe + static_cast<std::int64_t>(group) * k + position;
         if (id < start || id >= start + count) return {};
         return dest.at(id - start, count, element_bytes_);
     };
 
-    auto fetched = executor_.fetch(replanner, std::move(excluded), rt, sink);
-    if (!fetched.ok()) return fetched.error();
-    exec::PlanExecutor::FetchResult& result = fetched.value();
+    auto fetched = executor_.fetch(s, replanner, rt, sink);
+    if (!fetched.ok()) return fetched;
 
     // A read that grew its exclusion set mid-flight (or started with
     // one) is a degraded read, whatever class it started as.
-    if (rt != nullptr && (!result.excluded.empty() || rt->replans() > 0)) {
+    if (rt != nullptr && (!s.excluded.empty() || rt->replans() > 0)) {
         rt->set_class(obs::RequestClass::degraded);
     }
 
@@ -944,33 +952,36 @@ Status StripeStore::execute_read_traced(ElementId start, std::int64_t count, con
     // is preempted between two spans.
     {
         obs::Span decode_span(o.tracer, "store.decode", "store");
-        decode_span.arg("decodes", static_cast<std::int64_t>(result.plan.decodes().size()));
+        decode_span.arg("decodes", static_cast<std::int64_t>(s.plan.decodes().size()));
         const std::uint32_t decode_node = rt != nullptr ? rt->begin_phase("decode") : 0;
-        auto status = executor_.decode(result.plan, result.elements, {rt, decode_node}, sink);
+        auto status = executor_.decode(s, {rt, decode_node}, sink);
         if (rt != nullptr) {
             rt->end_with(decode_node,
-                         {{"decodes", static_cast<std::int64_t>(result.plan.decodes().size())}});
+                         {{"decodes", static_cast<std::int64_t>(s.plan.decodes().size())}});
         }
         if (!status.ok()) return status;
     }
 
     // Assemble the user range in logical order. Elements routed through
-    // the sink already sit in place; only staged elements (hedged reads,
-    // elements a recovery round landed in executor buffers) still copy.
+    // the sink already sit in place — when all of them did, there is
+    // nothing to walk; otherwise staged elements (hedged reads, elements
+    // a recovery round landed in executor buffers) still copy.
     obs::Span assemble_span(o.tracer, "store.assemble", "store");
     const std::uint32_t assemble_node = rt != nullptr ? rt->begin_phase("assemble") : 0;
     std::int64_t copies = 0;
-    for (std::int64_t i = 0; i < count; ++i) {
-        const GroupCoord coord = layout.coord_of_data(start + i);
-        const ElementBuf* elem = result.elements.find(exec::PlanExecutor::key_of(coord));
-        if (elem == nullptr) {
-            if (rt != nullptr) rt->end(assemble_node);
-            return Error::internal("requested element missing after decode");
-        }
-        const ByteSpan to = dest.at(i, count, element_bytes_);
-        if (elem->data() != to.data()) {
-            std::memcpy(to.data(), elem->data(), to.size());
-            ++copies;
+    if (static_cast<std::int64_t>(s.elements.sunk()) != count) {
+        for (std::int64_t i = 0; i < count; ++i) {
+            const GroupCoord coord = layout.coord_of_data(start + i);
+            const ByteSpan elem = s.elements.find(exec::PlanExecutor::key_of(coord));
+            if (elem.empty()) {
+                if (rt != nullptr) rt->end(assemble_node);
+                return Error::internal("requested element missing after decode");
+            }
+            const ByteSpan to = dest.at(i, count, element_bytes_);
+            if (elem.data() != to.data()) {
+                std::memcpy(to.data(), elem.data(), to.size());
+                ++copies;
+            }
         }
     }
     if (copies > 0) assemble_copies_.fetch_add(copies, std::memory_order_relaxed);
@@ -1000,14 +1011,13 @@ std::vector<DiskId> StripeStore::failed_disks_locked() const {
     return failed;
 }
 
-std::vector<DiskId> StripeStore::unavailable_disks_locked() const {
-    std::vector<DiskId> out;
+void StripeStore::unavailable_disks_locked(std::vector<DiskId>& out) const {
+    out.clear();
     for (int d = 0; d < scheme_.disks(); ++d) {
         if (disks_[static_cast<std::size_t>(d)]->failed() || rebuilding_[static_cast<std::size_t>(d)] != 0) {
             out.push_back(d);
         }
     }
-    return out;
 }
 
 std::vector<DiskId> StripeStore::rebuilding_disks() const {

@@ -304,14 +304,15 @@ class StripeStore {
 
     /// Element range already validated by the caller.
     Status read_elements_locked(ElementId start, std::int64_t count, const ReadDest& dest);
-    Status execute_read(ElementId start, std::int64_t count, const ReadDest& dest,
-                        std::vector<DiskId> excluded);
+    /// Lease this thread's request scratch and run the read in it.
+    Status execute_read(ElementId start, std::int64_t count, const ReadDest& dest);
     Status execute_read_traced(ElementId start, std::int64_t count, const ReadDest& dest,
-                               std::vector<DiskId> excluded, obs::RequestTrace* rt);
+                               exec::RequestScratch& s, obs::RequestTrace* rt);
     Result<ScrubReport> scrub_locked(obs::RequestTrace* rt, std::uint32_t scan_node);
     std::vector<DiskId> failed_disks_locked() const;
-    /// Disks a read plan must route around: failed plus mid-rebuild.
-    std::vector<DiskId> unavailable_disks_locked() const;
+    /// Disks a read plan must route around, failed plus mid-rebuild,
+    /// into `out` (allocates only to grow it).
+    void unavailable_disks_locked(std::vector<DiskId>& out) const;
     std::int64_t committed_bytes_locked() const {
         return extents_.empty() ? 0 : extents_.back().logical_start + extents_.back().bytes;
     }

@@ -839,10 +839,7 @@ void UringDisk::replace() {
     (void)open_files();
 }
 
-bool UringDisk::failed() const {
-    std::shared_lock lk(mu_);
-    return failed_;
-}
+bool UringDisk::failed() const { return failed_.load(std::memory_order_acquire); }
 
 RowId UringDisk::rows() const {
     std::shared_lock lk(mu_);

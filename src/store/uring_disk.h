@@ -24,6 +24,7 @@
 // submission across disks.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <shared_mutex>
 #include <string>
@@ -122,7 +123,8 @@ class UringDisk final : public BlockDevice {
     int data_fd_ = -1;
     int map_fd_ = -1;
     std::vector<bool> written_;
-    bool failed_ = false;
+    /// Written under mu_; failed() reads it without the lock.
+    std::atomic<bool> failed_{false};
 
     std::unique_ptr<uring_detail::RingPool> rings_;
 };

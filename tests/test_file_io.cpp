@@ -384,23 +384,22 @@ TEST(BufferPool, AcquireReleaseAndHeapFallback) {
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(reused.data()) % 64, 0u);
 }
 
-TEST(BufferPool, ElementBufOwnedAndExternal) {
+TEST(BufferPool, StagingBufferIsASlabWhenItFitsElseHeap) {
     BufferPool pool(64, 2);
-    auto owned = ElementBuf::alloc(48, &pool);
-    EXPECT_FALSE(owned.external());
-    EXPECT_EQ(owned.size(), 48u);
-    EXPECT_TRUE(pool.contains(owned.data(), owned.size()));
+    auto slab = staging_buffer(48, &pool);
+    EXPECT_TRUE(slab.pooled());
+    EXPECT_GE(slab.size(), 48u);
+    EXPECT_TRUE(pool.contains(slab.data(), 48));
 
-    auto heap = ElementBuf::alloc(128, &pool);  // larger than slab: heap
-    EXPECT_FALSE(heap.external());
+    auto heap = staging_buffer(128, &pool);  // larger than a slab: heap
+    EXPECT_FALSE(heap.pooled());
+    EXPECT_EQ(heap.size(), 128u);
     EXPECT_FALSE(pool.contains(heap.data(), heap.size()));
 
-    std::vector<std::uint8_t> caller(32, 0x77);
-    auto ext = ElementBuf::external(ByteSpan(caller.data(), caller.size()));
-    EXPECT_TRUE(ext.external());
-    EXPECT_EQ(ext.data(), caller.data());
-    ext.span()[0] = 0x11;
-    EXPECT_EQ(caller[0], 0x11);  // writes land in caller memory
+    auto plain = staging_buffer(16, nullptr);
+    EXPECT_FALSE(plain.pooled());
+    EXPECT_EQ(plain.size(), 16u);
+    EXPECT_EQ(plain.data()[15], 0);  // zeroed like a slab
 }
 
 }  // namespace

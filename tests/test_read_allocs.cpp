@@ -2,20 +2,24 @@
 // the global operator new with a per-thread counting one, then pins how
 // many allocations a 10-element read makes from StripeStore down to the
 // devices: healthy and with one disk failed, through read_elements and
-// read_bytes, on in-memory RS(6,3) EC-FRM disks without a thread pool.
+// read_bytes, on in-memory RS(6,3) EC-FRM disks without a thread pool,
+// with and without a heat model attached, on one thread and on four.
 // Everything on that path runs on the calling thread and allocates the
 // same way every time, so the counts are exact, not bounds: a change that
-// adds a per-element allocation anywhere on the path fails here.
+// adds an allocation anywhere on the path fails here.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include "codes/factory.h"
 #include "common/rng.h"
+#include "obs/heat.h"
 #include "store/stripe_store.h"
 
 namespace {
@@ -82,20 +86,20 @@ constexpr ElementId kStart = 25;  // crosses a stripe boundary (18 data elements
 constexpr std::int64_t kCount = 10;
 constexpr DiskId kFailed = 4;
 
-// The pinned budgets. read_elements: the plan (per-disk loads, fetch
-// list), the per-disk schedule (fetch indices, rows, batch list), the
-// element table (entries, index) and the submission round (shared
-// state, rows, destinations, elements, queues). read_bytes adds its
-// result vector. The degraded read adds twelve: the exclusion list; the
-// planner's dedup flags, failed-disk mask, lost-element list and decode
-// list, and its fetch list regrowing past the requested count for the
-// repair sources; for its one lost element the survivor list, the chosen
-// sources, the solver's matrix and pivot table and the repair's terms;
-// and the decode's position-indexed buffer list.
-constexpr std::uint64_t kHealthyReadElements = 12;
-constexpr std::uint64_t kHealthyReadBytes = 13;
-constexpr std::uint64_t kDegradedReadElements = 24;
-constexpr std::uint64_t kDegradedReadBytes = 25;
+// The pinned budgets, for a read after one warm-up read on the same
+// thread. Each reading thread leases a request scratch that keeps a
+// read's metadata from one read to the next — plan, per-disk schedule,
+// element table, submission round, exclusion list, straggler flags,
+// degraded-planner working memory, decode spans — so a healthy
+// read_elements allocates nothing, and read_bytes only its result
+// vector. A degraded read adds three, all in the code's repair solver
+// for its one lost element: the solver's matrix and pivot table and the
+// repair's terms. A heat model adds none: its straggler mask fills the
+// scratch.
+constexpr std::uint64_t kHealthyReadElements = 0;
+constexpr std::uint64_t kHealthyReadBytes = 1;
+constexpr std::uint64_t kDegradedReadElements = 3;
+constexpr std::uint64_t kDegradedReadBytes = 4;
 
 class ReadAllocs : public ::testing::Test {
   protected:
@@ -113,17 +117,20 @@ class ReadAllocs : public ::testing::Test {
     }
 
     /// Allocations of one read_elements call, after a warm-up read that
-    /// absorbs one-time setup (buffer arena, kernel dispatch).
-    std::uint64_t read_elements_allocs() {
-        const ByteSpan out(out_.data(), out_.size());
+    /// absorbs one-time setup (buffer arena, kernel dispatch, this
+    /// thread's request scratch). Safe to call from several threads at
+    /// once, each with its own `out`.
+    std::uint64_t read_elements_allocs(std::vector<std::uint8_t>& out_buf) {
+        const ByteSpan out(out_buf.data(), out_buf.size());
         EXPECT_TRUE(store_->read_elements(kStart, kCount, out).ok());
         const std::uint64_t before = t_allocs;
         const Status status = store_->read_elements(kStart, kCount, out);
         const std::uint64_t allocs = t_allocs - before;
         EXPECT_TRUE(status.ok());
-        EXPECT_EQ(std::memcmp(out_.data(), data_.data() + kStart * kElem, out_.size()), 0);
+        EXPECT_EQ(std::memcmp(out_buf.data(), data_.data() + kStart * kElem, out_buf.size()), 0);
         return allocs;
     }
+    std::uint64_t read_elements_allocs() { return read_elements_allocs(out_); }
 
     std::uint64_t read_bytes_allocs() {
         EXPECT_TRUE(store_->read_bytes(kStart * kElem, kCount * kElem).ok());
@@ -163,6 +170,45 @@ TEST_F(ReadAllocs, DegradedReadElements) {
 TEST_F(ReadAllocs, DegradedReadBytes) {
     ASSERT_TRUE(store_->fail_disk(kFailed).ok());
     EXPECT_EQ(read_bytes_allocs(), kDegradedReadBytes);
+}
+
+TEST_F(ReadAllocs, HeatModelAddsNoAllocations) {
+    obs::DiskHeatModel heat(store_->scheme().disks());
+    store_->attach_observability(nullptr, nullptr, nullptr, &heat);
+    EXPECT_EQ(read_elements_allocs(), kHealthyReadElements);
+    ASSERT_TRUE(store_->fail_disk(kFailed).ok());
+    // Enough traffic for the heat window to judge every live disk, so the
+    // degraded planner's straggler mask really computes the fleet median.
+    for (int i = 0; i < 32; ++i) (void)read_elements_allocs();
+    EXPECT_EQ(read_elements_allocs(), kDegradedReadElements);
+    EXPECT_EQ(read_bytes_allocs(), kDegradedReadBytes);
+    store_->attach_observability(nullptr);
+}
+
+TEST_F(ReadAllocs, FourThreadsEachReachTheSteadyStateBudget) {
+    for (const bool degraded : {false, true}) {
+        if (degraded) {
+            ASSERT_TRUE(store_->fail_disk(kFailed).ok());
+        }
+        constexpr int kThreads = 4;
+        std::array<std::uint64_t, kThreads> allocs{};
+        std::array<std::vector<std::uint8_t>, kThreads> outs;
+        for (auto& out : outs) out.resize(out_.size());
+        std::vector<std::thread> threads;
+        threads.reserve(kThreads);
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                allocs[static_cast<std::size_t>(t)] =
+                    read_elements_allocs(outs[static_cast<std::size_t>(t)]);
+            });
+        }
+        for (std::thread& th : threads) th.join();
+        for (int t = 0; t < kThreads; ++t) {
+            EXPECT_EQ(allocs[static_cast<std::size_t>(t)],
+                      degraded ? kDegradedReadElements : kHealthyReadElements)
+                << "thread " << t << (degraded ? " degraded" : " healthy");
+        }
+    }
 }
 
 TEST_F(ReadAllocs, ElementAlignedReadsMakeNoStagingCopies) {

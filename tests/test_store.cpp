@@ -767,5 +767,127 @@ TEST(StoreRecovery, TornWritesAreHealedByWriteRetries) {
     EXPECT_TRUE(f.store->verify_parity().ok());
 }
 
+// ---- Request scratch reuse ---------------------------------------------------
+
+/// Read [offset, offset + length) through read_bytes and compare it with
+/// the reference copy.
+void expect_bytes(StripeStore& store, const std::vector<std::uint8_t>& ref, std::int64_t offset,
+                  std::int64_t length, const char* what) {
+    auto got = store.read_bytes(offset, length);
+    ASSERT_TRUE(got.ok()) << what << ": " << got.error().message;
+    ASSERT_EQ(got->size(), static_cast<std::size_t>(length)) << what;
+    EXPECT_EQ(std::memcmp(got->data(), ref.data() + offset, got->size()), 0)
+        << what << " at offset " << offset << " length " << length;
+}
+
+TEST(StoreScratch, OneThreadAlternatesReadShapesThroughOneScratch) {
+    // Every read on this thread runs in the same leased scratch, across
+    // stores of different element sizes: each shape must leave nothing
+    // behind that the next one trips over.
+    constexpr std::int64_t kElem = 256;
+    const auto data = random_bytes(kElem * 18 * 6 + 100, 91);
+    StripeStore healthy(make_scheme("rs:6,3", LayoutKind::ecfrm), kElem);
+    ASSERT_TRUE(healthy.append(ConstByteSpan(data.data(), data.size())).ok());
+    ASSERT_TRUE(healthy.flush().ok());
+    StripeStore degraded(make_scheme("lrc:6,2,2", LayoutKind::ecfrm), kElem);
+    ASSERT_TRUE(degraded.append(ConstByteSpan(data.data(), data.size())).ok());
+    ASSERT_TRUE(degraded.flush().ok());
+    ASSERT_TRUE(degraded.fail_disk(3).ok());
+
+    const auto total = static_cast<std::int64_t>(data.size());
+    const std::int64_t elements = total / kElem;
+    Rng rng(5);
+    for (int i = 0; i < 60; ++i) {
+        switch (i % 5) {
+            case 0: {  // one whole element
+                const auto e = static_cast<std::int64_t>(rng.next_below(static_cast<std::uint64_t>(elements)));
+                expect_bytes(healthy, data, e * kElem, kElem, "1-element");
+                break;
+            }
+            case 1: {  // twenty whole elements, into a caller buffer
+                const auto e =
+                    static_cast<std::int64_t>(rng.next_below(static_cast<std::uint64_t>(elements - 20)));
+                std::vector<std::uint8_t> out(static_cast<std::size_t>(20 * kElem));
+                ASSERT_TRUE(healthy.read_elements(e, 20, ByteSpan(out.data(), out.size())).ok());
+                EXPECT_EQ(std::memcmp(out.data(), data.data() + e * kElem, out.size()), 0)
+                    << "20-element read at element " << e;
+                break;
+            }
+            case 2: {  // unaligned: partial head and tail elements
+                const auto off = static_cast<std::int64_t>(rng.next_below(static_cast<std::uint64_t>(total - 1)));
+                const auto len = 1 + static_cast<std::int64_t>(rng.next_below(
+                                         static_cast<std::uint64_t>(std::min<std::int64_t>(total - off, 9 * kElem))));
+                expect_bytes(healthy, data, off, len, "unaligned");
+                break;
+            }
+            case 3: {  // degraded, unaligned: decodes into the caller's buffer
+                const auto off = static_cast<std::int64_t>(rng.next_below(static_cast<std::uint64_t>(total - 1)));
+                const auto len = 1 + static_cast<std::int64_t>(rng.next_below(
+                                         static_cast<std::uint64_t>(std::min<std::int64_t>(total - off, 20 * kElem))));
+                expect_bytes(degraded, data, off, len, "degraded");
+                break;
+            }
+            case 4: {  // a disk fail-stops on its second read: replan mid-fetch
+                FaultPlan plan;
+                FaultRule stop;
+                stop.kind = FaultKind::fail_stop;
+                stop.disk = static_cast<DiskId>(i % 9);
+                stop.op = FaultOp::read;
+                stop.first_op = 1;
+                plan.rules = {stop};
+                FaultyFixture f("rs:6,3", plan, RecoveryOptions{});
+                expect_bytes(*f.store, f.data, 0, static_cast<std::int64_t>(f.data.size()),
+                             "fail-stop replan");
+                EXPECT_GE(f.counter("ecfrm_store_replans_total"), 1) << "disk " << stop.disk;
+                break;
+            }
+        }
+    }
+}
+
+TEST(StoreScratch, ConcurrentHedgedReadersKeepTheirOwnScratch) {
+    // Four readers on a pooled store whose disk 0 sometimes stalls past
+    // the hedge deadline: hedged rounds orphan straggling queues on the
+    // pool while each reader's scratch moves on to its next request.
+    FaultPlan plan;
+    plan.seed = 17;
+    FaultRule slow;
+    slow.kind = FaultKind::latency;
+    slow.disk = 0;
+    slow.op = FaultOp::read;
+    slow.count = 1'000'000;
+    slow.probability = 0.25;
+    slow.latency_ms = 15.0;
+    plan.rules = {slow};
+    RecoveryOptions recovery;
+    recovery.hedge_ms = 3.0;
+    ThreadPool pool(4);
+    FaultyFixture f("rs:6,3", plan, recovery, &pool, 256);
+
+    const auto total = static_cast<std::int64_t>(f.data.size());
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 4; ++t) {
+        readers.emplace_back([&, t] {
+            Rng rng(100 + static_cast<std::uint64_t>(t));
+            for (int i = 0; i < 24; ++i) {
+                const std::int64_t len =
+                    i % 3 == 0 ? 256 : i % 3 == 1 ? 20 * 256
+                                                  : 1 + static_cast<std::int64_t>(rng.next_below(3000));
+                const auto off = static_cast<std::int64_t>(
+                    rng.next_below(static_cast<std::uint64_t>(total - len + 1)));
+                auto got = f.store->read_bytes(off, len);
+                if (!got.ok() || got->size() != static_cast<std::size_t>(len) ||
+                    std::memcmp(got->data(), f.data.data() + off, got->size()) != 0) {
+                    wrong.fetch_add(1);
+                }
+            }
+        });
+    }
+    for (std::thread& r : readers) r.join();
+    EXPECT_EQ(wrong.load(), 0);
+    EXPECT_GE(f.counter("ecfrm_store_hedged_reads_total"), 1);
+}
+
 }  // namespace
 }  // namespace ecfrm::store
