@@ -39,64 +39,17 @@ struct FetchOutcome {
 
 }  // namespace
 
-Status PlanExecutor::read_with_policy(DiskId disk, RowId row, ByteSpan out,
-                                      const RecoveryOptions& opts, TraceCtx tc) const {
-    const ExecutorMetrics& m = metrics();
-    obs::DiskHeatModel* const heat = this->heat();
-    const bool timed = opts.op_timeout_ms > 0.0;
-    for (int attempt = 0;; ++attempt) {
-        const double trace_t0 = tc.rt != nullptr ? obs::forensic_now_us() : 0.0;
-        const auto t0 = timed ? std::chrono::steady_clock::now()
-                              : std::chrono::steady_clock::time_point{};
-        Status status = devices_[static_cast<std::size_t>(disk)]->read(row, out);
-        if (timed) {
-            const double elapsed_ms =
-                std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-                    .count();
-            if (status.ok() && elapsed_ms > opts.op_timeout_ms) {
-                // Too slow to trust: discard the payload and route around
-                // the device rather than retrying into the same stall.
-                if (m.timeouts != nullptr) m.timeouts->add(1);
-                if (heat != nullptr) heat->on_timeout(disk, obs::DiskHeatModel::now_seconds());
-                if (tc.rt != nullptr) {
-                    tc.rt->count_timeout();
-                    tc.rt->complete(tc.parent, "op.timeout", trace_t0,
-                                    obs::forensic_now_us() - trace_t0,
-                                    {{"disk", std::to_string(disk)},
-                                     {"row", std::to_string(row)},
-                                     {"deadline_ms", std::to_string(opts.op_timeout_ms)}});
-                }
-                return Error::timeout("disk " + std::to_string(disk) + " read exceeded " +
-                                      std::to_string(opts.op_timeout_ms) + " ms deadline");
-            }
-        }
-        if (status.ok()) return status;
-        if (status.error().code != Error::Code::io_error || attempt >= opts.max_retries) {
-            if (tc.rt != nullptr) {
-                tc.rt->complete(tc.parent, "op.error", trace_t0,
-                                obs::forensic_now_us() - trace_t0,
-                                {{"disk", std::to_string(disk)},
-                                 {"row", std::to_string(row)},
-                                 {"error", status.error().message}});
-            }
-            return status;
-        }
-        if (m.retries != nullptr) m.retries->add(1);
-        if (heat != nullptr) heat->on_retry(disk, obs::DiskHeatModel::now_seconds());
-        if (tc.rt != nullptr) {
-            tc.rt->count_retry();
-            tc.rt->complete(tc.parent, "retry", trace_t0, obs::forensic_now_us() - trace_t0,
-                            {{"disk", std::to_string(disk)},
-                             {"row", std::to_string(row)},
-                             {"attempt", std::to_string(attempt + 1)},
-                             {"error", status.error().message}});
-        }
-        traced_backoff(opts, attempt, disk, tc);
-    }
-}
-
 Status PlanExecutor::device_read(DiskId disk, RowId row, ByteSpan out) const {
-    return read_with_policy(disk, row, out, options());
+    const RecoveryOptions& opts = options();
+    const store::BlockDevice& device = *devices_[static_cast<std::size_t>(disk)];
+    auto read = [&] { return device.read(row, out); };
+    std::size_t done = 0;
+    return submit_queue(
+        disk, std::span<const RowId>(&row, 1), opts, 1, &done, {},
+        [&](std::size_t, std::size_t, std::size_t* completed) {
+            return read_by_deadline(disk, row, opts, {}, completed, read);
+        },
+        [&](std::size_t) { return read_by_deadline(disk, row, opts, {}, nullptr, read); });
 }
 
 Status PlanExecutor::device_write(DiskId disk, RowId row, ConstByteSpan data) const {
@@ -104,22 +57,49 @@ Status PlanExecutor::device_write(DiskId disk, RowId row, ConstByteSpan data) co
     const std::span<const RowId> rows(&row, 1);
     std::size_t done = 0;
     return submit_queue(
-        disk, rows, options(), &done, {},
+        disk, rows, options(), 1, &done, {},
         [&](std::size_t, std::size_t, std::size_t* completed) {
             return device.write_batch(rows, std::span<const ConstByteSpan>(&data, 1), completed);
         },
         [&](std::size_t) { return device.write(row, data); });
 }
 
+Status PlanExecutor::read_by_deadline(DiskId disk, RowId row, const RecoveryOptions& opts,
+                                      TraceCtx tc, std::size_t* completed,
+                                      FunctionRef<Status()> read) const {
+    if (completed != nullptr) *completed = 0;
+    const bool timed = opts.op_timeout_ms > 0.0;
+    const double t0 = timed ? obs::forensic_now_us() : 0.0;
+    Status status = read();
+    if (timed && status.ok() && obs::forensic_now_us() - t0 > opts.op_timeout_ms * 1000.0) {
+        // Too slow to trust: discard the payload and route around the
+        // device rather than retrying into the same stall.
+        if (const ExecutorMetrics& m = metrics(); m.timeouts != nullptr) m.timeouts->add(1);
+        if (obs::DiskHeatModel* const heat = this->heat(); heat != nullptr) {
+            heat->on_timeout(disk, obs::DiskHeatModel::now_seconds());
+        }
+        if (tc.rt != nullptr) {
+            tc.rt->count_timeout();
+            tc.rt->complete(tc.parent, "op.timeout", t0, obs::forensic_now_us() - t0,
+                            {{"disk", std::to_string(disk)},
+                             {"row", std::to_string(row)},
+                             {"deadline_ms", std::to_string(opts.op_timeout_ms)}});
+        }
+        return Error::timeout("disk " + std::to_string(disk) + " read exceeded " +
+                              std::to_string(opts.op_timeout_ms) + " ms deadline");
+    }
+    if (completed != nullptr && status.ok()) *completed = 1;
+    return status;
+}
+
 template <typename Chunk, typename Single>
 Status PlanExecutor::submit_queue(DiskId disk, std::span<const RowId> rows,
-                                  const RecoveryOptions& opts, std::size_t* done, TraceCtx tc,
-                                  Chunk&& chunk, Single&& single) const {
+                                  const RecoveryOptions& opts, std::size_t depth,
+                                  std::size_t* done, TraceCtx tc, Chunk&& chunk,
+                                  Single&& single) const {
     *done = 0;
     const ExecutorMetrics& m = metrics();
     obs::DiskHeatModel* const heat = this->heat();
-    const std::size_t depth =
-        opts.batch_elements > 0 ? static_cast<std::size_t>(opts.batch_elements) : rows.size();
     std::size_t offset = 0;
     while (offset < rows.size()) {
         const std::size_t n = std::min(depth, rows.size() - offset);
@@ -198,10 +178,7 @@ void PlanExecutor::start_queue(Round& r, std::size_t a, TraceCtx tc) const {
     const store::BlockDevice& device = *devices_[static_cast<std::size_t>(q.disk)];
     if (pool_ == nullptr && r.data.empty() && r.opts.op_timeout_ms <= 0.0 &&
         device.async_reads()) {
-        std::size_t n = q.end - q.begin;
-        if (r.opts.batch_elements > 0) {
-            n = std::min(n, static_cast<std::size_t>(r.opts.batch_elements));
-        }
+        const std::size_t n = std::min(q.end - q.begin, chunk_depth(r.opts));
         q.batch = device.submit_read_batch(std::span<const RowId>(r.rows).subspan(q.begin, n),
                                            std::span<const ByteSpan>(r.outs).subspan(q.begin, n));
         return;
@@ -217,29 +194,31 @@ void PlanExecutor::finish_queue(Round& r, std::size_t a, TraceCtx tc) const {
     if (write) {
         const auto data = std::span<const ConstByteSpan>(r.data).subspan(q.begin, rows.size());
         q.status = submit_queue(
-            q.disk, rows, r.opts, &q.done, tc,
+            q.disk, rows, r.opts, chunk_depth(r.opts), &q.done, tc,
             [&](std::size_t off, std::size_t n, std::size_t* completed) {
                 return device.write_batch(rows.subspan(off, n), data.subspan(off, n), completed);
             },
             [&](std::size_t j) { return device.write(rows[j], data[j]); });
-    } else if (r.opts.op_timeout_ms > 0.0) {
-        // Per-op deadline detection needs per-op timing: issue singly.
-        for (q.done = 0; q.done < rows.size(); ++q.done) {
-            q.status = read_with_policy(q.disk, rows[q.done], r.outs[q.begin + q.done], r.opts, tc);
-            if (!q.status.ok()) break;
-        }
     } else {
+        // A per-op deadline needs per-op timing, so timed queues issue
+        // one read per chunk.
+        const bool deadline = r.opts.op_timeout_ms > 0.0;
         const auto outs = std::span<const ByteSpan>(r.outs).subspan(q.begin, rows.size());
+        auto read_one = [&](std::size_t j, std::size_t* completed) {
+            return read_by_deadline(q.disk, rows[j], r.opts, tc, completed,
+                                    [&] { return device.read(rows[j], outs[j]); });
+        };
         q.status = submit_queue(
-            q.disk, rows, r.opts, &q.done, tc,
+            q.disk, rows, r.opts, deadline ? 1 : chunk_depth(r.opts), &q.done, tc,
             [&](std::size_t off, std::size_t n, std::size_t* completed) {
+                if (deadline) return read_one(off, completed);
                 if (q.batch == nullptr) {
                     return device.read_batch(rows.subspan(off, n), outs.subspan(off, n), completed);
                 }
                 auto in_flight = std::move(q.batch);  // the first chunk, submitted at start
                 return in_flight->await(completed);
             },
-            [&](std::size_t j) { return device.read(rows[j], outs[j]); });
+            [&](std::size_t j) { return read_one(j, nullptr); });
     }
     if (r.timed) q.dur_us = obs::forensic_now_us() - q.issue_us;
     if (r.heat != nullptr) {

@@ -291,19 +291,34 @@ class PlanExecutor {
     obs::Tracer* tracer() const { return tracer_.load(std::memory_order_acquire); }
     obs::DiskHeatModel* heat() const { return heat_.load(std::memory_order_acquire); }
 
-    Status read_with_policy(DiskId disk, RowId row, ByteSpan out, const RecoveryOptions& opts,
-                            TraceCtx tc = {}) const;
-
-    /// The chunk, suffix-retry and traced-backoff loop of one per-disk
-    /// submission queue, reads and writes alike: `chunk(offset, n,
-    /// &completed)` issues rows[offset, offset + n) as one vectored device
-    /// call, opts.batch_elements deep, and `single(j)` re-issues op j
-    /// alone. A transient failure retries just the failing op under the
-    /// policy (its in-chunk failure was attempt zero) and chunking resumes
-    /// behind it. `*done` counts ops that landed (also on failure).
+    /// The chunk, suffix-retry and traced-backoff loop of every per-disk
+    /// submission queue — batched and timed reads, device_read, writes
+    /// and device_write: `chunk(offset, n, &completed)` issues rows[offset,
+    /// offset + n) as one device call, at most `depth` ops deep, and
+    /// `single(j)` re-issues op j alone. A transient failure retries just
+    /// the failing op under the policy (its in-chunk failure was attempt
+    /// zero) and chunking resumes behind it. `*done` counts ops that
+    /// landed (also on failure).
     template <typename Chunk, typename Single>
     Status submit_queue(DiskId disk, std::span<const RowId> rows, const RecoveryOptions& opts,
-                        std::size_t* done, TraceCtx tc, Chunk&& chunk, Single&& single) const;
+                        std::size_t depth, std::size_t* done, TraceCtx tc, Chunk&& chunk,
+                        Single&& single) const;
+
+    /// Ops per vectored device call of an untimed queue:
+    /// opts.batch_elements, or the whole queue when that is <= 0.
+    static std::size_t chunk_depth(const RecoveryOptions& opts) {
+        return opts.batch_elements > 0 ? static_cast<std::size_t>(opts.batch_elements)
+                                       : SIZE_MAX;
+    }
+
+    /// Run `read()`, one device read of `row`, under opts.op_timeout_ms
+    /// (no deadline when that is <= 0). A read that succeeds past the
+    /// deadline counts a timeout on the metrics, heat model and trace,
+    /// and returns Error::timeout, which submit_queue does not retry, so
+    /// the read path routes around the device; its payload is discarded.
+    /// `*completed` (optional) gets the landed count, 1 or 0.
+    Status read_by_deadline(DiskId disk, RowId row, const RecoveryOptions& opts, TraceCtx tc,
+                            std::size_t* completed, FunctionRef<Status()> read) const;
 
     /// Decode engine behind decode(): with `partial`, recipes whose
     /// sources are not all present are skipped instead of failing (the

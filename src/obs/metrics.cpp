@@ -118,7 +118,7 @@ IoStats MetricRegistry::disk_io_stats(int disk) {
     describe("ecfrm_store_io_errors_total", "Device ops that returned an error, by op type");
     describe("ecfrm_store_io_error_bytes_total", "Payload bytes of failed device ops, by op type");
     describe("ecfrm_disk_in_flight_ops", "Device ops issued but not yet completed (live queue depth)");
-    describe("ecfrm_disk_flushes_total", "Durability flushes (fflush/fsync) the device issued");
+    describe("ecfrm_disk_flushes_total", "Durability flushes (fsync) the device issued");
     describe("ecfrm_disk_batch_depth", "I/O ops one vectored submission put in flight at once");
     IoStats io;
     io.in_flight = &gauge("ecfrm_disk_in_flight_ops", labels);

@@ -135,9 +135,9 @@ struct IoStats {
     // (ecfrm_disk_in_flight_ops). Incremented at issue, decremented at
     // completion whether the op succeeded or failed.
     Gauge* in_flight = nullptr;
-    // Durability flushes the device actually issued (fflush/fsync). The
-    // batched write path flushes once per batch, not once per element —
-    // this counter is how tests pin that down (ecfrm_disk_flushes_total).
+    // Durability flushes the device actually issued (fsync, under
+    // ECFRM_FSYNC=1). The batched write path flushes once per batch, not
+    // once per element (ecfrm_disk_flushes_total).
     Counter* flushes = nullptr;
     // Submitted batch depth: how many I/O ops (SQEs / coalesced runs) one
     // vectored submission put in flight at once — the in-kernel queue

@@ -1,10 +1,10 @@
 // BlockDevice: the device abstraction under StripeStore. One device holds
 // fixed-size element slots addressed by row. Implementations: the
-// in-memory Disk (tests, benches, simulations); the persistent file
-// backends chosen by store::open_file_device — FileDisk (stdio streams)
-// and UringDisk (io_uring, falling back to positional pread; the one
-// device whose batch reads are truly asynchronous); and the FaultDevice
-// decorator, which injects scheduled faults into any of them.
+// in-memory Disk (tests, benches, simulations); the persistent UringDisk
+// that store::open_file_device builds (io_uring, falling back to
+// positional pread; the one device whose batch reads are truly
+// asynchronous); and the FaultDevice decorator, which injects scheduled
+// faults into either.
 #pragma once
 
 #include <atomic>
@@ -60,8 +60,8 @@ class BlockDevice {
     /// reports how many leading ops succeeded — on error, ops past that
     /// prefix were not attempted. The base implementation is a
     /// per-element fallback; Disk overrides it to take its lock once per
-    /// batch and FileDisk to coalesce adjacent rows into sequential file
-    /// I/O. FaultDevice keeps the per-element path so fault schedules
+    /// batch and UringDisk to coalesce adjacent rows into single file
+    /// transfers. FaultDevice keeps the per-element path so fault schedules
     /// stay keyed to op sequence numbers.
     virtual Status read_batch(std::span<const RowId> rows, std::span<const ByteSpan> outs,
                               std::size_t* completed = nullptr) const {
@@ -138,7 +138,8 @@ class BlockDevice {
     /// Mark the device failed; its content is dropped.
     virtual void fail() = 0;
 
-    /// Bring an empty replacement online.
+    /// Bring an empty replacement online. A device that cannot (its
+    /// backing files cannot be created, say) stays failed().
     virtual void replace() = 0;
 
     virtual bool failed() const = 0;

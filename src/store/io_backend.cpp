@@ -4,14 +4,13 @@
 #include <map>
 #include <mutex>
 
-#include "store/file_disk.h"
+#include "common/logging.h"
 #include "store/uring_disk.h"
 
 namespace ecfrm::store {
 
 const char* to_string(IoBackend backend) {
     switch (backend) {
-        case IoBackend::stdio: return "stdio";
         case IoBackend::pread: return "pread";
         case IoBackend::uring: return "uring";
     }
@@ -19,19 +18,22 @@ const char* to_string(IoBackend backend) {
 }
 
 std::optional<IoBackend> parse_io_backend(const std::string& name) {
-    if (name == "stdio") return IoBackend::stdio;
     if (name == "pread") return IoBackend::pread;
     if (name == "uring") return IoBackend::uring;
     return std::nullopt;
 }
 
+IoBackend select_io_backend(const char* value) {
+    const IoBackend detected = UringDisk::uring_available() ? IoBackend::uring : IoBackend::pread;
+    if (value == nullptr) return detected;
+    if (auto parsed = parse_io_backend(value)) return *parsed;
+    log_warn(std::string("ECFRM_IO_BACKEND=") + value + " is not pread|uring; using " +
+             to_string(detected));
+    return detected;
+}
+
 IoBackend default_io_backend() {
-    static const IoBackend backend = []() {
-        if (const char* v = std::getenv("ECFRM_IO_BACKEND")) {
-            if (auto parsed = parse_io_backend(v)) return *parsed;
-        }
-        return UringDisk::uring_available() ? IoBackend::uring : IoBackend::pread;
-    }();
+    static const IoBackend backend = select_io_backend(std::getenv("ECFRM_IO_BACKEND"));
     return backend;
 }
 
@@ -55,25 +57,11 @@ BufferPool* element_arena(std::int64_t element_bytes) {
 Result<std::unique_ptr<BlockDevice>> open_file_device(const std::string& dir, int index,
                                                       std::int64_t element_bytes,
                                                       std::optional<IoBackend> backend) {
-    const IoBackend chosen = backend.value_or(default_io_backend());
-    switch (chosen) {
-        case IoBackend::stdio: {
-            auto disk = FileDisk::open(dir, index, element_bytes);
-            if (!disk.ok()) return disk.error();
-            return std::unique_ptr<BlockDevice>(std::move(disk.value()));
-        }
-        case IoBackend::pread:
-        case IoBackend::uring: {
-            const auto mode =
-                chosen == IoBackend::uring ? UringDisk::Mode::uring : UringDisk::Mode::pread;
-            BufferPool* arena =
-                chosen == IoBackend::uring ? element_arena(element_bytes) : nullptr;
-            auto disk = UringDisk::open(dir, index, element_bytes, mode, arena);
-            if (!disk.ok()) return disk.error();
-            return std::unique_ptr<BlockDevice>(std::move(disk.value()));
-        }
-    }
-    return Error::invalid("unknown I/O backend");
+    const IoBackend mode = backend.value_or(default_io_backend());
+    auto disk = UringDisk::open(dir, index, element_bytes, mode,
+                                mode == IoBackend::uring ? element_arena(element_bytes) : nullptr);
+    if (!disk.ok()) return disk.error();
+    return std::unique_ptr<BlockDevice>(std::move(disk.value()));
 }
 
 }  // namespace ecfrm::store

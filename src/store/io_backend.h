@@ -1,18 +1,17 @@
 // I/O backend selection for file-backed devices.
 //
-// Three interchangeable backends share one on-disk format:
-//   stdio — FileDisk (buffered streams, one mutex per disk; the portable
-//           baseline and the pre-io_uring behaviour)
-//   pread — UringDisk in positional-syscall mode (concurrent readers,
-//           coalesced preadv batches; portable fallback)
-//   uring — UringDisk driving io_uring (batched SQE submission, fixed
-//           files, registered buffers); degrades to pread when the kernel
-//           or build lacks io_uring
+// Every file-backed device is a UringDisk; the backend picks its mode.
+// Both modes share one on-disk format:
+//   pread — positional syscalls (concurrent readers, coalesced preadv
+//           batches); the portable path
+//   uring — io_uring (batched SQE submission, fixed files, registered
+//           buffers); degrades to pread when the kernel or build lacks
+//           io_uring
 //
 // The default is uring-when-available, else pread. ECFRM_IO_BACKEND
-// overrides it ("uring" | "pread" | "stdio") — one knob flips every
-// file-backed archive, which is how the differential tests and the
-// bench compare backends on identical data.
+// overrides it ("uring" | "pread") — one knob flips every file-backed
+// archive, which is how the differential tests and the bench compare
+// backends on identical data.
 #pragma once
 
 #include <memory>
@@ -25,7 +24,6 @@
 namespace ecfrm::store {
 
 enum class IoBackend {
-    stdio,
     pread,
     uring,
 };
@@ -35,8 +33,14 @@ const char* to_string(IoBackend backend);
 /// Parse a backend name; nullopt for unknown names.
 std::optional<IoBackend> parse_io_backend(const std::string& name);
 
-/// The process-wide backend: ECFRM_IO_BACKEND when set to a valid name,
-/// else uring when the kernel provides it, else pread. Read once.
+/// The backend an ECFRM_IO_BACKEND value selects (`value` null when the
+/// variable is unset): the named backend, else uring when the kernel
+/// provides it, else pread. An unrecognised name logs one warning naming
+/// the backend used instead.
+IoBackend select_io_backend(const char* value);
+
+/// The process-wide backend: select_io_backend(ECFRM_IO_BACKEND), read
+/// once.
 IoBackend default_io_backend();
 
 /// The shared element arena registered with every uring-backed device:
@@ -45,8 +49,9 @@ IoBackend default_io_backend();
 /// null; sized for a few concurrent stripes' worth of elements.
 BufferPool* element_arena(std::int64_t element_bytes);
 
-/// Open disk `index` under `dir` with the given backend (process default
-/// when omitted). All backends read and write the same files.
+/// Open disk `index` under `dir` as a UringDisk in the given backend's
+/// mode (process default when omitted). Both modes read and write the
+/// same files.
 Result<std::unique_ptr<BlockDevice>> open_file_device(
     const std::string& dir, int index, std::int64_t element_bytes,
     std::optional<IoBackend> backend = std::nullopt);

@@ -1,4 +1,4 @@
-// Manifest: the tiny metadata record that makes a FileDisk-backed archive
+// Manifest: the tiny metadata record that makes a file-backed archive
 // reopenable — which code, which layout, element size, and how much data
 // has been committed. Stored as key=value lines in <dir>/MANIFEST.
 #pragma once

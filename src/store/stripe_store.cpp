@@ -1053,6 +1053,10 @@ Status StripeStore::begin_rebuild(DiskId disk) {
         if (rebuilding_[static_cast<std::size_t>(d)] != 0) st.avoid[static_cast<std::size_t>(d)] = 1;
     }
     disks_[static_cast<std::size_t>(disk)]->replace();
+    if (disks_[static_cast<std::size_t>(disk)]->failed()) {
+        return Error::disk_failed("replacement for disk " + std::to_string(disk) +
+                                  " could not be brought online");
+    }
     rebuilding_[static_cast<std::size_t>(disk)] = 1;
     st.target_rows = scheme_.rows_for(stripes_);
     rebuilds_[disk] = std::move(st);

@@ -69,7 +69,8 @@ struct ScrubReport {
 class StripeStore {
   public:
     /// Builds one BlockDevice per disk index. Used to plug in persistent
-    /// FileDisks (or anything else) instead of the default in-memory Disk.
+    /// file devices (store::open_file_device) or anything else instead of
+    /// the default in-memory Disk.
     using DeviceFactory = std::function<Result<std::unique_ptr<BlockDevice>>(int index)>;
 
     /// In-memory store. `pool` may be null (serial execution); when
@@ -179,6 +180,8 @@ class StripeStore {
     /// directly, so only the snapshot rows ever need rebuilding.
     /// abort_rebuild re-fails the disk and discards rebuild state (the
     /// recovery path when the replacement itself dies mid-rebuild).
+    /// begin_rebuild fails with disk_failed when the replacement cannot
+    /// be brought online.
     Status begin_rebuild(DiskId disk);
     Result<RowId> rebuild_target_rows(DiskId disk) const;
     Result<ReconstructStats> rebuild_rows(DiskId disk, RowId first, RowId count);

@@ -30,9 +30,9 @@ off_t element_offset(RowId row, std::int64_t element_bytes) {
     return static_cast<off_t>(row) * static_cast<off_t>(element_bytes);
 }
 
-/// Same opt-in durability knob as FileDisk. This backend has no stdio
-/// buffers, so with ECFRM_FSYNC unset a write batch needs no flush at all
-/// (the page cache is the durability point, exactly as after fflush).
+/// Opt-in durability: with ECFRM_FSYNC=1 every write (batch) ends in an
+/// fsync of both files. Unset, a write batch needs no flush at all: there
+/// are no userspace buffers, so the page cache is the durability point.
 bool fsync_enabled() {
     static const bool enabled = []() {
         const char* v = std::getenv("ECFRM_FSYNC");
@@ -372,7 +372,7 @@ class RingPool {
 // ---------------------------------------------------------------------------
 
 UringDisk::UringDisk(std::string data_path, std::string map_path, std::string failed_path,
-                     std::int64_t element_bytes, Mode mode, BufferPool* arena)
+                     std::int64_t element_bytes, IoBackend mode, BufferPool* arena)
     : data_path_(std::move(data_path)),
       map_path_(std::move(map_path)),
       failed_path_(std::move(failed_path)),
@@ -398,7 +398,7 @@ bool UringDisk::uring_available() {
 }
 
 Result<std::unique_ptr<UringDisk>> UringDisk::open(const std::string& dir, int index,
-                                                   std::int64_t element_bytes, Mode mode,
+                                                   std::int64_t element_bytes, IoBackend mode,
                                                    BufferPool* arena) {
     if (element_bytes <= 0) return Error::invalid("element_bytes must be positive");
     std::error_code ec;
@@ -424,7 +424,7 @@ Status UringDisk::open_files() {
         close_files();
         return Error::io("cannot open device files under " + data_path_);
     }
-    if (mode_ == Mode::uring && uring_available()) {
+    if (mode_ == IoBackend::uring && uring_available()) {
         rings_ = uring_detail::RingPool::create(data_fd_, arena_);
     }
     return Status::success();
@@ -829,14 +829,20 @@ void UringDisk::fail() {
 
 void UringDisk::replace() {
     std::lock_guard lk(mu_);
-    failed_ = false;
     std::error_code ec;
-    fs::remove(failed_path_, ec);
     fs::remove(data_path_, ec);
     fs::remove(map_path_, ec);
     written_.clear();
     close_files();
-    (void)open_files();
+    // A replacement whose files cannot be created (its directory is gone,
+    // say) stays failed, so callers see disk_failed rather than an
+    // io_error on every op.
+    if (!open_files().ok()) {
+        failed_ = true;
+        return;
+    }
+    fs::remove(failed_path_, ec);
+    failed_ = false;
 }
 
 bool UringDisk::failed() const { return failed_.load(std::memory_order_acquire); }

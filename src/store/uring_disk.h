@@ -1,12 +1,13 @@
-// UringDisk: the fd-based asynchronous file BlockDevice.
+// UringDisk: the file BlockDevice. Disk i lives in three files under one
+// directory, the same in both modes:
+//   disk_<i>.dat    — element payloads at offset row * element_bytes
+//   disk_<i>.map    — one byte per row: 1 when the row has been written
+//   disk_<i>.failed — marker recording the failed state across runs
+// In either mode, batches reach the kernel like this:
 //
-// Same on-disk format as FileDisk (disk_<i>.dat / disk_<i>.map /
-// disk_<i>.failed), so the two backends are interchangeable on the same
-// directory; what changes is how batches reach the kernel:
-//
-//   - positional I/O (pread/pwrite/preadv) instead of stdio streams — no
-//     shared stream position, so concurrent readers on one disk do NOT
-//     serialize (reads hold only a shared lock);
+//   - positional I/O (pread/pwrite/preadv) — no shared stream position,
+//     so concurrent readers on one disk do NOT serialize (reads hold only
+//     a shared lock);
 //   - adjacent rows coalesce into one transfer, and adjacent rows whose
 //     destination buffers are also contiguous in memory collapse into a
 //     single large read (the zero-copy fast path: an EC-FRM per-disk
@@ -32,6 +33,7 @@
 
 #include "common/buffer_pool.h"
 #include "store/block_device.h"
+#include "store/io_backend.h"
 
 namespace ecfrm::store {
 
@@ -41,16 +43,13 @@ class RingPool;  // per-device pool of io_uring instances (uring_disk.cpp)
 
 class UringDisk final : public BlockDevice {
   public:
-    enum class Mode {
-        pread,  // positional syscalls only
-        uring,  // io_uring batched submission, pread fallback when absent
-    };
-
-    /// Open (or create) the device files for disk `index` under `dir`.
+    /// Open (or create) the device files for disk `index` under `dir`, in
+    /// `mode`: pread issues positional syscalls only, uring batched
+    /// io_uring submission with the pread path as its fallback.
     /// `arena` (optional, must outlive the device) is registered with the
     /// rings so destinations inside it use fixed reads.
     static Result<std::unique_ptr<UringDisk>> open(const std::string& dir, int index,
-                                                   std::int64_t element_bytes, Mode mode,
+                                                   std::int64_t element_bytes, IoBackend mode,
                                                    BufferPool* arena = nullptr);
 
     ~UringDisk() override;
@@ -83,13 +82,13 @@ class UringDisk final : public BlockDevice {
 
   private:
     UringDisk(std::string data_path, std::string map_path, std::string failed_path,
-              std::int64_t element_bytes, Mode mode, BufferPool* arena);
+              std::int64_t element_bytes, IoBackend mode, BufferPool* arena);
 
     Status open_files();
     void close_files();
     Status load_map();
     Status ensure_map(RowId row);  // pad map bytes up to `row` (excl.), exclusive lock held
-    Status flush_files();          // fsync both files under ECFRM_FSYNC=1 (counted)
+    Status flush_files();          // fsync both files under ECFRM_FSYNC=1 (counted), else nothing
 
     /// One coalesced transfer: `count` elements starting at batch index
     /// `first`, file offset `offset`. `contiguous` when the destination
@@ -113,7 +112,7 @@ class UringDisk final : public BlockDevice {
     std::string map_path_;
     std::string failed_path_;
     std::int64_t element_bytes_;
-    Mode mode_;
+    IoBackend mode_;
     BufferPool* arena_;
 
     /// Guards written_/failed_ and fd lifecycle: reads + in-flight async

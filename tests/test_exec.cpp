@@ -1,7 +1,7 @@
 // The request-execution engine and the batched device layer underneath it:
-//   - vectored read_batch/write_batch on Disk (one lock per batch),
-//     FileDisk (coalesced sequential runs) and FaultDevice (per-element op
-//     accounting preserved so fault schedules replay identically);
+//   - vectored read_batch/write_batch on Disk (one lock per batch) and
+//     FaultDevice (per-element op accounting preserved so fault schedules
+//     replay identically); the file devices' batches live in test_file_io;
 //   - AccessPlan::batches(), the schedule model shared by the executor,
 //     the simulator and `ecfrm_cli explain`;
 //   - exec::PlanExecutor retry/timeout policy;
@@ -11,11 +11,9 @@
 
 #include <atomic>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <set>
 #include <thread>
-#include <unistd.h>
 #include <vector>
 
 #include "codes/factory.h"
@@ -27,30 +25,12 @@
 #include "obs/trace.h"
 #include "store/disk.h"
 #include "store/fault_device.h"
-#include "store/file_disk.h"
 #include "store/stripe_store.h"
 
 namespace ecfrm::exec {
 namespace {
 
-namespace fs = std::filesystem;
 using layout::LayoutKind;
-
-class TempDir {
-  public:
-    explicit TempDir(const std::string& tag) {
-        path_ = (fs::temp_directory_path() /
-                 ("ecfrm_test_" + tag + "_" + std::to_string(::getpid())))
-                    .string();
-        fs::remove_all(path_);
-        fs::create_directories(path_);
-    }
-    ~TempDir() { fs::remove_all(path_); }
-    const std::string& path() const { return path_; }
-
-  private:
-    std::string path_;
-};
 
 core::Scheme make_scheme(const std::string& spec, LayoutKind kind) {
     auto code = codes::make_code(spec);
@@ -141,62 +121,6 @@ TEST(DiskBatch, WriteBatchRoundTrip) {
     completed = 99;
     EXPECT_FALSE(disk.write_batch(rows, spans, &completed).ok());
     EXPECT_EQ(completed, 0u);
-}
-
-// ------------------------------------------------------------ FileDisk --
-
-TEST(FileDiskBatch, CoalescedRunsRoundTripAndPersist) {
-    const std::int64_t elem = 32;
-    TempDir dir("filedisk_batch");
-    // Adjacent rows [2..5] (one coalesced run) plus scattered rows 8 and 11
-    // (seek per run), written as one batch.
-    const std::vector<RowId> rows = {2, 3, 4, 5, 8, 11};
-    {
-        auto disk = store::FileDisk::open(dir.path(), 0, elem);
-        ASSERT_TRUE(disk.ok());
-        std::vector<std::vector<std::uint8_t>> payloads;
-        std::vector<ConstByteSpan> spans;
-        for (RowId row : rows) payloads.push_back(element_pattern(elem, row));
-        for (auto& p : payloads) spans.emplace_back(p.data(), p.size());
-        std::size_t completed = 0;
-        ASSERT_TRUE(disk.value()->write_batch(rows, spans, &completed).ok());
-        EXPECT_EQ(completed, rows.size());
-
-        // Batched read of the same rows matches per-op reads.
-        std::vector<std::vector<std::uint8_t>> bufs(rows.size(),
-                                                    std::vector<std::uint8_t>(elem));
-        std::vector<ByteSpan> outs;
-        for (auto& b : bufs) outs.emplace_back(b.data(), b.size());
-        ASSERT_TRUE(disk.value()->read_batch(rows, outs, &completed).ok());
-        EXPECT_EQ(completed, rows.size());
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            std::vector<std::uint8_t> serial(static_cast<std::size_t>(elem));
-            ASSERT_TRUE(
-                disk.value()->read(rows[i], ByteSpan(serial.data(), serial.size())).ok());
-            EXPECT_EQ(bufs[i], serial) << "row " << rows[i];
-            EXPECT_EQ(bufs[i], payloads[i]) << "row " << rows[i];
-        }
-
-        // FileDisk validates the whole batch before coalescing, so a batch
-        // touching an unwritten hole (row 6) is rejected with no element
-        // transferred — "ops past the prefix were not attempted".
-        const std::vector<RowId> holey = {4, 5, 6};
-        std::vector<ByteSpan> houts(outs.begin(), outs.begin() + 3);
-        EXPECT_FALSE(disk.value()->read_batch(holey, houts, &completed).ok());
-        EXPECT_EQ(completed, 0u);
-    }
-    // Batch writes (including the written-map bits for skipped rows) are
-    // durable across reopen.
-    auto disk = store::FileDisk::open(dir.path(), 0, elem);
-    ASSERT_TRUE(disk.ok());
-    for (RowId row : rows) {
-        std::vector<std::uint8_t> out(static_cast<std::size_t>(elem));
-        ASSERT_TRUE(disk.value()->read(row, ByteSpan(out.data(), out.size())).ok());
-        EXPECT_EQ(out, element_pattern(elem, row));
-    }
-    std::vector<std::uint8_t> out(static_cast<std::size_t>(elem));
-    EXPECT_FALSE(disk.value()->read(0, ByteSpan(out.data(), out.size())).ok());
-    EXPECT_FALSE(disk.value()->read(6, ByteSpan(out.data(), out.size())).ok());
 }
 
 // --------------------------------------------------------- FaultDevice --

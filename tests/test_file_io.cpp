@@ -1,10 +1,12 @@
-// The file I/O backends: stdio (FileDisk), pread and uring (UringDisk).
+// The file I/O backends: UringDisk in pread and uring mode.
 //
-// Pins the properties the io_uring work depends on: all three backends
-// are byte-identical on the same files, concurrent same-disk readers see
-// consistent bytes (the pread/uring backends without serializing on a
-// stream mutex), offsets survive >2 GiB files, write batches flush once,
-// the async batch contract holds, and the BufferPool arena behaves.
+// Pins the properties the io_uring work depends on: both backends are
+// byte-identical on the same files, concurrent same-disk readers see
+// consistent bytes without serializing, offsets survive >2 GiB files,
+// content and the failed state survive reopen, coalesced batches match
+// per-op reads, write batches flush once, the async batch contract holds,
+// a replacement that cannot come online stays failed, and the BufferPool
+// arena behaves.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -17,8 +19,8 @@
 #include "codes/factory.h"
 #include "common/buffer_pool.h"
 #include "common/rng.h"
+#include "common/logging.h"
 #include "obs/metrics.h"
-#include "store/file_disk.h"
 #include "store/io_backend.h"
 #include "store/stripe_store.h"
 #include "store/uring_disk.h"
@@ -51,12 +53,12 @@ std::vector<std::uint8_t> random_bytes(std::size_t size, std::uint64_t seed) {
     return data;
 }
 
-const IoBackend kBackends[] = {IoBackend::stdio, IoBackend::pread, IoBackend::uring};
+const IoBackend kBackends[] = {IoBackend::pread, IoBackend::uring};
 
 class BackendTest : public ::testing::TestWithParam<IoBackend> {};
 
-// All backends share one on-disk format: write with each backend, read
-// back with every other, bytes identical.
+// Both backends share one on-disk format: write with each backend, read
+// back with each, bytes identical.
 TEST(IoBackend, BackendsShareOnDiskFormat) {
     TempDir dir("backend_format");
     constexpr std::int64_t kElem = 64;
@@ -94,8 +96,7 @@ TEST(IoBackend, BackendsShareOnDiskFormat) {
 
 // 8 readers hammer one disk with overlapping batch reads while checking
 // every byte. Run under TSAN this also proves the shared-lock read path
-// is race-free; on the pread/uring backends the readers genuinely
-// overlap (no stream-position mutex).
+// is race-free; the readers genuinely overlap (no stream-position mutex).
 TEST_P(BackendTest, ConcurrentSameDiskReadersSeeConsistentBytes) {
     TempDir dir("backend_mt");
     constexpr std::int64_t kElem = 128;
@@ -166,18 +167,13 @@ TEST_P(BackendTest, OffsetsBeyondTwoGiB) {
     EXPECT_GT(size, std::uint64_t{2} * 1024 * 1024 * 1024);
 }
 
-// A write batch takes ONE flush point, not one per element (the stdio
-// backend flushes both stream buffers => counter of 2 per batch; the fd
-// backends have no userspace buffers and count 0 without ECFRM_FSYNC).
+// A write batch takes at most ONE flush point, not one per element: the
+// fd backends have no userspace buffers and count 0 flushes without
+// ECFRM_FSYNC.
 TEST(IoBackend, WriteBatchFlushesOncePerBatch) {
     TempDir dir("backend_flush");
     constexpr std::int64_t kElem = 32;
     obs::MetricRegistry registry;
-    auto disk = open_file_device(dir.path(), 0, kElem, IoBackend::stdio);
-    ASSERT_TRUE(disk.ok());
-    const obs::IoStats stdio_stats = registry.disk_io_stats(0);
-    disk.value()->attach_io_stats(stdio_stats);
-
     const auto payload = random_bytes(static_cast<std::size_t>(kElem) * 16, 3);
     std::vector<RowId> rows;
     std::vector<ConstByteSpan> payloads;
@@ -185,19 +181,125 @@ TEST(IoBackend, WriteBatchFlushesOncePerBatch) {
         rows.push_back(r);
         payloads.emplace_back(payload.data() + r * kElem, kElem);
     }
-    ASSERT_TRUE(disk.value()->write_batch(rows, payloads).ok());
-    // 16 elements, one flush point: data+map streams flushed together.
-    ASSERT_NE(stdio_stats.flushes, nullptr);
-    EXPECT_EQ(stdio_stats.flushes->value(), 2);
 
-    auto fd_disk = open_file_device(dir.path(), 1, kElem, IoBackend::pread);
-    ASSERT_TRUE(fd_disk.ok());
-    const obs::IoStats fd_stats = registry.disk_io_stats(1);
-    fd_disk.value()->attach_io_stats(fd_stats);
-    ASSERT_TRUE(fd_disk.value()->write_batch(rows, payloads).ok());
-    // fd backend: no userspace buffers, nothing to flush without
-    // ECFRM_FSYNC.
-    EXPECT_EQ(fd_stats.flushes->value(), 0);
+    auto disk = open_file_device(dir.path(), 0, kElem, IoBackend::pread);
+    ASSERT_TRUE(disk.ok());
+    const obs::IoStats stats = registry.disk_io_stats(0);
+    disk.value()->attach_io_stats(stats);
+    ASSERT_TRUE(disk.value()->write_batch(rows, payloads).ok());
+    ASSERT_NE(stats.flushes, nullptr);
+    EXPECT_EQ(stats.flushes->value(), 0);
+}
+
+// Content written by one device instance is there after reopen; rows()
+// is the write high-water mark, and a gap row below it still reads as
+// never-written, before and after the reopen.
+TEST_P(BackendTest, ReopenKeepsContentAndGapRows) {
+    TempDir dir("backend_reopen");
+    constexpr std::int64_t kElem = 16;
+    const auto payload = random_bytes(kElem, 9);
+    std::vector<std::uint8_t> out(kElem);
+    {
+        auto disk = open_file_device(dir.path(), 1, kElem, GetParam());
+        ASSERT_TRUE(disk.ok());
+        ASSERT_TRUE(disk.value()->write(0, ConstByteSpan(payload.data(), payload.size())).ok());
+        ASSERT_TRUE(disk.value()->write(5, ConstByteSpan(payload.data(), payload.size())).ok());
+        EXPECT_EQ(disk.value()->rows(), 6);
+        EXPECT_FALSE(disk.value()->read(3, ByteSpan(out.data(), out.size())).ok());
+    }
+    auto disk = open_file_device(dir.path(), 1, kElem, GetParam());
+    ASSERT_TRUE(disk.ok());
+    EXPECT_EQ(disk.value()->rows(), 6);
+    for (RowId row : {0, 5}) {
+        ASSERT_TRUE(disk.value()->read(row, ByteSpan(out.data(), out.size())).ok());
+        EXPECT_EQ(out, payload) << "row " << row;
+    }
+    EXPECT_FALSE(disk.value()->read(3, ByteSpan(out.data(), out.size())).ok());  // gap row
+}
+
+// The failed marker outlives the device instance: a reopened failed disk
+// is still failed and reads nothing, and its replacement starts empty.
+TEST_P(BackendTest, FailedStateSurvivesReopen) {
+    TempDir dir("backend_fail_reopen");
+    constexpr std::int64_t kElem = 16;
+    const std::vector<std::uint8_t> payload(kElem, 1);
+    {
+        auto disk = open_file_device(dir.path(), 0, kElem, GetParam());
+        ASSERT_TRUE(disk.ok());
+        ASSERT_TRUE(disk.value()->write(0, ConstByteSpan(payload.data(), payload.size())).ok());
+        disk.value()->fail();
+    }
+    auto disk = open_file_device(dir.path(), 0, kElem, GetParam());
+    ASSERT_TRUE(disk.ok());
+    EXPECT_TRUE(disk.value()->failed());
+    std::vector<std::uint8_t> out(kElem);
+    EXPECT_FALSE(disk.value()->read(0, ByteSpan(out.data(), out.size())).ok());
+
+    disk.value()->replace();
+    EXPECT_FALSE(disk.value()->failed());
+    EXPECT_FALSE(disk.value()->read(0, ByteSpan(out.data(), out.size())).ok());  // empty
+    ASSERT_TRUE(disk.value()->write(0, ConstByteSpan(payload.data(), payload.size())).ok());
+    ASSERT_TRUE(disk.value()->read(0, ByteSpan(out.data(), out.size())).ok());
+    EXPECT_EQ(out, payload);
+}
+
+TEST_P(BackendTest, RejectsMissingDirectory) {
+    EXPECT_FALSE(open_file_device("/nonexistent/definitely/missing", 0, 16, GetParam()).ok());
+}
+
+// One write_batch over a coalescing run [2..5] plus scattered rows 8 and
+// 11: a read_batch of the same rows matches per-op reads, a batch over
+// the unwritten hole at row 6 fails with no op completed, and the batch
+// writes (map bits included) are durable across reopen.
+TEST_P(BackendTest, CoalescedBatchMatchesPerOpReadsAndPersists) {
+    TempDir dir("backend_batch");
+    constexpr std::int64_t kElem = 32;
+    const std::vector<RowId> rows = {2, 3, 4, 5, 8, 11};
+    const auto payload = random_bytes(static_cast<std::size_t>(kElem) * rows.size(), 17);
+    auto expected = [&](std::size_t i) {
+        return std::vector<std::uint8_t>(payload.begin() + static_cast<std::ptrdiff_t>(i * kElem),
+                                         payload.begin() +
+                                             static_cast<std::ptrdiff_t>((i + 1) * kElem));
+    };
+    {
+        auto disk = open_file_device(dir.path(), 0, kElem, GetParam());
+        ASSERT_TRUE(disk.ok());
+        std::vector<ConstByteSpan> spans;
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            spans.emplace_back(payload.data() + i * kElem, kElem);
+        }
+        std::size_t completed = 0;
+        ASSERT_TRUE(disk.value()->write_batch(rows, spans, &completed).ok());
+        EXPECT_EQ(completed, rows.size());
+
+        std::vector<std::vector<std::uint8_t>> bufs(rows.size(),
+                                                    std::vector<std::uint8_t>(kElem));
+        std::vector<ByteSpan> outs;
+        for (auto& b : bufs) outs.emplace_back(b.data(), b.size());
+        ASSERT_TRUE(disk.value()->read_batch(rows, outs, &completed).ok());
+        EXPECT_EQ(completed, rows.size());
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            std::vector<std::uint8_t> serial(kElem);
+            ASSERT_TRUE(disk.value()->read(rows[i], ByteSpan(serial.data(), serial.size())).ok());
+            EXPECT_EQ(bufs[i], serial) << "row " << rows[i];
+            EXPECT_EQ(bufs[i], expected(i)) << "row " << rows[i];
+        }
+
+        const std::vector<RowId> holey = {4, 5, 6};
+        const std::vector<ByteSpan> houts(outs.begin(), outs.begin() + 3);
+        completed = 99;
+        EXPECT_FALSE(disk.value()->read_batch(holey, houts, &completed).ok());
+        EXPECT_EQ(completed, 0u);
+    }
+    auto disk = open_file_device(dir.path(), 0, kElem, GetParam());
+    ASSERT_TRUE(disk.ok());
+    std::vector<std::uint8_t> out(kElem);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        ASSERT_TRUE(disk.value()->read(rows[i], ByteSpan(out.data(), out.size())).ok());
+        EXPECT_EQ(out, expected(i)) << "row " << rows[i];
+    }
+    EXPECT_FALSE(disk.value()->read(0, ByteSpan(out.data(), out.size())).ok());
+    EXPECT_FALSE(disk.value()->read(6, ByteSpan(out.data(), out.size())).ok());
 }
 
 // The async batch contract: submission returns before await, buffers are
@@ -251,8 +353,7 @@ TEST_P(BackendTest, AsyncBatchContract) {
     EXPECT_EQ(bad_done, 0u);
 }
 
-// Reads from a failed device fail, and a replaced device starts empty —
-// matching FileDisk semantics exactly.
+// Reads from a failed device fail, and a replaced device starts empty.
 TEST_P(BackendTest, FailAndReplaceSemantics) {
     TempDir dir("backend_fail");
     constexpr std::int64_t kElem = 16;
@@ -277,13 +378,59 @@ TEST_P(BackendTest, FailAndReplaceSemantics) {
     EXPECT_EQ(out, payload);
 }
 
+// A replacement whose files cannot be created stays failed, and a store
+// refuses to rebuild onto it: with the disk's directory gone, replace()
+// must not report the device healthy while every write fails with an
+// io_error the executor would retry as transient.
+TEST_P(BackendTest, ReplaceWithoutItsDirectoryStaysFailed) {
+    TempDir dir("backend_replace_gone");
+    constexpr std::int64_t kElem = 64;
+    const fs::path root(dir.path());
+    // One directory per disk, so a single disk's can vanish.
+    auto disk_dir = [&](int index) { return (root / std::to_string(index)).string(); };
+
+    fs::create_directories(disk_dir(9));
+    auto disk = open_file_device(disk_dir(9), 0, kElem, GetParam());
+    ASSERT_TRUE(disk.ok());
+    const std::vector<std::uint8_t> payload(kElem, 0x3c);
+    disk.value()->fail();
+    fs::remove_all(disk_dir(9));
+    disk.value()->replace();
+    EXPECT_TRUE(disk.value()->failed());
+    const Status write = disk.value()->write(0, ConstByteSpan(payload.data(), payload.size()));
+    ASSERT_FALSE(write.ok());
+    EXPECT_EQ(write.error().code, Error::Code::disk_failed);
+
+    auto code = codes::make_code("rs:6,3");
+    ASSERT_TRUE(code.ok());
+    auto opened = StripeStore::open(
+        core::Scheme(code.value(), layout::LayoutKind::ecfrm), kElem,
+        [&](int index) -> Result<std::unique_ptr<BlockDevice>> {
+            fs::create_directories(disk_dir(index));
+            return open_file_device(disk_dir(index), index, kElem, GetParam());
+        });
+    ASSERT_TRUE(opened.ok()) << opened.error().message;
+    auto store = std::move(opened).take();
+    const auto data = random_bytes(static_cast<std::size_t>(kElem) * 24, 31);
+    ASSERT_TRUE(store->append(ConstByteSpan(data.data(), data.size())).ok());
+    ASSERT_TRUE(store->flush().ok());
+    ASSERT_TRUE(store->fail_disk(2).ok());
+    fs::remove_all(disk_dir(2));
+    const Status began = store->begin_rebuild(2);
+    ASSERT_FALSE(began.ok());
+    EXPECT_EQ(began.error().code, Error::Code::disk_failed);
+    auto out = store->read_bytes(0, static_cast<std::int64_t>(data.size()));
+    ASSERT_TRUE(out.ok()) << out.error().message;
+    EXPECT_EQ(out.value(), data);  // still served degraded around disk 2
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendTest, ::testing::ValuesIn(kBackends),
                          [](const auto& info) { return to_string(info.param); });
 
 TEST(IoBackendSelection, ParseAndDefault) {
     EXPECT_EQ(parse_io_backend("uring"), IoBackend::uring);
     EXPECT_EQ(parse_io_backend("pread"), IoBackend::pread);
-    EXPECT_EQ(parse_io_backend("stdio"), IoBackend::stdio);
+    EXPECT_EQ(parse_io_backend("stdio"), std::nullopt);
     EXPECT_EQ(parse_io_backend("aio"), std::nullopt);
     // The default must be a real backend, and uring only when available.
     const IoBackend def = default_io_backend();
@@ -292,11 +439,46 @@ TEST(IoBackendSelection, ParseAndDefault) {
     }
 }
 
+// An ECFRM_IO_BACKEND value that names no backend (the removed "stdio"
+// included) is not ignored silently: one warning names the backend used
+// instead. Valid names and an unset variable log nothing.
+TEST(IoBackendSelection, UnknownNameWarnsWithTheBackendUsed) {
+    Logger& logger = Logger::instance();
+    const LogLevel saved = logger.level();
+    std::vector<std::pair<LogLevel, std::string>> captured;
+    logger.set_sink([&](LogLevel level, const std::string& msg) {
+        captured.emplace_back(level, msg);
+    });
+    logger.set_level(LogLevel::warn);
+    const IoBackend detected = UringDisk::uring_available() ? IoBackend::uring : IoBackend::pread;
+    const IoBackend unset = select_io_backend(nullptr);
+    const IoBackend pread = select_io_backend("pread");
+    const IoBackend uring = select_io_backend("uring");
+    const std::size_t quiet = captured.size();
+    const IoBackend fallback = select_io_backend("stdio");
+    // Restore the shared logger before asserting.
+    logger.set_sink({});
+    logger.set_level(saved);
+
+    EXPECT_EQ(unset, detected);
+    EXPECT_EQ(pread, IoBackend::pread);
+    EXPECT_EQ(uring, IoBackend::uring);
+    EXPECT_EQ(quiet, 0u);
+    EXPECT_EQ(fallback, detected);
+    ASSERT_EQ(captured.size(), 1u);
+    EXPECT_EQ(captured[0].first, LogLevel::warn);
+    EXPECT_NE(captured[0].second.find("ECFRM_IO_BACKEND=stdio"), std::string::npos)
+        << captured[0].second;
+    EXPECT_NE(captured[0].second.find(std::string("using ") + to_string(detected)),
+              std::string::npos)
+        << captured[0].second;
+}
+
 TEST(IoBackendSelection, UringDegradesToPreadWhenUnavailable) {
-    // Mode::uring on a kernel without io_uring (or an ECFRM_WITH_URING=OFF
+    // The uring mode on a kernel without io_uring (or an ECFRM_WITH_URING=OFF
     // build) must still produce a working device.
     TempDir dir("backend_degrade");
-    auto disk = UringDisk::open(dir.path(), 0, 32, UringDisk::Mode::uring);
+    auto disk = UringDisk::open(dir.path(), 0, 32, IoBackend::uring);
     ASSERT_TRUE(disk.ok());
     if (!UringDisk::uring_available()) {
         EXPECT_FALSE(disk.value()->uring_active());
@@ -308,7 +490,7 @@ TEST(IoBackendSelection, UringDegradesToPreadWhenUnavailable) {
     EXPECT_EQ(out, payload);
 }
 
-// The zero-copy guarantee: on every backend, element-granular reads route
+// The zero-copy guarantee: on each backend, element-granular reads route
 // each requested data element straight into the caller's buffer (fetched
 // there by the device, or — degraded — decoded there), so the assemble
 // stage copies nothing. The store's staging-copy counter is the witness.

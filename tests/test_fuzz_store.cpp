@@ -419,7 +419,7 @@ INSTANTIATE_TEST_SUITE_P(
 /// (append / flush / read / fail / reconstruct / corrupt+scrub, fixed
 /// seed) runs over file-backed stores once per I/O backend. Every run is
 /// verified byte-for-byte against the same in-memory reference model, so
-/// stdio, pread and uring are pinned byte-identical to each other — in
+/// pread and uring are pinned byte-identical to each other — in
 /// clean mode and with FaultDevice-injected torn writes and transient
 /// EIOs layered on top of the real file I/O.
 struct BackendDiffParam {
@@ -432,7 +432,7 @@ class BackendDifferentialFuzzTest : public ::testing::TestWithParam<BackendDiffP
 
 TEST_P(BackendDifferentialFuzzTest, BackendsByteIdenticalUnderSameStream) {
     const auto [spec, seed, with_faults] = GetParam();
-    for (const IoBackend backend : {IoBackend::stdio, IoBackend::pread, IoBackend::uring}) {
+    for (const IoBackend backend : {IoBackend::pread, IoBackend::uring}) {
         SCOPED_TRACE(std::string("backend=") + to_string(backend));
         const std::filesystem::path dir =
             std::filesystem::temp_directory_path() /

@@ -1,5 +1,6 @@
-// FileDisk, Manifest and persistent StripeStore: data survives close and
-// reopen; failure markers persist; corruption hooks work on files too.
+// Manifest and persistent StripeStore: data survives close and reopen;
+// failed disks persist; corruption hooks work on files too. The file
+// device itself is covered per backend in test_file_io.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -10,7 +11,7 @@
 
 #include "codes/factory.h"
 #include "common/rng.h"
-#include "store/file_disk.h"
+#include "store/io_backend.h"
 #include "store/manifest.h"
 #include "store/stripe_store.h"
 
@@ -51,69 +52,8 @@ core::Scheme make_scheme(const std::string& spec, LayoutKind kind) {
 
 StripeStore::DeviceFactory file_factory(const std::string& dir, std::int64_t element_bytes) {
     return [dir, element_bytes](int index) -> Result<std::unique_ptr<BlockDevice>> {
-        auto disk = FileDisk::open(dir, index, element_bytes);
-        if (!disk.ok()) return disk.error();
-        return std::unique_ptr<BlockDevice>(std::move(disk).take());
+        return open_file_device(dir, index, element_bytes);
     };
-}
-
-TEST(FileDisk, WriteReadRoundTrip) {
-    TempDir dir("filedisk_rw");
-    auto disk = FileDisk::open(dir.path(), 0, 32);
-    ASSERT_TRUE(disk.ok());
-    std::vector<std::uint8_t> payload(32, 0x5a);
-    ASSERT_TRUE(disk.value()->write(3, ConstByteSpan(payload.data(), payload.size())).ok());
-    std::vector<std::uint8_t> out(32);
-    ASSERT_TRUE(disk.value()->read(3, ByteSpan(out.data(), out.size())).ok());
-    EXPECT_EQ(out, payload);
-    EXPECT_FALSE(disk.value()->read(2, ByteSpan(out.data(), out.size())).ok());  // never written
-    EXPECT_EQ(disk.value()->rows(), 4);
-}
-
-TEST(FileDisk, ContentSurvivesReopen) {
-    TempDir dir("filedisk_reopen");
-    std::vector<std::uint8_t> payload(16, 0xc3);
-    {
-        auto disk = FileDisk::open(dir.path(), 1, 16);
-        ASSERT_TRUE(disk.ok());
-        ASSERT_TRUE(disk.value()->write(0, ConstByteSpan(payload.data(), payload.size())).ok());
-        ASSERT_TRUE(disk.value()->write(5, ConstByteSpan(payload.data(), payload.size())).ok());
-    }
-    auto disk = FileDisk::open(dir.path(), 1, 16);
-    ASSERT_TRUE(disk.ok());
-    std::vector<std::uint8_t> out(16);
-    ASSERT_TRUE(disk.value()->read(0, ByteSpan(out.data(), out.size())).ok());
-    EXPECT_EQ(out, payload);
-    ASSERT_TRUE(disk.value()->read(5, ByteSpan(out.data(), out.size())).ok());
-    EXPECT_EQ(out, payload);
-    EXPECT_FALSE(disk.value()->read(3, ByteSpan(out.data(), out.size())).ok());  // gap row
-}
-
-TEST(FileDisk, FailedStatePersists) {
-    TempDir dir("filedisk_fail");
-    std::vector<std::uint8_t> payload(16, 1);
-    {
-        auto disk = FileDisk::open(dir.path(), 0, 16);
-        ASSERT_TRUE(disk.ok());
-        ASSERT_TRUE(disk.value()->write(0, ConstByteSpan(payload.data(), payload.size())).ok());
-        disk.value()->fail();
-        EXPECT_TRUE(disk.value()->failed());
-    }
-    auto disk = FileDisk::open(dir.path(), 0, 16);
-    ASSERT_TRUE(disk.ok());
-    EXPECT_TRUE(disk.value()->failed());
-    std::vector<std::uint8_t> out(16);
-    EXPECT_FALSE(disk.value()->read(0, ByteSpan(out.data(), out.size())).ok());
-
-    disk.value()->replace();
-    EXPECT_FALSE(disk.value()->failed());
-    EXPECT_FALSE(disk.value()->read(0, ByteSpan(out.data(), out.size())).ok());  // empty
-    ASSERT_TRUE(disk.value()->write(0, ConstByteSpan(payload.data(), payload.size())).ok());
-    EXPECT_TRUE(disk.value()->read(0, ByteSpan(out.data(), out.size())).ok());
-}
-
-TEST(FileDisk, RejectsMissingDirectory) {
-    EXPECT_FALSE(FileDisk::open("/nonexistent/definitely/missing", 0, 16).ok());
 }
 
 TEST(Manifest, SaveLoadRoundTrip) {

@@ -47,7 +47,6 @@
 #include "store/disk.h"
 #include "store/ec_pipeline.h"
 #include "store/fault_device.h"
-#include "store/file_disk.h"
 #include "store/io_backend.h"
 #include "store/manifest.h"
 #include "store/stripe_store.h"
