@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "codes/factory.h"
-#include "codes/xor_codec.h"
 #include "common/aligned_buffer.h"
 #include "common/rng.h"
 
@@ -48,21 +47,6 @@ BENCHMARK_CAPTURE(BM_Encode, rs63, std::string("rs:6,3"));
 BENCHMARK_CAPTURE(BM_Encode, rs105, std::string("rs:10,5"));
 BENCHMARK_CAPTURE(BM_Encode, lrc622, std::string("lrc:6,2,2"));
 BENCHMARK_CAPTURE(BM_Encode, lrc1024, std::string("lrc:10,2,4"));
-
-void BM_EncodeXor(benchmark::State& state, const std::string& spec, bool optimize) {
-    CodecFixture fx(spec, 1 << 20);
-    const codes::XorCodec codec(*fx.code, optimize);
-    for (auto _ : state) {
-        if (!codec.encode(fx.data, fx.parity).ok()) std::abort();
-        benchmark::DoNotOptimize(fx.bufs.data());
-    }
-    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * fx.code->k() * (1 << 20));
-    state.counters["xors"] = static_cast<double>(codec.xor_count());
-}
-BENCHMARK_CAPTURE(BM_EncodeXor, rs63_plain, std::string("rs:6,3"), false);
-BENCHMARK_CAPTURE(BM_EncodeXor, rs63_opt, std::string("rs:6,3"), true);
-BENCHMARK_CAPTURE(BM_EncodeXor, lrc622_plain, std::string("lrc:6,2,2"), false);
-BENCHMARK_CAPTURE(BM_EncodeXor, lrc622_opt, std::string("lrc:6,2,2"), true);
 
 void BM_DecodeWorstCase(benchmark::State& state, const std::string& spec) {
     CodecFixture fx(spec, 1 << 20);

@@ -115,22 +115,6 @@ void BM_XorTier(benchmark::State& state) {
 }
 BENCHMARK(BM_XorTier)->Apply(tier_args);
 
-void BM_Addmul16Tier(benchmark::State& state) {
-    const gf::KernelTable* kt = tier_or_skip(state);
-    if (kt == nullptr) return;
-    const auto size = static_cast<std::size_t>(state.range(1));
-    AlignedBuffer dst(size), src(size);
-    fill_random(dst, 14);
-    fill_random(src, 15);
-    for (auto _ : state) {
-        kt->addmul16_region(dst.data(), src.data(), 0x1234, size);
-        benchmark::DoNotOptimize(dst.data());
-    }
-    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * static_cast<std::int64_t>(size));
-    state.SetLabel(gf::to_string(kt->tier));
-}
-BENCHMARK(BM_Addmul16Tier)->Apply(tier_args);
-
 // --- fused encode vs the pre-fusion pattern --------------------------------
 // RS(6,3) over 1 MiB regions, the shape StripeStore::encode_group feeds the
 // codec. Both variants count m*k*n GF-work bytes per iteration.

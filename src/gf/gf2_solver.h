@@ -1,6 +1,6 @@
 // Shared GF(2) linear solver over byte-buffer cells.
 //
-// XOR-structured codes (X-Code, WEAVER, RDP) all reduce erasure recovery
+// XOR-structured codes (X-Code, WEAVER) both reduce erasure recovery
 // to the same shape: a set of parity equations, each XOR-ing some known
 // cells (surviving payloads) with some unknown cells (erased payloads).
 // This solver does the rank test and the Gauss-Jordan solve with the row

@@ -4,10 +4,10 @@
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "gf/gf256.h"
-#include "gf/gf65536.h"
 #include "gf/kernels_impl.h"
 #include "gf/region_simd.h"
 #include "common/logging.h"
@@ -54,12 +54,8 @@ void encode_blocks_scalar(std::uint8_t* const* dsts, std::size_t m, const std::u
                               /*block=*/16 * 1024);
 }
 
-void addmul16_scalar(std::uint8_t* dst, const std::uint8_t* src, std::uint16_t c, std::size_t n) {
-    detail::addmul16_words(dst, src, c, n / 2);
-}
-
 const KernelTable kTableScalar = {
-    SimdTier::scalar, xor_scalar, mul_scalar, addmul_scalar, encode_blocks_scalar, addmul16_scalar,
+    SimdTier::scalar, xor_scalar, mul_scalar, addmul_scalar, encode_blocks_scalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -193,17 +189,45 @@ namespace {
 /// Regions at or above this size are sliced across the pool.
 constexpr std::size_t kParallelMinBytes = 1 << 20;
 /// Slice granularity: big enough to amortise dispatch, small enough to
-/// spread a few-MiB region over several workers. Even and 64-aligned.
+/// spread a few-MiB region over several workers. A multiple of 64 bytes,
+/// so only the last chunk runs a kernel's scalar tail.
 constexpr std::size_t kParallelChunkBytes = 256 << 10;
 
 /// Pointer tables up to this many regions live on the stack.
 constexpr std::size_t kInlineRegions = 64;
 
-template <typename Coeff>
+void run_encode8(std::uint8_t* const* dsts, std::size_t m, const std::uint8_t* const* srcs,
+                 std::size_t k, const std::uint8_t* coeffs, std::size_t off, std::size_t len) {
+    // Shift the window rather than the pointer arrays: chunk counts are
+    // small, so the per-chunk copies stay cheap and allocation-free.
+    std::uint8_t* d[kInlineRegions];
+    const std::uint8_t* s[kInlineRegions];
+    std::uint8_t* const* dp = dsts;
+    const std::uint8_t* const* sp = srcs;
+    std::vector<std::uint8_t*> dbig;
+    std::vector<const std::uint8_t*> sbig;
+    if (off != 0) {
+        if (m > kInlineRegions || k > kInlineRegions) {
+            dbig.resize(m);
+            sbig.resize(k);
+            for (std::size_t p = 0; p < m; ++p) dbig[p] = dsts[p] + off;
+            for (std::size_t j = 0; j < k; ++j) sbig[j] = srcs[j] + off;
+            dp = dbig.data();
+            sp = sbig.data();
+        } else {
+            for (std::size_t p = 0; p < m; ++p) d[p] = dsts[p] + off;
+            for (std::size_t j = 0; j < k; ++j) s[j] = srcs[j] + off;
+            dp = d;
+            sp = s;
+        }
+    }
+    const KernelTable& t = kernels();
+    t.encode_blocks(dp, m, sp, k, coeffs, len);
+    detail::note_bytes(t.tier, m * k * len);
+}
+
 void encode_dispatch(std::span<const ConstByteSpan> srcs, std::span<const ByteSpan> dsts,
-                     const Coeff* coeffs, ThreadPool* pool,
-                     void (*run)(std::uint8_t* const*, std::size_t, const std::uint8_t* const*,
-                                 std::size_t, const Coeff*, std::size_t, std::size_t)) {
+                     const std::uint8_t* coeffs, ThreadPool* pool) {
     const std::size_t k = srcs.size();
     const std::size_t m = dsts.size();
     if (m == 0) return;
@@ -242,90 +266,18 @@ void encode_dispatch(std::span<const ConstByteSpan> srcs, std::span<const ByteSp
         parallel_for(*pool, chunks, [&](std::size_t ci) {
             const std::size_t off = ci * kParallelChunkBytes;
             const std::size_t len = (n - off < kParallelChunkBytes) ? n - off : kParallelChunkBytes;
-            run(dptr, m, sptr, k, coeffs, off, len);
+            run_encode8(dptr, m, sptr, k, coeffs, off, len);
         });
     } else {
-        run(dptr, m, sptr, k, coeffs, 0, n);
+        run_encode8(dptr, m, sptr, k, coeffs, 0, n);
     }
-}
-
-void run_encode8(std::uint8_t* const* dsts, std::size_t m, const std::uint8_t* const* srcs,
-                 std::size_t k, const std::uint8_t* coeffs, std::size_t off, std::size_t len) {
-    // Shift the window rather than the pointer arrays: chunk counts are
-    // small, so the per-chunk copies stay cheap and allocation-free.
-    std::uint8_t* d[kInlineRegions];
-    const std::uint8_t* s[kInlineRegions];
-    std::uint8_t* const* dp = dsts;
-    const std::uint8_t* const* sp = srcs;
-    std::vector<std::uint8_t*> dbig;
-    std::vector<const std::uint8_t*> sbig;
-    if (off != 0) {
-        if (m > kInlineRegions || k > kInlineRegions) {
-            dbig.resize(m);
-            sbig.resize(k);
-            for (std::size_t p = 0; p < m; ++p) dbig[p] = dsts[p] + off;
-            for (std::size_t j = 0; j < k; ++j) sbig[j] = srcs[j] + off;
-            dp = dbig.data();
-            sp = sbig.data();
-        } else {
-            for (std::size_t p = 0; p < m; ++p) d[p] = dsts[p] + off;
-            for (std::size_t j = 0; j < k; ++j) s[j] = srcs[j] + off;
-            dp = d;
-            sp = s;
-        }
-    }
-    const KernelTable& t = kernels();
-    t.encode_blocks(dp, m, sp, k, coeffs, len);
-    detail::note_bytes(t.tier, m * k * len);
-}
-
-void run_encode16(std::uint8_t* const* dsts, std::size_t m, const std::uint8_t* const* srcs,
-                  std::size_t k, const std::uint16_t* coeffs, std::size_t off, std::size_t len) {
-    const KernelTable& t = kernels();
-    constexpr std::size_t kBlock = 16 * 1024;
-    for (std::size_t b = 0; b < len; b += kBlock) {
-        const std::size_t blen = (len - b < kBlock) ? len - b : kBlock;
-        for (std::size_t p = 0; p < m; ++p) {
-            std::uint8_t* dst = dsts[p] + off + b;
-            std::memset(dst, 0, blen);
-            for (std::size_t j = 0; j < k; ++j) {
-                const std::uint16_t c = coeffs[p * k + j];
-                if (c == 0) continue;
-                if (c == 1) {
-                    t.xor_region(dst, srcs[j] + off + b, blen);
-                } else {
-                    t.addmul16_region(dst, srcs[j] + off + b, c, blen);
-                }
-            }
-        }
-    }
-    detail::note_bytes(t.tier, m * k * len);
 }
 
 }  // namespace
 
 void encode_regions(std::span<const ConstByteSpan> srcs, std::span<const ByteSpan> dsts,
                     const std::uint8_t* coeffs, ThreadPool* pool) {
-    encode_dispatch(srcs, dsts, coeffs, pool, run_encode8);
-}
-
-void encode16_regions(const std::vector<ConstByteSpan>& srcs, const std::vector<ByteSpan>& dsts,
-                      const std::uint16_t* coeffs16, ThreadPool* pool) {
-    assert(dsts.empty() || dsts[0].size() % 2 == 0);
-    encode_dispatch(srcs, dsts, coeffs16, pool, run_encode16);
-}
-
-void addmul16_region(ByteSpan dst, ConstByteSpan src, std::uint16_t c) {
-    assert(dst.size() == src.size());
-    assert(dst.size() % 2 == 0);
-    if (c == 0 || dst.empty()) return;
-    const KernelTable& t = kernels();
-    if (c == 1) {
-        t.xor_region(dst.data(), src.data(), dst.size());
-    } else {
-        t.addmul16_region(dst.data(), src.data(), c, dst.size());
-    }
-    detail::note_bytes(t.tier, dst.size());
+    encode_dispatch(srcs, dsts, coeffs, pool);
 }
 
 }  // namespace ecfrm::gf

@@ -6,15 +6,14 @@
 // The table carries both the classic single-coefficient kernels and the
 // fused multi-source `encode_blocks`: dsts[p] = XOR_j coeffs[p*k+j]*srcs[j]
 // computed in one cache-blocked pass (ISA-L style) instead of m*k separate
-// full-region sweeps. High-level entry points (`encode_regions`,
-// `encode16_regions`) add ThreadPool chunking above a size threshold and
-// feed the per-tier ecfrm_gf_bytes_total counter.
+// full-region sweeps. The high-level entry point `encode_regions` adds
+// ThreadPool chunking above a size threshold and feeds the per-tier
+// ecfrm_gf_bytes_total counter.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/types.h"
 
@@ -52,10 +51,6 @@ struct KernelTable {
     /// over n bytes per region. Overwrites dsts; coeffs may contain 0 and 1.
     void (*encode_blocks)(std::uint8_t* const* dsts, std::size_t m, const std::uint8_t* const* srcs,
                           std::size_t k, const std::uint8_t* coeffs, std::size_t n);
-    /// dst ^= c * src over GF(2^16) on little-endian 16-bit symbols.
-    /// Preconditions: c >= 2, n even.
-    void (*addmul16_region)(std::uint8_t* dst, const std::uint8_t* src, std::uint16_t c,
-                            std::size_t n);
 };
 
 /// True when the running CPU can execute `tier` (scalar is always true).
@@ -89,13 +84,5 @@ void attach_kernel_metrics(obs::MetricRegistry* registry);
 /// (parallel_for is nesting-safe: the caller participates).
 void encode_regions(std::span<const ConstByteSpan> srcs, std::span<const ByteSpan> dsts,
                     const std::uint8_t* coeffs, ThreadPool* pool = nullptr);
-
-/// Same shape over GF(2^16) little-endian symbols (coeffs16 is m*k
-/// row-major); region lengths must be even.
-void encode16_regions(const std::vector<ConstByteSpan>& srcs, const std::vector<ByteSpan>& dsts,
-                      const std::uint16_t* coeffs16, ThreadPool* pool = nullptr);
-
-/// dst ^= c * src over GF(2^16) symbols, dispatched (folds c == 0 / 1).
-void addmul16_region(ByteSpan dst, ConstByteSpan src, std::uint16_t c);
 
 }  // namespace ecfrm::gf

@@ -9,7 +9,6 @@
 #include <cstring>
 
 #include "gf/gf256.h"
-#include "gf/gf65536.h"
 #include "gf/kernels.h"
 
 namespace ecfrm::gf::detail {
@@ -79,26 +78,6 @@ inline void encode_blocks_via(std::uint8_t* const* dsts, std::size_t m,
                 }
             }
         }
-    }
-}
-
-/// Scalar GF(2^16) multiply-accumulate over `words` 16-bit LE symbols via
-/// four 16-entry split tables (one per nibble of the source symbol).
-inline void addmul16_words(std::uint8_t* dst, const std::uint8_t* src, std::uint16_t c,
-                           std::size_t words) {
-    std::uint16_t tab[4][16];
-    for (int t = 0; t < 4; ++t) {
-        for (int x = 0; x < 16; ++x) {
-            tab[t][x] = Gf65536::mul(c, static_cast<std::uint16_t>(x << (4 * t)));
-        }
-    }
-    for (std::size_t i = 0; i < words; ++i) {
-        std::uint16_t s, d;
-        std::memcpy(&s, src + 2 * i, 2);
-        std::memcpy(&d, dst + 2 * i, 2);
-        d ^= static_cast<std::uint16_t>(tab[0][s & 0xf] ^ tab[1][(s >> 4) & 0xf] ^
-                                        tab[2][(s >> 8) & 0xf] ^ tab[3][(s >> 12) & 0xf]);
-        std::memcpy(dst + 2 * i, &d, 2);
     }
 }
 

@@ -1,7 +1,6 @@
 #include "gf/region_simd.h"
 
 #include "gf/gf256.h"
-#include "gf/gf65536.h"
 #include "gf/kernels_impl.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -138,47 +137,6 @@ void encode_blocks_ssse3(std::uint8_t* const* dsts, std::size_t m, const std::ui
                          std::size_t k, const std::uint8_t* coeffs, std::size_t n) {
     detail::encode_blocks_via(dsts, m, srcs, k, coeffs, n, xor_sse2, addmul_ssse3,
                               /*block=*/16 * 1024);
-}
-
-__attribute__((target("ssse3"))) void addmul16_ssse3(std::uint8_t* dst, const std::uint8_t* src,
-                                                     std::uint16_t c, std::size_t n) {
-    // Split tables per nibble position of the 16-bit symbol, separated into
-    // low and high product bytes so pshufb can gather each half.
-    alignas(16) std::uint8_t tl[4][16];
-    alignas(16) std::uint8_t th[4][16];
-    for (int t = 0; t < 4; ++t) {
-        for (int x = 0; x < 16; ++x) {
-            const std::uint16_t p = Gf65536::mul(c, static_cast<std::uint16_t>(x << (4 * t)));
-            tl[t][x] = static_cast<std::uint8_t>(p & 0xff);
-            th[t][x] = static_cast<std::uint8_t>(p >> 8);
-        }
-    }
-    __m128i TL[4];
-    __m128i TH[4];
-    for (int t = 0; t < 4; ++t) {
-        TL[t] = _mm_load_si128(reinterpret_cast<const __m128i*>(tl[t]));
-        TH[t] = _mm_load_si128(reinterpret_cast<const __m128i*>(th[t]));
-    }
-    const __m128i nib = _mm_set1_epi16(0x000f);
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-        const __m128i losym = _mm_and_si128(v, _mm_set1_epi16(0x00ff));
-        const __m128i hisym = _mm_srli_epi16(v, 8);
-        const __m128i idx[4] = {_mm_and_si128(losym, nib), _mm_srli_epi16(losym, 4),
-                                _mm_and_si128(hisym, nib), _mm_srli_epi16(hisym, 4)};
-        __m128i prod = _mm_setzero_si128();
-        for (int t = 0; t < 4; ++t) {
-            // Index vectors carry a nibble in each even byte and zero in
-            // each odd byte; entry 0 of every table is 0 (c*0), so the odd
-            // bytes of the shuffles contribute nothing.
-            prod = _mm_xor_si128(prod, _mm_shuffle_epi8(TL[t], idx[t]));
-            prod = _mm_xor_si128(prod, _mm_slli_epi16(_mm_shuffle_epi8(TH[t], idx[t]), 8));
-        }
-        const __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + i));
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), _mm_xor_si128(d, prod));
-    }
-    detail::addmul16_words(dst + i, src + i, c, (n - i) / 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -357,45 +315,6 @@ void encode_blocks_avx2(std::uint8_t* const* dsts, std::size_t m, const std::uin
     detail::encode_blocks_tail(dsts, m, srcs, k, coeffs, body, n);
 }
 
-__attribute__((target("avx2"))) void addmul16_avx2(std::uint8_t* dst, const std::uint8_t* src,
-                                                   std::uint16_t c, std::size_t n) {
-    alignas(16) std::uint8_t tl[4][16];
-    alignas(16) std::uint8_t th[4][16];
-    for (int t = 0; t < 4; ++t) {
-        for (int x = 0; x < 16; ++x) {
-            const std::uint16_t p = Gf65536::mul(c, static_cast<std::uint16_t>(x << (4 * t)));
-            tl[t][x] = static_cast<std::uint8_t>(p & 0xff);
-            th[t][x] = static_cast<std::uint8_t>(p >> 8);
-        }
-    }
-    __m256i TL[4];
-    __m256i TH[4];
-    for (int t = 0; t < 4; ++t) {
-        TL[t] = _mm256_broadcastsi128_si256(_mm_load_si128(reinterpret_cast<const __m128i*>(tl[t])));
-        TH[t] = _mm256_broadcastsi128_si256(_mm_load_si128(reinterpret_cast<const __m128i*>(th[t])));
-    }
-    const __m256i nib = _mm256_set1_epi16(0x000f);
-    const __m256i lomask = _mm256_set1_epi16(0x00ff);
-    std::size_t i = 0;
-    for (; i + 32 <= n; i += 32) {
-        const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-        const __m256i losym = _mm256_and_si256(v, lomask);
-        const __m256i hisym = _mm256_srli_epi16(v, 8);
-        const __m256i idx[4] = {_mm256_and_si256(losym, nib), _mm256_srli_epi16(losym, 4),
-                                _mm256_and_si256(hisym, nib), _mm256_srli_epi16(hisym, 4)};
-        __m256i prod = _mm256_setzero_si256();
-        for (int t = 0; t < 4; ++t) {
-            // Even bytes of idx hold a nibble, odd bytes are zero; table
-            // entry 0 is the zero product, so odd lanes stay clean.
-            prod = _mm256_xor_si256(prod, _mm256_shuffle_epi8(TL[t], idx[t]));
-            prod = _mm256_xor_si256(prod, _mm256_slli_epi16(_mm256_shuffle_epi8(TH[t], idx[t]), 8));
-        }
-        const __m256i d = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), _mm256_xor_si256(d, prod));
-    }
-    detail::addmul16_words(dst + i, src + i, c, (n - i) / 2);
-}
-
 // ---------------------------------------------------------------------------
 // GFNI tier: multiply-by-c as one VGF2P8AFFINEQB per 32 bytes (VEX-encoded,
 // needs AVX2 + GFNI). One affine register per coefficient instead of a
@@ -552,15 +471,15 @@ void encode_blocks_gfni(std::uint8_t* const* dsts, std::size_t m, const std::uin
 // ---------------------------------------------------------------------------
 
 const KernelTable kTableSsse3 = {
-    SimdTier::ssse3, xor_sse2, mul_ssse3, addmul_ssse3, encode_blocks_ssse3, addmul16_ssse3,
+    SimdTier::ssse3, xor_sse2, mul_ssse3, addmul_ssse3, encode_blocks_ssse3,
 };
 
 const KernelTable kTableAvx2 = {
-    SimdTier::avx2, xor_avx2, mul_avx2, addmul_avx2, encode_blocks_avx2, addmul16_avx2,
+    SimdTier::avx2, xor_avx2, mul_avx2, addmul_avx2, encode_blocks_avx2,
 };
 
 const KernelTable kTableGfni = {
-    SimdTier::gfni, xor_avx2, mul_gfni, addmul_gfni, encode_blocks_gfni, addmul16_avx2,
+    SimdTier::gfni, xor_avx2, mul_gfni, addmul_gfni, encode_blocks_gfni,
 };
 
 }  // namespace

@@ -8,9 +8,11 @@
 // denominator is large. The windowed variants forget: each sub-window
 // covers window/sub_windows seconds, expired sub-windows are cleared on
 // the next record/advance, and every query aggregates only the live
-// ring. Both classes are mutex-guarded: they are touched once per
-// *request* (not per device op), so a lock is cheap and keeps the
-// bucket array compact (uint32 counts, no atomics).
+// ring. Every class here is mutex-guarded, which keeps the bucket array
+// compact (uint32 counts, no atomics). The lock is not free on the read
+// path: PlanExecutor calls DiskHeatModel::on_complete once per disk
+// queue, and each call records into three windows (ops, bytes, latency),
+// so a healthy read spread over ~7 disks takes ~21 lock round-trips.
 //
 // Clock domain is the caller's: pass seconds from any monotonic clock
 // (wall or simulated), but stick to one per instance.

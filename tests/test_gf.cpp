@@ -1,4 +1,4 @@
-// GF(2^8) / GF(2^16) field axioms and region-kernel behaviour.
+// GF(2^8) field axioms and region-kernel behaviour.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -6,7 +6,6 @@
 #include "common/aligned_buffer.h"
 #include "common/rng.h"
 #include "gf/gf256.h"
-#include "gf/gf65536.h"
 #include "gf/kernels.h"
 #include "gf/region.h"
 
@@ -104,28 +103,6 @@ TEST(Gf256, GeneratorHasFullOrder) {
 TEST(Gf256, LogExpRoundTrip) {
     for (unsigned a = 1; a < 256; ++a) {
         EXPECT_EQ(Gf256::exp(Gf256::log(static_cast<std::uint8_t>(a))), a);
-    }
-}
-
-TEST(Gf65536, FieldBasics) {
-    EXPECT_EQ(Gf65536::mul(1, 0x1234), 0x1234);
-    EXPECT_EQ(Gf65536::mul(0, 0x1234), 0);
-    Rng rng(3);
-    for (int trial = 0; trial < 20000; ++trial) {
-        const auto a = static_cast<std::uint16_t>(rng.next_below(65536));
-        const auto b = static_cast<std::uint16_t>(rng.next_below(65536));
-        EXPECT_EQ(Gf65536::mul(a, b), Gf65536::mul(b, a));
-        if (b != 0) {
-            EXPECT_EQ(Gf65536::div(Gf65536::mul(a, b), b), a);
-        }
-    }
-}
-
-TEST(Gf65536, InverseOnSample) {
-    Rng rng(5);
-    for (int trial = 0; trial < 5000; ++trial) {
-        const auto a = static_cast<std::uint16_t>(1 + rng.next_below(65535));
-        EXPECT_EQ(Gf65536::mul(a, Gf65536::inv(a)), 1);
     }
 }
 

@@ -1,22 +1,21 @@
 // Differential suite for the runtime-dispatched GF kernel tiers
 // (gf/kernels.h): every tier the CPU exposes is checked against a plain
-// Gf256/Gf65536 reference — all 256 coefficients, unaligned src/dst
+// Gf256 reference — all 256 coefficients, unaligned src/dst
 // offsets, tail lengths 0-63 — plus fused-encode vs naive-encode
-// equivalence on random matrices, pool-chunked equivalence, and the
-// region.h compatibility shims. Runs under ASan/UBSan in CI, which also
+// equivalence on random matrices, pool-chunked and wide (more than 64
+// regions) equivalence, and the region.h compatibility shims. Runs under ASan/UBSan in CI, which also
 // exercises every target-attribute kernel's scalar tails.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "gf/gf256.h"
-#include "gf/gf65536.h"
 #include "gf/kernels.h"
 #include "gf/region.h"
 #include "obs/metrics.h"
@@ -26,7 +25,6 @@ namespace {
 using ecfrm::Rng;
 using ecfrm::ThreadPool;
 using ecfrm::gf::Gf256;
-using ecfrm::gf::Gf65536;
 using ecfrm::gf::KernelTable;
 using ecfrm::gf::SimdTier;
 
@@ -151,42 +149,6 @@ TEST_P(TierSuite, XorDifferential) {
     }
 }
 
-TEST_P(TierSuite, Addmul16Differential) {
-    const KernelTable* t = ecfrm::gf::kernels_for(GetParam());
-    ASSERT_NE(t, nullptr);
-    Rng rng(0x31360000u);
-
-    std::vector<std::uint16_t> coeffs = {2,      3,      0x1d,   0x100,  0x101,
-                                         0x8000, 0xfffe, 0xffff, 0x1111, 0x0f0f};
-    for (int i = 0; i < 48; ++i) {
-        std::uint16_t c = static_cast<std::uint16_t>(rng.next_u64() & 0xffff);
-        if (c >= 2) coeffs.push_back(c);
-    }
-
-    const auto base_src = random_bytes(rng, 4096 + 96);
-    const auto base_dst = random_bytes(rng, 4096 + 96);
-    std::vector<std::uint8_t> got, want;
-    for (const std::uint16_t c : coeffs) {
-        for (const std::size_t off : {std::size_t{0}, std::size_t{2}, std::size_t{6}}) {
-            for (const std::size_t len :
-                 {std::size_t{0}, std::size_t{2}, std::size_t{30}, std::size_t{62},
-                  std::size_t{64}, std::size_t{4096 + 18}}) {
-                got = base_dst;
-                want = base_dst;
-                t->addmul16_region(got.data() + off, base_src.data() + off, c, len);
-                for (std::size_t i = 0; i + 2 <= len; i += 2) {
-                    std::uint16_t s, d;
-                    std::memcpy(&s, base_src.data() + off + i, 2);
-                    std::memcpy(&d, want.data() + off + i, 2);
-                    d ^= Gf65536::mul(c, s);
-                    std::memcpy(want.data() + off + i, &d, 2);
-                }
-                ASSERT_EQ(got, want) << "addmul16 c=" << c << " len=" << len;
-            }
-        }
-    }
-}
-
 // Fused encode_blocks against the naive m*k single-coefficient reference,
 // on random matrices salted with forced 0 and 1 coefficients, lengths
 // straddling the 64-byte segment and the 128 KiB block boundary.
@@ -286,41 +248,48 @@ TEST(EncodeRegions, PoolChunkingMatchesSerial) {
     EXPECT_EQ(mismatches.load(), 0);
 }
 
-TEST(EncodeRegions, Encode16MatchesScalarReference) {
-    Rng rng(0x31367773u);
-    constexpr std::size_t kN = 40000;  // even, crosses 16 KiB blocks
-    constexpr std::size_t kK = 5, kM = 3;
+// More than 64 regions on a side moves encode_regions' pointer tables off
+// the stack, and a pooled chunk at off != 0 rebuilds them shifted. The
+// wide shape covers the first serially; the large shapes (above the 1 MiB
+// pool threshold, odd tail) cover the second on each side. Sources alias
+// one buffer at an odd stride, so k = 100 costs no more memory than one.
+TEST(EncodeRegions, MoreThan64RegionsMatchesNaive) {
+    Rng rng(0x77696465u);
+    const struct {
+        std::size_t k, m, n;
+    } shapes[] = {{100, 70, 4096 + 37}, {65, 1, (1 << 20) + 4099}, {1, 65, (1 << 20) + 4099}};
+    constexpr std::size_t kStride = 61;
+    ThreadPool pool(4);
 
-    std::vector<std::vector<std::uint8_t>> srcs(kK);
-    std::vector<ecfrm::ConstByteSpan> sspan(kK);
-    for (std::size_t j = 0; j < kK; ++j) {
-        srcs[j] = random_bytes(rng, kN);
-        sspan[j] = {srcs[j].data(), srcs[j].size()};
-    }
-    std::vector<std::uint16_t> coeffs(kM * kK);
-    for (auto& c : coeffs) c = static_cast<std::uint16_t>(rng.next_u64() & 0xffff);
-    coeffs[0] = 0;
-    coeffs[1] = 1;
+    for (const auto& shape : shapes) {
+        const auto base = random_bytes(rng, shape.n + shape.k * kStride);
+        std::vector<ecfrm::ConstByteSpan> srcs(shape.k);
+        for (std::size_t j = 0; j < shape.k; ++j) srcs[j] = {base.data() + j * kStride, shape.n};
+        std::vector<std::uint8_t> coeffs(shape.m * shape.k);
+        for (auto& c : coeffs) c = static_cast<std::uint8_t>(rng.next_u64() & 0xff);
+        coeffs[0] = 0;
+        coeffs[1] = 1;
 
-    std::vector<std::vector<std::uint8_t>> got(kM, std::vector<std::uint8_t>(kN, 0x77));
-    std::vector<ecfrm::ByteSpan> dst(kM);
-    for (std::size_t p = 0; p < kM; ++p) dst[p] = {got[p].data(), got[p].size()};
-    ecfrm::gf::encode16_regions(sspan, dst, coeffs.data());
-
-    for (std::size_t p = 0; p < kM; ++p) {
-        std::vector<std::uint8_t> want(kN, 0);
-        for (std::size_t j = 0; j < kK; ++j) {
-            const std::uint16_t c = coeffs[p * kK + j];
-            if (c == 0) continue;
-            for (std::size_t i = 0; i < kN; i += 2) {
-                std::uint16_t s, d;
-                std::memcpy(&s, srcs[j].data() + i, 2);
-                std::memcpy(&d, want.data() + i, 2);
-                d ^= Gf65536::mul(c, s);
-                std::memcpy(want.data() + i, &d, 2);
+        std::vector<std::vector<std::uint8_t>> got(shape.m);
+        std::vector<ecfrm::ByteSpan> dsts(shape.m);
+        std::vector<std::uint8_t> want(shape.n);
+        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+            for (std::size_t d = 0; d < shape.m; ++d) {
+                got[d].assign(shape.n, 0xa5);  // must be overwritten
+                dsts[d] = {got[d].data(), shape.n};
+            }
+            ecfrm::gf::encode_regions(srcs, dsts, coeffs.data(), p);
+            for (std::size_t d = 0; d < shape.m; ++d) {
+                std::fill(want.begin(), want.end(), 0);
+                for (std::size_t j = 0; j < shape.k; ++j) {
+                    const std::uint8_t* row = Gf256::mul_row(coeffs[d * shape.k + j]);
+                    const std::uint8_t* src = srcs[j].data();
+                    for (std::size_t i = 0; i < shape.n; ++i) want[i] ^= row[src[i]];
+                }
+                ASSERT_EQ(got[d], want) << "k=" << shape.k << " m=" << shape.m << " n=" << shape.n
+                                        << " dest=" << d << (p ? " pooled" : " serial");
             }
         }
-        ASSERT_EQ(got[p], want) << "dest " << p;
     }
 }
 

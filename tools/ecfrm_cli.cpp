@@ -1726,8 +1726,7 @@ int cmd_simd(const std::vector<std::string>& args) {
     json += std::string("\"active_tier\":\"") + gf::to_string(gf::active_tier()) + "\",";
     json += "\"tiers\":[";
 
-    std::printf("%-8s %-10s %14s %14s %14s\n", "tier", "supported", "addmul GB/s",
-                "encode GB/s", "addmul16 GB/s");
+    std::printf("%-8s %-10s %14s %14s\n", "tier", "supported", "addmul GB/s", "encode GB/s");
     for (int t = 0; t < gf::kSimdTierCount; ++t) {
         const auto tier = static_cast<gf::SimdTier>(t);
         const gf::KernelTable* kt = gf::kernels_for(tier);
@@ -1736,7 +1735,7 @@ int cmd_simd(const std::vector<std::string>& args) {
         json += std::string(",\"supported\":") + (kt != nullptr ? "true" : "false");
         if (kt == nullptr) {
             json += "}";
-            std::printf("%-8s %-10s %14s %14s %14s\n", gf::to_string(tier), "no", "-", "-", "-");
+            std::printf("%-8s %-10s %14s %14s\n", gf::to_string(tier), "no", "-", "-");
             continue;
         }
         const double addmul = simd_bench_gbps(
@@ -1745,14 +1744,11 @@ int cmd_simd(const std::vector<std::string>& args) {
         const double encode = simd_bench_gbps(
             [&] { kt->encode_blocks(dptr.data(), kM, sptr.data(), kK, coeffs, kN); },
             static_cast<double>(kM) * kK * kN);
-        const double addmul16 = simd_bench_gbps(
-            [&] { kt->addmul16_region(dst.data(), src.data(), 0x1234, kN); }, kN);
-        char buf[160];
-        std::snprintf(buf, sizeof(buf), ",\"addmul_gbps\":%.2f,\"encode_gbps\":%.2f,\"addmul16_gbps\":%.2f}",
-                      addmul, encode, addmul16);
+        char buf[128];
+        std::snprintf(buf, sizeof(buf), ",\"addmul_gbps\":%.2f,\"encode_gbps\":%.2f}", addmul,
+                      encode);
         json += buf;
-        std::printf("%-8s %-10s %14.2f %14.2f %14.2f\n", gf::to_string(tier), "yes", addmul,
-                    encode, addmul16);
+        std::printf("%-8s %-10s %14.2f %14.2f\n", gf::to_string(tier), "yes", addmul, encode);
     }
     json += "]}\n";
 
