@@ -1,7 +1,9 @@
 #include "codes/erasure_code.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <mutex>
 #include <set>
 
 #include "gf/gf256.h"
@@ -12,6 +14,38 @@ namespace ecfrm::codes {
 
 using gf::Gf256;
 using matrix::Matrix;
+
+/// Solved repairs, null for an unsolvable (target, sources) pair. Entries
+/// are never erased, so the repairs they own never move.
+struct ErasureCode::RepairCache {
+    std::uint64_t id = 0;
+    std::mutex mu;
+    RepairMap<std::unique_ptr<const ElementRepair>> repairs;
+};
+
+ErasureCode::ErasureCode() : repair_cache_(std::make_unique<RepairCache>()) {
+    static std::atomic<std::uint64_t> next_id{1};
+    repair_cache_->id = next_id.fetch_add(1, std::memory_order_relaxed);
+}
+
+ErasureCode::~ErasureCode() = default;
+
+std::uint64_t ErasureCode::repair_cache_id() const { return repair_cache_->id; }
+
+const ElementRepair* ErasureCode::cached_repair(int target, std::span<const int> sources) const {
+    RepairCache& cache = *repair_cache_;
+    std::lock_guard<std::mutex> lock(cache.mu);
+    if (auto it = cache.repairs.find(RepairKeyView{target, sources}); it != cache.repairs.end()) {
+        return it->second.get();
+    }
+    std::vector<int> key(sources.begin(), sources.end());
+    auto solved = solve_repair(target, key);
+    auto repair = solved.ok() ? std::make_unique<const ElementRepair>(std::move(solved).take())
+                              : nullptr;
+    const ElementRepair* out = repair.get();
+    cache.repairs.emplace(RepairKey{target, std::move(key)}, std::move(repair));
+    return out;
+}
 
 int ErasureCode::node_of(int position) const {
     assert(position >= 0 && position < n());

@@ -7,9 +7,12 @@
 // cheaper repair hints.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -34,6 +37,42 @@ struct ElementRepair {
     std::vector<RepairTerm> terms;
 };
 
+/// Identity of one repair solve: a target and the exact source list, in
+/// the order given (the solve's pivots, and so its terms, follow it).
+struct RepairKeyView {
+    int target = 0;
+    std::span<const int> sources;
+};
+
+/// RepairKeyView's owning form, the key a RepairMap stores.
+struct RepairKey {
+    int target = 0;
+    std::vector<int> sources;
+
+    operator RepairKeyView() const { return {target, sources}; }
+};
+
+/// Transparent hash and equality over RepairKey and RepairKeyView, so a
+/// RepairMap is searched with a view and no key is built for a lookup.
+struct RepairKeyHash {
+    using is_transparent = void;
+    std::size_t operator()(RepairKeyView key) const {
+        std::uint64_t h = static_cast<std::uint64_t>(key.target) * 0x9E3779B97F4A7C15ULL;
+        for (int p : key.sources) h = (h ^ static_cast<std::uint64_t>(p)) * 0xC2B2AE3D27D4EB4FULL;
+        return static_cast<std::size_t>(h ^ (h >> 31));
+    }
+};
+struct RepairKeyEq {
+    using is_transparent = void;
+    bool operator()(RepairKeyView a, RepairKeyView b) const {
+        return a.target == b.target && std::equal(a.sources.begin(), a.sources.end(),
+                                                  b.sources.begin(), b.sources.end());
+    }
+};
+
+template <typename Value>
+using RepairMap = std::unordered_map<RepairKey, Value, RepairKeyHash, RepairKeyEq>;
+
 /// A full decode plan: one ElementRepair per wanted-but-missing position.
 struct DecodePlan {
     std::vector<ElementRepair> repairs;
@@ -51,7 +90,10 @@ struct RepairSpec {
 /// Systematic linear erasure code over GF(2^8) with one-row stripes.
 class ErasureCode {
   public:
-    virtual ~ErasureCode() = default;
+    ErasureCode();
+    virtual ~ErasureCode();
+    ErasureCode(const ErasureCode&) = delete;
+    ErasureCode& operator=(const ErasureCode&) = delete;
 
     /// Total elements per stripe-row.
     int n() const { return generator().rows(); }
@@ -119,6 +161,18 @@ class ErasureCode {
     /// row span of the sources). Zero-coefficient terms are pruned.
     Result<ElementRepair> solve_repair(int target, const std::vector<int>& sources) const;
 
+    /// solve_repair(), solved once per (target, source list) and kept for
+    /// the code's lifetime: the repair is immutable and stays valid as
+    /// long as the code does, so a plan may refer to it instead of owning
+    /// a copy. Null when the target is outside the sources' span.
+    /// Thread-safe; a hit takes one lock and allocates nothing.
+    const ElementRepair* cached_repair(int target, std::span<const int> sources) const;
+
+    /// Identity of this code's repair cache: nonzero and never reused in
+    /// the process, so a memo of cached_repair() results keyed by it can
+    /// never mistake a later code at the same address for this one.
+    std::uint64_t repair_cache_id() const;
+
     /// Build a decode plan recovering every position in `wanted` from
     /// `available`. Positions already available get no repair entry.
     Result<DecodePlan> plan_decode(const std::vector<int>& available, const std::vector<int>& wanted) const;
@@ -134,6 +188,10 @@ class ErasureCode {
     /// repairs of up to 64 sources.
     static void apply_repair(const ElementRepair& repair, std::span<const ByteSpan> buffers,
                              ThreadPool* pool = nullptr);
+
+  private:
+    struct RepairCache;
+    std::unique_ptr<RepairCache> repair_cache_;
 };
 
 }  // namespace ecfrm::codes

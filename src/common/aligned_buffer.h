@@ -1,4 +1,6 @@
-// Cache-line-aligned, zero-initialised byte buffers for element payloads.
+// Cache-line-aligned byte buffers for element payloads: zero-initialised
+// by default, uninitialised on request for callers that overwrite every
+// byte before reading any.
 #pragma once
 
 #include <algorithm>
@@ -20,14 +22,21 @@ class AlignedBuffer {
 
     AlignedBuffer() = default;
 
-    explicit AlignedBuffer(std::size_t size) : size_(size) {
-        if (size_ > 0) {
-            data_ = static_cast<std::uint8_t*>(::operator new[](size_, std::align_val_t(kAlignment)));
-            std::memset(data_, 0, size_);
-        }
+    explicit AlignedBuffer(std::size_t size) {
+        allocate(size);
+        if (size_ > 0) std::memset(data_, 0, size_);
     }
 
-    AlignedBuffer(const AlignedBuffer& other) : AlignedBuffer(other.size_) {
+    /// A buffer of `size` bytes whose contents are unspecified: for
+    /// payloads a read, an encode or a copy overwrites in full.
+    static AlignedBuffer uninitialized(std::size_t size) {
+        AlignedBuffer b;
+        b.allocate(size);
+        return b;
+    }
+
+    AlignedBuffer(const AlignedBuffer& other) {
+        allocate(other.size_);
         if (size_ > 0) std::memcpy(data_, other.data_, size_);
     }
 
@@ -72,6 +81,13 @@ class AlignedBuffer {
     }
 
   private:
+    void allocate(std::size_t size) {
+        size_ = size;
+        if (size_ > 0) {
+            data_ = static_cast<std::uint8_t*>(::operator new[](size_, std::align_val_t(kAlignment)));
+        }
+    }
+
     void release() {
         if (data_ != nullptr) {
             ::operator delete[](data_, std::align_val_t(kAlignment));

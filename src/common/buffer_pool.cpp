@@ -48,7 +48,6 @@ PooledBuffer BufferPool::acquire() {
     }
     if (slab < 0) return PooledBuffer::heap(buffer_bytes_);
     std::uint8_t* p = arena_ + static_cast<std::size_t>(slab) * stride_;
-    std::memset(p, 0, buffer_bytes_);
     PooledBuffer b;
     b.pool_ = this;
     b.slab_ = slab;

@@ -9,7 +9,12 @@
 //     lies inside it can use IORING_OP_READ_FIXED (no per-op page pinning).
 //
 // Exhaustion never fails: acquire() falls back to a private heap buffer
-// (same alignment, same zero-init), it just won't be inside the arena.
+// (same alignment), it just won't be inside the arena. Buffers are handed
+// out uninitialised — a slab may still hold the bytes of its last user,
+// which may have been another archive — so a holder must write every byte
+// it publishes: the executor stages an element only into a buffer a
+// device read or a decode then fills in full, and never publishes a
+// buffer whose read failed.
 // Thread-safe; a handle may be released from any thread.
 #pragma once
 
@@ -60,10 +65,11 @@ class PooledBuffer {
     /// True when the buffer lives inside a pool arena (registered memory).
     bool pooled() const { return pool_ != nullptr; }
 
-    /// Pool-less heap buffer with the same semantics (zeroed, aligned).
+    /// Pool-less heap buffer with the same semantics (uninitialised,
+    /// aligned).
     static PooledBuffer heap(std::size_t size) {
         PooledBuffer b;
-        b.heap_ = AlignedBuffer(size);
+        b.heap_ = AlignedBuffer::uninitialized(size);
         b.view_ = b.heap_.span();
         return b;
     }
@@ -92,8 +98,8 @@ class BufferPool {
     BufferPool(const BufferPool&) = delete;
     BufferPool& operator=(const BufferPool&) = delete;
 
-    /// A zeroed buffer of buffer_bytes(). Falls back to a heap buffer
-    /// (outside the arena) when every slab is out.
+    /// An uninitialised buffer of buffer_bytes(). Falls back to a heap
+    /// buffer (outside the arena) when every slab is out.
     PooledBuffer acquire();
 
     std::size_t buffer_bytes() const { return buffer_bytes_; }
@@ -127,7 +133,7 @@ class BufferPool {
     std::int64_t exhausted_ = 0;  // guarded by mu_
 };
 
-/// A zeroed staging buffer of at least `size` bytes: a slab of `pool`
+/// An uninitialised staging buffer of at least `size` bytes: a slab of `pool`
 /// when the pool is given and its slabs are big enough, else a heap
 /// buffer of exactly `size`.
 inline PooledBuffer staging_buffer(std::size_t size, BufferPool* pool) {

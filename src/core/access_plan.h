@@ -62,11 +62,15 @@ class PlanBatches {
     std::vector<std::size_t> cursor_;  // per disk: next free slot while filling
 };
 
-/// Decode recipe for one group that lost an element the user wants.
+/// Decode recipe for one group that lost an element the user wants (or,
+/// in a reconstruction plan, an element being rebuilt).
 struct GroupDecode {
     StripeId stripe = 0;
     int group = 0;
-    codes::ElementRepair repair;  // positions are candidate-code positions
+    /// The code's cached repair (codes::ErasureCode::cached_repair):
+    /// positions are candidate-code positions, and the plan is valid only
+    /// while the scheme's code lives.
+    const codes::ElementRepair* repair = nullptr;
 };
 
 class AccessPlan {
@@ -90,7 +94,7 @@ class AccessPlan {
         ++per_disk_[static_cast<std::size_t>(access.loc.disk)];
     }
 
-    void add_decode(GroupDecode decode) { decodes_.push_back(std::move(decode)); }
+    void add_decode(const GroupDecode& decode) { decodes_.push_back(decode); }
 
     const std::vector<Access>& fetches() const { return fetches_; }
     const std::vector<GroupDecode>& decodes() const { return decodes_; }

@@ -114,13 +114,13 @@ Result<std::string> explain_read_json(const Scheme& scheme, ElementId start, std
         if (i != 0) out += ",";
         out += "{\"stripe\":" + std::to_string(d.stripe);
         out += ",\"group\":" + std::to_string(d.group);
-        out += ",\"lost_position\":" + std::to_string(d.repair.target_position);
+        out += ",\"lost_position\":" + std::to_string(d.repair->target_position);
         out += ",\"sources\":[";
         // Map each source's code position back to its physical disk so the
         // repair equation reads as actual I/O, not abstract algebra.
         const auto locations = scheme.group_locations(d.stripe, d.group);
-        for (std::size_t t = 0; t < d.repair.terms.size(); ++t) {
-            const codes::RepairTerm& term = d.repair.terms[t];
+        for (std::size_t t = 0; t < d.repair->terms.size(); ++t) {
+            const codes::RepairTerm& term = d.repair->terms[t];
             if (t != 0) out += ",";
             const DiskId disk =
                 term.source_position >= 0 &&

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <string>
 #include <tuple>
 
 #include "obs/metrics.h"
@@ -125,25 +126,43 @@ void greedy_order(PlanBuilder& b, const GroupCoord& target, std::vector<int>& or
     });
 }
 
+/// The code's cached repair of `target` over `sources`, through the
+/// scratch's memo: a repeated (target, sources) pair takes no lock and
+/// allocates nothing. Null when the sources do not span the target.
+const codes::ElementRepair* repair_for(PlanBuilder& b, int target, std::span<const int> sources) {
+    const auto& code = b.scheme.code();
+    PlanScratch& s = b.s;
+    if (s.repair_code != code.repair_cache_id()) {
+        s.repairs.clear();
+        s.repair_code = code.repair_cache_id();
+    }
+    if (auto it = s.repairs.find(codes::RepairKeyView{target, sources}); it != s.repairs.end()) {
+        return it->second;
+    }
+    const codes::ElementRepair* repair = code.cached_repair(target, sources);
+    s.repairs.emplace(codes::RepairKey{target, {sources.begin(), sources.end()}}, repair);
+    return repair;
+}
+
 /// Smallest greedy prefix of the survivors (b.s.survivors, reordered in
 /// place) that spans the target (k for MDS codes; possibly more for LRC
 /// when the local set is broken, fewer for sub-packetized codes whose
-/// substripes decode independently).
-Result<codes::ElementRepair> greedy_repair(PlanBuilder& b, const GroupCoord& target) {
+/// substripes decode independently). Null when no prefix does.
+const codes::ElementRepair* greedy_repair(PlanBuilder& b, const GroupCoord& target) {
     const auto& code = b.scheme.code();
     std::vector<int>& order = b.s.survivors;
     greedy_order(b, target, order);
     const std::size_t min_count =
         std::min<std::size_t>(static_cast<std::size_t>(code.data_nodes()), order.size());
-    Result<codes::ElementRepair> last = Error::undecodable("no survivors");
     for (std::size_t count = min_count; count <= order.size(); ++count) {
         std::vector<int>& sources = b.s.sources;
         sources.assign(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(count));
         std::sort(sources.begin(), sources.end());
-        last = code.solve_repair(target.position, sources);
-        if (last.ok()) return last;
+        if (const codes::ElementRepair* repair = repair_for(b, target.position, sources)) {
+            return repair;
+        }
     }
-    return last;
+    return nullptr;
 }
 
 /// Cost of a candidate repair, in comparison order: max per-disk load
@@ -185,9 +204,9 @@ bool touches_straggler(PlanBuilder& b, const GroupCoord& target,
 /// Shared repair-source policy: structured set first (when fully alive),
 /// then a greedy survivor prefix. Under DegradedPolicy::balance both
 /// candidates compete on projected max load. b.s.disk_failed marks the
-/// unavailable disks.
-Result<codes::ElementRepair> choose_repair(PlanBuilder& b, const GroupCoord& target,
-                                           DegradedPolicy policy) {
+/// unavailable disks. Null when the survivors cannot rebuild the target.
+const codes::ElementRepair* choose_repair(PlanBuilder& b, const GroupCoord& target,
+                                          DegradedPolicy policy) {
     const auto& code = b.scheme.code();
     const auto& layout = b.scheme.layout();
     auto alive = [&](int position) {
@@ -207,23 +226,37 @@ Result<codes::ElementRepair> choose_repair(PlanBuilder& b, const GroupCoord& tar
     bool intact = !spec.preferred.empty();
     for (int p : spec.preferred) intact = intact && alive(p);
     if (!intact) return greedy_repair(b, target);
-    auto structured = code.solve_repair(target.position, spec.preferred);
+    const codes::ElementRepair* structured = repair_for(b, target.position, spec.preferred);
 
     // local_first keeps the structured set unless health says otherwise:
     // a structured repair that would drag a flagged straggler into the
     // read competes against the greedy alternative instead of winning
     // outright.
-    if (policy == DegradedPolicy::local_first && structured.ok() &&
-        !touches_straggler(b, target, structured.value())) {
+    if (policy == DegradedPolicy::local_first && structured != nullptr &&
+        !touches_straggler(b, target, *structured)) {
         return structured;
     }
 
-    auto greedy = greedy_repair(b, target);
-    if (!structured.ok()) return greedy;
-    if (!greedy.ok()) return structured;
-    return projected_cost(b, target, greedy.value()) < projected_cost(b, target, structured.value())
-               ? greedy
-               : structured;
+    const codes::ElementRepair* greedy = greedy_repair(b, target);
+    if (structured == nullptr) return greedy;
+    if (greedy == nullptr) return structured;
+    return projected_cost(b, target, *greedy) < projected_cost(b, target, *structured) ? greedy
+                                                                                        : structured;
+}
+
+/// Plan `target`'s repair into the plan: its sources' fetches (each
+/// deduplicated against the plan) and its decode recipe.
+Status add_repair(PlanBuilder& b, const GroupCoord& target, DegradedPolicy policy) {
+    const codes::ElementRepair* repair = choose_repair(b, target, policy);
+    if (repair == nullptr) {
+        return Error::undecodable("element at position " + std::to_string(target.position) +
+                                  " cannot be rebuilt from the surviving disks");
+    }
+    for (const auto& term : repair->terms) {
+        b.fetch({target.stripe, target.group, term.source_position}, /*requested=*/false);
+    }
+    b.plan.add_decode({target.stripe, target.group, repair});
+    return Status::success();
 }
 
 }  // namespace
@@ -332,12 +365,8 @@ Status plan_degraded_read(const Scheme& scheme, ElementId start, std::int64_t co
     // erase up to f * w elements per group — each gets its own repair,
     // with the dedup in fetch() sharing sources across them.
     for (const GroupCoord& target : lost) {
-        auto repair = choose_repair(b, target, policy);
-        if (!repair.ok()) return repair.error();
-        for (const auto& term : repair->terms) {
-            b.fetch({target.stripe, target.group, term.source_position}, /*requested=*/false);
-        }
-        plan.add_decode({target.stripe, target.group, std::move(repair).take()});
+        auto added = add_repair(b, target, policy);
+        if (!added.ok()) return added;
     }
 
     plan.set_requested(count);
@@ -346,31 +375,43 @@ Status plan_degraded_read(const Scheme& scheme, ElementId start, std::int64_t co
 }
 
 Result<AccessPlan> plan_reconstruction(const Scheme& scheme, DiskId failed_disk, StripeId stripes) {
-    if (failed_disk < 0 || failed_disk >= scheme.disks()) return Error::range("no such disk");
-    const auto& layout = scheme.layout();
-    const RowId rows = stripes * layout.rows_per_stripe();
     PlanScratch scratch;
     AccessPlan plan;
-    PlanBuilder b(scheme, 0, stripes, static_cast<std::size_t>(rows * scheme.code().k()), {},
-                  scratch, plan);
+    auto status = plan_reconstruction(scheme, failed_disk, 0, scheme.rows_for(stripes), {},
+                                      scratch, plan);
+    if (!status.ok()) return status.error();
+    return plan;
+}
+
+Status plan_reconstruction(const Scheme& scheme, DiskId target_disk, RowId first_row, RowId rows,
+                           std::span<const DiskId> failed_disks, PlanScratch& scratch,
+                           AccessPlan& plan) {
+    if (target_disk < 0 || target_disk >= scheme.disks()) return Error::range("no such disk");
+    if (first_row < 0 || rows < 0) return Error::range("negative row range");
+    const auto& layout = scheme.layout();
+    // Repair sources share their target's group, so every fetch lies in
+    // the stripes the rows span.
+    const int rows_per_stripe = layout.rows_per_stripe();
+    const StripeId first_stripe = first_row / rows_per_stripe;
+    const StripeId stripes =
+        rows > 0 ? (first_row + rows - 1) / rows_per_stripe - first_stripe + 1 : 0;
+    PlanBuilder b(scheme, first_stripe, stripes, static_cast<std::size_t>(rows * scheme.code().k()),
+                  {}, scratch, plan);
 
     scratch.disk_failed.assign(static_cast<std::size_t>(scheme.disks()), 0);
-    scratch.disk_failed[static_cast<std::size_t>(failed_disk)] = 1;
-
-    std::int64_t rebuilt = 0;
-    for (RowId row = 0; row < rows; ++row) {
-        const GroupCoord target = layout.coord_at({failed_disk, row});
-        auto repair = choose_repair(b, target, DegradedPolicy::local_first);
-        if (!repair.ok()) return repair.error();
-        for (const auto& term : repair->terms) {
-            b.fetch({target.stripe, target.group, term.source_position}, /*requested=*/false);
-        }
-        plan.add_decode({target.stripe, target.group, std::move(repair).take()});
-        ++rebuilt;
+    scratch.disk_failed[static_cast<std::size_t>(target_disk)] = 1;
+    for (DiskId d : failed_disks) {
+        if (d < 0 || d >= scheme.disks()) return Error::range("no such disk");
+        scratch.disk_failed[static_cast<std::size_t>(d)] = 1;
     }
-    plan.set_requested(rebuilt);
+
+    for (RowId row = first_row; row < first_row + rows; ++row) {
+        auto added = add_repair(b, layout.coord_at({target_disk, row}), DegradedPolicy::local_first);
+        if (!added.ok()) return added;
+    }
+    plan.set_requested(rows);
     note_plan(plan, &PlannerMetrics::reconstruction);
-    return plan;
+    return Status::success();
 }
 
 }  // namespace ecfrm::core

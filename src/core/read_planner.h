@@ -34,8 +34,9 @@ AccessPlan plan_normal_read(const Scheme& scheme, ElementId start, std::int64_t 
 /// plan_normal_read(), refilled into `plan`'s storage.
 void plan_normal_read(const Scheme& scheme, ElementId start, std::int64_t count, AccessPlan& plan);
 
-/// Working storage of the degraded planner, kept by a caller that plans
-/// repeatedly so a plan reuses the last one's capacity.
+/// Working storage of the degraded and reconstruction planners, kept by a
+/// caller that plans repeatedly so a plan reuses the last one's capacity
+/// and repair solves.
 struct PlanScratch {
     std::vector<char> seen;         // dedup flag per element of the stripe window
     std::vector<char> disk_failed;  // per disk
@@ -43,6 +44,13 @@ struct PlanScratch {
     std::vector<int> survivors;     // repair candidates of one lost element
     std::vector<int> sources;       // one candidate source set
     std::vector<int> loads;         // projected per-disk loads
+    /// Memo of one code's cached repairs (codes::ErasureCode::
+    /// cached_repair), null for a source set that cannot rebuild its
+    /// target: a plan that meets a (target, sources) pair again takes no
+    /// lock and allocates nothing. Reset when the planned code changes;
+    /// repair_code is that code's repair_cache_id(), 0 for none.
+    std::uint64_t repair_code = 0;
+    codes::RepairMap<const codes::ElementRepair*> repairs;
 };
 
 /// Repair-source policy for degraded reads.
@@ -86,10 +94,22 @@ Status plan_degraded_read(const Scheme& scheme, ElementId start, std::int64_t co
                           AccessPlan& plan);
 
 /// Plan the offline reconstruction of every element of `failed_disk` over
-/// `stripes` stored stripes: one decode per lost element, repair sources
-/// chosen with the same structured-first, then load-balancing-greedy
-/// policy as degraded reads. The plan's fetches are the rebuild's read
-/// traffic; requested() counts the elements to rebuild.
+/// `stripes` stored stripes: the row-range form below over all of the
+/// disk's rows, with no other disk failed.
 Result<AccessPlan> plan_reconstruction(const Scheme& scheme, DiskId failed_disk, StripeId stripes);
+
+/// Plan the reconstruction of rows [first_row, first_row + rows) of
+/// `target_disk` while every disk in `failed_disks` is unavailable too
+/// (the target counts as lost whether listed or not): one decode per
+/// row, repair sources chosen with the same structured-first, then
+/// load-balancing-greedy policy as degraded reads, and each source
+/// fetched once however many rows share it. The plan's fetches are the
+/// rebuild's read traffic; requested() counts the elements to rebuild.
+/// Fills `plan` with `scratch` as working memory. Fails with
+/// Error::undecodable when some row cannot be rebuilt from the disks
+/// left.
+Status plan_reconstruction(const Scheme& scheme, DiskId target_disk, RowId first_row, RowId rows,
+                           std::span<const DiskId> failed_disks, PlanScratch& scratch,
+                           AccessPlan& plan);
 
 }  // namespace ecfrm::core

@@ -38,6 +38,9 @@ class WritePlan {
   public:
     explicit WritePlan(int disks) : per_disk_(static_cast<std::size_t>(disks), 0) {}
 
+    /// Room for `writes` placements without regrowing.
+    void reserve(std::size_t writes) { writes_.reserve(writes); }
+
     /// Record a placement; the caller guarantees (disk, row) is distinct.
     void add_write(const WriteAccess& access) {
         writes_.push_back(access);
@@ -57,6 +60,7 @@ class WritePlan {
             if (slot[d] < 0) {
                 slot[d] = static_cast<int>(out.size());
                 out.push_back(WriteBatch{writes_[i].loc.disk, {}, {}});
+                out.back().write_indices.reserve(static_cast<std::size_t>(per_disk_[d]));
             }
             out[static_cast<std::size_t>(slot[d])].write_indices.push_back(i);
         }

@@ -52,18 +52,6 @@ Status PlanExecutor::device_read(DiskId disk, RowId row, ByteSpan out) const {
         [&](std::size_t) { return read_by_deadline(disk, row, opts, {}, nullptr, read); });
 }
 
-Status PlanExecutor::device_write(DiskId disk, RowId row, ConstByteSpan data) const {
-    store::BlockDevice& device = *devices_[static_cast<std::size_t>(disk)];
-    const std::span<const RowId> rows(&row, 1);
-    std::size_t done = 0;
-    return submit_queue(
-        disk, rows, options(), 1, &done, {},
-        [&](std::size_t, std::size_t, std::size_t* completed) {
-            return device.write_batch(rows, std::span<const ConstByteSpan>(&data, 1), completed);
-        },
-        [&](std::size_t) { return device.write(row, data); });
-}
-
 Status PlanExecutor::read_by_deadline(DiskId disk, RowId row, const RecoveryOptions& opts,
                                       TraceCtx tc, std::size_t* completed,
                                       FunctionRef<Status()> read) const {
@@ -684,13 +672,14 @@ Status PlanExecutor::try_decode(RequestScratch& s, bool partial, TraceCtx tc, Si
     std::vector<ByteSpan>& buffers = s.positions;
     buffers.resize(static_cast<std::size_t>(scheme_->code().n()));
     for (const auto& decode : s.plan.decodes()) {
-        const Key target_key{decode.stripe, decode.group, decode.repair.target_position};
+        const codes::ElementRepair& repair = *decode.repair;
+        const Key target_key{decode.stripe, decode.group, repair.target_position};
         // Recipes run in plan order (later recipes may chain on earlier
         // targets); ones already satisfied by an eager pass are skipped,
         // so each recipe is decoded and counted exactly once per fetch.
         if (elements.contains(target_key)) continue;
         bool ready = true;
-        for (const auto& term : decode.repair.terms) {
+        for (const auto& term : repair.terms) {
             const ByteSpan source =
                 elements.find({decode.stripe, decode.group, term.source_position});
             if (source.empty()) {
@@ -705,8 +694,8 @@ Status PlanExecutor::try_decode(RequestScratch& s, bool partial, TraceCtx tc, Si
         ByteSpan target = sink_for(target_key, sink);
         const bool sunk = !target.empty();
         if (!sunk) target = elements.stage(static_cast<std::size_t>(element_bytes_), buffer_pool_);
-        buffers[static_cast<std::size_t>(decode.repair.target_position)] = target;
-        codes::ErasureCode::apply_repair(decode.repair, buffers, pool_);
+        buffers[static_cast<std::size_t>(repair.target_position)] = target;
+        codes::ErasureCode::apply_repair(repair, buffers, pool_);
         elements.emplace(target_key, target, sunk);
         if (m.decodes != nullptr) m.decodes->add(1);
         if (tc.rt != nullptr) {
@@ -715,16 +704,15 @@ Status PlanExecutor::try_decode(RequestScratch& s, bool partial, TraceCtx tc, Si
                             obs::forensic_now_us() - decode_t0,
                             {obs::RequestTrace::IntAttr{"stripe", decode.stripe},
                              {"group", decode.group},
-                             {"position", decode.repair.target_position},
-                             {"sources", static_cast<std::int64_t>(decode.repair.terms.size())}});
+                             {"position", repair.target_position},
+                             {"sources", static_cast<std::int64_t>(repair.terms.size())}});
         }
     }
     return Status::success();
 }
 
-Result<std::int64_t> PlanExecutor::rebuild_element(const GroupCoord& coord,
-                                                   const std::vector<char>& avoid,
-                                                   ByteSpan target) const {
+Status PlanExecutor::rebuild_element(const GroupCoord& coord, const std::vector<char>& avoid,
+                                     ByteSpan target) const {
     const auto& code = scheme_->code();
     std::vector<int> available;
     for (int p = 0; p < code.n(); ++p) {
@@ -732,22 +720,24 @@ Result<std::int64_t> PlanExecutor::rebuild_element(const GroupCoord& coord,
         const Location ploc = scheme_->layout().locate({coord.stripe, coord.group, p});
         if (!avoid[static_cast<std::size_t>(ploc.disk)]) available.push_back(p);
     }
-    auto repair = code.solve_repair(coord.position, available);
-    if (!repair.ok()) return repair.error();
-    std::vector<AlignedBuffer> srcs;
+    const codes::ElementRepair* repair = code.cached_repair(coord.position, available);
+    if (repair == nullptr) return Error::undecodable("hedged element has too few sources left");
+    const auto eb = static_cast<std::size_t>(element_bytes_);
+    std::vector<PooledBuffer> srcs;
     std::vector<ByteSpan> buffers(static_cast<std::size_t>(code.n()));
     srcs.reserve(repair->terms.size());
     for (const auto& term : repair->terms) {
         const Location sloc =
             scheme_->layout().locate({coord.stripe, coord.group, term.source_position});
-        srcs.emplace_back(static_cast<std::size_t>(element_bytes_));
-        auto status = device_read(sloc.disk, sloc.row, srcs.back().span());
-        if (!status.ok()) return status.error();
-        buffers[static_cast<std::size_t>(term.source_position)] = srcs.back().span();
+        srcs.push_back(staging_buffer(eb, buffer_pool_));
+        const ByteSpan src = srcs.back().span().first(eb);
+        auto status = device_read(sloc.disk, sloc.row, src);
+        if (!status.ok()) return status;
+        buffers[static_cast<std::size_t>(term.source_position)] = src;
     }
     buffers[static_cast<std::size_t>(coord.position)] = target;
-    codes::ErasureCode::apply_repair(repair.value(), buffers);
-    return static_cast<std::int64_t>(repair->terms.size());
+    codes::ErasureCode::apply_repair(*repair, buffers);
+    return Status::success();
 }
 
 Status PlanExecutor::read_group(StripeId stripe, int group, std::span<const ByteSpan> bufs) const {

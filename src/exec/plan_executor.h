@@ -14,11 +14,19 @@
 //   - the decode stage that materialises lost elements from a plan's
 //     repair recipes.
 //
-// The same engine serves the normal/degraded read path (fetch + decode),
-// reconstruction (rebuild_element), and scrub/verify (read_group), so all
-// three share one I/O policy. All methods are thread-safe: N readers may
-// call fetch() concurrently, and recovery options / observability can be
-// swapped while requests are in flight.
+// The same engine serves the normal/degraded read path and reconstruction
+// — both plan, then run fetch + decode; a rebuild's plan decodes the lost
+// disk's rows instead of a user's range — and scrub/verify (read_group),
+// so all of them share one I/O policy. All methods are thread-safe: N
+// readers may call fetch() concurrently, and recovery options /
+// observability can be swapped while requests are in flight.
+//
+// Staging contract: element staging (arena slabs and their heap
+// fallbacks) is handed out uninitialised and may hold another request's
+// bytes. An element is published into a request's ElementTable only once
+// a device read or a decode has written all of it; an op that failed or
+// timed out is never marked fetched, so its partly written staging is
+// never read.
 //
 // A request's metadata — plan, schedule, element table, submission round —
 // lives in a RequestScratch that each reading thread leases (ScratchLease)
@@ -35,7 +43,6 @@
 #include <span>
 #include <vector>
 
-#include "common/aligned_buffer.h"
 #include "common/buffer_pool.h"
 #include "common/function_ref.h"
 #include "common/result.h"
@@ -238,13 +245,6 @@ class PlanExecutor {
     /// into caller memory.
     Status decode(RequestScratch& s, TraceCtx tc = {}, Sink sink = {}) const;
 
-    /// Rebuild one element into `target` from group sources living on
-    /// disks not marked in `avoid` (indexed by DiskId), using policy
-    /// reads. Returns the number of source elements read. Reconstruction
-    /// and hedged reads both use it.
-    Result<std::int64_t> rebuild_element(const layout::GroupCoord& coord,
-                                         const std::vector<char>& avoid, ByteSpan target) const;
-
     /// Read every element of one group into bufs[position] (n spans of
     /// element_bytes), batched per disk. Raw device reads: no retry or
     /// timeout policy — callers (scrub, verify) want the device's first
@@ -279,9 +279,6 @@ class PlanExecutor {
     /// transient errors. On timeout the payload is discarded and
     /// Error::timeout is returned (the caller routes around the device).
     Status device_read(DiskId disk, RowId row, ByteSpan out) const;
-    /// Device write with bounded retries on transient errors (a retry
-    /// rewrites the full payload, healing torn writes).
-    Status device_write(DiskId disk, RowId row, ConstByteSpan data) const;
 
   private:
     friend struct RequestScratch;
@@ -292,8 +289,8 @@ class PlanExecutor {
     obs::DiskHeatModel* heat() const { return heat_.load(std::memory_order_acquire); }
 
     /// The chunk, suffix-retry and traced-backoff loop of every per-disk
-    /// submission queue — batched and timed reads, device_read, writes
-    /// and device_write: `chunk(offset, n, &completed)` issues rows[offset,
+    /// submission queue — batched and timed reads, device_read and
+    /// writes: `chunk(offset, n, &completed)` issues rows[offset,
     /// offset + n) as one device call, at most `depth` ops deep, and
     /// `single(j)` re-issues op j alone. A transient failure retries just
     /// the failing op under the policy (its in-chunk failure was attempt
@@ -400,6 +397,11 @@ class PlanExecutor {
     /// waiting.
     void hedge(const Round& r, const std::vector<DiskId>& excluded, ElementTable& fetched,
                TraceCtx tc, double deadline_ms, bool auto_deadline) const;
+    /// Hedged reads: rebuild one element into `target` from group sources
+    /// living on disks not marked in `avoid` (indexed by DiskId), one
+    /// policy read (device_read) per source.
+    Status rebuild_element(const layout::GroupCoord& coord, const std::vector<char>& avoid,
+                           ByteSpan target) const;
     /// Record queue `q`'s `name` span on the request trace.
     void trace_queue(TraceCtx tc, const char* name, const Round::Queue& q) const;
 
@@ -443,13 +445,14 @@ class PlanExecutor {
 
 /// The metadata one request needs from plan to assemble, kept per reading
 /// thread (see ScratchLease) so each request reuses the last one's
-/// capacity: a steady-state healthy read allocates none of it. Element
+/// capacity: a steady-state read, healthy or degraded, allocates none of
+/// it, and neither does a rebuild round's fetch and decode. Element
 /// bytes never live here — they sit in caller memory or arena staging
 /// that the lease releases when it ends.
 struct RequestScratch {
     core::AccessPlan plan;          // the current round's plan
     core::PlanBatches batches;      // its per-disk schedule
-    core::PlanScratch planner;      // degraded planner working memory
+    core::PlanScratch planner;      // planner working memory and repair memo
     ElementTable elements;          // fetched, hedged and decoded elements
     std::vector<DiskId> excluded;   // disks the plan routes around
     std::vector<char> stragglers;   // heat-model straggler flags, per disk

@@ -18,7 +18,7 @@ Status Disk::write(RowId row, ConstByteSpan data) {
             written_.resize(static_cast<std::size_t>(row) + 1, false);
         }
         auto& slot = slots_[static_cast<std::size_t>(row)];
-        if (slot.size() == 0) slot = AlignedBuffer(static_cast<std::size_t>(element_bytes_));
+        if (slot.size() == 0) slot = AlignedBuffer::uninitialized(static_cast<std::size_t>(element_bytes_));
         std::memcpy(slot.data(), data.data(), data.size());
         written_[static_cast<std::size_t>(row)] = true;
         return Status::success();
@@ -96,7 +96,7 @@ Status Disk::write_batch(std::span<const RowId> rows, std::span<const ConstByteS
                 written_.resize(row + 1, false);
             }
             auto& slot = slots_[row];
-            if (slot.size() == 0) slot = AlignedBuffer(static_cast<std::size_t>(element_bytes_));
+            if (slot.size() == 0) slot = AlignedBuffer::uninitialized(static_cast<std::size_t>(element_bytes_));
             std::memcpy(slot.data(), payloads[i].data(), payloads[i].size());
             written_[row] = true;
             done = i + 1;

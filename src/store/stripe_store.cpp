@@ -247,8 +247,10 @@ Status StripeStore::compute_stripe_parity(ConstByteSpan stripe_data,
     const int m = code.m();
     parity_bufs.clear();
     parity_bufs.reserve(static_cast<std::size_t>(groups) * static_cast<std::size_t>(m));
+    // encode() overwrites every parity byte, so the buffers start
+    // uninitialised.
     for (int i = 0; i < groups * m; ++i) {
-        parity_bufs.emplace_back(static_cast<std::size_t>(element_bytes_));
+        parity_bufs.push_back(AlignedBuffer::uninitialized(static_cast<std::size_t>(element_bytes_)));
     }
     auto encode_group = [&](std::size_t g) {
         std::vector<ConstByteSpan> data(static_cast<std::size_t>(k));
@@ -1046,20 +1048,13 @@ Status StripeStore::begin_rebuild(DiskId disk) {
     if (!unencoded_.empty()) {
         return Error::invalid("begin_rebuild with parity-pending stripes; drain the encode backlog first");
     }
-    RebuildState st;
-    st.avoid.assign(static_cast<std::size_t>(scheme_.disks()), 0);
-    for (DiskId d : failed_disks_locked()) st.avoid[static_cast<std::size_t>(d)] = 1;
-    for (int d = 0; d < scheme_.disks(); ++d) {
-        if (rebuilding_[static_cast<std::size_t>(d)] != 0) st.avoid[static_cast<std::size_t>(d)] = 1;
-    }
     disks_[static_cast<std::size_t>(disk)]->replace();
     if (disks_[static_cast<std::size_t>(disk)]->failed()) {
         return Error::disk_failed("replacement for disk " + std::to_string(disk) +
                                   " could not be brought online");
     }
     rebuilding_[static_cast<std::size_t>(disk)] = 1;
-    st.target_rows = scheme_.rows_for(stripes_);
-    rebuilds_[disk] = std::move(st);
+    rebuilds_[disk] = scheme_.rows_for(stripes_);
     return Status::success();
 }
 
@@ -1069,7 +1064,7 @@ Result<RowId> StripeStore::rebuild_target_rows(DiskId disk) const {
     if (it == rebuilds_.end()) {
         return Error::invalid("no rebuild in flight for disk " + std::to_string(disk));
     }
-    return it->second.target_rows;
+    return it->second;
 }
 
 Result<ReconstructStats> StripeStore::rebuild_rows(DiskId disk, RowId first, RowId count) {
@@ -1080,53 +1075,70 @@ Result<ReconstructStats> StripeStore::rebuild_rows(DiskId disk, RowId first, Row
     if (it == rebuilds_.end()) {
         return Error::invalid("no rebuild in flight for disk " + std::to_string(disk));
     }
-    const RebuildState& st = it->second;
-    const RowId lo = std::min(first, st.target_rows);
-    const RowId hi = std::min(first + count, st.target_rows);
-    const auto nrows = static_cast<std::size_t>(hi > lo ? hi - lo : 0);
-    if (nrows == 0) return ReconstructStats{0, 0};
+    const RowId lo = std::min(first, it->second);
+    const RowId hi = std::min(first + count, it->second);
 
-    const int k = scheme_.code().k();
-    std::vector<AlignedBuffer> targets;
-    targets.reserve(nrows);
-    for (std::size_t i = 0; i < nrows; ++i) targets.emplace_back(static_cast<std::size_t>(element_bytes_));
+    // Rounds end on stripe boundaries, so no group's rows (and the
+    // sources they share) straddle two rounds.
+    const int rows_per_stripe = scheme_.layout().rows_per_stripe();
+    const StripeId stripes_per_round = rebuild_round_stripes();
+    exec::ScratchLease scratch;
+    ReconstructStats stats;
+    for (RowId row = lo; row < hi;) {
+        const RowId end = std::min(hi, (row / rows_per_stripe + stripes_per_round) * rows_per_stripe);
+        auto status = rebuild_round(disk, row, end - row, *scratch);
+        if (!status.ok()) return status.error();
+        stats.elements_rebuilt += end - row;
+        stats.elements_read += scratch->plan.total_fetched();
+        row = end;
+    }
+    return stats;
+}
 
-    std::atomic<std::int64_t> reads{0};
-    std::atomic<bool> error_flag{false};
-    auto rebuild_one = [&](std::size_t i) {
-        if (error_flag.load()) return;
-        const GroupCoord coord = scheme_.layout().coord_at({disk, lo + static_cast<RowId>(i)});
-        auto sources = executor_.rebuild_element(coord, st.avoid, targets[i].span());
-        if (!sources.ok()) {
-            error_flag.store(true);
-            return;
+StripeId StripeStore::rebuild_round_stripes() const {
+    // A row stages at most n elements: its sources and itself.
+    const std::int64_t rows = static_cast<std::int64_t>(arena_->capacity()) / scheme_.code().n();
+    return std::max<StripeId>(1, rows / scheme_.layout().rows_per_stripe());
+}
+
+Status StripeStore::rebuild_round(DiskId disk, RowId first, RowId rows, exec::RequestScratch& s) {
+    // Plan the rows' reconstruction around every unavailable disk (the
+    // target among them), fetch with one queue per disk under the
+    // retry/replan policy, and decode into executor staging.
+    unavailable_disks_locked(s.excluded);
+    auto replanner = [&](const std::vector<DiskId>& excl, AccessPlan& plan) -> Status {
+        auto planned = core::plan_reconstruction(scheme_, disk, first, rows, excl, s.planner, plan);
+        if (!planned.ok() && planned.error().code == Error::Code::undecodable) {
+            return Error::beyond_tolerance("rebuild of disk " + std::to_string(disk) +
+                                           " cannot be planned around " +
+                                           std::to_string(excl.size()) +
+                                           " unavailable disks: " + planned.error().message);
         }
-        reads.fetch_add(sources.value());
+        return planned;
     };
-    if (pool_ != nullptr && nrows > 1) {
-        parallel_for(*pool_, nrows, rebuild_one);
-    } else {
-        for (std::size_t i = 0; i < nrows; ++i) rebuild_one(i);
-    }
-    if (error_flag.load()) {
-        return Error::undecodable("reconstruction failed (too many concurrent failures?)");
-    }
+    auto fetched = executor_.fetch(s, replanner);
+    if (!fetched.ok()) return fetched;
+    auto decoded = executor_.decode(s);
+    if (!decoded.ok()) return decoded;
 
-    // Flush the rebuilt chunk onto the replacement as one batched plan
-    // (a single queue: all rows live on one disk). The replacement dying
-    // here must surface — no degraded skip.
+    // Flush the rebuilt rows onto the replacement straight from staging,
+    // as one batched plan (a single queue: all rows live on one disk).
+    // The replacement dying here must surface — no degraded skip.
+    const int k = scheme_.code().k();
     WritePlan plan(scheme_.disks());
+    plan.reserve(static_cast<std::size_t>(rows));
     std::vector<ConstByteSpan> payloads;
-    payloads.reserve(nrows);
-    for (std::size_t i = 0; i < nrows; ++i) {
-        const RowId row = lo + static_cast<RowId>(i);
+    payloads.reserve(static_cast<std::size_t>(rows));
+    for (RowId row = first; row < first + rows; ++row) {
         const GroupCoord coord = scheme_.layout().coord_at({disk, row});
+        const ByteSpan rebuilt = s.elements.find(exec::PlanExecutor::key_of(coord));
+        if (rebuilt.empty()) return Error::internal("rebuilt element missing after decode");
         plan.add_write({{disk, row}, coord, payloads.size(), coord.position >= k});
-        payloads.push_back(targets[i].span());
+        payloads.push_back(rebuilt);
     }
     auto wrote = executor_.write(plan, payloads, {}, /*allow_degraded=*/false);
     if (!wrote.ok()) return wrote.error();
-    return ReconstructStats{static_cast<std::int64_t>(nrows), reads.load()};
+    return Status::success();
 }
 
 Status StripeStore::finish_rebuild(DiskId disk) {

@@ -173,9 +173,25 @@ class StripeStore {
 
     /// Online rebuild, chunked. begin_rebuild swaps in an empty
     /// replacement but keeps the disk excluded from read planning;
-    /// rebuild_rows (callable repeatedly, any order, pool-parallel
-    /// inside) restores `[first, first + count)` clamped to the row
-    /// count snapshotted at begin; finish_rebuild re-admits the disk.
+    /// rebuild_rows (callable repeatedly, any order) restores `[first,
+    /// first + count)` clamped to the row count snapshotted at begin;
+    /// finish_rebuild re-admits the disk. rebuild_rows runs on the read
+    /// engine: each round of whole stripes (as many as fit the element
+    /// arena's staging) is planned by core::plan_reconstruction around
+    /// every unavailable disk, fetched as one batched round with one
+    /// queue per disk (on the pool, when there is one) under the
+    /// executor's retry and replan policy, decoded, and written to the
+    /// replacement straight from staging. A source disk that fails
+    /// mid-round is planned around when the code tolerates its loss;
+    /// otherwise the call fails typed (beyond_tolerance, or the device's
+    /// error) and the replacement keeps only rows already written.
+    /// ReconstructStats::elements_read is the planned, de-duplicated
+    /// fetch count of the rounds' plans.
+    ///
+    /// A round covers the rest of the stripe it starts in and the next
+    /// rebuild_round_stripes() - 1 stripes, clipped to the range: as many
+    /// whole stripes as fit their staging, at most n elements a row, in
+    /// the element arena's slabs.
     /// Stripes committed while a rebuild runs write to the replacement
     /// directly, so only the snapshot rows ever need rebuilding.
     /// abort_rebuild re-fails the disk and discards rebuild state (the
@@ -185,6 +201,7 @@ class StripeStore {
     Status begin_rebuild(DiskId disk);
     Result<RowId> rebuild_target_rows(DiskId disk) const;
     Result<ReconstructStats> rebuild_rows(DiskId disk, RowId first, RowId count);
+    StripeId rebuild_round_stripes() const;
     Status finish_rebuild(DiskId disk);
     Status abort_rebuild(DiskId disk);
 
@@ -265,12 +282,6 @@ class StripeStore {
         obs::Histogram* write_max_load = nullptr;
     };
 
-    /// Per-disk state of one in-flight chunked rebuild (guarded by mu_).
-    struct RebuildState {
-        RowId target_rows = 0;
-        std::vector<char> avoid;  // failure snapshot at begin_rebuild
-    };
-
     const StoreObs& store_obs() const { return *obs_.load(std::memory_order_acquire); }
     static const StoreObs* empty_obs() {
         static const StoreObs none;
@@ -280,6 +291,10 @@ class StripeStore {
     void bind_executor();
 
     Status restore_locked(std::vector<Extent> extents, StripeId stripes);
+    /// One rebuild_rows round: rebuild rows [first, first + rows) of
+    /// `disk` through `s` (plan, fetch, decode, write). Caller holds mu_
+    /// shared. On success s.plan is the plan that completed.
+    Status rebuild_round(DiskId disk, RowId first, RowId rows, exec::RequestScratch& s);
     /// Compute every group's parity of one stripe (groups * m buffers,
     /// group-major), pool-parallel across groups.
     Status compute_stripe_parity(ConstByteSpan stripe_data,
@@ -376,7 +391,7 @@ class StripeStore {
     std::int64_t logical_bytes_ = 0;
     std::set<StripeId> unencoded_;            // committed data-only, parity pending
     std::vector<char> rebuilding_;            // online but mid-rebuild, by DiskId
-    std::map<DiskId, RebuildState> rebuilds_;  // active chunked rebuilds
+    std::map<DiskId, RowId> rebuilds_;        // active chunked rebuilds: rows snapshotted at begin
 };
 
 }  // namespace ecfrm::store

@@ -21,6 +21,7 @@
 #include "common/rng.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
+#include "store/fault_device.h"
 #include "store/io_backend.h"
 #include "store/stripe_store.h"
 #include "store/uring_disk.h"
@@ -543,10 +544,6 @@ TEST(BufferPool, AcquireReleaseAndHeapFallback) {
             EXPECT_TRUE(b.pooled());
             EXPECT_EQ(b.size(), 1024u);
             EXPECT_TRUE(pool.contains(b.data(), b.size()));
-            // Zeroed on acquire.
-            EXPECT_EQ(b.data()[0], 0);
-            EXPECT_EQ(b.data()[1023], 0);
-            b.data()[0] = 0xff;  // dirty it for the next acquire check
             held.push_back(std::move(b));
         }
         EXPECT_EQ(pool.available(), 0u);
@@ -558,7 +555,6 @@ TEST(BufferPool, AcquireReleaseAndHeapFallback) {
     }
     EXPECT_EQ(pool.available(), 4u);  // all slabs returned
     auto reused = pool.acquire();
-    EXPECT_EQ(reused.data()[0], 0);  // re-zeroed after dirty release
 
     // Slabs are 64-byte aligned inside a page-aligned arena (SIMD +
     // registered-buffer requirement).
@@ -581,7 +577,75 @@ TEST(BufferPool, StagingBufferIsASlabWhenItFitsElseHeap) {
     auto plain = staging_buffer(16, nullptr);
     EXPECT_FALSE(plain.pooled());
     EXPECT_EQ(plain.size(), 16u);
-    EXPECT_EQ(plain.data()[15], 0);  // zeroed like a slab
+}
+
+// Staging is handed out uninitialised, and the element arena is shared by
+// every archive of one element size. So a slab one archive's read dirtied
+// is what the next read stages into — and when that read's device fails
+// mid-batch, the slab's stale bytes must never reach the caller: the read
+// returns the right bytes (here: replanned around the failed disk) or a
+// typed error.
+TEST_P(BackendTest, ReusedStagingSlabNeverLeaksStaleBytes) {
+    constexpr std::int64_t kElem = 192;  // an arena no other test shares
+    auto code = codes::make_code("rs:6,3");
+    ASSERT_TRUE(code.ok());
+    auto scheme = [&] { return core::Scheme(code.value(), layout::LayoutKind::ecfrm); };
+    const auto stripe_bytes = static_cast<std::size_t>(kElem * scheme().layout().data_per_stripe());
+
+    // Archive A: a degraded, unaligned read stages its head, its tail and
+    // its repair sources in arena slabs, then releases them dirty.
+    TempDir dir_a("stale_a");
+    auto opened_a = StripeStore::open(scheme(), kElem, [&](int index) {
+        return open_file_device(dir_a.path(), index, kElem, GetParam());
+    });
+    ASSERT_TRUE(opened_a.ok()) << opened_a.error().message;
+    auto a = std::move(opened_a).take();
+    const auto data_a = random_bytes(stripe_bytes, 41);
+    ASSERT_TRUE(a->append(ConstByteSpan(data_a.data(), data_a.size())).ok());
+    ASSERT_TRUE(a->flush().ok());
+    ASSERT_TRUE(a->fail_disk(0).ok());
+    const auto length = static_cast<std::int64_t>(stripe_bytes) - 2;
+    auto read_a = a->read_bytes(1, length);
+    ASSERT_TRUE(read_a.ok()) << read_a.error().message;
+    ASSERT_EQ(0, std::memcmp(read_a->data(), data_a.data() + 1, static_cast<std::size_t>(length)));
+    BufferPool* arena = element_arena(kElem);
+    ASSERT_EQ(arena->available(), arena->capacity());  // every dirty slab is back
+
+    // Archive B, other bytes: disk 1 fail-stops on its second read, in
+    // the middle of the batch this read sends it, while disk 0 is down.
+    FaultPlan plan;
+    FaultRule stop;
+    stop.kind = FaultKind::fail_stop;
+    stop.disk = 1;
+    stop.op = FaultOp::read;
+    stop.first_op = 1;
+    plan.rules = {stop};
+    TempDir dir_b("stale_b");
+    auto opened_b = StripeStore::open(scheme(), kElem, [&](int index) -> Result<std::unique_ptr<BlockDevice>> {
+        auto device = open_file_device(dir_b.path(), index, kElem, GetParam());
+        if (!device.ok()) return device.error();
+        return std::unique_ptr<BlockDevice>(
+            std::make_unique<FaultDevice>(std::move(device).take(), plan, index));
+    });
+    ASSERT_TRUE(opened_b.ok()) << opened_b.error().message;
+    auto b = std::move(opened_b).take();
+    const auto data_b = random_bytes(stripe_bytes, 42);
+    ASSERT_TRUE(b->append(ConstByteSpan(data_b.data(), data_b.size())).ok());
+    ASSERT_TRUE(b->flush().ok());
+    obs::MetricRegistry metrics;
+    b->attach_observability(&metrics);
+    ASSERT_TRUE(b->fail_disk(0).ok());
+    const std::int64_t exhausted = arena->exhausted_acquires();
+
+    auto read_b = b->read_bytes(1, length);
+    if (read_b.ok()) {
+        EXPECT_EQ(0, std::memcmp(read_b->data(), data_b.data() + 1, static_cast<std::size_t>(length)));
+    } else {
+        EXPECT_NE(read_b.error().code, Error::Code::internal) << read_b.error().message;
+    }
+    EXPECT_GE(metrics.counter("ecfrm_store_replans_total").value(), 1);  // the fault fired
+    EXPECT_EQ(arena->exhausted_acquires(), exhausted);  // staged in the reused slabs
+    b->attach_observability(nullptr);
 }
 
 }  // namespace

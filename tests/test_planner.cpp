@@ -99,8 +99,8 @@ TEST(DegradedRead, EveryRequestedElementIsServed) {
     for (const auto& f : plan->fetches()) fetched.insert({f.coord.stripe, f.coord.group, f.coord.position});
     std::set<std::tuple<StripeId, int, int>> decoded;
     for (const auto& d : plan->decodes()) {
-        decoded.insert({d.stripe, d.group, d.repair.target_position});
-        for (const auto& t : d.repair.terms) {
+        decoded.insert({d.stripe, d.group, d.repair->target_position});
+        for (const auto& t : d.repair->terms) {
             EXPECT_TRUE(fetched.count({d.stripe, d.group, t.source_position}))
                 << "decode source not fetched";
         }
@@ -122,7 +122,7 @@ TEST(DegradedRead, LrcRepairsLocally) {
     EXPECT_EQ(plan->total_fetched(), 3);
     ASSERT_EQ(plan->decodes().size(), 1u);
     std::set<int> sources;
-    for (const auto& t : plan->decodes()[0].repair.terms) sources.insert(t.source_position);
+    for (const auto& t : plan->decodes()[0].repair->terms) sources.insert(t.source_position);
     EXPECT_EQ(sources, (std::set<int>{1, 2, 6}));
 }
 
@@ -132,7 +132,7 @@ TEST(DegradedRead, RsRepairReadsExactlyK) {
     ASSERT_TRUE(plan.ok());
     EXPECT_EQ(plan->total_fetched(), 6);  // k sources, nothing else
     ASSERT_EQ(plan->decodes().size(), 1u);
-    EXPECT_EQ(plan->decodes()[0].repair.terms.size(), 6u);
+    EXPECT_EQ(plan->decodes()[0].repair->terms.size(), 6u);
 }
 
 TEST(DegradedRead, RepairReusesRequestedElements) {
@@ -202,7 +202,7 @@ TEST(DegradedRead, MultiFailurePlansAvoidAllFailedDisks) {
     for (const auto& f : plan->fetches()) {
         if (f.requested) served.insert({f.coord.stripe, f.coord.group, f.coord.position});
     }
-    for (const auto& d : plan->decodes()) served.insert({d.stripe, d.group, d.repair.target_position});
+    for (const auto& d : plan->decodes()) served.insert({d.stripe, d.group, d.repair->target_position});
     EXPECT_EQ(served.size(), 18u);
 }
 
@@ -224,7 +224,7 @@ TEST(DegradedRead, LrcFallsBackWhenLocalSetIsBroken) {
     ASSERT_TRUE(plan.ok());
     ASSERT_EQ(plan->decodes().size(), 1u);
     // Sources must avoid both failed disks and exceed the broken local set.
-    for (const auto& t : plan->decodes()[0].repair.terms) {
+    for (const auto& t : plan->decodes()[0].repair->terms) {
         EXPECT_NE(t.source_position, 0);
         EXPECT_NE(t.source_position, 6);
     }
@@ -291,6 +291,52 @@ TEST(AccessPlan, MaxLoadAndTotals) {
     EXPECT_EQ(plan.max_load(), 2);
     EXPECT_EQ(plan.total_fetched(), 3);
     EXPECT_DOUBLE_EQ(plan.cost(), 1.5);
+}
+
+TEST(Reconstruction, RowRangeFormOverEveryRowIsTheWholeDiskPlan) {
+    auto scheme = make_scheme("lrc:6,2,2", LayoutKind::ecfrm);
+    const StripeId stripes = 4;
+    auto whole = plan_reconstruction(scheme, 3, stripes);
+    ASSERT_TRUE(whole.ok());
+    PlanScratch scratch;
+    AccessPlan ranged;
+    ASSERT_TRUE(
+        plan_reconstruction(scheme, 3, 0, scheme.rows_for(stripes), {}, scratch, ranged).ok());
+    EXPECT_EQ(ranged.total_fetched(), whole->total_fetched());
+    EXPECT_EQ(ranged.per_disk_loads(), whole->per_disk_loads());
+    ASSERT_EQ(ranged.decodes().size(), whole->decodes().size());
+    for (std::size_t i = 0; i < ranged.decodes().size(); ++i) {
+        // Both refer to the code's one cached solve.
+        EXPECT_EQ(ranged.decodes()[i].repair, whole->decodes()[i].repair);
+    }
+}
+
+TEST(Reconstruction, RowRangeRebuildsItsRowsAroundEveryFailedDisk) {
+    auto scheme = make_scheme("rs:6,3", LayoutKind::ecfrm);
+    const DiskId target = 2;
+    const std::vector<DiskId> failed{5, 7};
+    PlanScratch scratch;
+    AccessPlan plan;
+    ASSERT_TRUE(plan_reconstruction(scheme, target, 4, 7, failed, scratch, plan).ok());
+    EXPECT_EQ(plan.requested(), 7);
+    ASSERT_EQ(plan.decodes().size(), 7u);
+    std::set<RowId> rows;
+    for (const auto& d : plan.decodes()) {
+        const Location loc = scheme.layout().locate({d.stripe, d.group, d.repair->target_position});
+        EXPECT_EQ(loc.disk, target);
+        rows.insert(loc.row);
+    }
+    EXPECT_EQ(rows, (std::set<RowId>{4, 5, 6, 7, 8, 9, 10}));
+    for (DiskId d : {target, DiskId{5}, DiskId{7}}) {
+        EXPECT_EQ(plan.per_disk_loads()[static_cast<std::size_t>(d)], 0) << "disk " << d;
+    }
+    EXPECT_EQ(plan.total_fetched(), 7 * 6);  // k sources per lost element
+
+    // A fourth lost disk is beyond RS(6,3).
+    const std::vector<DiskId> too_many{0, 5, 7};
+    auto status = plan_reconstruction(scheme, target, 0, 3, too_many, scratch, plan);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.error().code, Error::Code::undecodable);
 }
 
 }  // namespace

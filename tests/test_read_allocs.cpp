@@ -3,7 +3,8 @@
 // many allocations a 10-element read makes from StripeStore down to the
 // devices: healthy and with one disk failed, through read_elements and
 // read_bytes, on in-memory RS(6,3) EC-FRM disks without a thread pool,
-// with and without a heat model attached, on one thread and on four.
+// with and without a heat model attached, on one thread and on four —
+// and one chunk of an online rebuild, which runs on the same engine.
 // Everything on that path runs on the calling thread and allocates the
 // same way every time, so the counts are exact, not bounds: a change that
 // adds an allocation anywhere on the path fails here.
@@ -90,16 +91,29 @@ constexpr DiskId kFailed = 4;
 // thread. Each reading thread leases a request scratch that keeps a
 // read's metadata from one read to the next — plan, per-disk schedule,
 // element table, submission round, exclusion list, straggler flags,
-// degraded-planner working memory, decode spans — so a healthy
-// read_elements allocates nothing, and read_bytes only its result
-// vector. A degraded read adds three, all in the code's repair solver
-// for its one lost element: the solver's matrix and pivot table and the
-// repair's terms. A heat model adds none: its straggler mask fills the
+// planner working memory, decode spans — so a read_elements allocates
+// nothing, and read_bytes only its result vector. A degraded read adds
+// none: its lost element's repair was solved once, by the warm-up read,
+// into the code's repair cache, and the plan refers to it through the
+// scratch's memo. A heat model adds none: its straggler mask fills the
 // scratch.
 constexpr std::uint64_t kHealthyReadElements = 0;
 constexpr std::uint64_t kHealthyReadBytes = 1;
-constexpr std::uint64_t kDegradedReadElements = 3;
-constexpr std::uint64_t kDegradedReadBytes = 4;
+constexpr std::uint64_t kDegradedReadElements = 0;
+constexpr std::uint64_t kDegradedReadBytes = 1;
+
+// One rebuild_rows chunk of one stripe (3 rows of the failed disk) after
+// a warm-up chunk of the same shape. Plan, fetch and decode run in the
+// thread's request scratch and arena staging and allocate nothing; every
+// allocation is the flush to the replacement and its storage:
+//   - the write plan: its per-disk loads and its placements (2), the
+//     payload spans (1);
+//   - PlanExecutor::write: the shared submission round with its rows,
+//     payloads and queue list (4), the per-disk schedule with its slot
+//     table and the one batch's indices and rows (4);
+//   - the in-memory replacement disk: one slot per rebuilt row (3).
+constexpr RowId kRebuildChunkRows = 3;
+constexpr std::uint64_t kRebuildChunk = 14;
 
 class ReadAllocs : public ::testing::Test {
   protected:
@@ -209,6 +223,33 @@ TEST_F(ReadAllocs, FourThreadsEachReachTheSteadyStateBudget) {
                 << "thread " << t << (degraded ? " degraded" : " healthy");
         }
     }
+}
+
+TEST_F(ReadAllocs, SteadyStateRebuildChunk) {
+    ASSERT_TRUE(store_->fail_disk(kFailed).ok());
+    ASSERT_TRUE(store_->begin_rebuild(kFailed).ok());
+    auto rows = store_->rebuild_target_rows(kFailed);
+    ASSERT_TRUE(rows.ok());
+    ASSERT_EQ(rows.value(), 4 * kRebuildChunkRows);
+    // Warm up on the last stripe first, so the replacement's row table
+    // already spans the measured chunk.
+    ASSERT_TRUE(store_->rebuild_rows(kFailed, rows.value() - kRebuildChunkRows, kRebuildChunkRows)
+                    .ok());
+    const std::uint64_t before = t_allocs;
+    auto stats = store_->rebuild_rows(kFailed, kRebuildChunkRows, kRebuildChunkRows);
+    const std::uint64_t allocs = t_allocs - before;
+    ASSERT_TRUE(stats.ok()) << stats.error().message;
+    EXPECT_EQ(stats->elements_rebuilt, kRebuildChunkRows);
+    EXPECT_EQ(allocs, kRebuildChunk);
+
+    for (RowId first : {RowId{0}, 2 * kRebuildChunkRows}) {
+        ASSERT_TRUE(store_->rebuild_rows(kFailed, first, kRebuildChunkRows).ok());
+    }
+    ASSERT_TRUE(store_->finish_rebuild(kFailed).ok());
+    EXPECT_TRUE(store_->verify_parity().ok());
+    auto got = store_->read_bytes(0, static_cast<std::int64_t>(data_.size()));
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got.value(), data_);
 }
 
 TEST_F(ReadAllocs, ElementAlignedReadsMakeNoStagingCopies) {

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -15,6 +16,8 @@
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/request_trace.h"
+#include "core/read_planner.h"
+#include "store/disk.h"
 #include "store/fault_device.h"
 #include "store/stripe_store.h"
 
@@ -888,6 +891,220 @@ TEST(StoreScratch, ConcurrentHedgedReadersKeepTheirOwnScratch) {
     EXPECT_EQ(wrong.load(), 0);
     EXPECT_GE(f.counter("ecfrm_store_hedged_reads_total"), 1);
 }
+
+// ---- Rebuild through the read engine ----------------------------------
+
+/// Store over in-memory Disks behind FaultDevices driven by `plan` (empty:
+/// no faults), optionally pooled, with the Disks kept reachable so a test
+/// can read a disk's raw rows.
+struct RebuildFixture {
+    static constexpr std::int64_t kElem = 64;
+
+    std::unique_ptr<ThreadPool> pool;  // outlives the store
+    std::unique_ptr<StripeStore> store;
+    obs::MetricRegistry metrics;
+    std::vector<Disk*> disks;
+    std::vector<std::uint8_t> data;
+
+    RebuildFixture(const std::string& spec, LayoutKind kind, int pool_threads,
+                   const FaultPlan& plan = {}, const RecoveryOptions& recovery = {}) {
+        if (pool_threads > 0) pool = std::make_unique<ThreadPool>(static_cast<std::size_t>(pool_threads));
+        auto opened = StripeStore::open(
+            make_scheme(spec, kind), kElem,
+            [&](int index) -> Result<std::unique_ptr<BlockDevice>> {
+                auto disk = std::make_unique<Disk>(kElem);
+                disks.push_back(disk.get());
+                return std::unique_ptr<BlockDevice>(
+                    std::make_unique<FaultDevice>(std::move(disk), plan, index));
+            },
+            pool.get());
+        EXPECT_TRUE(opened.ok());
+        store = std::move(opened).take();
+        store->set_recovery(recovery);
+        // Five full stripes and a padded sixth.
+        data = random_bytes(static_cast<std::size_t>(kElem * store->scheme().layout().data_per_stripe() * 5 + 100),
+                            91);
+        EXPECT_TRUE(store->append(ConstByteSpan(data.data(), data.size())).ok());
+        EXPECT_TRUE(store->flush().ok());
+        store->attach_observability(&metrics);
+    }
+
+    ~RebuildFixture() {
+        if (store != nullptr) store->attach_observability(nullptr);
+    }
+
+    /// Every row of `disk` as stored; an empty row was never written.
+    std::vector<std::vector<std::uint8_t>> raw_rows(DiskId disk, RowId rows) const {
+        std::vector<std::vector<std::uint8_t>> out(static_cast<std::size_t>(rows));
+        for (RowId r = 0; r < rows; ++r) {
+            std::vector<std::uint8_t> row(static_cast<std::size_t>(kElem));
+            if (disks[static_cast<std::size_t>(disk)]->read(r, ByteSpan(row.data(), row.size())).ok()) {
+                out[static_cast<std::size_t>(r)] = std::move(row);
+            }
+        }
+        return out;
+    }
+
+    RowId rows() const { return store->scheme().rows_for(static_cast<StripeId>(6)); }
+
+    void expect_intact() {
+        EXPECT_TRUE(store->failed_disks().empty());
+        EXPECT_TRUE(store->verify_parity().ok());
+        auto out = store->read_bytes(0, static_cast<std::int64_t>(data.size()));
+        ASSERT_TRUE(out.ok()) << out.error().message;
+        EXPECT_EQ(out.value(), data);
+    }
+};
+
+struct RebuildParam {
+    const char* spec;
+    LayoutKind kind;
+    int pool_threads;
+};
+
+class StoreRebuild : public ::testing::TestWithParam<RebuildParam> {};
+
+TEST_P(StoreRebuild, UnevenChunksRestoreTheDiskByteForByte) {
+    const auto [spec, kind, pool_threads] = GetParam();
+    RebuildFixture f(spec, kind, pool_threads);
+    const core::Scheme& scheme = f.store->scheme();
+    const DiskId disk = 1;
+    const RowId rows = f.rows();
+    const auto before = f.raw_rows(disk, rows);
+    for (const auto& row : before) ASSERT_FALSE(row.empty());
+
+    // The fetch count of the row-range plans of [first, first + n), one
+    // per rebuild round: the round rebuild_rows documents.
+    core::PlanScratch scratch;
+    core::AccessPlan plan;
+    const RowId rows_per_stripe = scheme.layout().rows_per_stripe();
+    auto planned_reads = [&](RowId first, RowId n) {
+        std::int64_t fetches = 0;
+        for (RowId row = first; row < first + n;) {
+            const RowId end = std::min(
+                first + n, (row / rows_per_stripe + f.store->rebuild_round_stripes()) * rows_per_stripe);
+            EXPECT_TRUE(core::plan_reconstruction(scheme, disk, row, end - row, {}, scratch, plan).ok());
+            fetches += plan.total_fetched();
+            row = end;
+        }
+        return fetches;
+    };
+    for (const RowId chunk : {RowId{1}, RowId{7}, rows}) {
+        ASSERT_TRUE(f.store->fail_disk(disk).ok());
+        ASSERT_TRUE(f.store->begin_rebuild(disk).ok());
+        auto target = f.store->rebuild_target_rows(disk);
+        ASSERT_TRUE(target.ok());
+        ASSERT_EQ(target.value(), rows);
+        std::int64_t read = 0;
+        for (RowId first = 0; first < rows; first += chunk) {
+            const RowId n = std::min(chunk, rows - first);
+            auto stats = f.store->rebuild_rows(disk, first, n);
+            ASSERT_TRUE(stats.ok()) << stats.error().message;
+            EXPECT_EQ(stats->elements_rebuilt, n);
+            // The rebuild reads exactly what the row-range plans fetch.
+            EXPECT_EQ(stats->elements_read, planned_reads(first, n)) << "chunk " << chunk << " row " << first;
+            read += stats->elements_read;
+        }
+        ASSERT_TRUE(f.store->finish_rebuild(disk).ok());
+        EXPECT_EQ(f.raw_rows(disk, rows), before) << "chunk " << chunk;
+        if (std::string(spec) == "rs:6,3") {
+            EXPECT_EQ(read, 6 * rows);  // k sources per element
+        }
+        f.expect_intact();
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Codes, StoreRebuild,
+    ::testing::Values(RebuildParam{"rs:6,3", LayoutKind::ecfrm, 0},
+                      RebuildParam{"rs:6,3", LayoutKind::standard, 0},
+                      RebuildParam{"lrc:6,2,2", LayoutKind::ecfrm, 0},
+                      RebuildParam{"lrc:6,2,2", LayoutKind::standard, 0},
+                      RebuildParam{"hhxor:6,4", LayoutKind::ecfrm, 0},
+                      RebuildParam{"hhxor:6,4", LayoutKind::standard, 0},
+                      RebuildParam{"rs:6,3", LayoutKind::ecfrm, 2},
+                      RebuildParam{"lrc:6,2,2", LayoutKind::standard, 2},
+                      RebuildParam{"hhxor:6,4", LayoutKind::ecfrm, 2}));
+
+class StoreRebuildFaults : public ::testing::TestWithParam<int> {};
+
+TEST_P(StoreRebuildFaults, SourceDiskFailingMidChunkIsPlannedAround) {
+    // Disk 5 fail-stops on its fourth read, inside the first chunk's
+    // batch to it: RS(6,3) tolerates losing it beside the target, so the
+    // round replans around it and the rebuild completes.
+    FaultPlan plan;
+    FaultRule stop;
+    stop.kind = FaultKind::fail_stop;
+    stop.disk = 5;
+    stop.op = FaultOp::read;
+    stop.first_op = 3;
+    plan.rules = {stop};
+    RebuildFixture f("rs:6,3", LayoutKind::ecfrm, GetParam(), plan);
+    const DiskId disk = 2;
+    const RowId rows = f.rows();
+    const auto before = f.raw_rows(disk, rows);
+
+    ASSERT_TRUE(f.store->fail_disk(disk).ok());
+    ASSERT_TRUE(f.store->begin_rebuild(disk).ok());
+    for (RowId first = 0; first < rows; first += 7) {
+        auto stats = f.store->rebuild_rows(disk, first, 7);
+        ASSERT_TRUE(stats.ok()) << stats.error().message;
+    }
+    ASSERT_TRUE(f.store->finish_rebuild(disk).ok());
+    EXPECT_GE(f.metrics.counter("ecfrm_store_replans_total").value(), 1);
+    EXPECT_EQ(f.raw_rows(disk, rows), before);
+
+    EXPECT_EQ(f.store->failed_disks(), std::vector<DiskId>{5});
+    ASSERT_TRUE(f.store->reconstruct_disk(5).ok());
+    f.expect_intact();
+}
+
+TEST_P(StoreRebuildFaults, LossBeyondToleranceMidChunkFailsTyped) {
+    // Disks 3 and 4 are down beside the target, so each row needs all six
+    // survivors. Disk 5's fourth read fails (no retries): the round cannot
+    // be replanned around four lost disks and fails typed, having written
+    // only rows it rebuilt correctly.
+    FaultPlan plan;
+    FaultRule eio;
+    eio.kind = FaultKind::transient;
+    eio.disk = 5;
+    eio.op = FaultOp::read;
+    eio.first_op = 3;
+    plan.rules = {eio};
+    RecoveryOptions recovery;
+    recovery.max_retries = 0;
+    RebuildFixture f("rs:6,3", LayoutKind::ecfrm, GetParam(), plan, recovery);
+    const DiskId disk = 2;
+    const RowId rows = f.rows();
+    const auto before = f.raw_rows(disk, rows);
+
+    for (DiskId d : {3, 4, 2}) ASSERT_TRUE(f.store->fail_disk(d).ok());
+    ASSERT_TRUE(f.store->begin_rebuild(disk).ok());
+    std::optional<Error> failure;
+    for (RowId first = 0; first < rows && !failure.has_value(); first += 2) {
+        auto stats = f.store->rebuild_rows(disk, first, 2);
+        if (!stats.ok()) failure = stats.error();
+    }
+    ASSERT_TRUE(failure.has_value());
+    EXPECT_EQ(failure->code, Error::Code::beyond_tolerance) << failure->message;
+    const auto after = f.raw_rows(disk, rows);
+    int written = 0;
+    for (RowId r = 0; r < rows; ++r) {
+        const auto& row = after[static_cast<std::size_t>(r)];
+        if (row.empty()) continue;
+        ++written;
+        EXPECT_EQ(row, before[static_cast<std::size_t>(r)]) << "row " << r;
+    }
+    EXPECT_GT(written, 0);      // the chunks before the fault landed
+    EXPECT_LT(written, rows);   // the failing one did not
+    ASSERT_TRUE(f.store->abort_rebuild(disk).ok());
+
+    // The fault was transient: every disk's data survives, so the array heals.
+    for (DiskId d : {2, 3, 4}) ASSERT_TRUE(f.store->reconstruct_disk(d).ok());
+    f.expect_intact();
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolThreads, StoreRebuildFaults, ::testing::Values(0, 2));
 
 }  // namespace
 }  // namespace ecfrm::store
