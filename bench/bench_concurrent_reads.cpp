@@ -116,7 +116,7 @@ CaseResult run_case(const std::string& spec, layout::LayoutKind kind, int thread
     fopts.max_exemplars = 8;
     obs::RequestForensics forensics(fopts);
     obs::DiskHeatModel heat(st.scheme().disks());
-    st.attach_observability(nullptr, nullptr, &forensics, &heat);
+    st.attach_observability(nullptr, &forensics, &heat);
 
     const std::int64_t committed = st.committed_bytes();
     const std::int64_t max_len = kMaxReadElements * kElementBytes;

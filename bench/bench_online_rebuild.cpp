@@ -154,7 +154,7 @@ PhaseResult run_phase(bool with_rebuild, store::PipelineOptions popts) {
     fopts.window_seconds = 2.0;
     fopts.sub_windows = 4;
     obs::RequestForensics forensics(fopts);
-    st.attach_observability(nullptr, nullptr, &forensics);
+    st.attach_observability(nullptr, &forensics);
 
     store::EcPipeline pipeline(st, &pool, popts);
     pipeline.attach_observability(nullptr, &forensics);

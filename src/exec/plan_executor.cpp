@@ -157,11 +157,7 @@ void PlanExecutor::start_round(const std::shared_ptr<Round>& r, TraceCtx tc, boo
 
 void PlanExecutor::start_queue(Round& r, std::size_t a, TraceCtx tc) const {
     Round::Queue& q = r.queues[a];
-    if (r.timed) {
-        obs::Tracer* const tracer = this->tracer();
-        q.trace_us = tracer != nullptr ? tracer->now_us() : 0.0;
-        q.issue_us = obs::forensic_now_us();
-    }
+    if (r.timed) q.issue_us = obs::forensic_now_us();
     if (r.heat != nullptr) r.heat->on_issue(q.disk);
     const store::BlockDevice& device = *devices_[static_cast<std::size_t>(q.disk)];
     if (pool_ == nullptr && r.data.empty() && r.opts.op_timeout_ms <= 0.0 &&
@@ -395,7 +391,6 @@ Status PlanExecutor::fetch(RequestScratch& s, Replanner replan, obs::RequestTrac
                            Sink sink) const {
     const RecoveryOptions& opts = options();
     const ExecutorMetrics& m = metrics();
-    obs::Tracer* const tracer = this->tracer();
     obs::DiskHeatModel* const heat = this->heat();
     const auto eb = static_cast<std::size_t>(element_bytes_);
 
@@ -447,7 +442,7 @@ Status PlanExecutor::fetch(RequestScratch& s, Replanner replan, obs::RequestTrac
         Round& r = next_round(s);
         r.opts = opts;
         r.heat = heat;
-        r.timed = rt != nullptr || tracer != nullptr || heat != nullptr;
+        r.timed = rt != nullptr || heat != nullptr;
         r.rows.reserve(fetches.size());
         r.outs.reserve(fetches.size());
         r.elems.reserve(fetches.size());
@@ -562,11 +557,6 @@ Status PlanExecutor::fetch(RequestScratch& s, Replanner replan, obs::RequestTrac
             q.reaped = true;
             ++reaped;
             trace_queue(TraceCtx{rt, fetch_node}, "disk.batch", q);
-            if (tracer != nullptr && q.status.ok()) {
-                tracer->complete("disk.batch", "io", q.trace_us, q.dur_us,
-                                 {{"disk", std::to_string(q.disk)},
-                                  {"elements", std::to_string(q.end - q.begin)}});
-            }
             for (std::size_t j = q.begin; j < q.begin + q.done; ++j) {
                 if (fetched.emplace(r.elems[j].key, r.outs[j], r.elems[j].sunk) && hedged) {
                     fetched.hold(std::move(r.owned[j]));

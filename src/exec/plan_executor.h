@@ -56,7 +56,6 @@
 #include "obs/heat.h"
 #include "obs/metrics.h"
 #include "obs/request_trace.h"
-#include "obs/trace.h"
 #include "store/block_device.h"
 
 namespace ecfrm::exec {
@@ -190,8 +189,7 @@ class PlanExecutor {
     /// samples and per-request max batch loads, and powers auto_hedge.
     /// Blocks until orphaned hedge queues still holding the previous sinks
     /// have drained, so the caller may free those sinks on return.
-    void attach(const ExecutorMetrics& metrics, obs::Tracer* tracer,
-                obs::DiskHeatModel* heat = nullptr) {
+    void attach(const ExecutorMetrics& metrics, obs::DiskHeatModel* heat = nullptr) {
         auto bundle = std::make_unique<const ExecutorMetrics>(metrics);
         const ExecutorMetrics* fresh = bundle.get();
         {
@@ -199,7 +197,6 @@ class PlanExecutor {
             retired_.push_back(std::move(bundle));
         }
         metrics_.store(fresh, std::memory_order_release);
-        tracer_.store(tracer, std::memory_order_release);
         heat_.store(heat, std::memory_order_release);
         drain_orphans();
     }
@@ -285,7 +282,6 @@ class PlanExecutor {
 
     const ExecutorMetrics& metrics() const { return *metrics_.load(std::memory_order_acquire); }
     const RecoveryOptions& options() const { return *recovery_.load(std::memory_order_acquire); }
-    obs::Tracer* tracer() const { return tracer_.load(std::memory_order_acquire); }
     obs::DiskHeatModel* heat() const { return heat_.load(std::memory_order_acquire); }
 
     /// The chunk, suffix-retry and traced-backoff loop of every per-disk
@@ -347,15 +343,14 @@ class PlanExecutor {
             std::unique_ptr<store::BlockDevice::AsyncBatch> batch;
             Status status = Status::success();
             std::size_t done = 0;   // leading ops that landed
-            double issue_us = 0.0;  // forensic clock; these three only when timed
-            double trace_us = 0.0;  // tracer clock
+            double issue_us = 0.0;  // forensic clock; with dur_us, only when timed
             double dur_us = 0.0;
             bool finished = false;  // guarded by mu when a pool is attached
             bool reaped = false;    // touched by the requesting thread only
         };
         RecoveryOptions opts;
         obs::DiskHeatModel* heat = nullptr;  // fed as queues issue and finish
-        bool timed = false;  // a trace, tracer or heat model wants queue timings
+        bool timed = false;  // a trace or heat model wants queue timings
         struct Elem {
             Key key;
             bool sunk = false;  // outs[i] is the caller's destination
@@ -435,7 +430,6 @@ class PlanExecutor {
     std::mutex metrics_mu_;  // guards retired_ and retired_recovery_
     std::vector<std::unique_ptr<const ExecutorMetrics>> retired_;
     std::vector<std::unique_ptr<const RecoveryOptions>> retired_recovery_;
-    std::atomic<obs::Tracer*> tracer_{nullptr};
     std::atomic<obs::DiskHeatModel*> heat_{nullptr};
 
     mutable std::mutex orphan_mu_;

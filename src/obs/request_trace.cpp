@@ -42,6 +42,28 @@ void append_attrs_json(std::string& out,
     out += "}";
 }
 
+/// One chrome trace-event per span of request `pid`, comma-joined onto
+/// `out` (`first` tracks whether anything precedes them).
+void append_chrome_events(std::string& out, bool& first, std::uint64_t pid, const char* cat,
+                          const std::vector<SpanNode>& nodes) {
+    for (const SpanNode& node : nodes) {
+        if (!first) out += ",";
+        first = false;
+        out += "\n{\"name\":\"" + json_escape(node.name) + "\",\"cat\":\"";
+        out += cat;
+        out += "\",\"ph\":\"X\",\"pid\":" + std::to_string(pid);
+        out += ",\"tid\":" + std::to_string(node.tid);
+        out += ",\"ts\":" + format_us(node.ts_us);
+        out += ",\"dur\":" + format_us(std::max(0.0, node.dur_us));
+        out += ",\"args\":{\"span\":\"" + std::to_string(node.id) + "\",\"parent\":\"" +
+               std::to_string(node.parent) + "\",\"seq\":\"" + std::to_string(node.seq) + "\"";
+        for (const auto& [k, v] : node.attrs) {
+            out += ",\"" + json_escape(k) + "\":\"" + json_escape(v) + "\"";
+        }
+        out += "}}";
+    }
+}
+
 }  // namespace
 
 double forensic_now_us() {
@@ -56,6 +78,7 @@ const char* request_class_name(RequestClass cls) {
         case RequestClass::degraded: return "degraded";
         case RequestClass::scrub: return "scrub";
         case RequestClass::write: return "write";
+        case RequestClass::rebuild: return "rebuild";
     }
     return "?";
 }
@@ -276,21 +299,7 @@ std::vector<std::pair<std::string, double>> RequestTrace::phase_totals_locked() 
 std::string RequestTrace::chrome_json() const {
     std::string out = "[";
     bool first = true;
-    for (const SpanNode& node : nodes()) {
-        if (!first) out += ",";
-        first = false;
-        out += "\n{\"name\":\"" + json_escape(node.name) + "\",\"cat\":\"request\"";
-        out += ",\"ph\":\"X\",\"pid\":" + std::to_string(id_);
-        out += ",\"tid\":" + std::to_string(node.tid);
-        out += ",\"ts\":" + format_us(node.ts_us);
-        out += ",\"dur\":" + format_us(std::max(0.0, node.dur_us));
-        out += ",\"args\":{\"span\":\"" + std::to_string(node.id) + "\",\"parent\":\"" +
-               std::to_string(node.parent) + "\",\"seq\":\"" + std::to_string(node.seq) + "\"";
-        for (const auto& [k, v] : node.attrs) {
-            out += ",\"" + json_escape(k) + "\":\"" + json_escape(v) + "\"";
-        }
-        out += "}}";
-    }
+    append_chrome_events(out, first, id_, request_class_name(cls()), nodes());
     out += "\n]\n";
     return out;
 }
@@ -494,6 +503,17 @@ std::string RequestForensics::slow_json() const {
         out += trace->json(/*include_spans=*/false);
     }
     out += "]}\n";
+    return out;
+}
+
+std::string RequestForensics::chrome_json() const {
+    std::string out = "[";
+    bool first = true;
+    for (const auto& trace : exemplars()) {
+        append_chrome_events(out, first, trace->id(), request_class_name(trace->cls()),
+                             trace->nodes());
+    }
+    out += "\n]\n";
     return out;
 }
 

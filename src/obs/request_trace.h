@@ -1,24 +1,24 @@
 // Per-request forensics: causal span trees with trace-context
-// propagation, per-class sliding SLO windows, and a bounded slow-request
-// exemplar store.
+// propagation, per-class sliding SLO windows, and a bounded exemplar
+// store. This is the store's one tracer.
 //
-// The Tracer in trace.h answers "what did the process do recently" — a
-// flat ring of spans with no request identity. This layer answers "why
-// was *this* read slow": every StripeStore read (and ClusterSim request)
-// gets a RequestTrace with a unique id, the recovery ladder appends a
-// causal tree under it (plan -> per-disk batch -> retry -> backoff ->
-// hedge decode -> replan -> decode -> assemble), and RequestForensics
-// aggregates finished traces into windowed percentiles and SLO burn
-// rates per request class. Requests that breach a latency threshold or
-// that needed recovery (retry/timeout/hedge/replan) keep their full tree
-// in a bounded FIFO exemplar store, exportable as NDJSON or as a
-// per-request chrome://tracing document.
+// Every StripeStore request — read, write, scrub, and each rebuild round
+// — and every ClusterSim or ecfrm_sim request gets a RequestTrace with a
+// unique id. The execution path appends a causal tree under it (plan ->
+// per-disk batch -> retry -> backoff -> hedge decode -> replan -> decode
+// -> assemble, or -> write), and RequestForensics aggregates finished
+// traces into windowed percentiles and SLO burn rates per request class.
+// Requests that breach a latency threshold or that needed recovery
+// (retry/timeout/hedge/replan) keep their full tree in a bounded FIFO
+// exemplar store, exportable as NDJSON, as one request's chrome://tracing
+// document, or as one document of every held request (a threshold of 0
+// keeps them all: the CLI's --trace-out).
 //
 // Thread safety: a RequestTrace may be appended to from hedge/pool
 // threads concurrently (one mutex per trace); RequestForensics is fully
-// thread-safe. Two clock domains are supported exactly like the Tracer:
-// wall-clock callers use the start()/finish() overloads (a process-wide
-// steady epoch), the simulators pass explicit microsecond timestamps.
+// thread-safe. Two clock domains are supported: wall-clock callers use
+// the start()/finish() overloads (a process-wide steady epoch), the
+// simulators pass explicit microsecond timestamps.
 #pragma once
 
 #include <atomic>
@@ -40,8 +40,8 @@ namespace ecfrm::obs {
 /// timestamps are mutually comparable.
 double forensic_now_us();
 
-enum class RequestClass { normal = 0, degraded = 1, scrub = 2, write = 3 };
-inline constexpr int kRequestClasses = 4;
+enum class RequestClass { normal = 0, degraded = 1, scrub = 2, write = 3, rebuild = 4 };
+inline constexpr int kRequestClasses = 5;
 
 const char* request_class_name(RequestClass cls);
 
@@ -178,7 +178,8 @@ class RequestTrace {
     /// request's end-to-end latency.
     std::vector<std::pair<std::string, double>> phase_totals() const;
 
-    /// This request as a standalone chrome://tracing document.
+    /// This request as a standalone chrome://tracing document: one
+    /// complete event per span, `pid` = request id, `cat` = class name.
     std::string chrome_json() const;
 
     /// One-line JSON object: id/class/timing/recovery counters/phase
@@ -300,6 +301,11 @@ class RequestForensics {
 
     /// One captured request per line, full span tree included.
     std::string slowlog_ndjson() const;
+
+    /// Every captured request in one chrome://tracing array, oldest
+    /// first, each event formatted as in RequestTrace::chrome_json (so
+    /// each request is its own `pid`).
+    std::string chrome_json() const;
 
   private:
     struct PerClass {

@@ -56,11 +56,7 @@ Status EcPipeline::append(ConstByteSpan data) {
     std::unique_lock<std::mutex> lock(mu_);
     tail_.insert(tail_.end(), data.begin(), data.end());
     while (tail_.size() >= stripe_bytes) {
-        auto buf = std::make_shared<std::vector<std::uint8_t>>(
-            tail_.begin(), tail_.begin() + static_cast<std::ptrdiff_t>(stripe_bytes));
-        tail_.erase(tail_.begin(), tail_.begin() + static_cast<std::ptrdiff_t>(stripe_bytes));
-        auto st = commit_stripe_locked(lock, std::move(buf),
-                                       static_cast<std::int64_t>(stripe_bytes));
+        auto st = commit_stripe_locked(lock, stripe_bytes);
         if (!st.ok()) return st;
     }
     return Status::success();
@@ -69,12 +65,10 @@ Status EcPipeline::append(ConstByteSpan data) {
 Status EcPipeline::flush() {
     const std::size_t stripe_bytes = static_cast<std::size_t>(store_.stripe_data_bytes());
     std::unique_lock<std::mutex> lock(mu_);
-    if (!tail_.empty()) {
-        const std::int64_t user_bytes = static_cast<std::int64_t>(tail_.size());
-        tail_.resize(stripe_bytes, 0);
-        auto buf = std::make_shared<std::vector<std::uint8_t>>(std::move(tail_));
-        tail_.clear();
-        auto st = commit_stripe_locked(lock, std::move(buf), user_bytes);
+    // Whole stripes a failed append left behind first, then the padded
+    // remainder.
+    while (!tail_.empty()) {
+        auto st = commit_stripe_locked(lock, std::min(tail_.size(), stripe_bytes));
         if (!st.ok()) return st;
     }
     cv_.wait(lock, [&] { return pending_.empty(); });
@@ -88,14 +82,18 @@ Status EcPipeline::quiesce() {
 }
 
 Status EcPipeline::commit_stripe_locked(std::unique_lock<std::mutex>& lock,
-                                        std::shared_ptr<std::vector<std::uint8_t>> buf,
-                                        std::int64_t user_bytes) {
+                                        std::size_t user_bytes) {
+    auto buf = std::make_shared<std::vector<std::uint8_t>>(
+        static_cast<std::size_t>(store_.stripe_data_bytes()));
+    std::copy_n(tail_.begin(), user_bytes, buf->begin());
     // Watermark check BEFORE the commit: at the watermark this thread
     // pays for an encode itself instead of growing the durability debt.
     const bool sync = pool_ == nullptr || pending_.size() >= options_.max_pending_stripes;
-    auto committed = store_.commit_data_stripe(
-        ConstByteSpan(buf->data(), buf->size()), user_bytes);
+    auto committed = store_.commit_data_stripe(ConstByteSpan(buf->data(), buf->size()),
+                                               static_cast<std::int64_t>(user_bytes));
     if (!committed.ok()) return committed.error();
+    // Only a stripe the store accepted leaves the tail.
+    tail_.erase(tail_.begin(), tail_.begin() + static_cast<std::ptrdiff_t>(user_bytes));
     const StripeId stripe = committed.value();
     pending_.emplace(stripe, buf);
     publish_depth_locked();

@@ -142,13 +142,13 @@ class EcPipeline {
         double requested_at = 0.0;  // steady seconds
     };
 
-    /// Commit one full retained stripe buffer (caller holds `lock` on
-    /// mu_): data-only commit, then either queue the parity encode or —
-    /// at the watermark / with no pool — encode synchronously with the
-    /// lock dropped.
-    Status commit_stripe_locked(std::unique_lock<std::mutex>& lock,
-                                std::shared_ptr<std::vector<std::uint8_t>> buf,
-                                std::int64_t user_bytes);
+    /// Commit the first `user_bytes` of tail_ (at most a stripe) as one
+    /// zero-padded stripe; caller holds `lock` on mu_. The bytes leave
+    /// tail_ only once the store has accepted the data-only commit, so a
+    /// failed commit can be retried with nothing lost. Then either queue
+    /// the parity encode or — at the watermark / with no pool — encode
+    /// synchronously with the lock dropped.
+    Status commit_stripe_locked(std::unique_lock<std::mutex>& lock, std::size_t user_bytes);
     void encode_one(StripeId stripe, const std::vector<std::uint8_t>& buf);
     void repair_loop();
     void run_repair(RepairJob job);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <optional>
 #include <utility>
 
 #include "common/aligned_buffer.h"
@@ -16,6 +15,25 @@ namespace ecfrm::store {
 using core::AccessPlan;
 using core::WritePlan;
 using layout::GroupCoord;
+
+namespace {
+
+/// Finish a store request's trace (a no-op when untraced). A success
+/// closes the root on its last phase's boundary, so the phase durations
+/// sum exactly to the request's end-to-end latency; a failure closes it
+/// now, with the error on the root.
+void finish_request(obs::RequestForensics* forensics,
+                    const std::shared_ptr<obs::RequestTrace>& rt, const Status& status) {
+    if (rt == nullptr) return;
+    if (status.ok()) {
+        forensics->finish_at(rt, true, rt->phase_cursor_us());
+        return;
+    }
+    rt->attr(obs::RequestTrace::kRoot, "error", status.error().message);
+    forensics->finish(rt, false);
+}
+
+}  // namespace
 
 StripeStore::StripeStore(core::Scheme scheme, std::int64_t element_bytes, ThreadPool* pool)
     : scheme_(std::move(scheme)),
@@ -59,12 +77,11 @@ void StripeStore::bind_executor() {
     executor_.set_buffer_pool(arena_);
 }
 
-void StripeStore::attach_observability(obs::MetricRegistry* metrics, obs::Tracer* tracer,
+void StripeStore::attach_observability(obs::MetricRegistry* metrics,
                                        obs::RequestForensics* forensics,
                                        obs::DiskHeatModel* heat) {
     StoreObs fresh;
     exec::ExecutorMetrics exec_metrics;
-    fresh.tracer = tracer;
     fresh.forensics = forensics;
     fresh.heat = heat;
     if (metrics == nullptr) {
@@ -89,7 +106,7 @@ void StripeStore::attach_observability(obs::MetricRegistry* metrics, obs::Tracer
         exec_metrics.writes = &metrics->counter("ecfrm_store_write_elements_total");
         exec_metrics.degraded_writes = &metrics->counter("ecfrm_store_degraded_write_elements_total");
     }
-    executor_.attach(exec_metrics, tracer, heat);
+    executor_.attach(exec_metrics, heat);
     auto bundle = std::make_unique<const StoreObs>(fresh);
     const StoreObs* published = bundle.get();
     {
@@ -211,7 +228,12 @@ Status StripeStore::flush() {
     auto committed = commit_stripe(
         ConstByteSpan(pending_.data(), static_cast<std::size_t>(stripe_bytes)), user_bytes,
         /*with_parity=*/true);
-    if (!committed.ok()) return committed.error();
+    if (!committed.ok()) {
+        // Trim the padding back off: a later append must land right
+        // after the user's bytes, not after the zeros.
+        pending_.resize(static_cast<std::size_t>(user_bytes));
+        return committed.error();
+    }
     pending_.clear();
     return Status::success();
 }
@@ -290,9 +312,6 @@ Result<StripeId> StripeStore::commit_stripe(ConstByteSpan stripe_data, std::int6
 
     const StoreObs& o = store_obs();
     if (o.writes_total != nullptr) o.writes_total->add(1);
-    obs::Span span(o.tracer, "store.commit_stripe", "store");
-    span.arg("stripe", stripe);
-    span.arg("user_bytes", user_bytes);
 
     std::shared_ptr<obs::RequestTrace> rt;
     if (o.forensics != nullptr) {
@@ -379,14 +398,7 @@ Result<StripeId> StripeStore::commit_stripe(ConstByteSpan stripe_data, std::int6
     };
 
     auto status = run();
-    if (rt != nullptr) {
-        if (!status.ok()) {
-            rt->attr(obs::RequestTrace::kRoot, "error", status.error().message);
-            o.forensics->finish(rt, false);
-        } else {
-            o.forensics->finish_at(rt, true, rt->phase_cursor_us());
-        }
-    }
+    finish_request(o.forensics, rt, status);
     if (!status.ok()) return status.error();
     return stripe;
 }
@@ -409,8 +421,6 @@ Status StripeStore::encode_stripe_parity(StripeId stripe, ConstByteSpan stripe_d
 
     const StoreObs& o = store_obs();
     if (o.writes_total != nullptr) o.writes_total->add(1);
-    obs::Span span(o.tracer, "store.encode_parity", "store");
-    span.arg("stripe", stripe);
 
     std::shared_ptr<obs::RequestTrace> rt;
     if (o.forensics != nullptr) {
@@ -468,14 +478,7 @@ Status StripeStore::encode_stripe_parity(StripeId stripe, ConstByteSpan stripe_d
     };
 
     auto status = run();
-    if (rt != nullptr) {
-        if (!status.ok()) {
-            rt->attr(obs::RequestTrace::kRoot, "error", status.error().message);
-            o.forensics->finish(rt, false);
-        } else {
-            o.forensics->finish_at(rt, true, rt->phase_cursor_us());
-        }
-    }
+    finish_request(o.forensics, rt, status);
     return status;
 }
 
@@ -569,9 +572,6 @@ Status StripeStore::overwrite(std::int64_t offset, ConstByteSpan data) {
 
     const StoreObs& o = store_obs();
     if (o.overwrites_total != nullptr) o.overwrites_total->add(1);
-    obs::Span span(o.tracer, "store.overwrite", "store");
-    span.arg("offset", offset);
-    span.arg("bytes", length);
 
     std::shared_ptr<obs::RequestTrace> rt;
     if (o.forensics != nullptr) {
@@ -703,14 +703,7 @@ Status StripeStore::overwrite(std::int64_t offset, ConstByteSpan data) {
     };
 
     auto status = run();
-    if (rt != nullptr) {
-        if (!status.ok()) {
-            rt->attr(obs::RequestTrace::kRoot, "error", status.error().message);
-            o.forensics->finish(rt, false);
-        } else {
-            o.forensics->finish_at(rt, true, rt->phase_cursor_us());
-        }
-    }
+    finish_request(o.forensics, rt, status);
     return status;
 }
 
@@ -803,9 +796,6 @@ Status StripeStore::read_elements_locked(ElementId start, std::int64_t count, co
     if (count == 0) return Status::success();
 
     const StoreObs& o = store_obs();
-    obs::Span read_span(o.tracer, "store.read_elements", "store");
-    read_span.arg("start", start);
-    read_span.arg("count", count);
     if (o.reads_total != nullptr) o.reads_total->add(1);
     if (o.read_elements_total != nullptr) o.read_elements_total->add(count);
 
@@ -833,16 +823,7 @@ Status StripeStore::execute_read(ElementId start, std::int64_t count, const Read
         }
     }
     auto status = execute_read_traced(start, count, dest, *scratch, rt.get());
-    if (rt != nullptr) {
-        if (!status.ok()) rt->attr(obs::RequestTrace::kRoot, "error", status.error().message);
-        if (status.ok()) {
-            // Close the root on the last phase's boundary so the phase
-            // durations sum exactly to the request's end-to-end latency.
-            o.forensics->finish_at(rt, true, rt->phase_cursor_us());
-        } else {
-            o.forensics->finish(rt, false);
-        }
-    }
+    finish_request(o.forensics, rt, status);
     return status;
 }
 
@@ -875,15 +856,13 @@ Status StripeStore::execute_read_traced(ElementId start, std::int64_t count, con
 
     // Plan against the current exclusion set; a pattern the code cannot
     // decode is the read path's terminal "beyond tolerance" diagnosis.
-    // Load-shape histograms and the plan span describe the intended plan
-    // (first round); the recovery rounds are accounted by the executor's
+    // Load-shape histograms describe the intended plan (first round);
+    // the recovery rounds are accounted by the executor's
     // retry/replan counters.
     bool first_plan = true;
     auto replanner = [&](const std::vector<DiskId>& excl, AccessPlan& plan) -> Status {
         auto guarded = pending_guard(excl);
         if (!guarded.ok()) return guarded;
-        std::optional<obs::Span> plan_span;
-        if (first_plan) plan_span.emplace(o.tracer, "store.plan", "store");
         if (excl.empty()) {
             core::plan_normal_read(scheme_, start, count, plan);
         } else {
@@ -911,10 +890,6 @@ Status StripeStore::execute_read_traced(ElementId start, std::int64_t count, con
         }
         if (first_plan) {
             first_plan = false;
-            if (plan_span.has_value()) {
-                plan_span->arg("fetches", plan.total_fetched());
-                plan_span->arg("max_load", static_cast<std::int64_t>(plan.max_load()));
-            }
             if (o.read_max_load != nullptr) o.read_max_load->record(plan.max_load());
             if (o.read_fanout != nullptr) o.read_fanout->record(plan.fanout());
         }
@@ -953,8 +928,6 @@ Status StripeStore::execute_read_traced(ElementId start, std::int64_t count, con
     // begin_phase, so attribution tiles the request even when the thread
     // is preempted between two spans.
     {
-        obs::Span decode_span(o.tracer, "store.decode", "store");
-        decode_span.arg("decodes", static_cast<std::int64_t>(s.plan.decodes().size()));
         const std::uint32_t decode_node = rt != nullptr ? rt->begin_phase("decode") : 0;
         auto status = executor_.decode(s, {rt, decode_node}, sink);
         if (rt != nullptr) {
@@ -968,7 +941,6 @@ Status StripeStore::execute_read_traced(ElementId start, std::int64_t count, con
     // the sink already sit in place — when all of them did, there is
     // nothing to walk; otherwise staged elements (hedged reads, elements
     // a recovery round landed in executor buffers) still copy.
-    obs::Span assemble_span(o.tracer, "store.assemble", "store");
     const std::uint32_t assemble_node = rt != nullptr ? rt->begin_phase("assemble") : 0;
     std::int64_t copies = 0;
     if (static_cast<std::int64_t>(s.elements.sunk()) != count) {
@@ -1102,6 +1074,22 @@ StripeId StripeStore::rebuild_round_stripes() const {
 }
 
 Status StripeStore::rebuild_round(DiskId disk, RowId first, RowId rows, exec::RequestScratch& s) {
+    // Each round is one rebuild-class request. The executor appends its
+    // plan/fetch phases per replan round; decode and write follow, so the
+    // root's direct children tile the round like a read's.
+    const StoreObs& o = store_obs();
+    std::shared_ptr<obs::RequestTrace> rt;
+    if (o.forensics != nullptr) {
+        rt = o.forensics->start(obs::RequestClass::rebuild);
+        rt->attr_all(obs::RequestTrace::kRoot, {{"disk", disk}, {"first_row", first}, {"rows", rows}});
+    }
+    auto status = rebuild_round_traced(disk, first, rows, s, rt.get());
+    finish_request(o.forensics, rt, status);
+    return status;
+}
+
+Status StripeStore::rebuild_round_traced(DiskId disk, RowId first, RowId rows,
+                                         exec::RequestScratch& s, obs::RequestTrace* rt) {
     // Plan the rows' reconstruction around every unavailable disk (the
     // target among them), fetch with one queue per disk under the
     // retry/replan policy, and decode into executor staging.
@@ -1116,14 +1104,22 @@ Status StripeStore::rebuild_round(DiskId disk, RowId first, RowId rows, exec::Re
         }
         return planned;
     };
-    auto fetched = executor_.fetch(s, replanner);
+    auto fetched = executor_.fetch(s, replanner, rt);
     if (!fetched.ok()) return fetched;
-    auto decoded = executor_.decode(s);
-    if (!decoded.ok()) return decoded;
+    {
+        const std::uint32_t decode_node = rt != nullptr ? rt->begin_phase("decode") : 0;
+        auto decoded = executor_.decode(s, {rt, decode_node});
+        if (rt != nullptr) {
+            rt->end_with(decode_node,
+                         {{"decodes", static_cast<std::int64_t>(s.plan.decodes().size())}});
+        }
+        if (!decoded.ok()) return decoded;
+    }
 
     // Flush the rebuilt rows onto the replacement straight from staging,
     // as one batched plan (a single queue: all rows live on one disk).
     // The replacement dying here must surface — no degraded skip.
+    const std::uint32_t write_node = rt != nullptr ? rt->begin_phase("write") : 0;
     const int k = scheme_.code().k();
     WritePlan plan(scheme_.disks());
     plan.reserve(static_cast<std::size_t>(rows));
@@ -1132,11 +1128,15 @@ Status StripeStore::rebuild_round(DiskId disk, RowId first, RowId rows, exec::Re
     for (RowId row = first; row < first + rows; ++row) {
         const GroupCoord coord = scheme_.layout().coord_at({disk, row});
         const ByteSpan rebuilt = s.elements.find(exec::PlanExecutor::key_of(coord));
-        if (rebuilt.empty()) return Error::internal("rebuilt element missing after decode");
+        if (rebuilt.empty()) {
+            if (rt != nullptr) rt->end(write_node);
+            return Error::internal("rebuilt element missing after decode");
+        }
         plan.add_write({{disk, row}, coord, payloads.size(), coord.position >= k});
         payloads.push_back(rebuilt);
     }
-    auto wrote = executor_.write(plan, payloads, {}, /*allow_degraded=*/false);
+    auto wrote = executor_.write(plan, payloads, {rt, write_node}, /*allow_degraded=*/false);
+    if (rt != nullptr) rt->end_with(write_node, {{"elements", rows}});
     if (!wrote.ok()) return wrote.error();
     return Status::success();
 }
@@ -1174,10 +1174,6 @@ Status StripeStore::abort_rebuild(DiskId disk) {
 Result<ReconstructStats> StripeStore::reconstruct_disk(DiskId disk) {
     auto began = begin_rebuild(disk);
     if (!began.ok()) return began.error();
-
-    const StoreObs& o = store_obs();
-    obs::Span span(o.tracer, "store.reconstruct", "store");
-    span.arg("disk", static_cast<std::int64_t>(disk));
 
     auto rows = rebuild_target_rows(disk);
     if (!rows.ok()) {
@@ -1248,16 +1244,10 @@ Result<ScrubReport> StripeStore::scrub() {
             rt->attr(scan_node, "groups", result.value().groups_scanned);
             rt->attr(scan_node, "inconsistent", result.value().groups_inconsistent);
             rt->attr(scan_node, "repaired", result.value().elements_repaired);
-        } else {
-            rt->attr(obs::RequestTrace::kRoot, "error", result.error().message);
         }
         rt->end(scan_node);
-        if (result.ok()) {
-            o.forensics->finish_at(rt, true, rt->phase_cursor_us());
-        } else {
-            o.forensics->finish(rt, false);
-        }
     }
+    finish_request(o.forensics, rt, result.ok() ? Status::success() : Status(result.error()));
     return result;
 }
 

@@ -24,6 +24,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -41,7 +42,6 @@
 #include "exec/plan_executor.h"
 #include "obs/metrics.h"
 #include "obs/request_trace.h"
-#include "obs/trace.h"
 #include "store/block_device.h"
 #include "store/disk.h"
 #include "store/extent.h"
@@ -237,23 +237,33 @@ class StripeStore {
     RecoveryOptions recovery() const { return executor_.recovery(); }
 
     /// Attach (or detach, with nulls) observability: per-disk I/O
-    /// accounting under ecfrm_disk_*{disk=i}, store-level counters under
-    /// ecfrm_store_*, and request-scoped read-path spans (plan ->
-    /// per-disk batch -> decode -> assemble) on `tracer`. With a
-    /// `forensics`, every read (and scrub pass) additionally gets a
-    /// per-request causal span tree, feeds the per-class SLO windows,
-    /// and is captured when slow or recovery-active; stripe commits and
+    /// accounting under ecfrm_disk_*{disk=i} and store-level counters
+    /// under ecfrm_store_*. With a `forensics`, every read (and scrub
+    /// pass) gets a per-request causal span tree (plan -> per-disk batch
+    /// -> decode -> assemble), feeds the per-class SLO windows, and is
+    /// captured when slow or recovery-active; stripe commits and
     /// overwrites record write-class requests with encode/write/commit
-    /// phase spans. With a `heat` model, every fetch and write queue
-    /// feeds the live per-disk scoreboard, the degraded planner's health
-    /// tie-break consumes its straggler mask, and the executor's
-    /// auto_hedge policy derives deadlines from its windowed p99s.
-    /// Race-free against in-flight operations: sinks are published as
-    /// atomically swapped bundles, so attaching mid-traffic is safe;
-    /// detached paths cost an atomic load and a null check.
-    void attach_observability(obs::MetricRegistry* metrics, obs::Tracer* tracer = nullptr,
+    /// phase spans, and each rebuild round a rebuild-class request with
+    /// plan/fetch/decode/write phase spans. With a `heat` model, every
+    /// fetch and write queue feeds the live per-disk scoreboard, the
+    /// degraded planner's health tie-break consumes its straggler mask,
+    /// and the executor's auto_hedge policy derives deadlines from its
+    /// windowed p99s. Race-free against in-flight operations: sinks are
+    /// published as atomically swapped bundles, so attaching mid-traffic
+    /// is safe; detached paths cost an atomic load and a null check.
+    void attach_observability(obs::MetricRegistry* metrics,
                               obs::RequestForensics* forensics = nullptr,
                               obs::DiskHeatModel* heat = nullptr);
+    /// Compatibility form with the slot of the deleted span-ring tracer,
+    /// which only ever took a null. It exists only because perfbench
+    /// calls attach_observability(&metrics, nullptr, &forensics) and is
+    /// edited only together with the benchmark; every other caller uses
+    /// the form above.
+    void attach_observability(obs::MetricRegistry* metrics, std::nullptr_t,
+                              obs::RequestForensics* forensics,
+                              obs::DiskHeatModel* heat = nullptr) {
+        attach_observability(metrics, forensics, heat);
+    }
 
     /// Scrub pass: audit every group's parity equations and repair
     /// single-element silent corruptions. A corrupt element is identified
@@ -269,7 +279,6 @@ class StripeStore {
     /// can swap them atomically under live traffic (the executor and the
     /// devices hold their own bundles).
     struct StoreObs {
-        obs::Tracer* tracer = nullptr;
         obs::RequestForensics* forensics = nullptr;
         obs::DiskHeatModel* heat = nullptr;
         obs::Counter* reads_total = nullptr;
@@ -294,7 +303,11 @@ class StripeStore {
     /// One rebuild_rows round: rebuild rows [first, first + rows) of
     /// `disk` through `s` (plan, fetch, decode, write). Caller holds mu_
     /// shared. On success s.plan is the plan that completed.
+    /// Traced as one rebuild-class request when forensics is attached.
     Status rebuild_round(DiskId disk, RowId first, RowId rows, exec::RequestScratch& s);
+    /// rebuild_round's body, appending its phases to `rt` (may be null).
+    Status rebuild_round_traced(DiskId disk, RowId first, RowId rows, exec::RequestScratch& s,
+                                obs::RequestTrace* rt);
     /// Compute every group's parity of one stripe (groups * m buffers,
     /// group-major), pool-parallel across groups.
     Status compute_stripe_parity(ConstByteSpan stripe_data,

@@ -2,7 +2,8 @@
 #   create -> put (object) -> fail -> degraded get-object -> reconstruct ->
 #   corrupt -> scrub -> overwrite -> byte-compare everything.
 # Invoked as:
-#   cmake -DCLI=<path-to-ecfrm_cli> -DWORK=<scratch-dir> -P cli_smoke.cmake
+#   cmake -DCLI=<path-to-ecfrm_cli> -DSIM=<path-to-ecfrm_sim> -DWORK=<scratch-dir>
+#         -P cli_smoke.cmake
 
 function(run)
   execute_process(COMMAND ${ARGV} RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
@@ -31,7 +32,7 @@ if(NOT cmp EQUAL 0)
   message(FATAL_ERROR "degraded get-object returned wrong bytes")
 endif()
 
-run(${CLI} reconstruct ${ARCH} 3)
+run(${CLI} reconstruct ${ARCH} 3 --trace-out ${WORK}/rebuild_trace.json)
 run(${CLI} corrupt ${ARCH} 2 1 17)
 run(${CLI} scrub ${ARCH})
 run(${CLI} cat ${ARCH} ${WORK}/healed.bin)
@@ -83,9 +84,67 @@ file(READ ${WORK}/metrics.prom PROM)
 if(NOT PROM MATCHES "# TYPE ecfrm_disk_read_ops_total counter")
   message(FATAL_ERROR "metrics.prom is missing the TYPE header")
 endif()
-file(READ ${WORK}/trace.json TRACE)
-if(NOT TRACE MATCHES "store.read_elements")
-  message(FATAL_ERROR "trace.json is missing the read span")
+
+# --trace-out writes every request's span tree as one chrome trace: a JSON
+# array of complete events, `cat` the request class. Sets out_var to the
+# events as "<cat>/<name>" (string(JSON) needs CMake 3.19; older CMake
+# matches the raw text instead).
+function(trace_events path out_var)
+  file(READ ${path} body)
+  set(events "")
+  if(CMAKE_VERSION VERSION_LESS 3.19)
+    string(REGEX MATCHALL "\"name\":\"[^\"]*\",\"cat\":\"[^\"]*\"" pairs "${body}")
+    foreach(pair IN LISTS pairs)
+      string(REGEX REPLACE "\"name\":\"([^\"]*)\",\"cat\":\"([^\"]*)\"" "\\2/\\1"
+             event "${pair}")
+      list(APPEND events "${event}")
+    endforeach()
+  else()
+    string(JSON n ERROR_VARIABLE err LENGTH "${body}")
+    if(err)
+      message(FATAL_ERROR "${path} is not a JSON array: ${err}")
+    endif()
+    if(n GREATER 0)
+      math(EXPR last "${n} - 1")
+      foreach(i RANGE ${last})
+        string(JSON name GET "${body}" ${i} name)
+        string(JSON cat GET "${body}" ${i} cat)
+        list(APPEND events "${cat}/${name}")
+      endforeach()
+    endif()
+  endif()
+  set(${out_var} "${events}" PARENT_SCOPE)
+endfunction()
+
+# Sets out_var to how many of `events` match `regex`.
+function(count_events events regex out_var)
+  list(FILTER events INCLUDE REGEX "${regex}")
+  list(LENGTH events n)
+  set(${out_var} ${n} PARENT_SCOPE)
+endfunction()
+
+trace_events(${WORK}/trace.json TRACE)
+foreach(want "disk\\.batch" "assemble")
+  count_events("${TRACE}" "/${want}$" n)
+  if(n EQUAL 0)
+    message(FATAL_ERROR "trace.json has no '${want}' span: ${TRACE}")
+  endif()
+endforeach()
+
+# Each rebuild round is one rebuild-class request with its per-disk
+# batches.
+trace_events(${WORK}/rebuild_trace.json REBUILD)
+count_events("${REBUILD}" "^rebuild/disk\\.batch$" n)
+if(n EQUAL 0)
+  message(FATAL_ERROR "rebuild_trace.json has no rebuild disk.batch span: ${REBUILD}")
+endif()
+
+# The simulator traces each trial as one request on its simulated clock.
+run(${SIM} rs:6,3 --layout ecfrm --trials 50 --trace-out ${WORK}/sim_trace.json)
+trace_events(${WORK}/sim_trace.json SIM_TRACE)
+count_events("${SIM_TRACE}" "/trial$" n)
+if(NOT n EQUAL 50)
+  message(FATAL_ERROR "sim_trace.json should hold 50 trial requests, got ${n}")
 endif()
 
 # Plan explainability: explain dumps schema-tagged JSON to stdout with the

@@ -21,8 +21,9 @@
 #include "common/thread_pool.h"
 #include "core/read_planner.h"
 #include "exec/plan_executor.h"
+#include "obs/heat.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/request_trace.h"
 #include "store/disk.h"
 #include "store/fault_device.h"
 #include "store/stripe_store.h"
@@ -677,8 +678,9 @@ TEST(StoreConcurrent, AttachObservabilityWhileReadsInFlight) {
     // Sinks outlive the store: retired bundles hold pointers into them
     // until the store is destroyed.
     obs::MetricRegistry metrics("test");
-    obs::Tracer tracer(1 << 12);
+    obs::RequestForensics forensics;
     store::StripeStore st(make_scheme("lrc:6,2,2", LayoutKind::ecfrm), elem);
+    obs::DiskHeatModel heat(st.scheme().disks());
 
     std::vector<std::uint8_t> reference(4096);
     Rng fill_rng(21);
@@ -708,10 +710,10 @@ TEST(StoreConcurrent, AttachObservabilityWhileReadsInFlight) {
     }
     // Swap the whole observability bundle in and out under live traffic.
     for (int i = 0; i < 50; ++i) {
-        st.attach_observability(&metrics, &tracer);
-        st.attach_observability(nullptr, nullptr);
+        st.attach_observability(&metrics, &forensics, &heat);
+        st.attach_observability(nullptr, nullptr, nullptr);
     }
-    st.attach_observability(&metrics, &tracer);
+    st.attach_observability(&metrics, &forensics, &heat);
     stop.store(true);
     for (auto& t : readers) t.join();
     EXPECT_EQ(mismatches.load(), 0);
@@ -720,6 +722,7 @@ TEST(StoreConcurrent, AttachObservabilityWhileReadsInFlight) {
     auto out = st.read_bytes(0, committed);
     ASSERT_TRUE(out.ok());
     EXPECT_GT(metrics.counter("ecfrm_store_reads_total").value(), 0);
+    EXPECT_GT(forensics.finished_total(obs::RequestClass::normal), 0);
 }
 
 }  // namespace

@@ -284,7 +284,7 @@ TEST(ExpositionServer, ServesForensicsRoutes) {
     EXPECT_EQ(slo_doc->string_or("schema", ""), "ecfrm.slo.v1");
     const json::Value* classes = slo_doc->find("classes");
     ASSERT_NE(classes, nullptr);
-    ASSERT_EQ(classes->items().size(), 4u);  // normal / degraded / scrub / write
+    ASSERT_EQ(classes->items().size(), 5u);  // normal / degraded / scrub / write / rebuild
     bool saw_degraded = false;
     for (const json::Value& cls : classes->items()) {
         if (cls.string_or("class", "") != "degraded") continue;

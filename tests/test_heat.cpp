@@ -201,7 +201,7 @@ TEST(HeatBalance, MeasuredMaxLoadMatchesClosedForm) {
                 ASSERT_GT(predicted, 0) << spec;
 
                 DiskHeatModel heat(n);
-                store.attach_observability(nullptr, nullptr, nullptr, &heat);
+                store.attach_observability(nullptr, nullptr, &heat);
                 std::vector<std::uint8_t> out(static_cast<std::size_t>(request_elems * elem));
                 for (ElementId start = 0; start < per_stripe; ++start) {
                     ASSERT_TRUE(store

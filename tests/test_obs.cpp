@@ -1,11 +1,12 @@
 // Observability substrate: counters, gauges, log-bucketed histograms,
-// registry identity, exporters, the trace ring buffer, and the per-device
-// IoStats hook — including a threaded stress run that doubles as the
-// sanitizer target (build with -DECFRM_SANITIZE=address or =undefined).
-// Also the tail-forensics layer: sliding-window histograms, the SLO
-// tracker, per-request span trees and the slow-request exemplar store.
+// registry identity, exporters, and the per-device IoStats hook —
+// including a threaded stress run that doubles as the sanitizer target
+// (build with -DECFRM_SANITIZE=address or =undefined). Also the
+// tail-forensics layer: sliding-window histograms, the SLO tracker,
+// per-request span trees, the exemplar store and its chrome export.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <thread>
@@ -15,8 +16,8 @@
 #include "common/stats.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
+#include "obs/json.h"
 #include "obs/request_trace.h"
-#include "obs/trace.h"
 #include "obs/window.h"
 #include "store/disk.h"
 
@@ -288,32 +289,6 @@ TEST(Registry, IoErrorsCountedPerDiskAndOp) {
     EXPECT_NE(reg.help("ecfrm_store_io_errors_total"), "");
 }
 
-TEST(Tracer, DroppedCountsWrapLosses) {
-    Tracer tracer(4);
-    for (int i = 0; i < 3; ++i) tracer.instant("e", "t", static_cast<double>(i));
-    EXPECT_EQ(tracer.dropped(), 0u);
-    for (int i = 3; i < 10; ++i) tracer.instant("e", "t", static_cast<double>(i));
-    EXPECT_EQ(tracer.dropped(), 6u);  // 10 recorded, ring holds 4
-}
-
-TEST(Tracer, AttachMetricsSeedsAndTracksDrops) {
-    MetricRegistry reg;
-    Tracer tracer(2);
-    // Drops that happen before attachment must seed the counter.
-    for (int i = 0; i < 5; ++i) tracer.instant("e", "t", static_cast<double>(i));
-    tracer.attach_metrics(&reg);
-    Counter& dropped = reg.counter("ecfrm_obs_trace_dropped_total");
-    EXPECT_EQ(dropped.value(), 3);
-    tracer.instant("late", "t", 99.0);
-    EXPECT_EQ(dropped.value(), 4);
-    EXPECT_EQ(tracer.dropped(), 4u);
-    EXPECT_NE(reg.help("ecfrm_obs_trace_dropped_total"), "");
-    // Detach: further drops no longer touch the registry.
-    tracer.attach_metrics(nullptr);
-    tracer.instant("unseen", "t", 100.0);
-    EXPECT_EQ(dropped.value(), 4);
-}
-
 TEST(ThreadPool, AttachMetricsTracksQueueAndExecution) {
     MetricRegistry reg;
     Gauge& depth = reg.gauge("ecfrm_pool_queue_depth");
@@ -335,80 +310,6 @@ TEST(ThreadPool, AttachMetricsTracksQueueAndExecution) {
     EXPECT_EQ(executed.value(), kTasks);
 }
 
-TEST(Tracer, RingWrapsKeepingNewestEvents) {
-    Tracer tracer(8);
-    EXPECT_EQ(tracer.capacity(), 8u);
-    for (int i = 0; i < 20; ++i) {
-        tracer.instant("e" + std::to_string(i), "test", static_cast<double>(i));
-    }
-    EXPECT_EQ(tracer.recorded(), 20u);
-    EXPECT_EQ(tracer.size(), 8u);
-    const auto events = tracer.events();
-    ASSERT_EQ(events.size(), 8u);
-    // Oldest-first snapshot of the last 8 events: e12 .. e19.
-    for (int i = 0; i < 8; ++i) {
-        EXPECT_EQ(events[static_cast<std::size_t>(i)].name, "e" + std::to_string(12 + i));
-        EXPECT_DOUBLE_EQ(events[static_cast<std::size_t>(i)].ts_us, static_cast<double>(12 + i));
-    }
-}
-
-TEST(Tracer, SpanRecordsCompleteEventWithArgs) {
-    Tracer tracer(16);
-    {
-        Span span(&tracer, "store.read", "store");
-        span.arg("elements", std::int64_t{5});
-        span.arg("mode", std::string("normal"));
-    }
-    const auto events = tracer.events();
-    ASSERT_EQ(events.size(), 1u);
-    EXPECT_EQ(events[0].name, "store.read");
-    EXPECT_EQ(events[0].cat, "store");
-    EXPECT_EQ(events[0].phase, 'X');
-    EXPECT_GE(events[0].dur_us, 0.0);
-    ASSERT_EQ(events[0].args.size(), 2u);
-    EXPECT_EQ(events[0].args[0].first, "elements");
-    EXPECT_EQ(events[0].args[0].second, "5");
-    EXPECT_EQ(events[0].args[1].second, "normal");
-
-    // Null-tracer span is a no-op.
-    {
-        Span nothing(nullptr, "ignored", "ignored");
-        nothing.arg("k", std::int64_t{1});
-    }
-    EXPECT_EQ(tracer.recorded(), 1u);
-}
-
-TEST(Tracer, ChromeJsonIsBalancedArray) {
-    Tracer tracer(32);
-    tracer.complete("batch", "io", 10.0, 5.0, {{"disk", "2"}, {"quote", "a\"b"}});
-    tracer.instant("mark", "io", 12.0);
-    const std::string json = tracer.to_chrome_json();
-    ASSERT_FALSE(json.empty());
-    EXPECT_EQ(json.front(), '[');
-    EXPECT_EQ(json[json.find_last_not_of('\n')], ']');
-    int curly = 0, square = 0;
-    bool in_string = false;
-    for (std::size_t i = 0; i < json.size(); ++i) {
-        const char c = json[i];
-        if (in_string) {
-            if (c == '\\') ++i;
-            else if (c == '"') in_string = false;
-            continue;
-        }
-        if (c == '"') in_string = true;
-        if (c == '{') ++curly;
-        if (c == '}') --curly;
-        if (c == '[') ++square;
-        if (c == ']') --square;
-    }
-    EXPECT_EQ(curly, 0);
-    EXPECT_EQ(square, 0);
-    EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-    EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
-    EXPECT_NE(json.find("\"dur\":5"), std::string::npos);
-    EXPECT_NE(json.find("a\\\"b"), std::string::npos);
-}
-
 TEST(ThreadedStress, SharedMetricsStayExact) {
     // Hammer one counter, one gauge and one histogram from every pool
     // thread; totals must be exact (the CAS loops lose no updates). Under
@@ -417,20 +318,15 @@ TEST(ThreadedStress, SharedMetricsStayExact) {
     Counter& ops = reg.counter("ecfrm_stress_ops_total");
     Gauge& acc = reg.gauge("ecfrm_stress_acc");
     Histogram& lat = reg.histogram("ecfrm_stress_seconds");
-    Tracer tracer(64);
 
     ThreadPool pool(4);
     constexpr int kTasks = 32;
     constexpr int kPerTask = 2000;
-    parallel_for(pool, kTasks, [&](std::size_t t) {
+    parallel_for(pool, kTasks, [&](std::size_t) {
         for (int i = 0; i < kPerTask; ++i) {
             ops.add(1);
             acc.add(0.5);
             lat.record(1e-3 * static_cast<double>(1 + (i % 7)));
-            if (i % 256 == 0) {
-                Span span(&tracer, "stress", "test");
-                span.arg("task", static_cast<std::int64_t>(t));
-            }
         }
     });
 
@@ -438,24 +334,6 @@ TEST(ThreadedStress, SharedMetricsStayExact) {
     EXPECT_DOUBLE_EQ(acc.value(), 0.5 * kTasks * kPerTask);
     EXPECT_EQ(lat.count(), static_cast<std::int64_t>(kTasks) * kPerTask);
     EXPECT_NEAR(lat.max(), 7e-3, 7e-3 * 0.04);
-    EXPECT_GE(tracer.recorded(), static_cast<std::size_t>(kTasks));
-}
-
-TEST(TracerSeq, MonotonicAcrossRingWrap) {
-    // seq is the global append order; after the ring wraps, the retained
-    // events must still carry strictly consecutive seq values so
-    // post-hoc ordering survives the overwrites.
-    Tracer tracer(8);
-    for (int i = 0; i < 20; ++i) {
-        tracer.complete("op", "test", static_cast<double>(i), 1.0);
-    }
-    const auto events = tracer.events();
-    ASSERT_EQ(events.size(), 8u);
-    EXPECT_EQ(events.front().seq, 12u);
-    for (std::size_t i = 1; i < events.size(); ++i) {
-        EXPECT_EQ(events[i].seq, events[i - 1].seq + 1);
-    }
-    EXPECT_NE(tracer.to_chrome_json().find("\"seq\":"), std::string::npos);
 }
 
 TEST(WindowedHistogramTest, ExpiresOldSubWindows) {
@@ -792,6 +670,55 @@ TEST(RequestForensicsTest, SloAndSlowExports) {
     EXPECT_EQ(chrome.front(), '[');
     EXPECT_NE(chrome.find("\"ph\":\"X\""), std::string::npos);
     EXPECT_NE(chrome.find("\"seq\":"), std::string::npos);
+}
+
+TEST(RequestForensicsTest, ChromeJsonExportsEveryHeldRequest) {
+    // Threshold 0 captures every request: the combined export is one
+    // chrome array with one pid per held request, oldest evicted first.
+    ForensicsOptions opts;
+    opts.slow_threshold_us = 0.0;
+    opts.max_exemplars = 3;
+    RequestForensics forensics(opts);
+    std::vector<std::uint64_t> ids;
+    for (int r = 0; r < 5; ++r) {
+        const double t0 = 100.0 * r;
+        auto rt = forensics.start_at(r % 2 == 0 ? RequestClass::normal : RequestClass::rebuild, t0);
+        const std::uint32_t batch = rt->complete(RequestTrace::kRoot, "disk.batch", t0, 5.0,
+                                                 {{"disk", "2"}, {"quote", "a\"b"}});
+        EXPECT_NE(batch, 0u);
+        forensics.finish_at(rt, true, t0 + 10.0);
+        ids.push_back(rt->id());
+    }
+    EXPECT_EQ(forensics.captured(), 3u);
+    EXPECT_EQ(forensics.evicted(), 2u);
+
+    const std::string chrome = forensics.chrome_json();
+    EXPECT_NE(chrome.find("a\\\"b"), std::string::npos);  // escaped quote
+    auto doc = json::parse(chrome);
+    ASSERT_TRUE(doc.ok()) << doc.error().message << "\n" << chrome;
+    ASSERT_TRUE(doc->is_array());
+    ASSERT_EQ(doc->items().size(), 6u);  // root + batch of each held request
+
+    // The held requests are the newest three, in order; each is one pid
+    // whose cat is its class, with seq counting its spans from 0.
+    std::vector<std::uint64_t> pids;
+    for (const json::Value& event : doc->items()) {
+        EXPECT_EQ(event.string_or("ph", ""), "X");
+        const auto pid = static_cast<std::uint64_t>(event.number_or("pid", -1.0));
+        if (pids.empty() || pids.back() != pid) pids.push_back(pid);
+        const std::size_t r = static_cast<std::size_t>(
+            std::find(ids.begin(), ids.end(), pid) - ids.begin());
+        ASSERT_LT(r, ids.size());
+        EXPECT_EQ(event.string_or("cat", ""), r % 2 == 0 ? "normal" : "rebuild");
+        const json::Value* args = event.find("args");
+        ASSERT_NE(args, nullptr);
+        const std::string name = event.string_or("name", "");
+        EXPECT_EQ(args->string_or("seq", ""), name == "request" ? "0" : "1");
+        if (name == "disk.batch") {
+            EXPECT_EQ(args->string_or("quote", ""), "a\"b");
+        }
+    }
+    EXPECT_EQ(pids, (std::vector<std::uint64_t>{ids[2], ids[3], ids[4]}));
 }
 
 }  // namespace

@@ -188,7 +188,7 @@ TEST_F(ReadAllocs, DegradedReadBytes) {
 
 TEST_F(ReadAllocs, HeatModelAddsNoAllocations) {
     obs::DiskHeatModel heat(store_->scheme().disks());
-    store_->attach_observability(nullptr, nullptr, nullptr, &heat);
+    store_->attach_observability(nullptr, nullptr, &heat);
     EXPECT_EQ(read_elements_allocs(), kHealthyReadElements);
     ASSERT_TRUE(store_->fail_disk(kFailed).ok());
     // Enough traffic for the heat window to judge every live disk, so the

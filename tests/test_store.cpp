@@ -2,6 +2,7 @@
 // degraded reads, multi-failure reads, reconstruction and parity audit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -623,7 +624,7 @@ TEST(StoreRecovery, ForensicsCaptureReplannedReadWithTiledPhases) {
     obs::ForensicsOptions fopts;
     fopts.slow_threshold_us = -1.0;  // recovery is the only capture trigger
     obs::RequestForensics forensics(fopts);
-    f.store->attach_observability(&f.metrics, nullptr, &forensics);
+    f.store->attach_observability(&f.metrics, &forensics);
 
     auto out = f.store->read_bytes(0, static_cast<std::int64_t>(f.data.size()));
     ASSERT_TRUE(out.ok()) << out.error().message;
@@ -768,6 +769,42 @@ TEST(StoreRecovery, TornWritesAreHealedByWriteRetries) {
     ASSERT_TRUE(out.ok()) << out.error().message;
     EXPECT_EQ(out.value(), f.data);
     EXPECT_TRUE(f.store->verify_parity().ok());
+}
+
+TEST(StoreRecovery, FailedFlushLeavesNoPaddingInTheTail) {
+    // A flush pads the tail to a whole stripe. When its commit fails, the
+    // padding must not stay behind: the next append would land after it
+    // and a later read would return zeros for the appended bytes.
+    FaultPlan plan;
+    FaultRule torn;
+    torn.kind = FaultKind::torn_write;
+    torn.disk = 0;
+    torn.op = FaultOp::write;
+    torn.first_op = 0;
+    torn.count = 1;
+    plan.rules = {torn};
+    auto opened = StripeStore::open(make_scheme("rs:6,3", LayoutKind::ecfrm), 64,
+                                    faulty_memory_factory(64, plan));
+    ASSERT_TRUE(opened.ok());
+    auto store = std::move(opened).take();
+    RecoveryOptions recovery;
+    recovery.max_retries = 0;
+    store->set_recovery(recovery);
+
+    const std::vector<std::uint8_t> aa(100, 0xAA);
+    const std::vector<std::uint8_t> bb(50, 0xBB);
+    ASSERT_TRUE(store->append(ConstByteSpan(aa.data(), aa.size())).ok());
+    EXPECT_FALSE(store->flush().ok());
+    ASSERT_TRUE(store->append(ConstByteSpan(bb.data(), bb.size())).ok());
+    ASSERT_TRUE(store->flush().ok());
+
+    EXPECT_EQ(store->logical_bytes(), 150);
+    EXPECT_EQ(store->committed_bytes(), 150);
+    std::vector<std::uint8_t> want(150, 0xBB);
+    std::fill_n(want.begin(), 100, std::uint8_t{0xAA});
+    auto out = store->read_bytes(0, 150);
+    ASSERT_TRUE(out.ok()) << out.error().message;
+    EXPECT_EQ(out.value(), want);
 }
 
 // ---- Request scratch reuse ---------------------------------------------------
@@ -1012,6 +1049,62 @@ TEST_P(StoreRebuild, UnevenChunksRestoreTheDiskByteForByte) {
         }
         f.expect_intact();
     }
+}
+
+TEST_P(StoreRebuild, EachRoundIsOneTracedRebuildRequest) {
+    const auto [spec, kind, pool_threads] = GetParam();
+    RebuildFixture f(spec, kind, pool_threads);
+    const core::Scheme& scheme = f.store->scheme();
+    obs::ForensicsOptions opts;
+    opts.slow_threshold_us = 0.0;  // capture every round
+    opts.max_exemplars = 1024;
+    obs::RequestForensics forensics(opts);
+    f.store->attach_observability(&f.metrics, &forensics);
+
+    const DiskId disk = 1;
+    const RowId rows = f.rows();
+    const RowId rows_per_stripe = scheme.layout().rows_per_stripe();
+    ASSERT_TRUE(f.store->fail_disk(disk).ok());
+    ASSERT_TRUE(f.store->begin_rebuild(disk).ok());
+    // Each round's source queues: one per disk its row-range plan reads.
+    std::vector<int> queues;
+    core::PlanScratch scratch;
+    core::AccessPlan plan;
+    for (RowId first = 0; first < rows; first += 7) {
+        const RowId n = std::min<RowId>(7, rows - first);
+        for (RowId row = first; row < first + n;) {
+            const RowId end = std::min(
+                first + n, (row / rows_per_stripe + f.store->rebuild_round_stripes()) * rows_per_stripe);
+            ASSERT_TRUE(core::plan_reconstruction(scheme, disk, row, end - row, {}, scratch, plan).ok());
+            queues.push_back(plan.fanout());
+            row = end;
+        }
+        ASSERT_TRUE(f.store->rebuild_rows(disk, first, n).ok());
+    }
+    ASSERT_TRUE(f.store->finish_rebuild(disk).ok());
+    f.store->attach_observability(&f.metrics);
+
+    EXPECT_EQ(forensics.finished_total(obs::RequestClass::rebuild),
+              static_cast<std::int64_t>(queues.size()));
+    const auto traces = forensics.exemplars();
+    ASSERT_EQ(traces.size(), queues.size());
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+        const obs::RequestTrace& rt = *traces[i];
+        EXPECT_EQ(rt.cls(), obs::RequestClass::rebuild);
+        EXPECT_TRUE(rt.ok());
+        double phases = 0.0;
+        std::vector<std::string> names;
+        for (const auto& [name, us] : rt.phase_totals()) {
+            phases += us;
+            names.push_back(name);
+        }
+        EXPECT_EQ(names, (std::vector<std::string>{"plan", "fetch", "decode", "write"}));
+        EXPECT_NEAR(phases, rt.dur_us(), 1e-3) << "round " << i;
+        int batches = 0;
+        for (const obs::SpanNode& node : rt.nodes()) batches += node.name == "disk.batch" ? 1 : 0;
+        EXPECT_EQ(batches, queues[i]) << "round " << i;
+    }
+    f.expect_intact();
 }
 
 INSTANTIATE_TEST_SUITE_P(

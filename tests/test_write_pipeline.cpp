@@ -14,6 +14,7 @@
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "store/ec_pipeline.h"
+#include "store/fault_device.h"
 #include "store/stripe_store.h"
 
 namespace ecfrm::store {
@@ -129,6 +130,54 @@ TEST(WritePipeline, WatermarkZeroForcesEverySyncEncode) {
     EXPECT_EQ(s.encoded_stripes, 0);
     EXPECT_EQ(store.unencoded_stripes(), 0);
     EXPECT_TRUE(store.verify_parity().ok());
+}
+
+/// A store whose disk 0 tears its first write, with retries off, so the
+/// first stripe commit fails and every later one lands.
+std::unique_ptr<StripeStore> store_tearing_first_write() {
+    FaultPlan plan;
+    FaultRule torn;
+    torn.kind = FaultKind::torn_write;
+    torn.disk = 0;
+    torn.op = FaultOp::write;
+    torn.first_op = 0;
+    torn.count = 1;
+    plan.rules = {torn};
+    auto opened = StripeStore::open(make_scheme("rs:6,3", LayoutKind::ecfrm), 64,
+                                    faulty_memory_factory(64, plan));
+    EXPECT_TRUE(opened.ok());
+    auto store = std::move(opened).take();
+    RecoveryOptions recovery;
+    recovery.max_retries = 0;
+    store->set_recovery(recovery);
+    return store;
+}
+
+TEST(WritePipeline, FailedFlushKeepsTheTailForARetry) {
+    auto store = store_tearing_first_write();
+    EcPipeline pipeline(*store, nullptr);
+
+    const auto data = random_bytes(100, 13);
+    ASSERT_TRUE(pipeline.append(ConstByteSpan(data.data(), data.size())).ok());
+    EXPECT_FALSE(pipeline.flush().ok());
+    ASSERT_TRUE(pipeline.flush().ok());
+
+    EXPECT_EQ(store->logical_bytes(), 100);
+    EXPECT_EQ(store->committed_bytes(), 100);
+    expect_store_matches(*store, data);
+}
+
+TEST(WritePipeline, FailedAppendCommitKeepsItsBytes) {
+    auto store = store_tearing_first_write();
+    EcPipeline pipeline(*store, nullptr);
+
+    const auto data = random_bytes(static_cast<std::size_t>(store->stripe_data_bytes()) + 10, 14);
+    EXPECT_FALSE(pipeline.append(ConstByteSpan(data.data(), data.size())).ok());
+    ASSERT_TRUE(pipeline.flush().ok());
+
+    EXPECT_EQ(store->logical_bytes(), static_cast<std::int64_t>(data.size()));
+    EXPECT_EQ(store->committed_bytes(), static_cast<std::int64_t>(data.size()));
+    expect_store_matches(*store, data);
 }
 
 TEST(WritePipeline, ToJsonCarriesSchemaAndPolicy) {

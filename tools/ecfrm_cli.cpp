@@ -43,7 +43,6 @@
 #include "obs/heat.h"
 #include "obs/metrics.h"
 #include "obs/request_trace.h"
-#include "obs/trace.h"
 #include "store/disk.h"
 #include "store/ec_pipeline.h"
 #include "store/fault_device.h"
@@ -104,7 +103,6 @@ struct ObsOutputs {
     int serve_port = -1;       // >= 0: expose live metrics over HTTP
     double serve_hold = 0.0;   // seconds to keep serving after the command
     std::unique_ptr<obs::MetricRegistry> metrics;
-    std::unique_ptr<obs::Tracer> tracer;
     std::unique_ptr<obs::RequestForensics> forensics;
     std::unique_ptr<obs::DiskHeatModel> heat;  // sized lazily at archive open
     std::unique_ptr<obs::Snapshotter> snapshotter;
@@ -115,7 +113,7 @@ struct ObsOutputs {
     /// server. Store commands call this as they open, and the server picks
     /// the model up mid-flight.
     void attach_heat_for(int disks) {
-        if (metrics == nullptr && tracer == nullptr) return;
+        if (metrics == nullptr && forensics == nullptr) return;
         if (heat != nullptr && heat->disks() == disks) return;
         heat = std::make_unique<obs::DiskHeatModel>(disks);
         if (server != nullptr) server->attach_heat(heat.get());
@@ -127,12 +125,16 @@ struct ObsOutputs {
             core::attach_planner_metrics(metrics.get());
             gf::attach_kernel_metrics(metrics.get());
         }
-        if (!trace_path.empty()) tracer = std::make_unique<obs::Tracer>(1 << 14);
-        if (tracer != nullptr && metrics != nullptr) tracer->attach_metrics(metrics.get());
         // Request forensics ride along with any observability sink: store
         // commands feed /slo and /slow whenever --serve (or a metrics
-        // dump) is active.
-        if (metrics != nullptr || tracer != nullptr) {
+        // dump) is active. --trace-out keeps every request's span tree,
+        // up to 16384 of them.
+        if (!trace_path.empty()) {
+            obs::ForensicsOptions opts;
+            opts.slow_threshold_us = 0.0;
+            opts.max_exemplars = std::size_t{1} << 14;
+            forensics = std::make_unique<obs::RequestForensics>(opts);
+        } else if (metrics != nullptr) {
             forensics = std::make_unique<obs::RequestForensics>();
         }
         if (serve_port >= 0) {
@@ -179,7 +181,14 @@ struct ObsOutputs {
         if (metrics != nullptr && !prometheus_path.empty()) {
             ok = write_file(prometheus_path, metrics->to_prometheus()) && ok;
         }
-        if (tracer != nullptr) ok = write_file(trace_path, tracer->to_chrome_json()) && ok;
+        if (!trace_path.empty()) {
+            ok = write_file(trace_path, forensics->chrome_json()) && ok;
+            if (forensics->evicted() > 0) {
+                std::fprintf(stderr,
+                             "warning: %s holds the last %zu requests; %zu earlier were dropped\n",
+                             trace_path.c_str(), forensics->captured(), forensics->evicted());
+            }
+        }
         return ok;
     }
 };
@@ -217,8 +226,7 @@ Result<Archive> open_archive(const std::string& dir) {
     auto restored = st.value()->restore(manifest->extents, manifest->stripes);
     if (!restored.ok()) return restored.error();
     g_obs.attach_heat_for(st.value()->scheme().disks());
-    st.value()->attach_observability(g_obs.metrics.get(), g_obs.tracer.get(),
-                                     g_obs.forensics.get(), g_obs.heat.get());
+    st.value()->attach_observability(g_obs.metrics.get(), g_obs.forensics.get(), g_obs.heat.get());
     return Archive{std::move(manifest).take(), std::move(st).take()};
 }
 
@@ -530,8 +538,7 @@ int cmd_slowlog(const std::vector<std::string>& args) {
     opts.slow_threshold_us = threshold_us;
     opts.max_exemplars = static_cast<std::size_t>(requests);
     obs::RequestForensics forensics(opts);
-    archive->store->attach_observability(g_obs.metrics.get(), g_obs.tracer.get(), &forensics,
-                                         g_obs.heat.get());
+    archive->store->attach_observability(g_obs.metrics.get(), &forensics, g_obs.heat.get());
 
     const std::int64_t element_bytes = archive->manifest.element_bytes;
     const std::int64_t max_len = std::min<std::int64_t>(read_elems * element_bytes, committed);
@@ -545,8 +552,7 @@ int cmd_slowlog(const std::vector<std::string>& args) {
         auto read = archive->store->read_bytes(offset, length);
         if (!read.ok()) ++failures;
     }
-    archive->store->attach_observability(g_obs.metrics.get(), g_obs.tracer.get(),
-                                         g_obs.forensics.get(), g_obs.heat.get());
+    archive->store->attach_observability(g_obs.metrics.get(), g_obs.forensics.get(), g_obs.heat.get());
 
     const auto exemplars = forensics.exemplars();
     std::printf("slowlog: %d requests, %zu captured (threshold %.1f us), %d failed\n", requests,
@@ -634,8 +640,7 @@ int cmd_heat(const std::vector<std::string>& args) {
     }
 
     obs::DiskHeatModel heat(archive->store->scheme().disks());
-    archive->store->attach_observability(g_obs.metrics.get(), g_obs.tracer.get(),
-                                         g_obs.forensics.get(), &heat);
+    archive->store->attach_observability(g_obs.metrics.get(), g_obs.forensics.get(), &heat);
 
     const std::int64_t element_bytes = archive->manifest.element_bytes;
     const std::int64_t max_len = std::min<std::int64_t>(read_elems * element_bytes, committed);
@@ -649,8 +654,7 @@ int cmd_heat(const std::vector<std::string>& args) {
         auto read = archive->store->read_bytes(offset, length);
         if (!read.ok()) ++failures;
     }
-    archive->store->attach_observability(g_obs.metrics.get(), g_obs.tracer.get(),
-                                         g_obs.forensics.get(), g_obs.heat.get());
+    archive->store->attach_observability(g_obs.metrics.get(), g_obs.forensics.get(), g_obs.heat.get());
 
     const double now = obs::DiskHeatModel::now_seconds();
     const obs::ClusterHeatSnapshot cluster = heat.snapshot(now);
@@ -852,7 +856,7 @@ FaultCell run_fault_cell(const std::string& spec, layout::LayoutKind kind, const
     obs::ForensicsOptions fopts;
     fopts.slow_threshold_us = -1.0;
     obs::RequestForensics forensics(fopts);
-    st.value()->attach_observability(&metrics, nullptr, &forensics);
+    st.value()->attach_observability(&metrics, &forensics);
 
     const std::int64_t data_elems = 4 * st.value()->scheme().layout().data_per_stripe();
     std::vector<std::uint8_t> payload(static_cast<std::size_t>(data_elems * elem_bytes));
@@ -1373,7 +1377,7 @@ StragglerRun run_straggler_config(const char* policy, double hedge_ms, bool auto
 
     obs::DiskHeatModel heat(st.value()->scheme().disks());
     obs::MetricRegistry metrics("ecfrm_straggler");
-    st.value()->attach_observability(&metrics, nullptr, nullptr, &heat);
+    st.value()->attach_observability(&metrics, nullptr, &heat);
 
     const std::int64_t data_elems = 4 * st.value()->scheme().layout().data_per_stripe();
     std::vector<std::uint8_t> payload(static_cast<std::size_t>(data_elems * elem_bytes));
@@ -1840,7 +1844,7 @@ int cmd_serve_bench(const std::vector<std::string>& args) {
         auto status = st.fail_disk(0);
         if (!status.ok()) return fail_with(status.error());
     }
-    st.attach_observability(g_obs.metrics.get(), g_obs.tracer.get(), g_obs.forensics.get());
+    st.attach_observability(g_obs.metrics.get(), g_obs.forensics.get());
 
     const std::int64_t committed = st.committed_bytes();
     const std::int64_t max_len = std::min<std::int64_t>(read_elems * element_bytes, committed);
@@ -2002,7 +2006,7 @@ int cmd_pipeline(const std::vector<std::string>& args) {
                      st.scheme().disks());
         return 1;
     }
-    st.attach_observability(g_obs.metrics.get(), g_obs.tracer.get(), g_obs.forensics.get());
+    st.attach_observability(g_obs.metrics.get(), g_obs.forensics.get());
     store::EcPipeline pipeline(st, &pool, opts);
     pipeline.attach_observability(g_obs.metrics.get(), g_obs.forensics.get());
 

@@ -15,7 +15,8 @@
 //                          ecfrm.faultplan.v1 plan in F and verify the bytes
 //     --metrics-out F      write metrics as NDJSON to F
 //     --metrics-prom F     write metrics in Prometheus text format to F
-//     --trace-out F        write a chrome://tracing JSON trace to F
+//     --trace-out F        write every trial as a request of a chrome://tracing
+//                          JSON trace to F (on the simulated clock)
 //
 // Examples:
 //   ecfrm_sim lrc:12,3,3 --degraded
@@ -37,7 +38,7 @@
 #include "gf/kernels.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/request_trace.h"
 #include "sim/array_sim.h"
 #include "store/fault_device.h"
 #include "store/stripe_store.h"
@@ -250,14 +251,19 @@ int main(int argc, char** argv) {
     if (opt.trials <= 0 || opt.elem_bytes <= 0 || opt.max_size <= 0) return usage();
 
     std::unique_ptr<obs::MetricRegistry> metrics;
-    std::unique_ptr<obs::Tracer> tracer;
+    std::unique_ptr<obs::RequestForensics> forensics;
     if (!opt.metrics_out.empty() || !opt.metrics_prom.empty() || opt.serve_port >= 0) {
         metrics = std::make_unique<obs::MetricRegistry>("ecfrm_sim");
         core::attach_planner_metrics(metrics.get());
         gf::attach_kernel_metrics(metrics.get());
     }
-    if (!opt.trace_out.empty()) tracer = std::make_unique<obs::Tracer>(std::size_t{1} << 14);
-    if (tracer != nullptr && metrics != nullptr) tracer->attach_metrics(metrics.get());
+    if (!opt.trace_out.empty()) {
+        // Keep every trial (up to 16384 of them) for the export.
+        obs::ForensicsOptions fopts;
+        fopts.slow_threshold_us = 0.0;
+        fopts.max_exemplars = std::size_t{1} << 14;
+        forensics = std::make_unique<obs::RequestForensics>(fopts);
+    }
 
     // The server starts before the protocol so the run is scrapable live;
     // the snapshotter's captures turn the counters into rates.
@@ -370,13 +376,20 @@ int main(int argc, char** argv) {
                 trial_max_load = plan.max_load();
             }
             max_load += static_cast<double>(trial_max_load);
-            if (tracer != nullptr) {
-                tracer->complete("trial", layout::to_string(kind), sim_clock_us,
-                                 timing.seconds * 1e6,
-                                 {{"trial", std::to_string(t)},
-                                  {"max_load", std::to_string(trial_max_load)},
-                                  {"requested_bytes", std::to_string(timing.requested_bytes)}});
-                sim_clock_us += timing.seconds * 1e6;
+            if (forensics != nullptr) {
+                // One request per trial on the simulated clock.
+                const double dur_us = timing.seconds * 1e6;
+                auto rt = forensics->start_at(
+                    opt.degraded ? obs::RequestClass::degraded : obs::RequestClass::normal,
+                    sim_clock_us);
+                const std::uint32_t span =
+                    rt->complete(obs::RequestTrace::kRoot, "trial", sim_clock_us, dur_us,
+                                 {{"trial", t},
+                                  {"max_load", trial_max_load},
+                                  {"requested_bytes", timing.requested_bytes}});
+                rt->attr(span, "layout", layout::to_string(kind));
+                forensics->finish_at(rt, true, sim_clock_us + dur_us);
+                sim_clock_us += dur_us;
             }
         }
         if (opt.degraded) {
@@ -397,7 +410,13 @@ int main(int argc, char** argv) {
     bool io_ok = true;
     if (!opt.metrics_out.empty()) io_ok &= write_file(opt.metrics_out, metrics->to_json());
     if (!opt.metrics_prom.empty()) io_ok &= write_file(opt.metrics_prom, metrics->to_prometheus());
-    if (!opt.trace_out.empty()) io_ok &= write_file(opt.trace_out, tracer->to_chrome_json());
+    if (forensics != nullptr) {
+        io_ok &= write_file(opt.trace_out, forensics->chrome_json());
+        if (forensics->evicted() > 0) {
+            std::fprintf(stderr, "warning: %s holds the last %zu trials; %zu earlier were dropped\n",
+                         opt.trace_out.c_str(), forensics->captured(), forensics->evicted());
+        }
+    }
     core::attach_planner_metrics(nullptr);
     gf::attach_kernel_metrics(nullptr);
     return io_ok ? 0 : 1;
