@@ -26,16 +26,20 @@ Result<RepairPolicy> parse_repair_policy(const std::string& name) {
 }
 
 EcPipeline::EcPipeline(StripeStore& store, ThreadPool* pool, PipelineOptions options)
-    : store_(store), pool_(pool), options_(std::move(options)) {
+    : store_(store),
+      pool_(pool),
+      options_(std::move(options)),
+      hook_{pool != nullptr ? options_.max_pending_stripes : 0,
+            [this](StripeId stripe, bool deferred) { on_commit(stripe, deferred); }} {
     repair_tokens_ = options_.repair_burst_rows;
 }
 
 EcPipeline::~EcPipeline() {
     {
         std::unique_lock<std::mutex> lock(mu_);
-        // Drain the encode backlog first: pool workers hold retained
-        // stripe buffers and call back into bookkeeping under mu_.
-        cv_.wait(lock, [&] { return pending_.empty(); });
+        // Pool workers call back into bookkeeping under mu_: let the
+        // queued encodes finish first.
+        cv_.wait(lock, [&] { return encodes_queued_ == 0; });
         stop_ = true;
     }
     cv_.notify_all();
@@ -48,80 +52,54 @@ double EcPipeline::steady_seconds() const {
 }
 
 void EcPipeline::publish_depth_locked() {
-    if (depth_gauge_ != nullptr) depth_gauge_->set(static_cast<double>(pending_.size()));
+    if (depth_gauge_ != nullptr) {
+        depth_gauge_->set(static_cast<double>(store_.unencoded_stripes()));
+    }
 }
 
-Status EcPipeline::append(ConstByteSpan data) {
-    const std::size_t stripe_bytes = static_cast<std::size_t>(store_.stripe_data_bytes());
-    std::unique_lock<std::mutex> lock(mu_);
-    tail_.insert(tail_.end(), data.begin(), data.end());
-    while (tail_.size() >= stripe_bytes) {
-        auto st = commit_stripe_locked(lock, stripe_bytes);
-        if (!st.ok()) return st;
-    }
-    return Status::success();
-}
+Status EcPipeline::append(ConstByteSpan data) { return store_.append(data, &hook_); }
 
 Status EcPipeline::flush() {
-    const std::size_t stripe_bytes = static_cast<std::size_t>(store_.stripe_data_bytes());
-    std::unique_lock<std::mutex> lock(mu_);
-    // Whole stripes a failed append left behind first, then the padded
-    // remainder.
-    while (!tail_.empty()) {
-        auto st = commit_stripe_locked(lock, std::min(tail_.size(), stripe_bytes));
-        if (!st.ok()) return st;
-    }
-    cv_.wait(lock, [&] { return pending_.empty(); });
-    return first_encode_error_;
+    auto flushed = store_.flush(&hook_);
+    if (!flushed.ok()) return flushed;
+    return quiesce();
 }
 
 Status EcPipeline::quiesce() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return pending_.empty(); });
-    return first_encode_error_;
+    {
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait(lock, [&] { return encodes_queued_ == 0; });
+    }
+    // Every deferred stripe committed before this call has had its pool
+    // encode; those that failed are still pending and are retried here.
+    auto drained = store_.encode_pending_parity();
+    std::lock_guard<std::mutex> lock(mu_);
+    publish_depth_locked();
+    return drained;
 }
 
-Status EcPipeline::commit_stripe_locked(std::unique_lock<std::mutex>& lock,
-                                        std::size_t user_bytes) {
-    auto buf = std::make_shared<std::vector<std::uint8_t>>(
-        static_cast<std::size_t>(store_.stripe_data_bytes()));
-    std::copy_n(tail_.begin(), user_bytes, buf->begin());
-    // Watermark check BEFORE the commit: at the watermark this thread
-    // pays for an encode itself instead of growing the durability debt.
-    const bool sync = pool_ == nullptr || pending_.size() >= options_.max_pending_stripes;
-    auto committed = store_.commit_data_stripe(ConstByteSpan(buf->data(), buf->size()),
-                                               static_cast<std::int64_t>(user_bytes));
-    if (!committed.ok()) return committed.error();
-    // Only a stripe the store accepted leaves the tail.
-    tail_.erase(tail_.begin(), tail_.begin() + static_cast<std::ptrdiff_t>(user_bytes));
-    const StripeId stripe = committed.value();
-    pending_.emplace(stripe, buf);
-    publish_depth_locked();
-    if (sync) {
+void EcPipeline::on_commit(StripeId stripe, bool deferred) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!deferred) {
         ++sync_encodes_;
         if (sync_encodes_counter_ != nullptr) sync_encodes_counter_->add(1);
-        // Encode without mu_: async workers need it to retire their own
-        // stripes, and a long encode must not freeze snapshots.
-        lock.unlock();
-        auto st = store_.encode_stripe_parity(stripe, ConstByteSpan(buf->data(), buf->size()));
-        lock.lock();
-        pending_.erase(stripe);
-        publish_depth_locked();
-        if (!st.ok() && first_encode_error_.ok()) first_encode_error_ = st;
-        cv_.notify_all();
-        return st;
+        return;
     }
-    pool_->submit([this, stripe, buf = std::move(buf)] { encode_one(stripe, *buf); });
-    return Status::success();
+    ++encodes_queued_;
+    publish_depth_locked();
+    pool_->submit([this, stripe] { encode_one(stripe); });
 }
 
-void EcPipeline::encode_one(StripeId stripe, const std::vector<std::uint8_t>& buf) {
-    auto st = store_.encode_stripe_parity(stripe, ConstByteSpan(buf.data(), buf.size()));
+void EcPipeline::encode_one(StripeId stripe) {
+    // A failed encode leaves the stripe pending in the store; the next
+    // drain (flush, quiesce or a repair) retries it.
+    const bool encoded = store_.encode_stripe_parity(stripe).ok();
     std::lock_guard<std::mutex> lock(mu_);
-    pending_.erase(stripe);
-    ++encoded_stripes_;
-    if (encoded_counter_ != nullptr) encoded_counter_->add(1);
-    if (!st.ok() && first_encode_error_.ok()) first_encode_error_ = st;
+    --encodes_queued_;
+    if (encoded) {
+        ++encoded_stripes_;
+        if (encoded_counter_ != nullptr) encoded_counter_->add(1);
+    }
     publish_depth_locked();
     cv_.notify_all();
 }
@@ -219,31 +197,22 @@ void EcPipeline::run_repair(RepairJob job) {
         return;
     }
 
-    // A parity-pending stripe cannot be rebuilt; drain the encode
-    // backlog, then race new data-only commits with a retry loop.
-    Status began = Status::success();
+    // A parity-pending stripe cannot be rebuilt: drain the encode backlog
+    // (retrying any failed encode), then begin. A deferred commit that
+    // slips in between makes begin_rebuild refuse; drain again.
     for (;;) {
         if (stopped()) {
             record_repair_error(Error::invalid("repair abandoned (pipeline shutdown)"));
             return;
         }
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            cv_.wait(lock, [&] { return stop_ || pending_.empty(); });
-            if (stop_) {
-                lock.unlock();
-                record_repair_error(Error::invalid("repair abandoned (pipeline shutdown)"));
-                return;
-            }
+        auto drained = quiesce();
+        if (!drained.ok()) {
+            record_repair_error(drained.error());
+            return;
         }
-        began = store_.begin_rebuild(job.disk);
+        auto began = store_.begin_rebuild(job.disk);
         if (began.ok()) break;
-        if (store_.unencoded_stripes() > 0) {
-            // A commit slipped in between our drain and begin_rebuild;
-            // wait for its encode and try again.
-            std::this_thread::sleep_for(poll);
-            continue;
-        }
+        if (store_.unencoded_stripes() > 0) continue;
         record_repair_error(began.error());
         return;
     }
@@ -330,7 +299,7 @@ void EcPipeline::run_repair(RepairJob job) {
 EcPipeline::Snapshot EcPipeline::snapshot() const {
     std::lock_guard<std::mutex> lock(mu_);
     Snapshot s;
-    s.pending_stripes = pending_.size();
+    s.pending_stripes = static_cast<std::size_t>(store_.unencoded_stripes());
     s.max_pending_stripes = options_.max_pending_stripes;
     s.encoded_stripes = encoded_stripes_;
     s.sync_encodes = sync_encodes_;
@@ -381,12 +350,12 @@ void EcPipeline::attach_observability(obs::MetricRegistry* metrics,
         return;
     }
     depth_gauge_ = &metrics->gauge("ecfrm_pipeline_depth");
-    metrics->describe("ecfrm_pipeline_depth", "Stripes committed data-only, parity encode pending");
+    metrics->describe("ecfrm_pipeline_depth", "Stripes committed deferred, parity encode pending");
     tokens_gauge_ = &metrics->gauge("ecfrm_pipeline_repair_tokens");
     metrics->describe("ecfrm_pipeline_repair_tokens", "Rebuild token bucket level, rows");
     sync_encodes_counter_ = &metrics->counter("ecfrm_pipeline_sync_encodes_total");
     metrics->describe("ecfrm_pipeline_sync_encodes_total",
-                      "Watermark-forced synchronous parity encodes");
+                      "Stripes committed inline with their parity (watermark or no pool)");
     encoded_counter_ = &metrics->counter("ecfrm_pipeline_encoded_stripes_total");
     metrics->describe("ecfrm_pipeline_encoded_stripes_total",
                       "Background parity encodes completed");

@@ -1,12 +1,18 @@
 // EcPipeline: the online write/repair stage in front of a StripeStore.
 //
-// Write side (the paper's online-encoding regime): appends land as
-// data-only stripe commits immediately — the caller observes commit
-// latency without the parity encode on its critical path — while pool
-// workers encode and flush parity from retained stripe buffers behind a
-// bounded pending-EC queue. When the backlog reaches the watermark the
-// appending thread encodes synchronously instead (backpressure), so the
-// durability debt is always bounded by max_pending_stripes.
+// Write side (the paper's online-encoding regime): the pipeline owns no
+// bytes. Its append/flush go through the store's one tail and one stripe
+// commit with a CommitHook that sets the backlog policy: while fewer than
+// max_pending_stripes stripes are parity-pending, a full stripe commits
+// deferred — data only, readable at once, its bytes kept by the store —
+// and a pool worker writes its parity (StripeStore::encode_stripe_parity),
+// so the caller observes commit latency without the parity encode on its
+// critical path. At the watermark, or with no pool, the stripe commits
+// inline — data and parity in one round, exactly as StripeStore::append
+// does — so the durability debt is always bounded by max_pending_stripes.
+// flush()/quiesce() drain the backlog: they wait for the pool's encodes
+// and then encode every stripe still pending (one whose pool encode
+// failed), so a failed encode is retried, not stranded.
 //
 // Repair side: a background scheduler drives chunked online rebuilds
 // (StripeStore::begin_rebuild / rebuild_rows / finish_rebuild) under a
@@ -18,19 +24,17 @@
 //              rate-limited by a token bucket and yielding to the
 //              foreground whenever its fast SLO burn rate spikes.
 // The encode backlog is drained before a rebuild begins (a parity-pending
-// stripe cannot be rebuilt), and every rebuilt chunk flows through the
-// same PlanExecutor write path as foreground commits.
+// stripe cannot be rebuilt); a drain that fails is a typed repair error.
+// Every rebuilt chunk flows through the same PlanExecutor write path as
+// foreground commits.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/result.h"
 #include "common/thread_pool.h"
@@ -46,9 +50,9 @@ const char* repair_policy_name(RepairPolicy policy);
 Result<RepairPolicy> parse_repair_policy(const std::string& name);
 
 struct PipelineOptions {
-    /// Encode-queue watermark: appends commit data-only while fewer than
-    /// this many stripes are parity-pending; at the watermark the
-    /// appending thread encodes synchronously (backpressure).
+    /// Encode-queue watermark: appends commit deferred (data only) while
+    /// fewer than this many stripes are parity-pending; at the watermark
+    /// the appending thread commits inline (backpressure).
     std::size_t max_pending_stripes = 8;
 
     RepairPolicy repair_policy = RepairPolicy::threshold;
@@ -74,8 +78,8 @@ struct PipelineOptions {
 class EcPipeline {
   public:
     /// `store` and `pool` must outlive the pipeline. A null pool makes
-    /// every encode synchronous (the pipeline degenerates to
-    /// StripeStore::append semantics with commit/encode split costs).
+    /// every commit inline (the pipeline commits exactly as
+    /// StripeStore::append does).
     EcPipeline(StripeStore& store, ThreadPool* pool, PipelineOptions options = {});
 
     /// Quiesces the encode backlog and joins the repair scheduler.
@@ -86,16 +90,19 @@ class EcPipeline {
 
     const PipelineOptions& options() const { return options_; }
 
-    /// Append user bytes. Full stripes commit data-only immediately and
-    /// queue their parity encode; the tail buffers until flush().
+    /// Append user bytes through the store's tail. Full stripes commit
+    /// deferred and queue their parity encode, or inline at the
+    /// watermark; the tail buffers until flush().
     Status append(ConstByteSpan data);
 
     /// Commit the padded tail, then drain the encode backlog: after a
-    /// successful flush every committed stripe has parity on the devices.
+    /// successful flush every stripe committed before it has parity on
+    /// the devices.
     Status flush();
 
-    /// Block until the encode backlog is empty. Fails with the first
-    /// encode error recorded since construction.
+    /// Drain the encode backlog: wait for the pool's encodes, then encode
+    /// every stripe still parity-pending. Fails only if that last
+    /// attempt fails; the stripe then stays pending for the next drain.
     Status quiesce();
 
     /// Queue a repair of `disk` (which the caller has observed failed).
@@ -107,10 +114,10 @@ class EcPipeline {
     Status wait_repairs();
 
     struct Snapshot {
-        std::size_t pending_stripes = 0;     // parity encodes queued or running
+        std::size_t pending_stripes = 0;     // stripes the store holds parity-pending
         std::size_t max_pending_stripes = 0;
-        std::int64_t encoded_stripes = 0;    // async encodes completed
-        std::int64_t sync_encodes = 0;       // watermark-forced synchronous encodes
+        std::int64_t encoded_stripes = 0;    // pool encodes completed
+        std::int64_t sync_encodes = 0;       // stripes committed inline (watermark or no pool)
         RepairPolicy policy = RepairPolicy::threshold;
         std::int64_t repairs_queued = 0;
         std::int64_t repairs_active = 0;
@@ -142,14 +149,10 @@ class EcPipeline {
         double requested_at = 0.0;  // steady seconds
     };
 
-    /// Commit the first `user_bytes` of tail_ (at most a stripe) as one
-    /// zero-padded stripe; caller holds `lock` on mu_. The bytes leave
-    /// tail_ only once the store has accepted the data-only commit, so a
-    /// failed commit can be retried with nothing lost. Then either queue
-    /// the parity encode or — at the watermark / with no pool — encode
-    /// synchronously with the lock dropped.
-    Status commit_stripe_locked(std::unique_lock<std::mutex>& lock, std::size_t user_bytes);
-    void encode_one(StripeId stripe, const std::vector<std::uint8_t>& buf);
+    /// Hook target: count an inline commit, or queue a deferred stripe's
+    /// parity encode on the pool. Runs under the store's writer lock.
+    void on_commit(StripeId stripe, bool deferred);
+    void encode_one(StripeId stripe);
     void repair_loop();
     void run_repair(RepairJob job);
     bool stopped() const;
@@ -161,14 +164,18 @@ class EcPipeline {
     StripeStore& store_;
     ThreadPool* pool_;
     const PipelineOptions options_;
+    /// Passed to every store append/flush; its max_pending is 0 without
+    /// a pool, so every commit is inline.
+    const StripeStore::CommitHook hook_;
 
+    /// Lock order: the store's writer lock (held when hook_ runs), then
+    /// mu_, then the store's reader lock. mu_ is never held across a
+    /// store mutator.
     mutable std::mutex mu_;
     std::condition_variable cv_;
-    std::vector<std::uint8_t> tail_;
-    std::map<StripeId, std::shared_ptr<std::vector<std::uint8_t>>> pending_;  // retained stripe buffers
+    std::size_t encodes_queued_ = 0;  // pool encodes queued or running
     std::int64_t encoded_stripes_ = 0;
     std::int64_t sync_encodes_ = 0;
-    Status first_encode_error_ = Status::success();
 
     std::deque<RepairJob> repair_queue_;
     bool repair_active_ = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <set>
 #include <utility>
 
 #include "common/aligned_buffer.h"
@@ -149,7 +150,7 @@ Status StripeStore::restore(std::vector<Extent> extents, StripeId stripes) {
 
 Status StripeStore::restore_locked(std::vector<Extent> extents, StripeId stripes) {
     if (stripes < 0) return Error::invalid("negative stripe count");
-    if (!pending_.empty()) return Error::invalid("restore on a store with buffered writes");
+    if (!tail_.empty()) return Error::invalid("restore on a store with buffered writes");
     if (!unencoded_.empty()) return Error::invalid("restore on a store with pending parity");
     const std::int64_t capacity_elems = stripes * scheme_.layout().data_per_stripe();
 
@@ -201,64 +202,51 @@ std::int64_t StripeStore::unencoded_stripes() const {
     return static_cast<std::int64_t>(unencoded_.size());
 }
 
-Status StripeStore::append(ConstByteSpan data) {
+Status StripeStore::append(ConstByteSpan data, const CommitHook* hook) {
     std::lock_guard<std::mutex> wl(writer_mu_);
-    const std::int64_t stripe_bytes = stripe_data_bytes();
-    pending_.insert(pending_.end(), data.begin(), data.end());
+    tail_.insert(tail_.end(), data.begin(), data.end());
     {
         auto lk = exclusive_lock();
         logical_bytes_ += static_cast<std::int64_t>(data.size());
     }
-    while (static_cast<std::int64_t>(pending_.size()) >= stripe_bytes) {
-        auto committed = commit_stripe(
-            ConstByteSpan(pending_.data(), static_cast<std::size_t>(stripe_bytes)), stripe_bytes,
-            /*with_parity=*/true);
-        if (!committed.ok()) return committed.error();
-        pending_.erase(pending_.begin(), pending_.begin() + static_cast<std::ptrdiff_t>(stripe_bytes));
-    }
-    return Status::success();
+    return commit_tail(/*pad=*/false, hook);
 }
 
-Status StripeStore::flush() {
+Status StripeStore::flush(const CommitHook* hook) {
     std::lock_guard<std::mutex> wl(writer_mu_);
-    if (pending_.empty()) return Status::success();
-    const std::int64_t stripe_bytes = stripe_data_bytes();
-    const auto user_bytes = static_cast<std::int64_t>(pending_.size());
-    pending_.resize(static_cast<std::size_t>(stripe_bytes), 0);
-    auto committed = commit_stripe(
-        ConstByteSpan(pending_.data(), static_cast<std::size_t>(stripe_bytes)), user_bytes,
-        /*with_parity=*/true);
-    if (!committed.ok()) {
-        // Trim the padding back off: a later append must land right
-        // after the user's bytes, not after the zeros.
-        pending_.resize(static_cast<std::size_t>(user_bytes));
-        return committed.error();
-    }
-    pending_.clear();
-    return Status::success();
+    return commit_tail(/*pad=*/true, hook);
 }
 
-Result<StripeId> StripeStore::commit_data_stripe(ConstByteSpan stripe_data, std::int64_t user_bytes) {
-    if (static_cast<std::int64_t>(stripe_data.size()) != stripe_data_bytes()) {
-        return Error::invalid("commit_data_stripe needs exactly one stripe of data");
+Status StripeStore::commit_tail(bool pad, const CommitHook* hook) {
+    const auto stripe_bytes = static_cast<std::size_t>(stripe_data_bytes());
+    std::size_t done = 0;  // tail bytes committed so far
+    Status status = Status::success();
+    for (;;) {
+        const std::size_t left = tail_.size() - done;
+        if (left == 0 || (left < stripe_bytes && !pad)) break;
+        if (left < stripe_bytes) tail_.resize(done + stripe_bytes, 0);
+        // Only writers advance stripes_, and they are serialised on
+        // writer_mu_, so reading it lock-free here is race-free.
+        const StripeId stripe = stripes_;
+        bool deferred = false;
+        if (hook != nullptr && hook->max_pending > 0) {
+            auto lk = reader_lock();
+            deferred = unencoded_.size() < hook->max_pending;
+        }
+        status = write_stripe(stripe, ConstByteSpan(tail_.data() + done, stripe_bytes),
+                              static_cast<std::int64_t>(std::min(left, stripe_bytes)),
+                              deferred ? StripeWrite::commit_deferred : StripeWrite::commit);
+        if (!status.ok()) {
+            // Trim the padding back off: a retry commits the same bytes,
+            // and a later append lands right after the user's bytes.
+            tail_.resize(done + left);
+            break;
+        }
+        done += stripe_bytes;
+        if (hook != nullptr && hook->on_commit) hook->on_commit(stripe, deferred);
     }
-    if (user_bytes < 0 || user_bytes > stripe_data_bytes()) {
-        return Error::invalid("user byte count out of range for one stripe");
-    }
-    std::lock_guard<std::mutex> wl(writer_mu_);
-    if (!pending_.empty()) {
-        return Error::invalid("commit_data_stripe on a store with a buffered tail");
-    }
-    {
-        auto lk = exclusive_lock();
-        logical_bytes_ += user_bytes;
-    }
-    auto committed = commit_stripe(stripe_data, user_bytes, /*with_parity=*/false);
-    if (!committed.ok()) {
-        auto lk = exclusive_lock();
-        logical_bytes_ -= user_bytes;
-    }
-    return committed;
+    tail_.erase(tail_.begin(), tail_.begin() + static_cast<std::ptrdiff_t>(done));
+    return status;
 }
 
 Status StripeStore::compute_stripe_parity(ConstByteSpan stripe_data,
@@ -298,122 +286,10 @@ Status StripeStore::compute_stripe_parity(ConstByteSpan stripe_data,
     return Status::success();
 }
 
-Result<StripeId> StripeStore::commit_stripe(ConstByteSpan stripe_data, std::int64_t user_bytes,
-                                            bool with_parity) {
-    // Caller holds writer_mu_ and NOT mu_. Only writers advance stripes_,
-    // and they are serialised on writer_mu_, so reading it lock-free here
-    // is race-free; readers never observe the stripe until the manifest
-    // window below publishes it under the exclusive lock.
-    const StripeId stripe = stripes_;
-    const auto& code = scheme_.code();
-    const int groups = scheme_.layout().groups_per_stripe();
-    const int k = code.k();
-    const int m = code.m();
-
-    const StoreObs& o = store_obs();
-    if (o.writes_total != nullptr) o.writes_total->add(1);
-
-    std::shared_ptr<obs::RequestTrace> rt;
-    if (o.forensics != nullptr) {
-        rt = o.forensics->start(obs::RequestClass::write);
-        rt->attr_all(obs::RequestTrace::kRoot,
-                     {{"stripe", stripe}, {"user_bytes", user_bytes}});
-        if (!with_parity) rt->attr(obs::RequestTrace::kRoot, "parity", "pending");
-    }
-
-    auto run = [&]() -> Status {
-        std::vector<AlignedBuffer> parity_bufs;
-        if (with_parity) {
-            const std::uint32_t encode_node = rt != nullptr ? rt->begin_phase("encode") : 0;
-            auto status = compute_stripe_parity(stripe_data, parity_bufs);
-            if (rt != nullptr) {
-                rt->end_with(encode_node, {{"groups", static_cast<std::int64_t>(groups)}});
-            }
-            if (!status.ok()) return status;
-        }
-
-        // One batched plan for the whole stripe: every data placement, and
-        // (when encoding inline) every parity placement, grouped per disk
-        // by the executor's submission queues.
-        WritePlan plan(scheme_.disks());
-        std::vector<ConstByteSpan> payloads;
-        payloads.reserve(static_cast<std::size_t>(groups) *
-                         static_cast<std::size_t>(with_parity ? k + m : k));
-        for (int g = 0; g < groups; ++g) {
-            for (int t = 0; t < k; ++t) {
-                const GroupCoord coord{stripe, g, t};
-                const std::int64_t idx = static_cast<std::int64_t>(g) * k + t;
-                plan.add_write({scheme_.layout().locate(coord), coord, payloads.size(), false});
-                payloads.push_back(stripe_data.subspan(static_cast<std::size_t>(idx * element_bytes_),
-                                                       static_cast<std::size_t>(element_bytes_)));
-            }
-        }
-        if (with_parity) {
-            for (int g = 0; g < groups; ++g) {
-                for (int p = 0; p < m; ++p) {
-                    const GroupCoord coord{stripe, g, k + p};
-                    plan.add_write({scheme_.layout().locate(coord), coord, payloads.size(), true});
-                    payloads.push_back(parity_bufs[static_cast<std::size_t>(g) *
-                                                       static_cast<std::size_t>(m) +
-                                                   static_cast<std::size_t>(p)]
-                                           .span());
-                }
-            }
-        }
-        if (o.write_max_load != nullptr) o.write_max_load->record(plan.max_load());
-
-        const std::uint32_t write_node = rt != nullptr ? rt->begin_phase("write") : 0;
-        auto wrote = executor_.write(plan, payloads, {rt.get(), write_node},
-                                     /*allow_degraded=*/true);
-        if (rt != nullptr) {
-            rt->end_with(write_node,
-                         {{"elements", wrote.ok() ? wrote.value().elements_written : 0},
-                          {"skipped", wrote.ok() ? wrote.value().elements_skipped : 0}});
-        }
-        if (!wrote.ok()) return wrote.error();
-
-        // Manifest window: the only slice of a commit that excludes
-        // readers.
-        const std::uint32_t commit_node = rt != nullptr ? rt->begin_phase("commit") : 0;
-        {
-            auto lk = exclusive_lock();
-            const ElementId first = stripe * scheme_.layout().data_per_stripe();
-            // Extend the previous extent when it ends exactly on this
-            // stripe's first element (no padding gap in between).
-            bool extended = false;
-            if (!extents_.empty()) {
-                Extent& last = extents_.back();
-                if (last.bytes % element_bytes_ == 0 &&
-                    last.element_start + last.bytes / element_bytes_ == first) {
-                    last.bytes += user_bytes;
-                    extended = true;
-                }
-            }
-            if (!extended) extents_.push_back({committed_bytes_locked(), first, user_bytes});
-            ++stripes_;
-            if (!with_parity) unencoded_.insert(stripe);
-        }
-        if (rt != nullptr) rt->end(commit_node);
-        return Status::success();
-    };
-
-    auto status = run();
-    finish_request(o.forensics, rt, status);
-    if (!status.ok()) return status.error();
-    return stripe;
-}
-
-Status StripeStore::encode_stripe_parity(StripeId stripe, ConstByteSpan stripe_data) {
-    if (static_cast<std::int64_t>(stripe_data.size()) != stripe_data_bytes()) {
-        return Error::invalid("encode_stripe_parity needs exactly one stripe of data");
-    }
-    {
-        auto lk = reader_lock();
-        if (stripe < 0 || stripe >= stripes_) return Error::range("no such stripe");
-        if (unencoded_.count(stripe) == 0) {
-            return Error::invalid("stripe " + std::to_string(stripe) + " parity is not pending");
-        }
-    }
+Status StripeStore::write_stripe(StripeId stripe, ConstByteSpan stripe_data,
+                                 std::int64_t user_bytes, StripeWrite what) {
+    const bool with_data = what != StripeWrite::parity;
+    const bool with_parity = what != StripeWrite::commit_deferred;
     const auto& code = scheme_.code();
     const int groups = scheme_.layout().groups_per_stripe();
     const int k = code.k();
@@ -426,12 +302,15 @@ Status StripeStore::encode_stripe_parity(StripeId stripe, ConstByteSpan stripe_d
     if (o.forensics != nullptr) {
         rt = o.forensics->start(obs::RequestClass::write);
         rt->attr(obs::RequestTrace::kRoot, "stripe", stripe);
-        rt->attr(obs::RequestTrace::kRoot, "parity", "flush");
+        if (with_data) rt->attr(obs::RequestTrace::kRoot, "user_bytes", user_bytes);
+        if (what != StripeWrite::commit) {
+            rt->attr(obs::RequestTrace::kRoot, "parity", with_data ? "pending" : "flush");
+        }
     }
 
     auto run = [&]() -> Status {
         std::vector<AlignedBuffer> parity_bufs;
-        {
+        if (with_parity) {
             const std::uint32_t encode_node = rt != nullptr ? rt->begin_phase("encode") : 0;
             auto status = compute_stripe_parity(stripe_data, parity_bufs);
             if (rt != nullptr) {
@@ -440,13 +319,29 @@ Status StripeStore::encode_stripe_parity(StripeId stripe, ConstByteSpan stripe_d
             if (!status.ok()) return status;
         }
 
-        // Parity rows of a pending stripe are unreachable by every read
-        // plan (degraded reads needing them fail typed at the guard), so
-        // this write needs no reader exclusion at all.
+        // One batched plan for the whole stripe: its data placements and
+        // its parity placements, as this round writes them, grouped per
+        // disk by the executor's submission queues. Rows of a stripe not
+        // yet published, and parity rows of a pending stripe, are
+        // unreachable by every read plan (degraded reads needing them
+        // fail typed at the guard), so the write runs with readers
+        // admitted.
+        const auto writes = static_cast<std::size_t>(groups) *
+                            static_cast<std::size_t>((with_data ? k : 0) + (with_parity ? m : 0));
         WritePlan plan(scheme_.disks());
+        plan.reserve(writes);
         std::vector<ConstByteSpan> payloads;
-        payloads.reserve(static_cast<std::size_t>(groups) * static_cast<std::size_t>(m));
-        for (int g = 0; g < groups; ++g) {
+        payloads.reserve(writes);
+        for (int g = 0; with_data && g < groups; ++g) {
+            for (int t = 0; t < k; ++t) {
+                const GroupCoord coord{stripe, g, t};
+                const std::int64_t idx = static_cast<std::int64_t>(g) * k + t;
+                plan.add_write({scheme_.layout().locate(coord), coord, payloads.size(), false});
+                payloads.push_back(stripe_data.subspan(static_cast<std::size_t>(idx * element_bytes_),
+                                                       static_cast<std::size_t>(element_bytes_)));
+            }
+        }
+        for (int g = 0; with_parity && g < groups; ++g) {
             for (int p = 0; p < m; ++p) {
                 const GroupCoord coord{stripe, g, k + p};
                 plan.add_write({scheme_.layout().locate(coord), coord, payloads.size(), true});
@@ -468,10 +363,34 @@ Status StripeStore::encode_stripe_parity(StripeId stripe, ConstByteSpan stripe_d
         }
         if (!wrote.ok()) return wrote.error();
 
+        // Copy a deferred stripe's bytes outside the manifest window.
+        std::vector<std::uint8_t> kept;
+        if (!with_parity) kept.assign(stripe_data.begin(), stripe_data.end());
+
+        // Manifest window: the only slice of a stripe write that excludes
+        // readers.
         const std::uint32_t commit_node = rt != nullptr ? rt->begin_phase("commit") : 0;
         {
             auto lk = exclusive_lock();
-            unencoded_.erase(stripe);
+            if (!with_data) {
+                unencoded_.erase(stripe);
+            } else {
+                const ElementId first = stripe * scheme_.layout().data_per_stripe();
+                // Extend the previous extent when it ends exactly on this
+                // stripe's first element (no padding gap in between).
+                bool extended = false;
+                if (!extents_.empty()) {
+                    Extent& last = extents_.back();
+                    if (last.bytes % element_bytes_ == 0 &&
+                        last.element_start + last.bytes / element_bytes_ == first) {
+                        last.bytes += user_bytes;
+                        extended = true;
+                    }
+                }
+                if (!extended) extents_.push_back({committed_bytes_locked(), first, user_bytes});
+                ++stripes_;
+                if (!with_parity) unencoded_.emplace(stripe, PendingParity{std::move(kept)});
+            }
         }
         if (rt != nullptr) rt->end(commit_node);
         return Status::success();
@@ -479,6 +398,58 @@ Status StripeStore::encode_stripe_parity(StripeId stripe, ConstByteSpan stripe_d
 
     auto status = run();
     finish_request(o.forensics, rt, status);
+    return status;
+}
+
+Status StripeStore::encode_stripe_parity(StripeId stripe) {
+    ConstByteSpan bytes;
+    {
+        auto lk = exclusive_lock();
+        auto it = unencoded_.find(stripe);
+        if (it == unencoded_.end()) {
+            if (stripe < 0 || stripe >= stripes_) return Error::range("no such stripe");
+            return Error::invalid("stripe " + std::to_string(stripe) + " parity is not pending");
+        }
+        if (it->second.encoding) {
+            return Error::invalid("stripe " + std::to_string(stripe) + " parity is being encoded");
+        }
+        // The claim makes this call the only reader of the kept bytes and
+        // the only one to erase the entry.
+        it->second.encoding = true;
+        bytes = ConstByteSpan(it->second.bytes.data(), it->second.bytes.size());
+    }
+    return encode_claimed(stripe, bytes);
+}
+
+Status StripeStore::encode_pending_parity() {
+    // Claim and encode one stripe at a time, so a stripe another call
+    // claims meanwhile is skipped rather than reported busy.
+    for (StripeId next = 0;;) {
+        StripeId stripe = -1;
+        ConstByteSpan bytes;
+        {
+            auto lk = exclusive_lock();
+            for (auto it = unencoded_.lower_bound(next); it != unencoded_.end(); ++it) {
+                if (it->second.encoding) continue;
+                it->second.encoding = true;
+                stripe = it->first;
+                bytes = ConstByteSpan(it->second.bytes.data(), it->second.bytes.size());
+                break;
+            }
+        }
+        if (stripe < 0) return Status::success();
+        auto status = encode_claimed(stripe, bytes);
+        if (!status.ok()) return status;
+        next = stripe + 1;
+    }
+}
+
+Status StripeStore::encode_claimed(StripeId stripe, ConstByteSpan bytes) {
+    auto status = write_stripe(stripe, bytes, 0, StripeWrite::parity);
+    if (!status.ok()) {
+        auto lk = exclusive_lock();
+        unencoded_.find(stripe)->second.encoding = false;
+    }
     return status;
 }
 

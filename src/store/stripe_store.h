@@ -4,11 +4,16 @@
 //
 // Write model matches the paper's cloud-storage assumption: append-only,
 // buffered until a full stripe is available, then erasure-coded as a full
-// stripe write (Section I). Both directions of device I/O flow through
-// exec::PlanExecutor: reads execute an AccessPlan, writes execute a
-// WritePlan — so stripe commits, parity flushes, overwrites, rebuild and
-// scrub repairs all get batched submission, the retry/backoff policy and
-// request-trace spans from one engine.
+// stripe write (Section I). The store owns the only tail buffer and the
+// only stripe commit: each full stripe commits either inline (data and
+// parity in one WritePlan round) or, when the caller's CommitHook allows
+// it, deferred (data only, parity pending, the stripe's bytes kept here
+// until encode_stripe_parity writes the parity). Both directions of
+// device I/O flow through exec::PlanExecutor: reads execute an
+// AccessPlan, writes execute a WritePlan — so stripe commits, parity
+// writes, overwrites, rebuild and scrub repairs all get batched
+// submission, the retry/backoff policy and request-trace spans from one
+// engine.
 //
 // Concurrency: mutators serialise on a writer mutex, but hold the
 // reader/writer lock exclusively only for the manifest/commit window —
@@ -30,7 +35,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <shared_mutex>
 #include <vector>
 
@@ -104,30 +108,46 @@ class StripeStore {
         return scheme_.layout().data_per_stripe() * element_bytes_;
     }
 
-    /// Append user bytes. Full stripes are encoded and written eagerly;
+    /// How append/flush commit each full stripe. Without a hook every
+    /// stripe commits inline: data and parity in one WritePlan round.
+    /// With one, a stripe commits deferred while fewer than `max_pending`
+    /// stripes are parity-pending, and inline otherwise. A deferred
+    /// stripe's data elements are written and published (healthy reads
+    /// serve it at once; degraded reads that would need its parity fail
+    /// typed, beyond_tolerance) and the store keeps its bytes for
+    /// encode_stripe_parity. `on_commit` (may be empty) hears of every
+    /// committed stripe, in stripe order, with the writer lock held: it
+    /// must not call back into the store's mutators.
+    struct CommitHook {
+        std::size_t max_pending = 0;
+        std::function<void(StripeId stripe, bool deferred)> on_commit;
+    };
+
+    /// Append user bytes. Full stripes commit eagerly (see CommitHook);
     /// the tail is buffered until flush(). Readers are only excluded
     /// during each committed stripe's manifest window, not its encode or
-    /// device I/O.
-    Status append(ConstByteSpan data);
+    /// device I/O. Bytes leave the tail only once their stripe commits,
+    /// so after a failure a retried append or flush commits each byte
+    /// exactly once.
+    Status append(ConstByteSpan data, const CommitHook* hook = nullptr);
 
-    /// Zero-pad the buffered tail to a stripe boundary and encode it.
-    Status flush();
+    /// Commit every whole stripe still in the tail, then the remainder
+    /// zero-padded to a stripe boundary.
+    Status flush(const CommitHook* hook = nullptr);
 
-    /// Commit one full stripe of user data WITHOUT its parity: the data
-    /// elements are written through the executor and the manifest
-    /// extended, with the stripe marked parity-pending. Healthy-path
-    /// reads serve it immediately; degraded reads that would need its
-    /// parity fail typed (beyond_tolerance) until encode_stripe_parity
-    /// lands. Building block of the EcPipeline online-encode stage.
-    Result<StripeId> commit_data_stripe(ConstByteSpan stripe_data, std::int64_t user_bytes);
-
-    /// Encode and flush the parity of a parity-pending stripe from the
-    /// caller-retained stripe buffer, then clear its pending mark. Safe
+    /// Encode and write the parity of a deferred stripe from the bytes
+    /// the store kept for it, then clear its pending mark. Safe
     /// concurrently with appends and reads (parity rows of a pending
-    /// stripe are unreachable by any read plan).
-    Status encode_stripe_parity(StripeId stripe, ConstByteSpan stripe_data);
+    /// stripe are unreachable by any read plan); fails invalid when the
+    /// stripe is not pending or another call is encoding it. A failed
+    /// encode leaves the stripe pending for a retry.
+    Status encode_stripe_parity(StripeId stripe);
 
-    /// Stripes committed data-only whose parity flush is still pending.
+    /// encode_stripe_parity for every parity-pending stripe no other call
+    /// is encoding, in stripe order; stops at the first failure.
+    Status encode_pending_parity();
+
+    /// Stripes committed deferred whose parity is still pending.
     std::int64_t unencoded_stripes() const;
 
     /// Overwrite committed bytes in place with read-modify-write parity
@@ -312,12 +332,25 @@ class StripeStore {
     /// group-major), pool-parallel across groups.
     Status compute_stripe_parity(ConstByteSpan stripe_data,
                                  std::vector<AlignedBuffer>& parity_bufs) const;
-    /// Encode (optionally) + write + commit one stripe. Caller holds
-    /// writer_mu_ and NOT mu_; only the manifest update takes mu_
-    /// exclusively. with_parity=false commits data-only and marks the
-    /// stripe parity-pending.
-    Result<StripeId> commit_stripe(ConstByteSpan stripe_data, std::int64_t user_bytes,
-                                   bool with_parity);
+    /// Commit the tail's whole stripes, and with `pad` its zero-padded
+    /// remainder too. Caller holds writer_mu_.
+    Status commit_tail(bool pad, const CommitHook* hook);
+    /// What one write_stripe round puts on the devices.
+    enum class StripeWrite {
+        commit,           // data and parity of a new stripe
+        commit_deferred,  // data of a new stripe; parity pending, bytes kept
+        parity,           // the pending parity of a committed stripe
+    };
+    /// The one routine that builds a stripe's WritePlan: encode (unless
+    /// commit_deferred), write the stripe's data and/or parity in one
+    /// executor round, then publish it in the manifest window. Traced as
+    /// one write-class request. The commits need writer_mu_ held and mu_
+    /// not; only the manifest window takes mu_ exclusively.
+    Status write_stripe(StripeId stripe, ConstByteSpan stripe_data, std::int64_t user_bytes,
+                        StripeWrite what);
+    /// Write the parity of a stripe this call claimed (its `encoding`
+    /// mark); a failure drops the claim.
+    Status encode_claimed(StripeId stripe, ConstByteSpan bytes);
     /// Where each element of a read lands. Element i of the range goes
     /// straight into the caller's buffer, at body[i * element_bytes -
     /// skip] — except a partial head (i == 0, when `head` is set) or tail
@@ -398,11 +431,18 @@ class StripeStore {
     BufferPool* arena_ = nullptr;  // element staging (process-lifetime arena)
 
     std::vector<std::unique_ptr<BlockDevice>> disks_;
-    std::vector<std::uint8_t> pending_;  // buffered tail; writers only (writer_mu_)
-    std::vector<Extent> extents_;        // committed user-byte runs
+    std::vector<std::uint8_t> tail_;  // buffered user bytes; writers only (writer_mu_)
+    std::vector<Extent> extents_;     // committed user-byte runs
     StripeId stripes_ = 0;
     std::int64_t logical_bytes_ = 0;
-    std::set<StripeId> unencoded_;            // committed data-only, parity pending
+    /// A deferred stripe: its bytes, kept until its parity is written,
+    /// and whether an encode_stripe_parity call is writing it (that call
+    /// alone then reads the bytes and erases the entry).
+    struct PendingParity {
+        std::vector<std::uint8_t> bytes;
+        bool encoding = false;
+    };
+    std::map<StripeId, PendingParity> unencoded_;  // committed deferred, parity pending
     std::vector<char> rebuilding_;            // online but mid-rebuild, by DiskId
     std::map<DiskId, RowId> rebuilds_;        // active chunked rebuilds: rows snapshotted at begin
 };

@@ -4,7 +4,9 @@
 // devices: healthy and with one disk failed, through read_elements and
 // read_bytes, on in-memory RS(6,3) EC-FRM disks without a thread pool,
 // with and without a heat model attached, on one thread and on four —
-// and one chunk of an online rebuild, which runs on the same engine.
+// and one chunk of an online rebuild, which runs on the same engine, and
+// one stripe appended through StripeStore and through a pool-less
+// EcPipeline, which share one write path.
 // Everything on that path runs on the calling thread and allocates the
 // same way every time, so the counts are exact, not bounds: a change that
 // adds an allocation anywhere on the path fails here.
@@ -21,6 +23,7 @@
 #include "codes/factory.h"
 #include "common/rng.h"
 #include "obs/heat.h"
+#include "store/ec_pipeline.h"
 #include "store/stripe_store.h"
 
 namespace {
@@ -114,6 +117,23 @@ constexpr std::uint64_t kDegradedReadBytes = 1;
 //   - the in-memory replacement disk: one slot per rebuilt row (3).
 constexpr RowId kRebuildChunkRows = 3;
 constexpr std::uint64_t kRebuildChunk = 14;
+
+// One full stripe appended after warm-up stripes, pool-less, on the
+// fixture's store grown to 9 stripes (27 rows, so no device slot table
+// grows under the measured stripe's rows 27-29). StripeStore::append and
+// a pool-less EcPipeline::append commit the same way, data and parity in
+// one WritePlan round, so both cost the same:
+//   - the parity encode: the buffer list and its 9 elements (10), and
+//     each of the 3 groups' data and parity span lists (6);
+//   - the write plan: its per-disk loads and its placements (2), the
+//     payload spans (1);
+//   - PlanExecutor::write: the shared submission round with its rows,
+//     payloads and queue list (4), and the per-disk schedule: its slot
+//     table, its batch list growing to 9 disks, and each batch's indices
+//     and rows (1 + 5 + 18);
+//   - the in-memory disks: one slot per written element (27).
+constexpr std::int64_t kWarmStripes = 5;
+constexpr std::uint64_t kStripeAppend = 74;
 
 class ReadAllocs : public ::testing::Test {
   protected:
@@ -250,6 +270,36 @@ TEST_F(ReadAllocs, SteadyStateRebuildChunk) {
     auto got = store_->read_bytes(0, static_cast<std::int64_t>(data_.size()));
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got.value(), data_);
+}
+
+/// Allocations of appending one stripe through `append`, after
+/// kWarmStripes warm-up stripes through it.
+template <class Append>
+std::uint64_t stripe_append_allocs(std::int64_t stripe_bytes, Append&& append) {
+    std::vector<std::uint8_t> stripe(static_cast<std::size_t>(stripe_bytes), 0x5a);
+    const ConstByteSpan data(stripe.data(), stripe.size());
+    for (std::int64_t i = 0; i < kWarmStripes; ++i) EXPECT_TRUE(append(data).ok());
+    const std::uint64_t before = t_allocs;
+    const Status status = append(data);
+    const std::uint64_t allocs = t_allocs - before;
+    EXPECT_TRUE(status.ok());
+    return allocs;
+}
+
+TEST_F(ReadAllocs, SteadyStateStripeAppend) {
+    const std::uint64_t allocs = stripe_append_allocs(
+        store_->stripe_data_bytes(), [&](ConstByteSpan d) { return store_->append(d); });
+    EXPECT_EQ(allocs, kStripeAppend);
+    EXPECT_TRUE(store_->verify_parity().ok());
+}
+
+TEST_F(ReadAllocs, SteadyStatePipelineStripeAppend) {
+    EcPipeline pipeline(*store_, nullptr);
+    const std::uint64_t allocs = stripe_append_allocs(
+        store_->stripe_data_bytes(), [&](ConstByteSpan d) { return pipeline.append(d); });
+    EXPECT_EQ(allocs, kStripeAppend);
+    EXPECT_EQ(store_->unencoded_stripes(), 0);
+    EXPECT_TRUE(store_->verify_parity().ok());
 }
 
 TEST_F(ReadAllocs, ElementAlignedReadsMakeNoStagingCopies) {

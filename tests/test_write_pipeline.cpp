@@ -1,6 +1,7 @@
-// EcPipeline: online-encode append path (data-only commits, background
-// parity, watermark backpressure) and the policy-driven repair scheduler,
-// all byte-verified against the underlying StripeStore.
+// EcPipeline: online-encode append path (deferred commits through the
+// store's tail, background parity, watermark backpressure, retried
+// encodes) and the policy-driven repair scheduler, all byte-verified
+// against the underlying StripeStore.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -13,6 +14,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
+#include "store/disk.h"
 #include "store/ec_pipeline.h"
 #include "store/fault_device.h"
 #include "store/stripe_store.h"
@@ -178,6 +180,138 @@ TEST(WritePipeline, FailedAppendCommitKeepsItsBytes) {
     EXPECT_EQ(store->logical_bytes(), static_cast<std::int64_t>(data.size()));
     EXPECT_EQ(store->committed_bytes(), static_cast<std::int64_t>(data.size()));
     expect_store_matches(*store, data);
+}
+
+TEST(WritePipeline, FailedParityEncodeIsRetried) {
+    // One transient fault, retries off, on the first parity write of the
+    // disk holding stripe 0's first parity. Pool-less, the stripe commits
+    // inline and the fault fails the whole commit: nothing is committed
+    // and the bytes stay in the tail. Pooled, the stripe commits deferred
+    // and the pool's encode fails: the stripe stays pending. Either way
+    // the next flush lands it, and a repair then runs.
+    for (const int threads : {0, 2}) {
+        SCOPED_TRACE(threads == 0 ? "no pool" : "pool of 2");
+        // A clean twin commits stripe 0 deferred (data only): the victim's
+        // write ops so far are the index of its first parity write.
+        DiskId victim = -1;
+        std::vector<std::uint8_t> data;
+        std::int64_t data_ops = 0;
+        {
+            obs::MetricRegistry probe("test");
+            StripeStore twin(make_scheme("rs:6,3", LayoutKind::ecfrm), 64);
+            victim = twin.scheme().layout().locate({0, 0, twin.scheme().code().k()}).disk;
+            data = random_bytes(static_cast<std::size_t>(twin.stripe_data_bytes()), 21);
+            twin.attach_observability(&probe);
+            const StripeStore::CommitHook deferred{1, {}};
+            ASSERT_TRUE(twin.append(ConstByteSpan(data.data(), data.size()), &deferred).ok());
+            ASSERT_EQ(twin.unencoded_stripes(), 1);
+            data_ops = probe.counter("ecfrm_disk_write_ops_total",
+                                     {{"disk", std::to_string(victim)}})
+                           .value();
+            twin.attach_observability(nullptr);
+        }
+
+        FaultPlan plan;
+        FaultRule transient;
+        transient.kind = FaultKind::transient;
+        transient.op = FaultOp::write;
+        transient.disk = victim;
+        transient.first_op = data_ops;
+        transient.count = 1;
+        plan.rules = {transient};
+        auto opened = StripeStore::open(make_scheme("rs:6,3", LayoutKind::ecfrm), 64,
+                                        faulty_memory_factory(64, plan));
+        ASSERT_TRUE(opened.ok());
+        auto store = std::move(opened).take();
+        RecoveryOptions recovery;
+        recovery.max_retries = 0;
+        store->set_recovery(recovery);
+        std::unique_ptr<ThreadPool> pool =
+            threads > 0 ? std::make_unique<ThreadPool>(threads) : nullptr;
+        EcPipeline pipeline(*store, pool.get());
+
+        const Status appended = pipeline.append(ConstByteSpan(data.data(), data.size()));
+        if (pool == nullptr) {
+            EXPECT_FALSE(appended.ok());
+            EXPECT_EQ(store->committed_bytes(), 0);
+        } else {
+            EXPECT_TRUE(appended.ok());
+        }
+        ASSERT_TRUE(pipeline.flush().ok());
+        EXPECT_EQ(store->unencoded_stripes(), 0);
+        EXPECT_EQ(pipeline.snapshot().encoded_stripes, 0);  // the pool's encode failed
+        expect_store_matches(*store, data);
+        EXPECT_TRUE(store->verify_parity().ok());
+
+        ASSERT_TRUE(store->fail_disk(victim).ok());
+        ASSERT_TRUE(pipeline.request_repair(victim).ok());
+        ASSERT_TRUE(pipeline.wait_repairs().ok());
+        EXPECT_TRUE(store->failed_disks().empty());
+        expect_store_matches(*store, data);
+        EXPECT_TRUE(store->verify_parity().ok());
+    }
+}
+
+TEST(WritePipeline, DeferredAndInlineCommitsLeaveIdenticalDevices) {
+    // The same irregular append sequence through StripeStore::append/flush
+    // (every stripe inline) and through a pooled EcPipeline (deferred
+    // stripes, parity from the store's kept bytes) must leave every
+    // device row identical. The pipeline's store starts with a partial
+    // StripeStore::append: the pipeline appends into the same tail.
+    std::vector<Disk*> inline_disks;
+    std::vector<Disk*> deferred_disks;
+    auto factory_into = [](std::vector<Disk*>& disks) {
+        return [&disks](int) -> Result<std::unique_ptr<BlockDevice>> {
+            auto disk = std::make_unique<Disk>(64);
+            disks.push_back(disk.get());
+            return std::unique_ptr<BlockDevice>(std::move(disk));
+        };
+    };
+    auto inline_store = StripeStore::open(make_scheme("rs:6,3", LayoutKind::ecfrm), 64,
+                                          factory_into(inline_disks));
+    auto deferred_store = StripeStore::open(make_scheme("rs:6,3", LayoutKind::ecfrm), 64,
+                                            factory_into(deferred_disks));
+    ASSERT_TRUE(inline_store.ok());
+    ASSERT_TRUE(deferred_store.ok());
+    StripeStore& a = *inline_store.value();
+    StripeStore& b = *deferred_store.value();
+    ThreadPool pool(2);
+    EcPipeline pipeline(b, &pool);
+
+    const std::size_t stripe = static_cast<std::size_t>(a.stripe_data_bytes());
+    const auto data = random_bytes(stripe * 11 + 77, 22);
+    const std::size_t head = stripe / 3;
+    ASSERT_TRUE(a.append(ConstByteSpan(data.data(), head)).ok());
+    ASSERT_TRUE(b.append(ConstByteSpan(data.data(), head)).ok());
+    Rng rng(23);
+    for (std::size_t off = head; off < data.size();) {
+        const std::size_t n =
+            std::min(data.size() - off, static_cast<std::size_t>(rng.next_range(1, 2000)));
+        ASSERT_TRUE(a.append(ConstByteSpan(data.data() + off, n)).ok());
+        ASSERT_TRUE(pipeline.append(ConstByteSpan(data.data() + off, n)).ok());
+        off += n;
+    }
+    ASSERT_TRUE(a.flush().ok());
+    ASSERT_TRUE(pipeline.flush().ok());
+    EXPECT_GT(pipeline.snapshot().encoded_stripes, 0);
+    EXPECT_EQ(b.unencoded_stripes(), 0);
+
+    ASSERT_EQ(inline_disks.size(), deferred_disks.size());
+    for (std::size_t d = 0; d < inline_disks.size(); ++d) {
+        const RowId rows = inline_disks[d]->rows();
+        ASSERT_EQ(deferred_disks[d]->rows(), rows) << "disk " << d;
+        std::vector<std::uint8_t> want(64);
+        std::vector<std::uint8_t> got(64);
+        for (RowId r = 0; r < rows; ++r) {
+            ASSERT_TRUE(inline_disks[d]->read(r, ByteSpan(want.data(), want.size())).ok());
+            ASSERT_TRUE(deferred_disks[d]->read(r, ByteSpan(got.data(), got.size())).ok());
+            EXPECT_EQ(got, want) << "disk " << d << " row " << r;
+        }
+    }
+    EXPECT_TRUE(a.verify_parity().ok());
+    EXPECT_TRUE(b.verify_parity().ok());
+    expect_store_matches(a, data);
+    expect_store_matches(b, data);
 }
 
 TEST(WritePipeline, ToJsonCarriesSchemaAndPolicy) {

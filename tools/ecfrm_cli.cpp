@@ -986,7 +986,7 @@ FaultCell run_fault_cell(const std::string& spec, layout::LayoutKind kind, const
 // ---------------------------------------------------------------------------
 // Write-path cells: the matrix above aims faults at reads; these three aim
 // them at the write pipeline itself — a scripted torn write inside a stripe
-// commit, a device dying during a parity flush (repaired by the EcPipeline
+// commit, a device dying during a parity write (repaired by the EcPipeline
 // scheduler), and a crash that a manifest replay must make invisible. One
 // scheme each, fully deterministic, same FaultCell evidence format.
 
@@ -1062,9 +1062,8 @@ FaultCell run_torn_midstripe_cell(std::uint64_t seed, std::int64_t elem_bytes) {
     st.value()->attach_observability(&metrics);
 
     const auto payload = write_cell_payload(4 * st.value()->stripe_data_bytes(), elem_bytes);
-    store::EcPipeline pipeline(*st.value(), nullptr);
-    auto wrote = pipeline.append(ConstByteSpan(payload.data(), payload.size()));
-    if (wrote.ok()) wrote = pipeline.flush();
+    auto wrote = st.value()->append(ConstByteSpan(payload.data(), payload.size()));
+    if (wrote.ok()) wrote = st.value()->flush();
     if (!wrote.ok()) {
         cell.detail = "write phase: " + wrote.error().message;
         return cell;
@@ -1101,28 +1100,32 @@ FaultCell run_parity_flush_failstop_cell(std::uint64_t seed, std::int64_t elem_b
     const DiskId victim = 4;
     const int kStripes = 4;
 
+    // Both phases commit every stripe deferred (data only, parity
+    // pending), recording the stripe ids for the parity writes.
+    std::vector<StripeId> stripes;
+    store::StripeStore::CommitHook deferred{
+        static_cast<std::size_t>(kStripes),
+        [&](StripeId stripe, bool) { stripes.push_back(stripe); }};
+
     // Dry run on clean devices: count the data-phase write ops the victim
-    // absorbs, so the scripted fail_stop fires on its FIRST parity-flush
-    // write — the disk dies exactly between data commit and parity flush.
+    // absorbs, so the scripted fail_stop fires on its FIRST parity write —
+    // the disk dies exactly between data commit and parity write.
     std::int64_t data_ops = 0;
     {
         obs::MetricRegistry probe("ecfrm_faultcamp");
         store::StripeStore twin(core::Scheme(code.value(), layout::LayoutKind::ecfrm), elem_bytes);
         twin.attach_observability(&probe);
         const auto payload = write_cell_payload(kStripes * twin.stripe_data_bytes(), elem_bytes);
-        const std::int64_t stripe_bytes = twin.stripe_data_bytes();
-        for (int s = 0; s < kStripes; ++s) {
-            auto committed = twin.commit_data_stripe(
-                ConstByteSpan(payload.data() + s * stripe_bytes, stripe_bytes), stripe_bytes);
-            if (!committed.ok()) {
-                cell.detail = "probe phase: " + committed.error().message;
-                return cell;
-            }
+        auto committed = twin.append(ConstByteSpan(payload.data(), payload.size()), &deferred);
+        if (!committed.ok()) {
+            cell.detail = "probe phase: " + committed.error().message;
+            return cell;
         }
         data_ops = probe.counter("ecfrm_disk_write_ops_total",
                                  {{"disk", std::to_string(victim)}})
                        .value();
         twin.attach_observability(nullptr);
+        stripes.clear();
     }
 
     store::FaultPlan plan;
@@ -1152,30 +1155,22 @@ FaultCell run_parity_flush_failstop_cell(std::uint64_t seed, std::int64_t elem_b
     st.value()->attach_observability(&metrics);
 
     const auto payload = write_cell_payload(kStripes * st.value()->stripe_data_bytes(), elem_bytes);
-    const std::int64_t stripe_bytes = st.value()->stripe_data_bytes();
-    std::vector<StripeId> stripes;
-    for (int s = 0; s < kStripes; ++s) {
-        auto committed = st.value()->commit_data_stripe(
-            ConstByteSpan(payload.data() + s * stripe_bytes, stripe_bytes), stripe_bytes);
-        if (!committed.ok()) {
-            cell.detail = "data phase: " + committed.error().message;
-            return cell;
-        }
-        stripes.push_back(committed.value());
+    auto committed = st.value()->append(ConstByteSpan(payload.data(), payload.size()), &deferred);
+    if (!committed.ok()) {
+        cell.detail = "data phase: " + committed.error().message;
+        return cell;
     }
-    // Parity flush: the victim trips on its first parity write; degraded
-    // writes skip its placements and every other parity lands.
-    for (int s = 0; s < kStripes; ++s) {
-        auto encoded = st.value()->encode_stripe_parity(
-            stripes[static_cast<std::size_t>(s)],
-            ConstByteSpan(payload.data() + s * stripe_bytes, stripe_bytes));
+    // Parity writes: the victim trips on its first one; degraded writes
+    // skip its placements and every other parity lands.
+    for (StripeId stripe : stripes) {
+        auto encoded = st.value()->encode_stripe_parity(stripe);
         if (!encoded.ok()) {
-            cell.detail = "parity flush: " + encoded.error().message;
+            cell.detail = "parity write: " + encoded.error().message;
             return cell;
         }
     }
     if (st.value()->failed_disks() != std::vector<DiskId>{victim}) {
-        cell.detail = "fail_stop did not trip during the parity flush";
+        cell.detail = "fail_stop did not trip during the parity writes";
         return cell;
     }
 
@@ -1245,17 +1240,16 @@ FaultCell run_manifest_replay_cell(std::uint64_t seed, std::int64_t elem_bytes) 
             fs::remove_all(dir, ec);
             return cell;
         }
-        store::EcPipeline pipeline(*st.value(), nullptr);
         durable = write_cell_payload(3 * st.value()->stripe_data_bytes(), elem_bytes);
-        auto wrote = pipeline.append(ConstByteSpan(durable.data(), durable.size()));
-        if (wrote.ok()) wrote = pipeline.flush();
+        auto wrote = st.value()->append(ConstByteSpan(durable.data(), durable.size()));
+        if (wrote.ok()) wrote = st.value()->flush();
         if (!wrote.ok()) {
             cell.detail = "durable phase: " + wrote.error().message;
             fs::remove_all(dir, ec);
             return cell;
         }
         // The manifest save is the durability point: everything it covers
-        // has data AND parity on the devices (flush drained the encodes).
+        // has data AND parity on the devices (every stripe committed inline).
         manifest.logical_bytes = st.value()->committed_bytes();
         manifest.stripes = st.value()->stored_data_elements() /
                            st.value()->scheme().layout().data_per_stripe();
@@ -1271,8 +1265,7 @@ FaultCell run_manifest_replay_cell(std::uint64_t seed, std::int64_t elem_bytes) 
         // store object is simply dropped — no save, no flush.
         const auto torn =
             write_cell_payload(2 * st.value()->stripe_data_bytes() + elem_bytes / 2, elem_bytes);
-        (void)pipeline.append(ConstByteSpan(torn.data(), torn.size()));
-        (void)pipeline.quiesce();
+        (void)st.value()->append(ConstByteSpan(torn.data(), torn.size()));
     }
 
     // Replay: reopen from the manifest alone. The covered prefix must be
