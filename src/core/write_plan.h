@@ -54,18 +54,19 @@ class WritePlan {
     /// that receives at least one element, in ascending disk order.
     std::vector<WriteBatch> batches() const {
         std::vector<WriteBatch> out;
+        out.reserve(static_cast<std::size_t>(
+            std::count_if(per_disk_.begin(), per_disk_.end(), [](int n) { return n > 0; })));
         std::vector<int> slot(per_disk_.size(), -1);
+        for (std::size_t d = 0; d < per_disk_.size(); ++d) {
+            if (per_disk_[d] == 0) continue;
+            slot[d] = static_cast<int>(out.size());
+            out.push_back(WriteBatch{static_cast<DiskId>(d), {}, {}});
+            out.back().write_indices.reserve(static_cast<std::size_t>(per_disk_[d]));
+        }
         for (std::size_t i = 0; i < writes_.size(); ++i) {
             const auto d = static_cast<std::size_t>(writes_[i].loc.disk);
-            if (slot[d] < 0) {
-                slot[d] = static_cast<int>(out.size());
-                out.push_back(WriteBatch{writes_[i].loc.disk, {}, {}});
-                out.back().write_indices.reserve(static_cast<std::size_t>(per_disk_[d]));
-            }
             out[static_cast<std::size_t>(slot[d])].write_indices.push_back(i);
         }
-        std::sort(out.begin(), out.end(),
-                  [](const WriteBatch& a, const WriteBatch& b) { return a.disk < b.disk; });
         for (WriteBatch& batch : out) {
             std::sort(batch.write_indices.begin(), batch.write_indices.end(),
                       [this](std::size_t a, std::size_t b) {

@@ -1,4 +1,4 @@
-// exec::ElementTable: the elements one request holds — fetched, hedged or
+// exec::ElementTable: the elements one request holds — fetched or
 // decoded — keyed by element identity (stripe, group, position).
 //
 // A flat open-addressed table instead of a node per element: entries

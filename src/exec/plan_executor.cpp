@@ -10,7 +10,6 @@
 namespace ecfrm::exec {
 
 using core::AccessPlan;
-using layout::GroupCoord;
 
 namespace {
 
@@ -28,29 +27,18 @@ void traced_backoff(const RecoveryOptions& opts, int attempt, DiskId disk, Trace
                     {{"disk", std::to_string(disk)}, {"attempt", std::to_string(attempt + 1)}});
 }
 
-/// One fetch round's outcome: which disks newly misbehaved and the most
-/// recent typed error, so the replan loop can route around them (or give
-/// up with the right diagnosis).
+/// One fetch round's outcome: how many disks newly misbehaved (each now
+/// in the request's exclusion set), whether a hedge already replanned
+/// around its stragglers, and the most recent typed error, so the replan
+/// loop can route on (or give up with the right diagnosis).
 struct FetchOutcome {
     bool complete = true;
-    std::vector<DiskId> bad_disks;
+    bool hedged = false;
+    std::int64_t bad_disks = 0;
     std::optional<Error> last_error;
 };
 
 }  // namespace
-
-Status PlanExecutor::device_read(DiskId disk, RowId row, ByteSpan out) const {
-    const RecoveryOptions& opts = options();
-    const store::BlockDevice& device = *devices_[static_cast<std::size_t>(disk)];
-    auto read = [&] { return device.read(row, out); };
-    std::size_t done = 0;
-    return submit_queue(
-        disk, std::span<const RowId>(&row, 1), opts, 1, &done, {},
-        [&](std::size_t, std::size_t, std::size_t* completed) {
-            return read_by_deadline(disk, row, opts, {}, completed, read);
-        },
-        [&](std::size_t) { return read_by_deadline(disk, row, opts, {}, nullptr, read); });
-}
 
 Status PlanExecutor::read_by_deadline(DiskId disk, RowId row, const RecoveryOptions& opts,
                                       TraceCtx tc, std::size_t* completed,
@@ -297,45 +285,36 @@ Result<PlanExecutor::WriteReport> PlanExecutor::write(const core::WritePlan& pla
     return report;
 }
 
-void PlanExecutor::hedge(const Round& r, const std::vector<DiskId>& excluded,
-                         ElementTable& fetched, TraceCtx tc, double deadline_ms,
-                         bool auto_deadline) const {
-    const ExecutorMetrics& m = metrics();
-    std::vector<char> avoid(devices_.size(), 0);
-    std::size_t stragglers = 0;
+Status PlanExecutor::plan_around(RequestScratch& s, Replanner replan, core::AccessPlan& plan) {
+    if (s.hedged.empty()) return replan(s.excluded, plan);
+    s.around.assign(s.excluded.begin(), s.excluded.end());
+    s.around.insert(s.around.end(), s.hedged.begin(), s.hedged.end());
+    return replan(s.around, plan);
+}
+
+bool PlanExecutor::hedge(const Round& r, RequestScratch& s, Replanner replan, TraceCtx tc,
+                         double deadline_ms, bool auto_deadline) const {
+    const double t0 = tc.rt != nullptr ? obs::forensic_now_us() : 0.0;
+    const std::size_t before = s.hedged.size();
     for (const Round::Queue& q : r.queues) {
-        if (q.reaped) continue;
-        avoid[static_cast<std::size_t>(q.disk)] = 1;
-        ++stragglers;
+        if (!q.reaped) s.hedged.push_back(q.disk);
     }
-    for (DiskId d : excluded) avoid[static_cast<std::size_t>(d)] = 1;
+    // Plan into the spare: a refused plan must leave the round's own plan
+    // intact, since the round goes on to wait for its stragglers.
+    const Status planned = plan_around(s, replan, s.spare_plan);
     if (tc.rt != nullptr) {
-        tc.rt->complete(tc.parent, "hedge.trigger", obs::forensic_now_us(), 0.0,
-                        {{"stragglers", std::to_string(stragglers)},
+        tc.rt->complete(tc.parent, "hedge.trigger", t0, obs::forensic_now_us() - t0,
+                        {{"stragglers", std::to_string(s.hedged.size() - before)},
                          {"deadline_ms", std::to_string(deadline_ms)},
-                         {"auto", auto_deadline ? "true" : "false"}});
+                         {"auto", auto_deadline ? "true" : "false"},
+                         {"replanned", planned.ok() ? "true" : "false"}});
     }
-    for (const Round::Queue& q : r.queues) {
-        if (q.reaped) continue;
-        for (std::size_t j = q.begin; j < q.end; ++j) {
-            const auto [stripe, group, position] = r.elems[j].key;
-            if (m.hedged_reads != nullptr) m.hedged_reads->add(1);
-            if (tc.rt != nullptr) tc.rt->count_hedge();
-            const ByteSpan target =
-                fetched.stage(static_cast<std::size_t>(element_bytes_), buffer_pool_);
-            const double t0 = tc.rt != nullptr ? obs::forensic_now_us() : 0.0;
-            const bool decoded = rebuild_element({stripe, group, position}, avoid, target).ok();
-            if (tc.rt != nullptr) {
-                tc.rt->complete(tc.parent, "hedge.decode", t0, obs::forensic_now_us() - t0,
-                                {{"disk", std::to_string(q.disk)},
-                                 {"stripe", std::to_string(stripe)},
-                                 {"group", std::to_string(group)},
-                                 {"position", std::to_string(position)},
-                                 {"decoded", decoded ? "true" : "false"}});
-            }
-            if (decoded) fetched.emplace(r.elems[j].key, target, /*sunk=*/false);
-        }
+    if (!planned.ok()) {
+        s.hedged.resize(before);
+        return false;
     }
+    std::swap(s.plan, s.spare_plan);
+    return true;
 }
 
 PlanExecutor::Round& PlanExecutor::next_round(RequestScratch& s) {
@@ -360,6 +339,7 @@ PlanExecutor::Round& PlanExecutor::next_round(RequestScratch& s) {
 void RequestScratch::release() {
     elements.clear();
     excluded.clear();
+    hedged.clear();
     // A round still co-owned by an orphaned queue keeps its staging until
     // that queue lets go; drop this scratch's share rather than wait.
     if (round != nullptr && round.use_count() == 1) {
@@ -394,7 +374,7 @@ Status PlanExecutor::fetch(RequestScratch& s, Replanner replan, obs::RequestTrac
     obs::DiskHeatModel* const heat = this->heat();
     const auto eb = static_cast<std::size_t>(element_bytes_);
 
-    // Elements fetched (or hedge-decoded) so far, kept across replan
+    // Elements fetched or decoded so far, kept across replan and hedge
     // rounds so recovery never re-reads what it already holds. Sized per
     // plan: every fetch plus every decode target.
     ElementTable& fetched = s.elements;
@@ -406,8 +386,8 @@ Status PlanExecutor::fetch(RequestScratch& s, Replanner replan, obs::RequestTrac
     // internally, so one queue per device is the natural unit, and the
     // request finishes when the slowest queue does), then reap the
     // queues through one epilogue. `fetch_node` is the round's phase
-    // span on the request trace; per-disk batches, retries, hedge
-    // decodes and eager decodes hang under it.
+    // span on the request trace; per-disk batches, retries, the hedge
+    // trigger and eager decodes hang under it.
     auto fetch_round = [&](std::uint32_t fetch_node) -> FetchOutcome {
         FetchOutcome outcome;
         const AccessPlan& p = s.plan;
@@ -422,9 +402,12 @@ Status PlanExecutor::fetch(RequestScratch& s, Replanner replan, obs::RequestTrac
         // the deadline tracks the fleet's actual speed instead of a
         // constant tuned for hardware that may no longer exist. Hedging
         // needs a pool: the straggler must run somewhere while this
-        // thread decodes around it.
-        double hedge_ms = pool_ != nullptr ? opts.hedge_ms : 0.0;
-        if (opts.auto_hedge && heat != nullptr && pool_ != nullptr) {
+        // thread reads around it. A request hedges once: the rounds after
+        // a hedge read from disks that answered in time, so they run
+        // joined, like an unhedged round, with no deadline of their own.
+        const bool may_hedge = pool_ != nullptr && s.hedged.empty();
+        double hedge_ms = may_hedge ? opts.hedge_ms : 0.0;
+        if (opts.auto_hedge && heat != nullptr && may_hedge) {
             std::vector<int> participating;
             for (const core::DiskBatch& b : batches) participating.push_back(b.disk);
             const double derived =
@@ -495,26 +478,14 @@ Status PlanExecutor::fetch(RequestScratch& s, Replanner replan, obs::RequestTrac
                          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                              std::chrono::duration<double, std::milli>(hedge_ms))
                    : std::chrono::steady_clock::time_point{};
-        bool hedge_fired = false;
-
-        // True when every unfinished queue's elements are already in hand
-        // (hedge-decoded), so none of them needs waiting for.
-        auto stragglers_covered = [&] {
-            for (const Round::Queue& q : r.queues) {
-                if (q.reaped || q.finished) continue;
-                for (std::size_t j = q.begin; j < q.end; ++j) {
-                    if (!fetched.contains(r.elems[j].key)) return false;
-                }
-            }
-            return true;
-        };
+        bool deadline_open = hedged;
 
         // Reap: without a pool in submission order, finishing each queue
         // in place (an async device's await lands here, so the disks
         // overlap); with one, in completion order. A hedge is a deadline
         // on this wait.
         const std::size_t n = r.queues.size();
-        bool all_landed = true;  // every queue reaped, each op landed
+        bool all_landed = true;  // every reaped queue's ops all landed
         for (std::size_t reaped = 0; reaped < n;) {
             std::size_t a = reaped;
             if (pool_ == nullptr) {
@@ -527,28 +498,25 @@ Status PlanExecutor::fetch(RequestScratch& s, Replanner replan, obs::RequestTrac
                     }
                     return false;
                 };
-                if (hedged && !hedge_fired) {
+                if (deadline_open) {
                     if (!r.cv.wait_until(lock, deadline, ready)) {
                         lock.unlock();
-                        hedge_fired = true;
-                        hedge(r, s.excluded, fetched, TraceCtx{rt, fetch_node}, hedge_ms,
-                              opts.auto_hedge);
+                        deadline_open = false;
+                        // The stragglers stay orphaned on the pool (their
+                        // late payload dies with the round) while the next
+                        // round reads around them. When the code cannot
+                        // route around them, they are waited for after all:
+                        // correctness beats the deadline.
+                        if (hedge(r, s, replan, TraceCtx{rt, fetch_node}, hedge_ms,
+                                  opts.auto_hedge)) {
+                            outcome.complete = false;
+                            outcome.hedged = true;
+                            return outcome;
+                        }
                         continue;
                     }
                 } else {
-                    // After a hedge, a straggler whose elements could not
-                    // all be decoded is joined after all — correctness
-                    // beats the deadline. (Typical cause: every queue
-                    // missed the deadline at once, e.g. a saturated pool,
-                    // so no disks were left to decode from.) The rest stay
-                    // orphaned on the pool; their late payload is dropped.
-                    r.cv.wait(lock, [&] {
-                        return ready() || (hedge_fired && stragglers_covered());
-                    });
-                    if (a == n) {
-                        all_landed = false;
-                        break;
-                    }
+                    r.cv.wait(lock, ready);
                 }
             }
 
@@ -565,8 +533,10 @@ Status PlanExecutor::fetch(RequestScratch& s, Replanner replan, obs::RequestTrac
             if (!q.status.ok()) {
                 all_landed = false;
                 // The device is suspect: abandon its remaining queue and
-                // let the replan route around it.
-                outcome.bad_disks.push_back(q.disk);
+                // exclude it (the plan routed around every excluded disk,
+                // so it is new), so a hedge or the replan routes around it.
+                s.excluded.push_back(q.disk);
+                ++outcome.bad_disks;
                 outcome.last_error = q.status.error();
                 continue;
             }
@@ -591,31 +561,46 @@ Status PlanExecutor::fetch(RequestScratch& s, Replanner replan, obs::RequestTrac
     };
 
     // Replan loop: plan, fetch, and when a disk misbehaves mid-flight,
-    // exclude it and re-plan the remaining elements around it — reusing
-    // every element already in hand. Each round's plan/fetch pair lands
-    // as contiguous phase spans directly under the request root, so the
-    // per-phase durations tile the request end to end.
+    // re-plan the remaining elements around the grown exclusion set —
+    // reusing every element already in hand. A hedge has planned its
+    // round already: a slow disk is not a failed one, so that round is
+    // neither counted as a replan nor held to max_replans. Each round's
+    // plan/fetch pair lands as contiguous phase spans directly under the
+    // request root, so the per-phase durations tile the request end to
+    // end.
     std::optional<Error> last_error;
+    int replans = 0;
+    bool grew = false;           // the last round lost a disk: this one is a replan
+    bool hedge_planned = false;  // a hedge left this round's plan in s.plan
     for (int round = 0;; ++round) {
-        const std::uint32_t plan_node =
-            rt != nullptr ? rt->begin_phase("plan",
-                                            {{"round", round},
-                                             {"excluded", static_cast<std::int64_t>(
-                                                              s.excluded.size())}})
-                          : 0;
-        const Status planned = replan(s.excluded, s.plan);
-        if (rt != nullptr) {
-            if (planned.ok()) {
-                rt->end_with(plan_node,
-                             {{"fetches", s.plan.total_fetched()},
-                              {"decodes", static_cast<std::int64_t>(s.plan.decodes().size())}});
-            } else {
-                rt->attr(plan_node, "error", planned.error().message);
-                rt->end(plan_node);
+        if (!hedge_planned) {
+            const std::uint32_t plan_node =
+                rt != nullptr ? rt->begin_phase("plan",
+                                                {{"round", round},
+                                                 {"excluded", static_cast<std::int64_t>(
+                                                                  s.excluded.size())}})
+                              : 0;
+            Status planned = plan_around(s, replan, s.plan);
+            if (!planned.ok() && !s.hedged.empty()) {
+                // A disk failed after a hedge, and the code cannot route
+                // around it and the stragglers both: read them after all.
+                s.hedged.clear();
+                planned = replan(s.excluded, s.plan);
             }
+            if (rt != nullptr) {
+                if (planned.ok()) {
+                    rt->end_with(plan_node, {{"fetches", s.plan.total_fetched()},
+                                             {"decodes", static_cast<std::int64_t>(
+                                                             s.plan.decodes().size())}});
+                } else {
+                    rt->attr(plan_node, "error", planned.error().message);
+                    rt->end(plan_node);
+                }
+            }
+            if (!planned.ok()) return planned;
         }
-        if (!planned.ok()) return planned;
-        if (round > 0) {
+        if (grew) {
+            ++replans;
             if (m.replans != nullptr) m.replans->add(1);
             if (rt != nullptr) rt->count_replan();
         }
@@ -624,23 +609,17 @@ Status PlanExecutor::fetch(RequestScratch& s, Replanner replan, obs::RequestTrac
             rt != nullptr ? rt->begin_phase("fetch", {{"round", round}}) : 0;
         FetchOutcome outcome = fetch_round(fetch_node);
         if (rt != nullptr) {
-            if (!outcome.bad_disks.empty()) {
-                rt->end_with(fetch_node, {{"bad_disks", static_cast<std::int64_t>(
-                                                            outcome.bad_disks.size())}});
+            if (outcome.bad_disks > 0) {
+                rt->end_with(fetch_node, {{"bad_disks", outcome.bad_disks}});
             } else {
                 rt->end(fetch_node);
             }
         }
         if (outcome.last_error.has_value()) last_error = outcome.last_error;
         if (outcome.complete) break;
-        bool grew = false;
-        for (DiskId d : outcome.bad_disks) {
-            if (std::find(s.excluded.begin(), s.excluded.end(), d) == s.excluded.end()) {
-                s.excluded.push_back(d);
-                grew = true;
-            }
-        }
-        if (!grew || round >= opts.max_replans) {
+        grew = outcome.bad_disks > 0;
+        hedge_planned = outcome.hedged;
+        if (grew ? replans >= opts.max_replans : !hedge_planned) {
             if (last_error.has_value()) return *last_error;
             return Error::io("element fetch failed during plan execution");
         }
@@ -687,9 +666,21 @@ Status PlanExecutor::try_decode(RequestScratch& s, bool partial, TraceCtx tc, Si
         buffers[static_cast<std::size_t>(repair.target_position)] = target;
         codes::ErasureCode::apply_repair(repair, buffers, pool_);
         elements.emplace(target_key, target, sunk);
-        if (m.decodes != nullptr) m.decodes->add(1);
+        // A straggler's element decoded around its hedge is a hedged read,
+        // not a recovery decode (hedged disks are never excluded ones).
+        const bool hedged =
+            !s.hedged.empty() &&
+            std::find(s.hedged.begin(), s.hedged.end(),
+                      scheme_->layout().locate({decode.stripe, decode.group,
+                                                repair.target_position}).disk) != s.hedged.end();
+        if (hedged) {
+            if (m.hedged_reads != nullptr) m.hedged_reads->add(1);
+            if (tc.rt != nullptr) tc.rt->count_hedge();
+        } else {
+            if (m.decodes != nullptr) m.decodes->add(1);
+            if (tc.rt != nullptr) tc.rt->add_decodes(1);
+        }
         if (tc.rt != nullptr) {
-            tc.rt->add_decodes(1);
             tc.rt->complete(tc.parent, "decode.element", decode_t0,
                             obs::forensic_now_us() - decode_t0,
                             {obs::RequestTrace::IntAttr{"stripe", decode.stripe},
@@ -698,35 +689,6 @@ Status PlanExecutor::try_decode(RequestScratch& s, bool partial, TraceCtx tc, Si
                              {"sources", static_cast<std::int64_t>(repair.terms.size())}});
         }
     }
-    return Status::success();
-}
-
-Status PlanExecutor::rebuild_element(const GroupCoord& coord, const std::vector<char>& avoid,
-                                     ByteSpan target) const {
-    const auto& code = scheme_->code();
-    std::vector<int> available;
-    for (int p = 0; p < code.n(); ++p) {
-        if (p == coord.position) continue;
-        const Location ploc = scheme_->layout().locate({coord.stripe, coord.group, p});
-        if (!avoid[static_cast<std::size_t>(ploc.disk)]) available.push_back(p);
-    }
-    const codes::ElementRepair* repair = code.cached_repair(coord.position, available);
-    if (repair == nullptr) return Error::undecodable("hedged element has too few sources left");
-    const auto eb = static_cast<std::size_t>(element_bytes_);
-    std::vector<PooledBuffer> srcs;
-    std::vector<ByteSpan> buffers(static_cast<std::size_t>(code.n()));
-    srcs.reserve(repair->terms.size());
-    for (const auto& term : repair->terms) {
-        const Location sloc =
-            scheme_->layout().locate({coord.stripe, coord.group, term.source_position});
-        srcs.push_back(staging_buffer(eb, buffer_pool_));
-        const ByteSpan src = srcs.back().span().first(eb);
-        auto status = device_read(sloc.disk, sloc.row, src);
-        if (!status.ok()) return status;
-        buffers[static_cast<std::size_t>(term.source_position)] = src;
-    }
-    buffers[static_cast<std::size_t>(coord.position)] = target;
-    codes::ErasureCode::apply_repair(*repair, buffers);
     return Status::success();
 }
 

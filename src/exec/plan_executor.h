@@ -8,9 +8,11 @@
 //     one submit/reap loop — on a thread pool when one is attached,
 //     overlapped on async devices when not;
 //   - the self-healing policy: bounded retries with exponential backoff,
-//     per-op timeout detection, hedged reads that decode a straggling
-//     disk's elements from the others, and mid-flight degraded replans
-//     that reuse every element already fetched;
+//     per-op timeout detection, and mid-flight replans that reuse every
+//     element already fetched — around a disk that failed, or, at a hedge
+//     deadline, around the disks still straggling (a hedge is a replan:
+//     the next round reads and decodes around them like any degraded
+//     round);
 //   - the decode stage that materialises lost elements from a plan's
 //     repair recipes.
 //
@@ -75,9 +77,10 @@ struct RecoveryOptions {
     /// of retrying it. (Per-op deadlines need per-op timing, so timed
     /// queues issue elements singly instead of as vectored batches.)
     double op_timeout_ms = 0.0;
-    /// >0 (needs a thread pool): when the slowest fetch queue is still
-    /// outstanding after this deadline, hedge its elements by decoding
-    /// them from the other disks instead of waiting.
+    /// >0 (needs a thread pool): when fetch queues are still outstanding
+    /// after this deadline, replan the round around their disks and read
+    /// and decode around them instead of waiting (or keep waiting when
+    /// the code cannot plan around them).
     double hedge_ms = 0.0;
     /// Adaptive hedging (needs a thread pool and an attached
     /// DiskHeatModel): derive the hedge deadline per fetch round from the
@@ -204,21 +207,22 @@ class PlanExecutor {
     static Key key_of(const layout::GroupCoord& c) { return {c.stripe, c.group, c.position}; }
 
     /// Run the fetch pipeline: plan via `replan` into s.plan, issue
-    /// per-disk queues, retry/hedge per policy, and replan around disks
-    /// that misbehave mid-flight — reusing every element already in hand.
-    /// On success s.plan is the plan that finally completed (after any
-    /// replans), s.elements holds every element it fetched or
-    /// hedge-decoded (views of caller memory on the zero-copy path, else
-    /// staging the table holds), and s.excluded, the initial exclusion
-    /// set, has grown by the mid-flight discoveries. Fails with the last
-    /// typed device error when recovery is exhausted.
+    /// per-disk queues, retry per policy, and replan around disks that
+    /// misbehave mid-flight or straggle past a hedge deadline — reusing
+    /// every element already in hand. On success s.plan is the plan that
+    /// finally completed (after any replans), s.elements holds every
+    /// element it fetched or eagerly decoded (views of caller memory on
+    /// the zero-copy path, else staging the table holds), s.excluded, the
+    /// initial exclusion set, has grown by the disks that failed, and
+    /// s.hedged names the disks hedged around. Fails with the last typed
+    /// device error when recovery is exhausted.
     ///
     /// When `rt` is given, the pipeline appends its causal tree to the
     /// request: contiguous `plan`/`fetch` phase spans per round directly
     /// under the root (so phase durations tile the request), with
-    /// per-disk batches, retries, backoff waits, timeouts and hedge
-    /// decodes as children of the round's fetch span. Safe across pool
-    /// and hedge threads.
+    /// per-disk batches, retries, backoff waits, timeouts, the hedge
+    /// trigger and eager decodes as children of the round's fetch span.
+    /// Safe across pool threads.
     /// `sink`, when given, routes elements straight into caller memory
     /// (see Sink).
     ///
@@ -230,13 +234,21 @@ class PlanExecutor {
     /// the pool, submission order without) through one epilogue that
     /// records their spans, keeps their elements, and runs decode recipes
     /// eagerly as their sources land. A hedge deadline bounds the reap:
-    /// queues still out when it passes are decoded around and abandoned.
+    /// when it passes, `replan` plans around s.excluded plus the disks
+    /// still out (s.hedged), their queues are abandoned, and the next
+    /// round fetches what that plan still lacks. That round is not a
+    /// replan: it counts no replan and uses none of max_replans, and a
+    /// straggler's element decoded in it counts as a hedged read, not a
+    /// decode. A request hedges once: rounds after a hedge have no
+    /// deadline. If `replan` refuses, the round waits for its stragglers.
     Status fetch(RequestScratch& s, Replanner replan, obs::RequestTrace* rt = nullptr,
                  Sink sink = {}) const;
 
     /// Run s.plan's decode recipes, materialising each missing element
     /// into s.elements from sources already present there. `tc` hangs a
-    /// `decode.element` span per recipe under the caller's span.
+    /// `decode.element` span per recipe under the caller's span. A
+    /// decoded element whose disk is in s.hedged counts as a hedged read;
+    /// every other one as a decode.
     /// Recipes whose target is already present (e.g. decoded eagerly
     /// during fetch) are skipped; `sink` routes freshly decoded targets
     /// into caller memory.
@@ -272,11 +284,6 @@ class PlanExecutor {
                               std::span<const ConstByteSpan> payloads, TraceCtx tc = {},
                               bool allow_degraded = true) const;
 
-    /// Device read with per-op timeout detection and bounded retries on
-    /// transient errors. On timeout the payload is discarded and
-    /// Error::timeout is returned (the caller routes around the device).
-    Status device_read(DiskId disk, RowId row, ByteSpan out) const;
-
   private:
     friend struct RequestScratch;
 
@@ -285,9 +292,9 @@ class PlanExecutor {
     obs::DiskHeatModel* heat() const { return heat_.load(std::memory_order_acquire); }
 
     /// The chunk, suffix-retry and traced-backoff loop of every per-disk
-    /// submission queue — batched and timed reads, device_read and
-    /// writes: `chunk(offset, n, &completed)` issues rows[offset,
-    /// offset + n) as one device call, at most `depth` ops deep, and
+    /// submission queue — batched and timed reads and writes:
+    /// `chunk(offset, n, &completed)` issues rows[offset, offset + n) as
+    /// one device call, at most `depth` ops deep, and
     /// `single(j)` re-issues op j alone. A transient failure retries just
     /// the failing op under the policy (its in-chunk failure was attempt
     /// zero) and chunking resumes behind it. `*done` counts ops that
@@ -386,17 +393,14 @@ class PlanExecutor {
     /// Run queue `a` to completion (awaiting its in-flight chunk, if
     /// any), feed the heat model, and mark it finished.
     void finish_queue(Round& r, std::size_t a, TraceCtx tc) const;
-    /// A fetch round's hedge deadline passed: rebuild every element of
-    /// the queues not yet reaped (the stragglers) into `fetched` from the
-    /// other disks, avoiding the stragglers and `excluded`, instead of
-    /// waiting.
-    void hedge(const Round& r, const std::vector<DiskId>& excluded, ElementTable& fetched,
-               TraceCtx tc, double deadline_ms, bool auto_deadline) const;
-    /// Hedged reads: rebuild one element into `target` from group sources
-    /// living on disks not marked in `avoid` (indexed by DiskId), one
-    /// policy read (device_read) per source.
-    Status rebuild_element(const layout::GroupCoord& coord, const std::vector<char>& avoid,
-                           ByteSpan target) const;
+    /// Plan into `plan` around s.excluded and s.hedged.
+    static Status plan_around(RequestScratch& s, Replanner replan, core::AccessPlan& plan);
+    /// A fetch round's hedge deadline passed: add the disks of the queues
+    /// not yet reaped (the stragglers) to s.hedged and plan around them.
+    /// True when `replan` accepted, with the new plan in s.plan; false,
+    /// with s.plan and s.hedged as they were, when it refused.
+    bool hedge(const Round& r, RequestScratch& s, Replanner replan, TraceCtx tc,
+               double deadline_ms, bool auto_deadline) const;
     /// Record queue `q`'s `name` span on the request trace.
     void trace_queue(TraceCtx tc, const char* name, const Round::Queue& q) const;
 
@@ -447,8 +451,11 @@ struct RequestScratch {
     core::AccessPlan plan;          // the current round's plan
     core::PlanBatches batches;      // its per-disk schedule
     core::PlanScratch planner;      // planner working memory and repair memo
-    ElementTable elements;          // fetched, hedged and decoded elements
-    std::vector<DiskId> excluded;   // disks the plan routes around
+    ElementTable elements;          // fetched and decoded elements
+    std::vector<DiskId> excluded;   // unavailable or failed disks the plan routes around
+    /// Disks a hedge routed around: slow, not failed, so never in
+    /// `excluded`.
+    std::vector<DiskId> hedged;
     std::vector<char> stragglers;   // heat-model straggler flags, per disk
     std::vector<ByteSpan> positions;  // decode: position-indexed spans
 
@@ -459,6 +466,8 @@ struct RequestScratch {
     void release();
 
     std::shared_ptr<PlanExecutor::Round> round;
+    core::AccessPlan spare_plan;  // a hedge's plan, until accepted
+    std::vector<DiskId> around;   // excluded ∪ hedged, for the replanner
 };
 
 /// Lease of the calling thread's RequestScratch for one request: taken

@@ -5,7 +5,7 @@
 // Every StripeStore request — read, write, scrub, and each rebuild round
 // — and every ClusterSim or ecfrm_sim request gets a RequestTrace with a
 // unique id. The execution path appends a causal tree under it (plan ->
-// per-disk batch -> retry -> backoff -> hedge decode -> replan -> decode
+// per-disk batch -> retry -> backoff -> hedge trigger -> replan -> decode
 // -> assemble, or -> write), and RequestForensics aggregates finished
 // traces into windowed percentiles and SLO burn rates per request class.
 // Requests that breach a latency threshold or that needed recovery
@@ -14,7 +14,7 @@
 // document, or as one document of every held request (a threshold of 0
 // keeps them all: the CLI's --trace-out).
 //
-// Thread safety: a RequestTrace may be appended to from hedge/pool
+// Thread safety: a RequestTrace may be appended to from pool
 // threads concurrently (one mutex per trace); RequestForensics is fully
 // thread-safe. Two clock domains are supported: wall-clock callers use
 // the start()/finish() overloads (a process-wide steady epoch), the
@@ -47,7 +47,7 @@ const char* request_class_name(RequestClass cls);
 
 /// One node of a request's span tree. Nodes are identified by 1-based
 /// ids (0 = no parent, i.e. the root); `seq` is the per-trace append
-/// order and `tid` the recording thread, so spans landed by hedge/pool
+/// order and `tid` the recording thread, so spans landed by pool
 /// threads stay orderable and attributable after the fact.
 ///
 /// `attrs` is populated on RequestTrace::nodes() snapshots; internally

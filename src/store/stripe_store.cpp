@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -837,7 +838,6 @@ Status StripeStore::execute_read_traced(ElementId start, std::int64_t count, con
         if (excl.empty()) {
             core::plan_normal_read(scheme_, start, count, plan);
         } else {
-            if (o.degraded_reads_total != nullptr) o.degraded_reads_total->add(1);
             // Health-aware planning: flagged stragglers lose repair-source
             // ties, so degraded reads drift off slow disks as the heat
             // window observes them.
@@ -871,8 +871,9 @@ Status StripeStore::execute_read_traced(ElementId start, std::int64_t count, con
     // destination — fetched there by the device, or decoded there — so
     // the healthy path's assemble stage has nothing to copy. Requested
     // means a data position whose logical id falls in the range. Repair
-    // sources, parities and hedge-owned buffers stay in executor staging
-    // (the sink returns an empty span for them).
+    // sources and parities stay in executor staging (the sink returns an
+    // empty span for them), as does every fetch of a hedged round, whose
+    // straggling queues may outlive the request.
     const layout::Layout& layout = scheme_.layout();
     const int k = layout.data_per_group();
     const std::int64_t per_stripe = layout.data_per_stripe();
@@ -886,13 +887,16 @@ Status StripeStore::execute_read_traced(ElementId start, std::int64_t count, con
     };
 
     auto fetched = executor_.fetch(s, replanner, rt, sink);
-    if (!fetched.ok()) return fetched;
 
     // A read that grew its exclusion set mid-flight (or started with
-    // one) is a degraded read, whatever class it started as.
-    if (rt != nullptr && (!s.excluded.empty() || rt->replans() > 0)) {
-        rt->set_class(obs::RequestClass::degraded);
+    // one) is a degraded read, whatever class it started as, counted
+    // once however many rounds it planned. Hedging around a slow disk
+    // excludes nothing.
+    if (!s.excluded.empty()) {
+        if (o.degraded_reads_total != nullptr) o.degraded_reads_total->add(1);
+        if (rt != nullptr) rt->set_class(obs::RequestClass::degraded);
     }
+    if (!fetched.ok()) return fetched;
 
     // Run the decode recipes to materialise failed elements. Phase spans
     // (decode, assemble) chain off the previous phase's end via
@@ -910,8 +914,9 @@ Status StripeStore::execute_read_traced(ElementId start, std::int64_t count, con
 
     // Assemble the user range in logical order. Elements routed through
     // the sink already sit in place — when all of them did, there is
-    // nothing to walk; otherwise staged elements (hedged reads, elements
-    // a recovery round landed in executor buffers) still copy.
+    // nothing to walk; otherwise staged elements (a hedged round's
+    // fetches, elements a recovery round landed in executor buffers)
+    // still copy.
     const std::uint32_t assemble_node = rt != nullptr ? rt->begin_phase("assemble") : 0;
     std::int64_t copies = 0;
     if (static_cast<std::int64_t>(s.elements.sunk()) != count) {
@@ -1169,10 +1174,30 @@ Status StripeStore::corrupt_element(DiskId disk, RowId row, std::size_t byte_off
 
 namespace {
 
-/// True when the group's parity equations all hold for these buffers
-/// (buffers[i] = payload of code position i).
-bool group_consistent(const codes::ErasureCode& code, const std::vector<AlignedBuffer>& bufs,
-                      std::int64_t element_bytes) {
+/// One group's n elements, read into fresh buffers in position order.
+Result<std::vector<AlignedBuffer>> read_group_buffers(const exec::PlanExecutor& executor,
+                                                      const codes::ErasureCode& code,
+                                                      StripeId stripe, int group,
+                                                      std::int64_t element_bytes) {
+    std::vector<AlignedBuffer> bufs;
+    std::vector<ByteSpan> spans(static_cast<std::size_t>(code.n()));
+    bufs.reserve(static_cast<std::size_t>(code.n()));
+    for (int p = 0; p < code.n(); ++p) {
+        bufs.emplace_back(static_cast<std::size_t>(element_bytes));
+        spans[static_cast<std::size_t>(p)] = bufs.back().span();
+    }
+    auto status = executor.read_group(stripe, group, spans);
+    if (!status.ok()) return status.error();
+    return bufs;
+}
+
+/// The parity audit of scrub and verify_parity: the first parity (0-based
+/// among the code's m) whose stored bytes differ from the encode of the
+/// group's data, or none when every parity equation holds (bufs[i] =
+/// payload of code position i).
+std::optional<int> first_parity_mismatch(const codes::ErasureCode& code,
+                                         const std::vector<AlignedBuffer>& bufs,
+                                         std::int64_t element_bytes) {
     std::vector<ConstByteSpan> data(static_cast<std::size_t>(code.k()));
     for (int j = 0; j < code.k(); ++j) data[static_cast<std::size_t>(j)] = bufs[static_cast<std::size_t>(j)].span();
     std::vector<AlignedBuffer> expect_bufs;
@@ -1186,10 +1211,10 @@ bool group_consistent(const codes::ErasureCode& code, const std::vector<AlignedB
         if (std::memcmp(expect_bufs[static_cast<std::size_t>(p)].data(),
                         bufs[static_cast<std::size_t>(code.k() + p)].data(),
                         static_cast<std::size_t>(element_bytes)) != 0) {
-            return false;
+            return p;
         }
     }
-    return true;
+    return std::nullopt;
 }
 
 }  // namespace
@@ -1231,16 +1256,10 @@ Result<ScrubReport> StripeStore::scrub_locked(obs::RequestTrace* rt, std::uint32
         for (int g = 0; g < scheme_.layout().groups_per_stripe(); ++g) {
             ++report.groups_scanned;
 
-            std::vector<AlignedBuffer> bufs;
-            std::vector<ByteSpan> spans(static_cast<std::size_t>(code.n()));
-            bufs.reserve(static_cast<std::size_t>(code.n()));
-            for (int p = 0; p < code.n(); ++p) {
-                bufs.emplace_back(static_cast<std::size_t>(element_bytes_));
-                spans[static_cast<std::size_t>(p)] = bufs.back().span();
-            }
-            auto status = executor_.read_group(s, g, spans);
-            if (!status.ok()) return status.error();
-            if (group_consistent(code, bufs, element_bytes_)) continue;
+            auto read = read_group_buffers(executor_, code, s, g, element_bytes_);
+            if (!read.ok()) return read.error();
+            const std::vector<AlignedBuffer>& bufs = read.value();
+            if (!first_parity_mismatch(code, bufs, element_bytes_).has_value()) continue;
             ++report.groups_inconsistent;
             const double repair_t0 = rt != nullptr ? obs::forensic_now_us() : 0.0;
 
@@ -1262,7 +1281,7 @@ Result<ScrubReport> StripeStore::scrub_locked(obs::RequestTrace* rt, std::uint32
                 for (int p = 0; p < code.n(); ++p) trial_spans[static_cast<std::size_t>(p)] = trial[static_cast<std::size_t>(p)].span();
                 codes::ErasureCode::apply_repair(repair.value(), trial_spans);
 
-                if (!group_consistent(code, trial, element_bytes_)) continue;
+                if (first_parity_mismatch(code, trial, element_bytes_).has_value()) continue;
 
                 // Hypothesis accepted: persist the corrected element
                 // through the executor's write path.
@@ -1294,31 +1313,11 @@ Status StripeStore::verify_parity() {
     for (StripeId s = 0; s < stripes_; ++s) {
         if (unencoded_.count(s) != 0) continue;  // parity-pending: nothing to verify yet
         for (int g = 0; g < scheme_.layout().groups_per_stripe(); ++g) {
-            std::vector<AlignedBuffer> bufs;
-            std::vector<ByteSpan> spans(static_cast<std::size_t>(code.n()));
-            std::vector<ConstByteSpan> data(static_cast<std::size_t>(code.k()));
-            bufs.reserve(static_cast<std::size_t>(code.n()));
-            for (int p = 0; p < code.n(); ++p) {
-                bufs.emplace_back(static_cast<std::size_t>(element_bytes_));
-                spans[static_cast<std::size_t>(p)] = bufs.back().span();
-            }
-            auto status = executor_.read_group(s, g, spans);
-            if (!status.ok()) return status;
-            for (int p = 0; p < code.k(); ++p) data[static_cast<std::size_t>(p)] = bufs[static_cast<std::size_t>(p)].span();
-            std::vector<AlignedBuffer> expect_bufs;
-            std::vector<ByteSpan> expect(static_cast<std::size_t>(code.m()));
-            for (int p = 0; p < code.m(); ++p) {
-                expect_bufs.emplace_back(static_cast<std::size_t>(element_bytes_));
-                expect[static_cast<std::size_t>(p)] = expect_bufs.back().span();
-            }
-            code.encode(data, expect);
-            for (int p = 0; p < code.m(); ++p) {
-                const auto& stored = bufs[static_cast<std::size_t>(code.k() + p)];
-                if (std::memcmp(stored.data(), expect_bufs[static_cast<std::size_t>(p)].data(),
-                                static_cast<std::size_t>(element_bytes_)) != 0) {
-                    return Error::internal("parity mismatch at stripe " + std::to_string(s) + " group " +
-                                           std::to_string(g) + " parity " + std::to_string(p));
-                }
+            auto read = read_group_buffers(executor_, code, s, g, element_bytes_);
+            if (!read.ok()) return read.error();
+            if (const auto p = first_parity_mismatch(code, read.value(), element_bytes_)) {
+                return Error::internal("parity mismatch at stripe " + std::to_string(s) + " group " +
+                                       std::to_string(g) + " parity " + std::to_string(*p));
             }
         }
     }

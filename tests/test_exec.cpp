@@ -4,7 +4,7 @@
 //     replay identically); the file devices' batches live in test_file_io;
 //   - AccessPlan::batches(), the schedule model shared by the executor,
 //     the simulator and `ecfrm_cli explain`;
-//   - exec::PlanExecutor retry/timeout policy;
+//   - exec::PlanExecutor retry/timeout policy, through fetch;
 //   - StripeStore as a concurrent multi-reader: many threads mixing
 //     normal and degraded reads, under fault injection, byte-exact.
 #include <gtest/gtest.h>
@@ -271,6 +271,26 @@ TEST(AccessPlanBatches, PartitionFetchesPerDiskRowSorted) {
 
 // ------------------------------------------------------- executor policy --
 
+/// Fetch the element at (disk 0, row 0) into `out` through
+/// PlanExecutor::fetch: a one-fetch plan, replanned unchanged, with the
+/// element routed into `out` by the sink. Under max_replans 0 a device
+/// error surfaces as the fetch's own.
+Status fetch_one(const PlanExecutor& executor, const core::Scheme& scheme, ByteSpan out) {
+    const Location loc{0, 0};
+    const layout::GroupCoord coord = scheme.layout().coord_at(loc);
+    auto replan = [&](const std::vector<DiskId>&, core::AccessPlan& plan) {
+        plan.reset(scheme.disks());
+        plan.add_fetch({loc, coord, /*requested=*/true});
+        plan.set_requested(1);
+        return Status::success();
+    };
+    auto sink = [&](const PlanExecutor::Key& key) {
+        return key == PlanExecutor::key_of(coord) ? out : ByteSpan{};
+    };
+    ScratchLease scratch;
+    return executor.fetch(*scratch, replan, nullptr, sink);
+}
+
 TEST(PlanExecutorPolicy, RetriesClearTransientErrors) {
     const std::int64_t elem = 32;
     const core::Scheme scheme = make_scheme("rs:6,3", LayoutKind::standard);
@@ -293,9 +313,14 @@ TEST(PlanExecutorPolicy, RetriesClearTransientErrors) {
         executor.bind({&device});
         RecoveryOptions recovery;
         recovery.max_retries = max_retries;
+        recovery.max_replans = 0;
         executor.set_recovery(recovery);
         std::vector<std::uint8_t> out(static_cast<std::size_t>(elem));
-        return executor.device_read(0, 0, ByteSpan(out.data(), out.size()));
+        const Status status = fetch_one(executor, scheme, ByteSpan(out.data(), out.size()));
+        if (status.ok()) {
+            EXPECT_EQ(out, data);
+        }
+        return status;
     };
 
     EXPECT_FALSE(run(/*max_retries=*/1).ok());  // attempts 0,1 both EIO
@@ -322,9 +347,10 @@ TEST(PlanExecutorPolicy, SlowOpsSurfaceAsTimeout) {
     executor.bind({&device});
     RecoveryOptions recovery;
     recovery.op_timeout_ms = 1.0;
+    recovery.max_replans = 0;
     executor.set_recovery(recovery);
     std::vector<std::uint8_t> out(static_cast<std::size_t>(elem));
-    const auto status = executor.device_read(0, 0, ByteSpan(out.data(), out.size()));
+    const auto status = fetch_one(executor, scheme, ByteSpan(out.data(), out.size()));
     ASSERT_FALSE(status.ok());
     EXPECT_EQ(status.error().code, Error::Code::timeout);
 }
@@ -500,7 +526,9 @@ TEST(PlanExecutorWrite, BatchedWritePlanLandsEveryPayloadByteExact) {
 
     std::vector<std::uint8_t> out(static_cast<std::size_t>(elem));
     for (const auto& [loc, payload] : placements) {
-        ASSERT_TRUE(executor.device_read(loc.disk, loc.row, ByteSpan(out.data(), out.size())).ok());
+        ASSERT_TRUE(raw[static_cast<std::size_t>(loc.disk)]
+                        ->read(loc.row, ByteSpan(out.data(), out.size()))
+                        .ok());
         EXPECT_EQ(std::memcmp(out.data(), bufs[payload].data(), out.size()), 0)
             << "disk " << loc.disk << " row " << loc.row;
     }
@@ -533,7 +561,7 @@ TEST(PlanExecutorWrite, RetriesRewriteFullPayloadOnTransientErrors) {
         auto report = executor.write(plan, payloads, {}, /*allow_degraded=*/false);
         if (!report.ok()) return false;
         std::vector<std::uint8_t> out(static_cast<std::size_t>(elem));
-        EXPECT_TRUE(executor.device_read(0, 4, ByteSpan(out.data(), out.size())).ok());
+        EXPECT_TRUE(device.read(4, ByteSpan(out.data(), out.size())).ok());
         EXPECT_EQ(std::memcmp(out.data(), data.data(), out.size()), 0);
         return true;
     };
@@ -571,7 +599,7 @@ TEST(PlanExecutorWrite, DegradedWriteSkipsFailedDeviceAndCountsIt) {
     EXPECT_EQ(degraded->elements_skipped, 1);
     std::vector<std::uint8_t> out(static_cast<std::size_t>(elem));
     for (DiskId d : {1, 3}) {
-        ASSERT_TRUE(executor.device_read(d, 0, ByteSpan(out.data(), out.size())).ok());
+        ASSERT_TRUE(devices[static_cast<std::size_t>(d)]->read(0, ByteSpan(out.data(), out.size())).ok());
         EXPECT_EQ(std::memcmp(out.data(), data.data(), out.size()), 0);
     }
 

@@ -129,11 +129,11 @@ constexpr std::uint64_t kRebuildChunk = 14;
 //     payload spans (1);
 //   - PlanExecutor::write: the shared submission round with its rows,
 //     payloads and queue list (4), and the per-disk schedule: its slot
-//     table, its batch list growing to 9 disks, and each batch's indices
-//     and rows (1 + 5 + 18);
+//     table, its batch list reserved for the 9 disks, and each batch's
+//     indices and rows (1 + 1 + 18);
 //   - the in-memory disks: one slot per written element (27).
 constexpr std::int64_t kWarmStripes = 5;
-constexpr std::uint64_t kStripeAppend = 74;
+constexpr std::uint64_t kStripeAppend = 70;
 
 class ReadAllocs : public ::testing::Test {
   protected:

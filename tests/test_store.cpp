@@ -607,6 +607,121 @@ TEST(StoreRecovery, HedgedReadDecodesAroundStraggler) {
     EXPECT_LT(elapsed_ms, 60.0);
 }
 
+TEST(StoreRecovery, HedgedReadLeavesErrorCountersAlone) {
+    // A straggler is slow, not failed: the read hedged around it is not a
+    // degraded read, its hedge round is not a replan, and the straggler's
+    // elements decoded around it count as hedged reads, not decodes.
+    FaultPlan plan;
+    FaultRule slow;
+    slow.kind = FaultKind::latency;
+    slow.disk = 0;
+    slow.op = FaultOp::read;
+    slow.first_op = 0;
+    slow.count = 4;
+    slow.latency_ms = 120.0;
+    plan.rules = {slow};
+    RecoveryOptions recovery;
+    recovery.hedge_ms = 10.0;
+    ThreadPool pool(4);
+    FaultyFixture f("rs:6,3", plan, recovery, &pool);
+
+    auto out = f.store->read_bytes(0, static_cast<std::int64_t>(f.data.size()));
+    ASSERT_TRUE(out.ok()) << out.error().message;
+    EXPECT_EQ(out.value(), f.data);
+    EXPECT_GE(f.counter("ecfrm_store_hedged_reads_total"), 1);
+    EXPECT_EQ(f.counter("ecfrm_store_replans_total"), 0);
+    EXPECT_EQ(f.counter("ecfrm_store_degraded_reads_total"), 0);
+    EXPECT_EQ(f.counter("ecfrm_store_decodes_total"), 0);
+}
+
+TEST(StoreRecovery, HedgedReadWaitsWhenTheCodeCannotPlanAroundTheStraggler) {
+    // XOR tolerates one lost disk and one is already failed, so a hedge
+    // around the straggling disk cannot be planned: the read waits for
+    // the straggler instead and still returns the right bytes.
+    FaultPlan plan;
+    FaultRule slow;
+    slow.kind = FaultKind::latency;
+    slow.disk = 2;
+    slow.op = FaultOp::read;
+    slow.first_op = 0;
+    slow.count = 2;
+    slow.latency_ms = 40.0;
+    plan.rules = {slow};
+    RecoveryOptions recovery;
+    recovery.hedge_ms = 5.0;
+    ThreadPool pool(4);
+    FaultyFixture f("xor:5", plan, recovery, &pool);
+    ASSERT_TRUE(f.store->fail_disk(0).ok());
+
+    const auto t0 = std::chrono::steady_clock::now();
+    auto out = f.store->read_bytes(0, static_cast<std::int64_t>(f.data.size()));
+    const double elapsed_ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+    ASSERT_TRUE(out.ok()) << out.error().message;
+    EXPECT_EQ(out.value(), f.data);
+    EXPECT_GE(elapsed_ms, 40.0);  // behind the straggler's first stalled op
+    EXPECT_EQ(f.counter("ecfrm_store_hedged_reads_total"), 0);
+    EXPECT_EQ(f.counter("ecfrm_store_replans_total"), 0);
+    EXPECT_EQ(f.counter("ecfrm_store_degraded_reads_total"), 1);
+}
+
+TEST(StoreRecovery, DiskFailingAfterAHedgeReadsTheStragglerAfterAll) {
+    // XOR tolerates one lost disk. The read hedges around straggling disk
+    // 0, then disk 2 fails on its first read of the hedge round: the code
+    // cannot plan around both, so the replan reads the straggler after
+    // all instead of failing the read.
+    const std::int64_t elem = 64;
+    const core::Scheme scheme = make_scheme("xor:5", LayoutKind::ecfrm);
+    std::int64_t disk2_reads = 0;  // the unhedged first round's reads of disk 2
+    for (ElementId id = 0; id < 90; ++id) {
+        if (scheme.layout().locate(scheme.layout().coord_of_data(id)).disk == 2) ++disk2_reads;
+    }
+    FaultPlan plan;
+    FaultRule slow;
+    slow.kind = FaultKind::latency;
+    slow.disk = 0;
+    slow.op = FaultOp::read;
+    slow.count = 1'000'000;
+    slow.latency_ms = 15.0;
+    FaultRule stop;
+    stop.kind = FaultKind::fail_stop;
+    stop.disk = 2;
+    stop.op = FaultOp::read;
+    stop.first_op = disk2_reads;
+    plan.rules = {slow, stop};
+    RecoveryOptions recovery;
+    recovery.hedge_ms = 10.0;
+    ThreadPool pool(4);
+    FaultyFixture f("xor:5", plan, recovery, &pool, elem);
+
+    auto out = f.store->read_bytes(0, static_cast<std::int64_t>(f.data.size()));
+    ASSERT_TRUE(out.ok()) << out.error().message;
+    EXPECT_EQ(out.value(), f.data);
+    EXPECT_EQ(f.counter("ecfrm_store_replans_total"), 1);
+    EXPECT_EQ(f.counter("ecfrm_store_degraded_reads_total"), 1);
+}
+
+TEST(StoreRecovery, DegradedReadCountsOnceAcrossReplans) {
+    // A read that starts around a failed disk and replans once more around
+    // detected corruption on another is still one degraded read.
+    FaultPlan plan;
+    FaultRule flip;
+    flip.kind = FaultKind::bit_flip;
+    flip.disk = 1;
+    flip.first_op = 0;
+    flip.count = 1;
+    flip.detected = true;
+    plan.rules = {flip};
+    FaultyFixture f("rs:6,3", plan, RecoveryOptions{});
+    ASSERT_TRUE(f.store->fail_disk(3).ok());
+
+    auto out = f.store->read_bytes(0, static_cast<std::int64_t>(f.data.size()));
+    ASSERT_TRUE(out.ok()) << out.error().message;
+    EXPECT_EQ(out.value(), f.data);
+    EXPECT_EQ(f.counter("ecfrm_store_replans_total"), 1);
+    EXPECT_EQ(f.counter("ecfrm_store_degraded_reads_total"), 1);
+}
+
 TEST(StoreRecovery, ForensicsCaptureReplannedReadWithTiledPhases) {
     // A detected-corruption read must leave a captured span tree behind:
     // recovery-active, reclassified degraded, and with per-phase
