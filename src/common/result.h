@@ -22,7 +22,7 @@ struct Error {
         io_error,
         internal,
         // Typed degraded-mode outcomes of the self-healing read path.
-        timeout,           // an op exceeded its per-op deadline
+        timeout,           // a disk queue exceeded its deadline
         corrupt,           // device-detected (or scrub-confirmed) corruption
         beyond_tolerance,  // more concurrent damage than the code can decode
     };

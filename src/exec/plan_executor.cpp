@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -38,46 +39,25 @@ struct FetchOutcome {
     std::optional<Error> last_error;
 };
 
-}  // namespace
+constexpr double kNever = std::numeric_limits<double>::infinity();
 
-Status PlanExecutor::read_by_deadline(DiskId disk, RowId row, const RecoveryOptions& opts,
-                                      TraceCtx tc, std::size_t* completed,
-                                      FunctionRef<Status()> read) const {
-    if (completed != nullptr) *completed = 0;
-    const bool timed = opts.op_timeout_ms > 0.0;
-    const double t0 = timed ? obs::forensic_now_us() : 0.0;
-    Status status = read();
-    if (timed && status.ok() && obs::forensic_now_us() - t0 > opts.op_timeout_ms * 1000.0) {
-        // Too slow to trust: discard the payload and route around the
-        // device rather than retrying into the same stall.
-        if (const ExecutorMetrics& m = metrics(); m.timeouts != nullptr) m.timeouts->add(1);
-        if (obs::DiskHeatModel* const heat = this->heat(); heat != nullptr) {
-            heat->on_timeout(disk, obs::DiskHeatModel::now_seconds());
-        }
-        if (tc.rt != nullptr) {
-            tc.rt->count_timeout();
-            tc.rt->complete(tc.parent, "op.timeout", t0, obs::forensic_now_us() - t0,
-                            {{"disk", std::to_string(disk)},
-                             {"row", std::to_string(row)},
-                             {"deadline_ms", std::to_string(opts.op_timeout_ms)}});
-        }
-        return Error::timeout("disk " + std::to_string(disk) + " read exceeded " +
-                              std::to_string(opts.op_timeout_ms) + " ms deadline");
-    }
-    if (completed != nullptr && status.ok()) *completed = 1;
-    return status;
+Error timeout_error(DiskId disk, double op_timeout_ms) {
+    return Error::timeout("disk " + std::to_string(disk) + " read exceeded its " +
+                          std::to_string(op_timeout_ms) + " ms per-op deadline");
 }
 
-template <typename Chunk, typename Single>
+}  // namespace
+
+template <typename Chunk>
 Status PlanExecutor::submit_queue(DiskId disk, std::span<const RowId> rows,
-                                  const RecoveryOptions& opts, std::size_t depth,
-                                  std::size_t* done, TraceCtx tc, Chunk&& chunk,
-                                  Single&& single) const {
+                                  const RecoveryOptions& opts, bool probe, std::size_t* done,
+                                  TraceCtx tc, Chunk&& chunk) const {
     *done = 0;
     const ExecutorMetrics& m = metrics();
     obs::DiskHeatModel* const heat = this->heat();
     std::size_t offset = 0;
     while (offset < rows.size()) {
+        const std::size_t depth = probe && offset == 0 ? 1 : chunk_depth(opts);
         const std::size_t n = std::min(depth, rows.size() - offset);
         std::size_t completed = 0;
         Status status = chunk(offset, n, &completed);
@@ -88,9 +68,9 @@ Status PlanExecutor::submit_queue(DiskId disk, std::span<const RowId> rows,
         }
         // The op at `offset + completed` failed and the rest of the chunk
         // was never attempted (or, async, left unspecified). Retry just
-        // that op under the policy — its in-chunk failure already consumed
-        // attempt zero; a write retry rewrites the full payload, healing
-        // a torn write.
+        // that op, as a one-op call, under the policy — its in-chunk
+        // failure already consumed attempt zero; a write retry rewrites
+        // the full payload, healing a torn write.
         if (status.error().code != Error::Code::io_error || opts.max_retries < 1) return status;
         const std::size_t j = offset + completed;
         for (int attempt = 1; attempt <= opts.max_retries; ++attempt) {
@@ -105,7 +85,7 @@ Status PlanExecutor::submit_queue(DiskId disk, std::span<const RowId> rows,
                                  {"error", status.error().message}});
             }
             traced_backoff(opts, attempt - 1, disk, tc);
-            status = single(j);
+            status = chunk(j, 1, &completed);
             if (status.ok() || status.error().code != Error::Code::io_error) break;
         }
         if (!status.ok()) return status;
@@ -145,7 +125,14 @@ void PlanExecutor::start_round(const std::shared_ptr<Round>& r, TraceCtx tc, boo
 
 void PlanExecutor::start_queue(Round& r, std::size_t a, TraceCtx tc) const {
     Round::Queue& q = r.queues[a];
-    if (r.timed) q.issue_us = obs::forensic_now_us();
+    if (r.deadline) {  // the reaper judges the queue from this stamp, and may await it
+        std::lock_guard<std::mutex> lock(r.mu);
+        q.issue_us = obs::forensic_now_us();
+        q.started = true;
+        r.cv.notify_all();
+    } else if (r.timed) {
+        q.issue_us = obs::forensic_now_us();
+    }
     if (r.heat != nullptr) r.heat->on_issue(q.disk);
     const store::BlockDevice& device = *devices_[static_cast<std::size_t>(q.disk)];
     if (pool_ == nullptr && r.data.empty() && r.opts.op_timeout_ms <= 0.0 &&
@@ -165,32 +152,48 @@ void PlanExecutor::finish_queue(Round& r, std::size_t a, TraceCtx tc) const {
     const auto rows = std::span<const RowId>(r.rows).subspan(q.begin, q.end - q.begin);
     if (write) {
         const auto data = std::span<const ConstByteSpan>(r.data).subspan(q.begin, rows.size());
-        q.status = submit_queue(
-            q.disk, rows, r.opts, chunk_depth(r.opts), &q.done, tc,
-            [&](std::size_t off, std::size_t n, std::size_t* completed) {
-                return device.write_batch(rows.subspan(off, n), data.subspan(off, n), completed);
-            },
-            [&](std::size_t j) { return device.write(rows[j], data[j]); });
+        q.status = submit_queue(q.disk, rows, r.opts, /*probe=*/false, &q.done, tc,
+                                [&](std::size_t off, std::size_t n, std::size_t* completed) {
+                                    return device.write_batch(rows.subspan(off, n),
+                                                              data.subspan(off, n), completed);
+                                });
     } else {
-        // A per-op deadline needs per-op timing, so timed queues issue
-        // one read per chunk.
-        const bool deadline = r.opts.op_timeout_ms > 0.0;
         const auto outs = std::span<const ByteSpan>(r.outs).subspan(q.begin, rows.size());
-        auto read_one = [&](std::size_t j, std::size_t* completed) {
-            return read_by_deadline(q.disk, rows[j], r.opts, tc, completed,
-                                    [&] { return device.read(rows[j], outs[j]); });
+        auto read = [&](std::size_t off, std::size_t n, std::size_t* completed) {
+            if (q.batch == nullptr) {
+                return device.read_batch(rows.subspan(off, n), outs.subspan(off, n), completed);
+            }
+            auto in_flight = std::move(q.batch);  // the first chunk, submitted at start
+            return in_flight->await(completed);
         };
-        q.status = submit_queue(
-            q.disk, rows, r.opts, deadline ? 1 : chunk_depth(r.opts), &q.done, tc,
-            [&](std::size_t off, std::size_t n, std::size_t* completed) {
-                if (deadline) return read_one(off, completed);
-                if (q.batch == nullptr) {
-                    return device.read_batch(rows.subspan(off, n), outs.subspan(off, n), completed);
-                }
-                auto in_flight = std::move(q.batch);  // the first chunk, submitted at start
-                return in_flight->await(completed);
-            },
-            [&](std::size_t j) { return read_one(j, nullptr); });
+        // Under op_timeout_ms each read call has its own deadline, the
+        // timeout times the ops it carries, and a timed queue's first call
+        // carries one op: a stalled disk is found after one stalled op,
+        // however deep its queue. A late call keeps none of its ops and
+        // ends the queue. On a pool the reaper gives up on the call at
+        // its deadline, so the call's clock is stamped under r.mu.
+        const bool timed = r.opts.op_timeout_ms > 0.0;
+        auto timed_read = [&](std::size_t off, std::size_t n, std::size_t* completed) -> Status {
+            const double deadline = obs::forensic_now_us() +
+                                    static_cast<double>(n) * r.opts.op_timeout_ms * 1000.0;
+            if (pool_ != nullptr) {
+                std::lock_guard<std::mutex> lock(r.mu);
+                q.call_deadline_us = deadline;
+                r.cv.notify_all();
+            }
+            Status status = read(off, n, completed);
+            const double end = obs::forensic_now_us();
+            if (pool_ != nullptr) {  // between calls (a backoff, say) no clock runs
+                std::lock_guard<std::mutex> lock(r.mu);
+                q.call_deadline_us = kNever;
+            }
+            if (!status.ok() || end <= deadline) return status;
+            *completed = 0;
+            return timeout_error(q.disk, r.opts.op_timeout_ms);
+        };
+        q.status = timed ? submit_queue(q.disk, rows, r.opts, /*probe=*/true, &q.done, tc,
+                                        timed_read)
+                         : submit_queue(q.disk, rows, r.opts, /*probe=*/false, &q.done, tc, read);
     }
     if (r.timed) q.dur_us = obs::forensic_now_us() - q.issue_us;
     if (r.heat != nullptr) {
@@ -297,7 +300,7 @@ bool PlanExecutor::hedge(const Round& r, RequestScratch& s, Replanner replan, Tr
     const double t0 = tc.rt != nullptr ? obs::forensic_now_us() : 0.0;
     const std::size_t before = s.hedged.size();
     for (const Round::Queue& q : r.queues) {
-        if (!q.reaped) s.hedged.push_back(q.disk);
+        if (q.late && !q.reaped) s.hedged.push_back(q.disk);
     }
     // Plan into the spare: a refused plan must leave the round's own plan
     // intact, since the round goes on to wait for its stragglers.
@@ -396,15 +399,14 @@ Status PlanExecutor::fetch(RequestScratch& s, Replanner replan, obs::RequestTrac
         const core::PlanBatches& batches = s.batches;
         fetched.reserve(fetched.size() + fetches.size() + p.decodes().size());
 
-        // Effective hedge deadline for this round: static hedge_ms, or —
-        // under auto_hedge with a warm heat window — derived from the
-        // participating disks' live windowed p99 (median * factor), so
-        // the deadline tracks the fleet's actual speed instead of a
-        // constant tuned for hardware that may no longer exist. Hedging
-        // needs a pool: the straggler must run somewhere while this
-        // thread reads around it. A request hedges once: the rounds after
-        // a hedge read from disks that answered in time, so they run
-        // joined, like an unhedged round, with no deadline of their own.
+        // The round's deadlines: op_timeout_ms, judged per read call
+        // (see finish_queue), and the hedge deadline, timed from each
+        // queue's own start — static hedge_ms, or, under auto_hedge with
+        // a warm heat window, the participating disks' live windowed p99
+        // (median * factor), which tracks the fleet's actual speed.
+        // Hedging needs a pool: the straggler must run somewhere while
+        // this thread reads around it. A request hedges once: later
+        // rounds read from disks that answered in time.
         const bool may_hedge = pool_ != nullptr && s.hedged.empty();
         double hedge_ms = may_hedge ? opts.hedge_ms : 0.0;
         if (opts.auto_hedge && heat != nullptr && may_hedge) {
@@ -416,16 +418,19 @@ Status PlanExecutor::fetch(RequestScratch& s, Replanner replan, obs::RequestTrac
                                         obs::DiskHeatModel::now_seconds());
             if (derived > 0.0) hedge_ms = derived;
         }
-        const bool hedged = hedge_ms > 0.0;
+        const double hedge_us = hedge_ms > 0.0 ? hedge_ms * 1000.0 : kNever;
+        const bool deadline = hedge_us < kNever || opts.op_timeout_ms > 0.0;
+        const bool detached = deadline && pool_ != nullptr;  // may leave queues running
 
         // Queue destinations: the zero-copy sink where it routes an
         // element, else staging — held by the element table, or, when
-        // the round is hedged, by the round itself: a straggling queue may
+        // the round is detached, by the round itself: a late queue may
         // outlive this frame, so it must own its buffers outright.
         Round& r = next_round(s);
         r.opts = opts;
         r.heat = heat;
-        r.timed = rt != nullptr || heat != nullptr;
+        r.deadline = deadline;
+        r.timed = rt != nullptr || heat != nullptr || deadline;
         r.rows.reserve(fetches.size());
         r.outs.reserve(fetches.size());
         r.elems.reserve(fetches.size());
@@ -437,7 +442,7 @@ Status PlanExecutor::fetch(RequestScratch& s, Replanner replan, obs::RequestTrac
                 if (fetched.contains(key)) continue;
                 ByteSpan out;
                 bool sunk = false;
-                if (hedged) {
+                if (detached) {
                     r.owned.push_back(staging_buffer(eb, buffer_pool_));
                     out = r.owned.back().span().first(eb);
                 } else {
@@ -469,75 +474,110 @@ Status PlanExecutor::fetch(RequestScratch& s, Replanner replan, obs::RequestTrac
                              obs::DiskHeatModel::now_seconds());
         }
 
-        // Hedged queues may outlive the request, so they get no trace
+        // Detached queues may outlive the request, so they get no trace
         // context; their disk.batch spans are recorded here at reap.
-        const TraceCtx queue_tc = hedged ? TraceCtx{} : TraceCtx{rt, fetch_node};
-        start_round(s.round, queue_tc, /*join=*/!hedged);
-        const auto deadline =
-            hedged ? std::chrono::steady_clock::now() +
-                         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                             std::chrono::duration<double, std::milli>(hedge_ms))
-                   : std::chrono::steady_clock::time_point{};
-        bool deadline_open = hedged;
+        const TraceCtx queue_tc = detached ? TraceCtx{} : TraceCtx{rt, fetch_node};
+        start_round(s.round, queue_tc, /*join=*/!detached);
 
         // Reap: without a pool in submission order, finishing each queue
         // in place (an async device's await lands here, so the disks
-        // overlap); with one, in completion order. A hedge is a deadline
-        // on this wait.
+        // overlap); with one, in completion order.
         const std::size_t n = r.queues.size();
-        bool all_landed = true;  // every reaped queue's ops all landed
+        bool all_landed = true;     // every reaped queue's ops all landed
+        bool late_changed = false;  // the late set moved since the last hedge attempt
         for (std::size_t reaped = 0; reaped < n;) {
             std::size_t a = reaped;
+            bool overdue = false;  // reaped while its read call is past its deadline
             if (pool_ == nullptr) {
                 if (!r.queues[a].finished) finish_queue(r, a, queue_tc);
             } else {
                 std::unique_lock<std::mutex> lock(r.mu);
-                auto ready = [&] {
+                for (;;) {
+                    // Reap a finished queue, or one whose read call is
+                    // past its deadline; else mark the late ones and sleep
+                    // until the next deadline of a started queue still out.
+                    // Once a hedge is accepted, only the queues still in
+                    // time are waited for: they hold elements the hedge's
+                    // plan would otherwise read again.
+                    const double now = obs::forensic_now_us();
+                    double wake = kNever;
+                    bool any_late = false;
+                    bool in_time = false;
                     for (a = 0; a < n; ++a) {
-                        if (r.queues[a].finished && !r.queues[a].reaped) return true;
+                        Round::Queue& q = r.queues[a];
+                        if (q.reaped || !(q.finished || q.started)) continue;
+                        overdue = !q.finished && q.call_deadline_us <= now;
+                        if (q.finished || overdue) break;
+                        if (!q.late && q.issue_us + hedge_us <= now) q.late = late_changed = true;
+                        any_late = any_late || q.late;
+                        in_time = in_time || !q.late;
+                        wake = std::min({wake, q.call_deadline_us,
+                                         q.late ? kNever : q.issue_us + hedge_us});
                     }
-                    return false;
-                };
-                if (deadline_open) {
-                    if (!r.cv.wait_until(lock, deadline, ready)) {
-                        lock.unlock();
-                        deadline_open = false;
-                        // The stragglers stay orphaned on the pool (their
-                        // late payload dies with the round) while the next
-                        // round reads around them. When the code cannot
-                        // route around them, they are waited for after all:
+                    if (a < n) break;
+                    if (outcome.hedged) {
+                        if (!in_time) return outcome;
+                    } else if (any_late && late_changed) {
+                        // Hedge: the late queues and every queue not yet
+                        // started are orphaned (their payload dies with
+                        // the round). If the code cannot route around the
+                        // late ones, wait, and try again when they change:
                         // correctness beats the deadline.
+                        late_changed = false;
+                        lock.unlock();
                         if (hedge(r, s, replan, TraceCtx{rt, fetch_node}, hedge_ms,
                                   opts.auto_hedge)) {
+                            r.next.store(n);  // orphan tasks start no unclaimed queue
                             outcome.complete = false;
                             outcome.hedged = true;
-                            return outcome;
                         }
+                        lock.lock();
                         continue;
                     }
-                } else {
-                    r.cv.wait(lock, ready);
+                    if (wake == kNever) {
+                        r.cv.wait(lock);
+                    } else {
+                        r.cv.wait_for(lock, std::chrono::duration<double, std::micro>(wake - now));
+                    }
                 }
             }
 
-            // The epilogue every queue goes through.
+            // The epilogue every queue goes through. A queue reaped
+            // overdue is still running: none of its fields is ours to
+            // read, and it keeps nothing.
             Round::Queue& q = r.queues[a];
             q.reaped = true;
             ++reaped;
-            trace_queue(TraceCtx{rt, fetch_node}, "disk.batch", q);
-            for (std::size_t j = q.begin; j < q.begin + q.done; ++j) {
-                if (fetched.emplace(r.elems[j].key, r.outs[j], r.elems[j].sunk) && hedged) {
+            late_changed = late_changed || q.late;
+            if (!overdue) trace_queue(TraceCtx{rt, fetch_node}, "disk.batch", q);
+            for (std::size_t j = q.begin; !overdue && j < q.begin + q.done; ++j) {
+                if (fetched.emplace(r.elems[j].key, r.outs[j], r.elems[j].sunk) && detached) {
                     fetched.hold(std::move(r.owned[j]));
                 }
             }
-            if (!q.status.ok()) {
+            const bool timed_out =
+                overdue || (!q.status.ok() && q.status.error().code == Error::Code::timeout);
+            if (timed_out) {
+                if (m.timeouts != nullptr) m.timeouts->add(1);
+                if (heat != nullptr) heat->on_timeout(q.disk, obs::DiskHeatModel::now_seconds());
+                if (rt != nullptr) {
+                    rt->count_timeout();
+                    rt->complete(fetch_node, "op.timeout", q.issue_us,
+                                 obs::forensic_now_us() - q.issue_us,
+                                 {{"disk", std::to_string(q.disk)},
+                                  {"elements", std::to_string(q.end - q.begin)},
+                                  {"deadline_ms", std::to_string(opts.op_timeout_ms)}});
+                }
+            }
+            if (overdue || !q.status.ok()) {
                 all_landed = false;
                 // The device is suspect: abandon its remaining queue and
                 // exclude it (the plan routed around every excluded disk,
                 // so it is new), so a hedge or the replan routes around it.
                 s.excluded.push_back(q.disk);
                 ++outcome.bad_disks;
-                outcome.last_error = q.status.error();
+                outcome.last_error =
+                    overdue ? timeout_error(q.disk, opts.op_timeout_ms) : q.status.error();
                 continue;
             }
             // Let any recipe whose sources just landed decode now,
@@ -618,7 +658,7 @@ Status PlanExecutor::fetch(RequestScratch& s, Replanner replan, obs::RequestTrac
         if (outcome.last_error.has_value()) last_error = outcome.last_error;
         if (outcome.complete) break;
         grew = outcome.bad_disks > 0;
-        hedge_planned = outcome.hedged;
+        hedge_planned = outcome.hedged && !grew;  // a disk lost after the hedge needs a replan
         if (grew ? replans >= opts.max_replans : !hedge_planned) {
             if (last_error.has_value()) return *last_error;
             return Error::io("element fetch failed during plan execution");

@@ -8,11 +8,10 @@
 //     one submit/reap loop — on a thread pool when one is attached,
 //     overlapped on async devices when not;
 //   - the self-healing policy: bounded retries with exponential backoff,
-//     per-op timeout detection, and mid-flight replans that reuse every
-//     element already fetched — around a disk that failed, or, at a hedge
-//     deadline, around the disks still straggling (a hedge is a replan:
-//     the next round reads and decodes around them like any degraded
-//     round);
+//     and mid-flight replans that reuse every element already fetched —
+//     around a disk that failed or whose read call timed out, or around
+//     the disks whose queues are late at a hedge deadline, timed from
+//     each queue's own start (a hedge is a replan like any degraded one);
 //   - the decode stage that materialises lost elements from a plan's
 //     repair recipes.
 //
@@ -39,6 +38,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -72,15 +72,17 @@ struct RecoveryOptions {
     int max_retries = 2;
     /// Base backoff before retry r: backoff_ms * 2^r (0: retry immediately).
     double backoff_ms = 0.0;
-    /// >0: ops slower than this surface as Error::timeout — the payload is
-    /// discarded and the read path routes around the slow device instead
-    /// of retrying it. (Per-op deadlines need per-op timing, so timed
-    /// queues issue elements singly instead of as vectored batches.)
+    /// >0: per-op read deadline. A vectored read call of k ops still out
+    /// k * op_timeout_ms after it started surfaces as Error::timeout — its
+    /// payload is discarded, its queue ends, and the read path routes
+    /// around the slow device instead of retrying it. A timed queue's
+    /// first call carries one op, so a stalled disk is found after one
+    /// stalled op.
     double op_timeout_ms = 0.0;
-    /// >0 (needs a thread pool): when fetch queues are still outstanding
-    /// after this deadline, replan the round around their disks and read
-    /// and decode around them instead of waiting (or keep waiting when
-    /// the code cannot plan around them).
+    /// >0 (needs a thread pool): a fetch queue still out this long after its
+    /// own start is late: replan the round around the late queues' disks
+    /// and read and decode around them instead of waiting (or keep waiting
+    /// when the code cannot plan around them).
     double hedge_ms = 0.0;
     /// Adaptive hedging (needs a thread pool and an attached
     /// DiskHeatModel): derive the hedge deadline per fetch round from the
@@ -129,9 +131,9 @@ class PlanExecutor {
     /// caller buffer it should land in, or an empty span to use executor
     /// staging. Healthy-path data elements resolve to the user's output
     /// buffer, so fetch and decode write them in place and assembly skips
-    /// its copy. Hedged rounds ignore the sink (a straggling queue task
-    /// must own buffers that can outlive the requesting frame); a
-    /// timed-out or failed op may have scribbled on its sink span, which
+    /// its copy. Rounds with a deadline on a pool ignore the sink (a late
+    /// queue task must own buffers that can outlive the requesting frame);
+    /// a timed-out or failed queue may have scribbled on its sink span, which
     /// is safe because the element is not marked fetched and recovery
     /// overwrites the span. Non-owning: the callable must outlive the call
     /// it is passed to.
@@ -150,8 +152,8 @@ class PlanExecutor {
     ~PlanExecutor() { drain_orphans(); }
 
     /// Block until every pool task the executor dispatched has completed,
-    /// in particular orphaned hedge queues (straggling per-disk fetches
-    /// abandoned at their hedge deadline, still finishing on the pool).
+    /// in particular orphaned queues (per-disk fetches abandoned at a
+    /// hedge or timeout deadline, still finishing on the pool).
     /// Owners of anything those queues touch — the devices, an attached
     /// heat model or metric registry — must call this before tearing that
     /// dependency down; attach() and the destructor do so automatically.
@@ -165,7 +167,7 @@ class PlanExecutor {
     void bind(std::vector<store::BlockDevice*> devices) { devices_ = std::move(devices); }
 
     /// Pooled arena for element staging buffers (null: plain heap). Must
-    /// outlive every request, including orphaned hedge queues — pass a
+    /// outlive every request, including orphaned queues — pass a
     /// process-lifetime pool (store::element_arena) or drain_orphans()
     /// before freeing it. When the devices are uring-backed and the same
     /// pool is registered with their rings, staging reads become
@@ -190,7 +192,7 @@ class PlanExecutor {
     /// (atomic bundle publication, retired bundles live until the executor
     /// is destroyed). `heat`, when given, is fed per-queue issue/complete
     /// samples and per-request max batch loads, and powers auto_hedge.
-    /// Blocks until orphaned hedge queues still holding the previous sinks
+    /// Blocks until orphaned queues still holding the previous sinks
     /// have drained, so the caller may free those sinks on return.
     void attach(const ExecutorMetrics& metrics, obs::DiskHeatModel* heat = nullptr) {
         auto bundle = std::make_unique<const ExecutorMetrics>(metrics);
@@ -233,14 +235,16 @@ class PlanExecutor {
     /// rest run inline. It then reaps the queues (in completion order on
     /// the pool, submission order without) through one epilogue that
     /// records their spans, keeps their elements, and runs decode recipes
-    /// eagerly as their sources land. A hedge deadline bounds the reap:
-    /// when it passes, `replan` plans around s.excluded plus the disks
-    /// still out (s.hedged), their queues are abandoned, and the next
-    /// round fetches what that plan still lacks. That round is not a
-    /// replan: it counts no replan and uses none of max_replans, and a
-    /// straggler's element decoded in it counts as a hedged read, not a
-    /// decode. A request hedges once: rounds after a hedge have no
-    /// deadline. If `replan` refuses, the round waits for its stragglers.
+    /// eagerly as their sources land. A queue whose read call outlives
+    /// its op_timeout_ms deadline fails with Error::timeout; on a pool the
+    /// reaper gives up on the call at that deadline. A queue still out
+    /// hedge_ms after its own start is late (one not yet started never
+    /// is): `replan` plans around s.excluded plus the late queues' disks
+    /// (s.hedged), the queues still in time are reaped, the rest are
+    /// abandoned, and the next round fetches what that plan lacks. It
+    /// counts no replan, and a straggler's element decoded in it is a
+    /// hedged read, not a decode. A request hedges once; a refused hedge
+    /// is tried again when the set of late queues changes.
     Status fetch(RequestScratch& s, Replanner replan, obs::RequestTrace* rt = nullptr,
                  Sink sink = {}) const;
 
@@ -292,33 +296,23 @@ class PlanExecutor {
     obs::DiskHeatModel* heat() const { return heat_.load(std::memory_order_acquire); }
 
     /// The chunk, suffix-retry and traced-backoff loop of every per-disk
-    /// submission queue — batched and timed reads and writes:
+    /// submission queue — reads and writes, timed or not:
     /// `chunk(offset, n, &completed)` issues rows[offset, offset + n) as
-    /// one device call, at most `depth` ops deep, and
-    /// `single(j)` re-issues op j alone. A transient failure retries just
-    /// the failing op under the policy (its in-chunk failure was attempt
-    /// zero) and chunking resumes behind it. `*done` counts ops that
-    /// landed (also on failure).
-    template <typename Chunk, typename Single>
+    /// one device call, chunk_depth(opts) ops deep (one op for the first
+    /// call when `probe`). A transient failure retries just the failing
+    /// op, as a one-op call, under the policy (its in-chunk failure was
+    /// attempt zero) and chunking resumes behind it. `*done` counts ops
+    /// that landed (also on failure).
+    template <typename Chunk>
     Status submit_queue(DiskId disk, std::span<const RowId> rows, const RecoveryOptions& opts,
-                        std::size_t depth, std::size_t* done, TraceCtx tc, Chunk&& chunk,
-                        Single&& single) const;
+                        bool probe, std::size_t* done, TraceCtx tc, Chunk&& chunk) const;
 
-    /// Ops per vectored device call of an untimed queue:
-    /// opts.batch_elements, or the whole queue when that is <= 0.
+    /// Ops per vectored device call of a queue: opts.batch_elements, or
+    /// the whole queue when that is <= 0.
     static std::size_t chunk_depth(const RecoveryOptions& opts) {
         return opts.batch_elements > 0 ? static_cast<std::size_t>(opts.batch_elements)
                                        : SIZE_MAX;
     }
-
-    /// Run `read()`, one device read of `row`, under opts.op_timeout_ms
-    /// (no deadline when that is <= 0). A read that succeeds past the
-    /// deadline counts a timeout on the metrics, heat model and trace,
-    /// and returns Error::timeout, which submit_queue does not retry, so
-    /// the read path routes around the device; its payload is discarded.
-    /// `*completed` (optional) gets the landed count, 1 or 0.
-    Status read_by_deadline(DiskId disk, RowId row, const RecoveryOptions& opts, TraceCtx tc,
-                            std::size_t* completed, FunctionRef<Status()> read) const;
 
     /// Decode engine behind decode(): with `partial`, recipes whose
     /// sources are not all present are skipped instead of failing (the
@@ -336,7 +330,7 @@ class PlanExecutor {
     /// a write plan's writes — with the elements laid out flat: queue q
     /// owns [q.begin, q.end) of rows and of outs/elems/owned (reads) or
     /// data (writes). Heap-allocated and co-owned by every pool task
-    /// working on it, so a hedged round can return at its deadline
+    /// working on it, so a round can return at a deadline
     /// without joining a straggler: the orphaned task finishes against
     /// this state and its late payload dies with the last reference. A
     /// request scratch keeps its round and reuses it while it is the sole
@@ -352,12 +346,18 @@ class PlanExecutor {
             std::size_t done = 0;   // leading ops that landed
             double issue_us = 0.0;  // forensic clock; with dur_us, only when timed
             double dur_us = 0.0;
+            bool started = false;   // deadline rounds: issue_us is stamped (under mu)
+            /// Timed reads on a pool, under mu: the deadline of the read
+            /// call in flight (none between calls).
+            double call_deadline_us = std::numeric_limits<double>::infinity();
             bool finished = false;  // guarded by mu when a pool is attached
-            bool reaped = false;    // touched by the requesting thread only
+            bool reaped = false;    // this and `late` (past the hedge deadline):
+            bool late = false;      // touched by the requesting thread only
         };
         RecoveryOptions opts;
         obs::DiskHeatModel* heat = nullptr;  // fed as queues issue and finish
-        bool timed = false;  // a trace or heat model wants queue timings
+        bool timed = false;     // a trace, heat model or deadline wants queue timings
+        bool deadline = false;  // the reaper times each started queue
         struct Elem {
             Key key;
             bool sunk = false;  // outs[i] is the caller's destination
@@ -365,8 +365,8 @@ class PlanExecutor {
         std::vector<RowId> rows;
         std::vector<ByteSpan> outs;  // reads: destination of rows[i]
         std::vector<Elem> elems;     // reads: identity of rows[i]
-        /// Hedged reads: the staging behind outs[i], owned by the round
-        /// because a straggling queue may outlive the request.
+        /// Reads with a deadline on a pool: the staging behind outs[i],
+        /// owned by the round because a late queue may outlive the request.
         std::vector<PooledBuffer> owned;
         std::vector<ConstByteSpan> data;  // writes: payload of rows[i]
         std::vector<Queue> queues;
@@ -376,7 +376,7 @@ class PlanExecutor {
     };
 
     /// `s`'s round, emptied for reuse — or a fresh one while a pool task
-    /// (an orphaned hedge queue, say) still co-owns the last.
+    /// (an orphaned late queue, say) still co-owns the last.
     static Round& next_round(RequestScratch& s);
 
     /// Start every queue of `r`. With a pool, tasks claim queues off
@@ -386,19 +386,19 @@ class PlanExecutor {
     /// flight, to be finished at reap; every other queue runs to
     /// completion here.
     void start_round(const std::shared_ptr<Round>& r, TraceCtx tc, bool join) const;
-    /// Issue queue `a`: clocks and heat, then either put its first chunk
-    /// in flight (no pool, reads, async device, no per-op timeout) or run
-    /// it to completion.
+    /// Issue queue `a`: start its clock and feed heat, then either put its
+    /// first chunk in flight (no pool, reads, async device, no timeout, as
+    /// the reaper waits on queues in order) or run it to completion.
     void start_queue(Round& r, std::size_t a, TraceCtx tc) const;
     /// Run queue `a` to completion (awaiting its in-flight chunk, if
     /// any), feed the heat model, and mark it finished.
     void finish_queue(Round& r, std::size_t a, TraceCtx tc) const;
     /// Plan into `plan` around s.excluded and s.hedged.
     static Status plan_around(RequestScratch& s, Replanner replan, core::AccessPlan& plan);
-    /// A fetch round's hedge deadline passed: add the disks of the queues
-    /// not yet reaped (the stragglers) to s.hedged and plan around them.
-    /// True when `replan` accepted, with the new plan in s.plan; false,
-    /// with s.plan and s.hedged as they were, when it refused.
+    /// Add the disks of the late queues not yet reaped (the stragglers)
+    /// to s.hedged and plan around them. True when `replan` accepted,
+    /// with the new plan in s.plan; false, with s.plan and s.hedged as
+    /// they were, when it refused.
     bool hedge(const Round& r, RequestScratch& s, Replanner replan, TraceCtx tc,
                double deadline_ms, bool auto_deadline) const;
     /// Record queue `q`'s `name` span on the request trace.

@@ -9,6 +9,7 @@
 //     normal and degraded reads, under fault injection, byte-exact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
@@ -353,6 +354,79 @@ TEST(PlanExecutorPolicy, SlowOpsSurfaceAsTimeout) {
     const auto status = fetch_one(executor, scheme, ByteSpan(out.data(), out.size()));
     ASSERT_FALSE(status.ok());
     EXPECT_EQ(status.error().code, Error::Code::timeout);
+}
+
+/// In-memory disk that counts its single and vectored read calls.
+class CountingDisk final : public store::BlockDevice {
+  public:
+    explicit CountingDisk(std::int64_t elem) : inner_(elem) {}
+
+    // Bumped by the const read paths; the test reads them after fetch.
+    mutable std::int64_t reads = 0;
+    mutable std::int64_t batches = 0;
+
+    std::int64_t element_bytes() const override { return inner_.element_bytes(); }
+    Status write(RowId row, ConstByteSpan data) override { return inner_.write(row, data); }
+    Status read(RowId row, ByteSpan out) const override {
+        ++reads;
+        return inner_.read(row, out);
+    }
+    Status read_batch(std::span<const RowId> rows, std::span<const ByteSpan> outs,
+                      std::size_t* completed) const override {
+        ++batches;
+        return inner_.read_batch(rows, outs, completed);
+    }
+    void fail() override { inner_.fail(); }
+    void replace() override { inner_.replace(); }
+    bool failed() const override { return inner_.failed(); }
+    RowId rows() const override { return inner_.rows(); }
+    Status corrupt_byte(RowId row, std::size_t offset) override {
+        return inner_.corrupt_byte(row, offset);
+    }
+
+  private:
+    store::Disk inner_;
+};
+
+TEST(PlanExecutorPolicy, TimedQueuesBatch) {
+    // A timeout is judged per read call, so a timed queue issues
+    // vectored chunks like an untimed one, after a one-row first call:
+    // 5 rows at 2 per chunk are read_batch calls of 1, 2 and 2 rows, and
+    // no single read.
+    const std::int64_t elem = 32;
+    const core::Scheme scheme = make_scheme("rs:6,3", LayoutKind::standard);
+    CountingDisk device(elem);
+    for (RowId row = 0; row < 5; ++row) {
+        const auto data = element_pattern(elem, row);
+        ASSERT_TRUE(device.write(row, ConstByteSpan(data.data(), data.size())).ok());
+    }
+    PlanExecutor executor(&scheme, elem, nullptr);
+    executor.bind({&device});
+    RecoveryOptions recovery;
+    recovery.op_timeout_ms = 1000.0;
+    recovery.batch_elements = 2;
+    executor.set_recovery(recovery);
+
+    auto replan = [&](const std::vector<DiskId>&, core::AccessPlan& plan) {
+        plan.reset(scheme.disks());
+        for (RowId row = 0; row < 5; ++row) {
+            const Location loc{0, row};
+            plan.add_fetch({loc, scheme.layout().coord_at(loc), /*requested=*/true});
+        }
+        plan.set_requested(5);
+        return Status::success();
+    };
+    ScratchLease scratch;
+    ASSERT_TRUE(executor.fetch(*scratch, replan).ok());
+    for (RowId row = 0; row < 5; ++row) {
+        const ByteSpan got = scratch->elements.find(
+            PlanExecutor::key_of(scheme.layout().coord_at(Location{0, row})));
+        const auto want = element_pattern(elem, row);
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin()));
+    }
+    EXPECT_EQ(device.batches, 3);
+    EXPECT_EQ(device.reads, 0);
 }
 
 // ------------------------------------------------- async submission path --

@@ -283,21 +283,31 @@ INSTANTIATE_TEST_SUITE_P(FaultyStreams, FuzzStoreTest, ::testing::ValuesIn(fault
 /// deadline on top adds occasional 1 ms read stalls to the fault plan;
 /// the hedge must abandon those straggling queues to orphaned pool tasks
 /// and decode their elements instead, and the cell asserts hedges fired.
+/// An `op_timeout_ms` deadline instead stalls disk 0 alone, four deadlines
+/// long: the reaper must give up on those queues, leave them orphaned and
+/// replan around the disk, and the cell asserts timeouts fired. (A timed-
+/// out disk is excluded like a failed one; stalling one disk keeps a read
+/// within the code's tolerance beside the down and the cycled disk.)
 void run_concurrent_fuzz(const char* spec, LayoutKind kind, std::uint64_t seed,
-                         int pool_threads = 0, double hedge_ms = 0.0) {
+                         int pool_threads = 0, double hedge_ms = 0.0,
+                         double op_timeout_ms = 0.0) {
     auto code = codes::make_code(spec);
     ASSERT_TRUE(code.ok());
     ASSERT_GE(code.value()->fault_tolerance(), 2) << "chaos thread needs 2 spare failures";
 
     const std::int64_t elem = 32;
     FaultPlan plan = fuzz_fault_plan(seed);
-    if (hedge_ms > 0.0) {
+    if (hedge_ms > 0.0 || op_timeout_ms > 0.0) {
         FaultRule stall;
         stall.kind = FaultKind::latency;
         stall.op = FaultOp::read;
         stall.count = 1'000'000'000;
         stall.probability = 0.02;
         stall.latency_ms = 1.0;
+        if (op_timeout_ms > 0.0) {
+            stall.disk = 0;
+            stall.latency_ms = 4.0 * op_timeout_ms;
+        }
         plan.rules.push_back(stall);
     }
     SCOPED_TRACE("replay: seed=" + std::to_string(seed) + " fault_plan=" + plan.to_json());
@@ -313,6 +323,7 @@ void run_concurrent_fuzz(const char* spec, LayoutKind kind, std::uint64_t seed,
     recovery.max_retries = 3;
     recovery.batch_elements = 2;
     recovery.hedge_ms = hedge_ms;
+    recovery.op_timeout_ms = op_timeout_ms;
     store->set_recovery(recovery);
 
     // Freeze a multi-extent committed prefix for the readers to verify.
@@ -375,6 +386,9 @@ void run_concurrent_fuzz(const char* spec, LayoutKind kind, std::uint64_t seed,
     if (hedge_ms > 0.0) {
         EXPECT_GT(metrics.counter("ecfrm_store_hedged_reads_total").value(), 0);
     }
+    if (op_timeout_ms > 0.0) {
+        EXPECT_GT(metrics.counter("ecfrm_store_timeouts_total").value(), 0);
+    }
 
     // Heal fully and audit the stream end to end.
     ASSERT_TRUE(store->reconstruct_disk(down).ok());
@@ -389,13 +403,14 @@ struct ConcurrentFuzzParam {
     std::uint64_t seed;
     int pool_threads = 0;
     double hedge_ms = 0.0;
+    double op_timeout_ms = 0.0;
 };
 
 class ConcurrentFuzzStoreTest : public ::testing::TestWithParam<ConcurrentFuzzParam> {};
 
 TEST_P(ConcurrentFuzzStoreTest, ConcurrentReadersMatchReferenceModel) {
-    const auto [spec, kind, seed, pool_threads, hedge_ms] = GetParam();
-    run_concurrent_fuzz(spec, kind, seed, pool_threads, hedge_ms);
+    const auto [spec, kind, seed, pool_threads, hedge_ms, op_timeout_ms] = GetParam();
+    run_concurrent_fuzz(spec, kind, seed, pool_threads, hedge_ms, op_timeout_ms);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -407,13 +422,15 @@ INSTANTIATE_TEST_SUITE_P(
                       ConcurrentFuzzParam{"hhxor:6,4", LayoutKind::ecfrm, 205},
                       ConcurrentFuzzParam{"htec:9,6,3", LayoutKind::standard, 206}));
 
-// Pooled cells: disk queues run on a 4-thread pool, joined (no hedge) or
+// Pooled cells: disk queues run on a 4-thread pool, joined (no deadline),
 // under a sub-millisecond hedge deadline, so straggling queues are
-// decoded around and left orphaned on the pool.
+// decoded around and left orphaned on the pool, or under a per-queue
+// timeout, so timed-out queues are routed around and left orphaned.
 INSTANTIATE_TEST_SUITE_P(
     PooledStreams, ConcurrentFuzzStoreTest,
     ::testing::Values(ConcurrentFuzzParam{"rs:6,3", LayoutKind::ecfrm, 207, 4, 0.0},
-                      ConcurrentFuzzParam{"lrc:6,2,2", LayoutKind::rotated, 208, 4, 0.05}));
+                      ConcurrentFuzzParam{"lrc:6,2,2", LayoutKind::rotated, 208, 4, 0.05},
+                      ConcurrentFuzzParam{"rs:6,3", LayoutKind::standard, 209, 4, 0.0, 5.0}));
 
 /// Backend-differential cells: the identical deterministic op stream
 /// (append / flush / read / fail / reconstruct / corrupt+scrub, fixed

@@ -10,6 +10,7 @@
 #include <map>
 #include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "codes/factory.h"
@@ -580,6 +581,91 @@ TEST(StoreRecovery, SlowDiskTimesOutAndReadRoutesAround) {
     EXPECT_GE(f.counter("ecfrm_store_replans_total"), 1);
 }
 
+TEST(StoreRecovery, SlowDiskTimesOutAfterOneStalledOp) {
+    // Without a pool no one can give up on a read call in flight, so a
+    // timed queue's first call carries one op: every read of disk 0
+    // stalls 60 ms, and the read pays one stall, not one per element of
+    // disk 0's queue (10 here, 600 ms in one vectored call).
+    FaultPlan plan;
+    FaultRule slow;
+    slow.kind = FaultKind::latency;
+    slow.disk = 0;
+    slow.op = FaultOp::read;
+    slow.first_op = 0;
+    slow.count = 1'000'000;
+    slow.latency_ms = 60.0;
+    plan.rules = {slow};
+    RecoveryOptions recovery;
+    recovery.op_timeout_ms = 5.0;
+    FaultyFixture f("rs:6,3", plan, recovery);
+
+    const auto t0 = std::chrono::steady_clock::now();
+    auto out = f.store->read_bytes(0, static_cast<std::int64_t>(f.data.size()));
+    const double elapsed_ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+    ASSERT_TRUE(out.ok()) << out.error().message;
+    EXPECT_EQ(out.value(), f.data);
+    EXPECT_EQ(f.counter("ecfrm_store_timeouts_total"), 1);
+    EXPECT_LT(elapsed_ms, 120.0);
+}
+
+TEST(StoreRecovery, HealthyLongQueueNeverTimesOut) {
+    // Every read op on every disk after its first takes 5 ms, a quarter
+    // of the 20 ms per-op deadline, so no disk is slow, though each
+    // 10-element queue takes twice the deadline. The deadline is per op:
+    // no read times out, pooled or not. (Each disk's first op, a timed
+    // queue's one-op first call, is not slowed, so a scheduling hiccup
+    // must last the whole deadline to fail it.)
+    FaultPlan plan;
+    FaultRule steady;
+    steady.kind = FaultKind::latency;
+    steady.op = FaultOp::read;
+    steady.first_op = 1;
+    steady.count = 1'000'000;
+    steady.latency_ms = 5.0;
+    plan.rules = {steady};
+    RecoveryOptions recovery;
+    recovery.op_timeout_ms = 20.0;
+    ThreadPool pool(4);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        SCOPED_TRACE(p == nullptr ? "no pool" : "pool of 4");
+        FaultyFixture f("rs:6,3", plan, recovery, p);
+        auto out = f.store->read_bytes(0, static_cast<std::int64_t>(f.data.size()));
+        ASSERT_TRUE(out.ok()) << out.error().message;
+        EXPECT_EQ(out.value(), f.data);
+        EXPECT_EQ(f.counter("ecfrm_store_timeouts_total"), 0);
+        EXPECT_EQ(f.counter("ecfrm_store_replans_total"), 0);
+    }
+}
+
+TEST(StoreRecovery, PooledSlowDiskTimesOutAtTheDeadline) {
+    // On a pool the reaper gives up on disk 0's stalled read call at the
+    // call's deadline, without waiting out the stall.
+    FaultPlan plan;
+    FaultRule slow;
+    slow.kind = FaultKind::latency;
+    slow.disk = 0;
+    slow.op = FaultOp::read;
+    slow.first_op = 0;
+    slow.count = 1;
+    slow.latency_ms = 60.0;
+    plan.rules = {slow};
+    RecoveryOptions recovery;
+    recovery.op_timeout_ms = 5.0;
+    ThreadPool pool(4);
+    FaultyFixture f("rs:6,3", plan, recovery, &pool);
+
+    const auto t0 = std::chrono::steady_clock::now();
+    auto out = f.store->read_bytes(0, static_cast<std::int64_t>(f.data.size()));
+    const double elapsed_ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+    ASSERT_TRUE(out.ok()) << out.error().message;
+    EXPECT_EQ(out.value(), f.data);
+    EXPECT_GE(f.counter("ecfrm_store_timeouts_total"), 1);
+    EXPECT_GE(f.counter("ecfrm_store_replans_total"), 1);
+    EXPECT_LT(elapsed_ms, 60.0);
+}
+
 TEST(StoreRecovery, HedgedReadDecodesAroundStraggler) {
     FaultPlan plan;
     FaultRule slow;  // disk 0's first read ops straggle way past the hedge
@@ -605,6 +691,117 @@ TEST(StoreRecovery, HedgedReadDecodesAroundStraggler) {
     // The read returned at the hedge, not behind the straggler: waiting
     // out even one stalled op would take the full 120 ms.
     EXPECT_LT(elapsed_ms, 60.0);
+}
+
+TEST(StoreRecovery, HedgedReadIgnoresQueuesThatHaveNotStarted) {
+    // Two blockers hold both pool threads for the read's first 30 ms, so
+    // no queue starts before then. A queue that has not started is not
+    // late: the hedge fires 5 ms after disk 0's stalled queue starts,
+    // not 5 ms after the round does (when every queue is still out and
+    // no plan around them all exists).
+    FaultPlan plan;
+    FaultRule slow;
+    slow.kind = FaultKind::latency;
+    slow.disk = 0;
+    slow.op = FaultOp::read;
+    slow.first_op = 0;
+    slow.count = 1;
+    slow.latency_ms = 120.0;
+    plan.rules = {slow};
+    RecoveryOptions recovery;
+    recovery.hedge_ms = 5.0;
+    ThreadPool pool(2);
+    FaultyFixture f("rs:6,3", plan, recovery, &pool);
+    for (int t = 0; t < 2; ++t) {
+        pool.submit([] { std::this_thread::sleep_for(std::chrono::milliseconds(30)); });
+    }
+
+    const auto t0 = std::chrono::steady_clock::now();
+    auto out = f.store->read_bytes(0, static_cast<std::int64_t>(f.data.size()));
+    const double elapsed_ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+    ASSERT_TRUE(out.ok()) << out.error().message;
+    EXPECT_EQ(out.value(), f.data);
+    EXPECT_GE(f.counter("ecfrm_store_hedged_reads_total"), 1);
+    EXPECT_LT(elapsed_ms, 100.0);
+}
+
+TEST(StoreRecovery, HedgedReadStartsNoAbandonedQueue) {
+    // A pool of one: disk 0's stalled queue holds the only thread when
+    // the hedge fires, so every other first-round queue is unclaimed.
+    // The hedge abandons them: once the orphaned queue drains, disks 1..8
+    // have served exactly the reads of a read planned around disk 0 (a
+    // degraded read with disk 0 failed), none of them twice.
+    FaultPlan plan;
+    FaultRule slow;
+    slow.kind = FaultKind::latency;
+    slow.disk = 0;
+    slow.op = FaultOp::read;
+    slow.first_op = 0;
+    slow.count = 1;
+    slow.latency_ms = 40.0;
+    plan.rules = {slow};
+    RecoveryOptions recovery;
+    recovery.hedge_ms = 5.0;
+    ThreadPool pool(1);
+    FaultyFixture f("rs:6,3", plan, recovery, &pool);
+    auto out = f.store->read_bytes(0, static_cast<std::int64_t>(f.data.size()));
+    ASSERT_TRUE(out.ok()) << out.error().message;
+    EXPECT_EQ(out.value(), f.data);
+    EXPECT_GE(f.counter("ecfrm_store_hedged_reads_total"), 1);
+    // Re-attaching the same registry runs drain_orphans() while the disks
+    // still count into it, so the orphaned queue's reads are all counted.
+    f.store->attach_observability(&f.metrics);
+
+    FaultyFixture degraded("rs:6,3", FaultPlan{}, RecoveryOptions{});
+    ASSERT_TRUE(degraded.store->fail_disk(0).ok());
+    ASSERT_TRUE(degraded.store->read_bytes(0, static_cast<std::int64_t>(f.data.size())).ok());
+    for (int d = 1; d < 9; ++d) {
+        const obs::Labels disk{{"disk", std::to_string(d)}};
+        EXPECT_EQ(f.metrics.counter("ecfrm_disk_read_ops_total", disk).value(),
+                  degraded.metrics.counter("ecfrm_disk_read_ops_total", disk).value())
+            << "disk " << d;
+    }
+}
+
+TEST(StoreRecovery, HedgedReadReapsTheQueuesStillInTime) {
+    // A pool of two. One thread holds disk 0's queue (400 ms stall); the
+    // other reads disk 1 (48 ms stall), then starts disk 2 (56 ms stall)
+    // at ~48 ms. The hedge fires at ~80 ms, while disk 2's queue is out
+    // but not late (it would be at ~128 ms): the read waits for it rather
+    // than read its elements again in the hedge's round, so every disk
+    // but 0 serves exactly the reads of a degraded read around disk 0.
+    FaultPlan plan;
+    const std::pair<DiskId, double> stalls[] = {{0, 400.0}, {1, 48.0}, {2, 56.0}};
+    for (const auto& [disk, ms] : stalls) {
+        FaultRule slow;
+        slow.kind = FaultKind::latency;
+        slow.disk = disk;
+        slow.op = FaultOp::read;
+        slow.first_op = 0;
+        slow.count = 1;
+        slow.latency_ms = ms;
+        plan.rules.push_back(slow);
+    }
+    RecoveryOptions recovery;
+    recovery.hedge_ms = 80.0;
+    ThreadPool pool(2);
+    FaultyFixture f("rs:6,3", plan, recovery, &pool);
+    auto out = f.store->read_bytes(0, static_cast<std::int64_t>(f.data.size()));
+    ASSERT_TRUE(out.ok()) << out.error().message;
+    EXPECT_EQ(out.value(), f.data);
+    EXPECT_GE(f.counter("ecfrm_store_hedged_reads_total"), 1);
+    f.store->attach_observability(&f.metrics);  // drains the orphaned queue
+
+    FaultyFixture degraded("rs:6,3", FaultPlan{}, RecoveryOptions{});
+    ASSERT_TRUE(degraded.store->fail_disk(0).ok());
+    ASSERT_TRUE(degraded.store->read_bytes(0, static_cast<std::int64_t>(f.data.size())).ok());
+    for (int d = 1; d < 9; ++d) {
+        const obs::Labels disk{{"disk", std::to_string(d)}};
+        EXPECT_EQ(f.metrics.counter("ecfrm_disk_read_ops_total", disk).value(),
+                  degraded.metrics.counter("ecfrm_disk_read_ops_total", disk).value())
+            << "disk " << d;
+    }
 }
 
 TEST(StoreRecovery, HedgedReadLeavesErrorCountersAlone) {
