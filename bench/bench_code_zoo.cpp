@@ -45,7 +45,7 @@ RepairRow measure_repair(const std::string& spec) {
         }
         std::int64_t fetched = 0;
         for (const auto& batch : plan->batches()) {
-            fetched += static_cast<std::int64_t>(batch.fetch_indices.size());
+            fetched += static_cast<std::int64_t>(batch.indices.size());
         }
         const double ratio = static_cast<double>(fetched) / static_cast<double>(plan->requested());
         sum += ratio;

@@ -19,7 +19,9 @@
 // measured per-disk balance next to the closed-form prediction
 // (heat_measured_max_load vs closed_form_max_load_e* for the largest
 // request size). ECFRM_BENCH_TRIALS caps per-thread requests for CI
-// smoke runs.
+// smoke runs. After each timed case the same threads replay the same
+// request streams, untimed, and check every byte read against the fill
+// pattern: wrong bytes or a failed read abort the bench (non-zero exit).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -122,34 +124,45 @@ CaseResult run_case(const std::string& spec, layout::LayoutKind kind, int thread
     const std::int64_t max_len = kMaxReadElements * kElementBytes;
     const int requests = requests_per_thread();
 
-    std::vector<std::vector<double>> lat(static_cast<std::size_t>(threads));
-    std::atomic<std::int64_t> bytes_read{0};
-    std::atomic<bool> failed{false};
-    auto worker = [&](int tid) {
+    // Thread `tid`'s request stream, the same in the timed pass and the
+    // verification pass: `read(offset, length)` per request, until it
+    // returns false.
+    auto replay = [&](int tid, auto&& read) {
         Rng rng(kSeed ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(tid + 1)));
-        auto& samples = lat[static_cast<std::size_t>(tid)];
-        samples.reserve(static_cast<std::size_t>(requests));
         for (int r = 0; r < requests; ++r) {
             const std::int64_t length =
                 1 + static_cast<std::int64_t>(rng.next_below(static_cast<std::uint64_t>(max_len)));
             const std::int64_t offset = static_cast<std::int64_t>(
                 rng.next_below(static_cast<std::uint64_t>(committed - length + 1)));
+            if (!read(offset, length)) return;
+        }
+    };
+    auto run_threads = [&](auto&& worker) {
+        std::vector<std::thread> pool;
+        for (int t = 0; t < threads; ++t) pool.emplace_back(worker, t);
+        for (auto& t : pool) t.join();
+    };
+
+    std::vector<std::vector<double>> lat(static_cast<std::size_t>(threads));
+    std::atomic<std::int64_t> bytes_read{0};
+    std::atomic<bool> failed{false};
+    const auto wall0 = std::chrono::steady_clock::now();
+    run_threads([&](int tid) {
+        auto& samples = lat[static_cast<std::size_t>(tid)];
+        samples.reserve(static_cast<std::size_t>(requests));
+        replay(tid, [&](std::int64_t offset, std::int64_t length) {
             const auto t0 = std::chrono::steady_clock::now();
             auto out = st.read_bytes(offset, length);
             const auto t1 = std::chrono::steady_clock::now();
             if (!out.ok()) {
                 failed.store(true);
-                return;
+                return false;
             }
             samples.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
             bytes_read.fetch_add(length, std::memory_order_relaxed);
-        }
-    };
-
-    const auto wall0 = std::chrono::steady_clock::now();
-    std::vector<std::thread> pool;
-    for (int t = 0; t < threads; ++t) pool.emplace_back(worker, t);
-    for (auto& t : pool) t.join();
+            return true;
+        });
+    });
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
     if (failed.load()) {
@@ -179,6 +192,33 @@ CaseResult run_case(const std::string& spec, layout::LayoutKind kind, int thread
     result.heat = heat.snapshot(obs::DiskHeatModel::now_seconds());
     result.closed_form_e_max = core::closed_form_max_load(st.scheme(), kMaxReadElements);
     st.attach_observability(nullptr);
+
+    // Verification pass, outside the wall-clock window and with the
+    // observability detached, so the timed series are unchanged: the
+    // same threads replay the same request streams concurrently and
+    // check every byte against the fill pattern.
+    std::atomic<bool> mismatch{false};
+    run_threads([&](int tid) {
+        replay(tid, [&](std::int64_t offset, std::int64_t length) {
+            auto out = st.read_bytes(offset, length);
+            if (!out.ok()) {
+                failed.store(true);
+                return false;
+            }
+            for (std::int64_t i = 0; i < length; ++i) {
+                if (out.value()[static_cast<std::size_t>(i)] != pattern_byte(offset + i)) {
+                    mismatch.store(true);
+                    return false;
+                }
+            }
+            return true;
+        });
+    });
+    if (failed.load() || mismatch.load()) {
+        std::fprintf(stderr, "%s case: verification pass %s\n", spec.c_str(),
+                     mismatch.load() ? "read wrong bytes" : "failed a read");
+        std::abort();
+    }
     return result;
 }
 

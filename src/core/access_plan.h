@@ -3,7 +3,8 @@
 // A plan lists every distinct element to fetch (each exactly once — reads
 // are deduplicated across direct service and repair traffic), plus the
 // per-group decode recipes needed to materialise elements that live on a
-// failed disk. The simulator prices a plan; the store executes one.
+// failed disk. Its per-disk schedule, batches(), is the PlanBatches that
+// the simulators price, `explain` reports and the store executes.
 #pragma once
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 
 #include "codes/erasure_code.h"
 #include "common/types.h"
+#include "core/plan_batches.h"
 #include "layout/layout.h"
 
 namespace ecfrm::core {
@@ -22,44 +24,6 @@ struct Access {
     Location loc;                 // physical slot to read
     layout::GroupCoord coord;     // candidate-code coordinates
     bool requested = false;       // true when the user asked for this element
-};
-
-/// One disk's share of a plan: the vectored submission unit. This is the
-/// schedule model shared by the executor (which issues each batch as
-/// chunked read_batch calls), the cluster simulator (which prices each
-/// batch as one job), and `ecfrm_cli explain` (which reports it) — so
-/// simulated, explained and real execution can never drift. Its spans
-/// view the PlanBatches that produced it.
-struct DiskBatch {
-    DiskId disk = -1;
-    std::span<const std::size_t> fetch_indices;  // indices into fetches(), row-ascending
-    std::span<const RowId> rows;                 // parallel to fetch_indices
-};
-
-/// A plan's per-disk schedule (AccessPlan::batches()), laid out flat:
-/// every batch's fetch indices and rows are slices of two shared arrays,
-/// so the schedule costs a fixed handful of allocations whatever the
-/// fan-out, and none when refilled into storage that already has room.
-/// Move-only, because the batches view the arrays it owns.
-class PlanBatches {
-  public:
-    PlanBatches() = default;
-    PlanBatches(PlanBatches&&) noexcept = default;
-    PlanBatches& operator=(PlanBatches&&) noexcept = default;
-    PlanBatches(const PlanBatches&) = delete;
-    PlanBatches& operator=(const PlanBatches&) = delete;
-
-    std::size_t size() const { return batches_.size(); }
-    const DiskBatch& operator[](std::size_t i) const { return batches_[i]; }
-    std::vector<DiskBatch>::const_iterator begin() const { return batches_.begin(); }
-    std::vector<DiskBatch>::const_iterator end() const { return batches_.end(); }
-
-  private:
-    friend class AccessPlan;
-    std::vector<std::size_t> fetch_indices_;
-    std::vector<RowId> rows_;
-    std::vector<DiskBatch> batches_;
-    std::vector<std::size_t> cursor_;  // per disk: next free slot while filling
 };
 
 /// Decode recipe for one group that lost an element the user wants (or,
@@ -100,8 +64,8 @@ class AccessPlan {
     const std::vector<GroupDecode>& decodes() const { return decodes_; }
     const std::vector<int>& per_disk_loads() const { return per_disk_; }
 
-    /// Fetches grouped per disk, row-sorted: one DiskBatch per disk that
-    /// serves at least one element, in ascending disk order.
+    /// Fetches grouped per disk, row-sorted (see PlanBatches); batch
+    /// indices index fetches().
     PlanBatches batches() const {
         PlanBatches out;
         batches(out);
@@ -110,50 +74,7 @@ class AccessPlan {
 
     /// batches(), refilled into `out`'s storage.
     void batches(PlanBatches& out) const {
-        const std::size_t n = fetches_.size();
-        out.fetch_indices_.resize(n);
-        out.rows_.resize(n);
-        out.batches_.clear();
-        out.cursor_.resize(per_disk_.size());
-        // Counting sort by disk: each disk's slice starts where the lower
-        // disks' loads end, and fetches keep plan order inside it.
-        std::size_t offset = 0;
-        for (std::size_t d = 0; d < per_disk_.size(); ++d) {
-            out.cursor_[d] = offset;
-            offset += static_cast<std::size_t>(per_disk_[d]);
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-            const Location& loc = fetches_[i].loc;
-            const std::size_t at = out.cursor_[static_cast<std::size_t>(loc.disk)]++;
-            out.fetch_indices_[at] = i;
-            out.rows_[at] = loc.row;
-        }
-        out.batches_.reserve(static_cast<std::size_t>(fanout()));
-        const std::span<const std::size_t> indices(out.fetch_indices_);
-        const std::span<const RowId> rows(out.rows_);
-        offset = 0;
-        for (std::size_t d = 0; d < per_disk_.size(); ++d) {
-            const auto load = static_cast<std::size_t>(per_disk_[d]);
-            if (load == 0) continue;
-            // Row-sort the slice (ties: plan order) unless plan order
-            // already ascends, as it does for contiguous reads.
-            const auto first_row = out.rows_.begin() + static_cast<std::ptrdiff_t>(offset);
-            if (!std::is_sorted(first_row, first_row + static_cast<std::ptrdiff_t>(load))) {
-                const auto first = out.fetch_indices_.begin() + static_cast<std::ptrdiff_t>(offset);
-                std::sort(first, first + static_cast<std::ptrdiff_t>(load),
-                          [this](std::size_t a, std::size_t b) {
-                              const RowId ra = fetches_[a].loc.row;
-                              const RowId rb = fetches_[b].loc.row;
-                              return ra != rb ? ra < rb : a < b;
-                          });
-                for (std::size_t k = offset; k < offset + load; ++k) {
-                    out.rows_[k] = fetches_[out.fetch_indices_[k]].loc.row;
-                }
-            }
-            out.batches_.push_back({static_cast<DiskId>(d), indices.subspan(offset, load),
-                                    rows.subspan(offset, load)});
-            offset += load;
-        }
+        out.fill<Access>(fetches_, per_disk_);
     }
 
     /// Disks serving at least one fetch: the number of batches().

@@ -3,11 +3,11 @@
 //
 // A plan lists every element placement (data and parity) of one logical
 // write (a stripe commit, a parity flush, an overwrite's RMW set), each
-// bound to a payload index the executor resolves at submission time. Like
-// AccessPlan, the per-disk batches() grouping is the shared schedule
-// model: the executor issues each batch as chunked write_batch calls, the
-// cluster simulator prices each batch as one job, and tests assert on the
-// same grouping — so simulated and real write execution cannot drift.
+// bound to a payload index the executor resolves at submission time. Its
+// per-disk schedule, batches(), is a PlanBatches filled by the same
+// counting sort as AccessPlan's: the executor issues each batch as
+// chunked write_batch calls and the cluster simulator prices each batch
+// as one job, so simulated and real write execution cannot drift.
 #pragma once
 
 #include <algorithm>
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "core/plan_batches.h"
 #include "layout/layout.h"
 
 namespace ecfrm::core {
@@ -25,13 +26,6 @@ struct WriteAccess {
     layout::GroupCoord coord;  // candidate-code coordinates
     std::size_t payload = 0;   // index into the caller's payload array
     bool is_parity = false;    // parity placement (vs user data)
-};
-
-/// One disk's share of a write plan: the vectored submission unit.
-struct WriteBatch {
-    DiskId disk = -1;
-    std::vector<std::size_t> write_indices;  // indices into writes(), row-ascending
-    std::vector<RowId> rows;                 // parallel to write_indices
 };
 
 class WritePlan {
@@ -50,33 +44,11 @@ class WritePlan {
     const std::vector<WriteAccess>& writes() const { return writes_; }
     const std::vector<int>& per_disk_loads() const { return per_disk_; }
 
-    /// Placements grouped per disk, row-sorted: one WriteBatch per disk
-    /// that receives at least one element, in ascending disk order.
-    std::vector<WriteBatch> batches() const {
-        std::vector<WriteBatch> out;
-        out.reserve(static_cast<std::size_t>(
-            std::count_if(per_disk_.begin(), per_disk_.end(), [](int n) { return n > 0; })));
-        std::vector<int> slot(per_disk_.size(), -1);
-        for (std::size_t d = 0; d < per_disk_.size(); ++d) {
-            if (per_disk_[d] == 0) continue;
-            slot[d] = static_cast<int>(out.size());
-            out.push_back(WriteBatch{static_cast<DiskId>(d), {}, {}});
-            out.back().write_indices.reserve(static_cast<std::size_t>(per_disk_[d]));
-        }
-        for (std::size_t i = 0; i < writes_.size(); ++i) {
-            const auto d = static_cast<std::size_t>(writes_[i].loc.disk);
-            out[static_cast<std::size_t>(slot[d])].write_indices.push_back(i);
-        }
-        for (WriteBatch& batch : out) {
-            std::sort(batch.write_indices.begin(), batch.write_indices.end(),
-                      [this](std::size_t a, std::size_t b) {
-                          return writes_[a].loc.row != writes_[b].loc.row
-                                     ? writes_[a].loc.row < writes_[b].loc.row
-                                     : a < b;
-                      });
-            batch.rows.reserve(batch.write_indices.size());
-            for (std::size_t i : batch.write_indices) batch.rows.push_back(writes_[i].loc.row);
-        }
+    /// Placements grouped per disk, row-sorted (see PlanBatches); batch
+    /// indices index writes().
+    PlanBatches batches() const {
+        PlanBatches out;
+        out.fill<WriteAccess>(writes_, per_disk_);
         return out;
     }
 

@@ -249,14 +249,14 @@ Result<PlanExecutor::WriteReport> PlanExecutor::write(const core::WritePlan& pla
     r->timed = tc.rt != nullptr || r->heat != nullptr;
     r->rows.reserve(writes.size());
     r->data.reserve(writes.size());
-    const std::vector<core::WriteBatch> batches = plan.batches();
+    const core::PlanBatches batches = plan.batches();
     r->queues.reserve(batches.size());
-    for (const core::WriteBatch& batch : batches) {
+    for (const core::DiskBatch& batch : batches) {
         Round::Queue& q = r->queues.emplace_back();
         q.disk = batch.disk;
         q.begin = r->rows.size();
         r->rows.insert(r->rows.end(), batch.rows.begin(), batch.rows.end());
-        for (std::size_t i : batch.write_indices) r->data.push_back(payloads[writes[i].payload]);
+        for (std::size_t i : batch.indices) r->data.push_back(payloads[writes[i].payload]);
         q.end = r->rows.size();
     }
     start_round(r, tc, /*join=*/true);
@@ -437,8 +437,8 @@ Status PlanExecutor::fetch(RequestScratch& s, Replanner replan, obs::RequestTrac
         r.queues.reserve(batches.size());
         for (const core::DiskBatch& batch : batches) {
             const std::size_t begin = r.rows.size();
-            for (std::size_t j = 0; j < batch.fetch_indices.size(); ++j) {
-                const Key key = key_of(fetches[batch.fetch_indices[j]].coord);
+            for (std::size_t j = 0; j < batch.indices.size(); ++j) {
+                const Key key = key_of(fetches[batch.indices[j]].coord);
                 if (fetched.contains(key)) continue;
                 ByteSpan out;
                 bool sunk = false;
@@ -728,42 +728,6 @@ Status PlanExecutor::try_decode(RequestScratch& s, bool partial, TraceCtx tc, Si
                              {"position", repair.target_position},
                              {"sources", static_cast<std::int64_t>(repair.terms.size())}});
         }
-    }
-    return Status::success();
-}
-
-Status PlanExecutor::read_group(StripeId stripe, int group, std::span<const ByteSpan> bufs) const {
-    const int n = scheme_->code().n();
-    if (static_cast<int>(bufs.size()) != n) return Error::invalid("read_group needs n buffers");
-    struct Item {
-        Location loc;
-        int position;
-    };
-    std::vector<Item> items;
-    items.reserve(static_cast<std::size_t>(n));
-    for (int p = 0; p < n; ++p) {
-        items.push_back({scheme_->layout().locate({stripe, group, p}), p});
-    }
-    std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
-        return a.loc.disk != b.loc.disk ? a.loc.disk < b.loc.disk : a.loc.row < b.loc.row;
-    });
-    std::size_t i = 0;
-    while (i < items.size()) {
-        std::size_t j = i;
-        while (j < items.size() && items[j].loc.disk == items[i].loc.disk) ++j;
-        std::vector<RowId> rows;
-        std::vector<ByteSpan> outs;
-        rows.reserve(j - i);
-        outs.reserve(j - i);
-        for (std::size_t t = i; t < j; ++t) {
-            rows.push_back(items[t].loc.row);
-            outs.push_back(bufs[static_cast<std::size_t>(items[t].position)]);
-        }
-        auto status = devices_[static_cast<std::size_t>(items[i].loc.disk)]->read_batch(
-            std::span<const RowId>(rows.data(), rows.size()),
-            std::span<const ByteSpan>(outs.data(), outs.size()));
-        if (!status.ok()) return status;
-        i = j;
     }
     return Status::success();
 }

@@ -2,11 +2,12 @@
 // (core) and the devices (store). It owns the machinery that used to be
 // inlined in StripeStore::execute_read:
 //
-//   - per-disk submission queues: each AccessPlan::DiskBatch is issued as
-//     chunked vectored read_batch calls with a bounded in-flight depth
-//     (RecoveryOptions::batch_elements), one queue per disk, all driven by
-//     one submit/reap loop — on a thread pool when one is attached,
-//     overlapped on async devices when not;
+//   - per-disk submission queues: each DiskBatch of a plan's PlanBatches
+//     schedule — a read plan's or a write plan's — is issued as chunked
+//     vectored read_batch or write_batch calls with a bounded in-flight
+//     depth (RecoveryOptions::batch_elements), one queue per disk, all
+//     driven by one submit/reap loop — on a thread pool when one is
+//     attached, overlapped on async devices when not;
 //   - the self-healing policy: bounded retries with exponential backoff,
 //     and mid-flight replans that reuse every element already fetched —
 //     around a disk that failed or whose read call timed out, or around
@@ -17,8 +18,11 @@
 //
 // The same engine serves the normal/degraded read path and reconstruction
 // — both plan, then run fetch + decode; a rebuild's plan decodes the lost
-// disk's rows instead of a user's range — and scrub/verify (read_group),
-// so all of them share one I/O policy. All methods are thread-safe: N
+// disk's rows instead of a user's range — and the fixed read sets of an
+// overwrite, scrub and verify_parity, which fetch without replanning. It
+// is the one fetch path: every device read is a chunk of a fetch queue
+// (submit_queue), so all of them share one I/O policy and every check on
+// read bytes has one home. All methods are thread-safe: N
 // readers may call fetch() concurrently, and recovery options /
 // observability can be swapped while requests are in flight.
 //
@@ -258,12 +262,6 @@ class PlanExecutor {
     /// into caller memory.
     Status decode(RequestScratch& s, TraceCtx tc = {}, Sink sink = {}) const;
 
-    /// Read every element of one group into bufs[position] (n spans of
-    /// element_bytes), batched per disk. Raw device reads: no retry or
-    /// timeout policy — callers (scrub, verify) want the device's first
-    /// answer.
-    Status read_group(StripeId stripe, int group, std::span<const ByteSpan> bufs) const;
-
     /// Outcome of one executed write plan.
     struct WriteReport {
         std::int64_t elements_written = 0;
@@ -273,9 +271,10 @@ class PlanExecutor {
         std::int64_t elements_skipped = 0;
     };
 
-    /// Execute a write plan: one submission queue per disk, each issued as
-    /// chunked vectored write_batch calls (RecoveryOptions::batch_elements
-    /// deep), in parallel across disks when a thread pool is attached.
+    /// Execute a write plan: one submission queue per batch of
+    /// plan.batches(), each issued as chunked vectored write_batch calls
+    /// (RecoveryOptions::batch_elements deep), in parallel across disks
+    /// when a thread pool is attached.
     /// `payloads[w.payload]` supplies the bytes of each placement `w`, so
     /// one payload may back many placements (replication) and payload
     /// order is independent of submission order. Transient errors retry

@@ -1,30 +1,21 @@
 #include "sim/array_sim.h"
 
+#include <algorithm>
 #include <string>
-#include <vector>
 
 namespace ecfrm::sim {
 
 ReadTiming simulate_read(const core::AccessPlan& plan, const DiskModel& model, Rng& rng,
                          obs::MetricRegistry* metrics) {
-    const int disks = static_cast<int>(plan.per_disk_loads().size());
-    std::vector<std::vector<RowId>> batches(static_cast<std::size_t>(disks));
-    for (const auto& access : plan.fetches()) {
-        batches[static_cast<std::size_t>(access.loc.disk)].push_back(access.loc.row);
-    }
-
     double slowest = 0.0;
-    for (std::size_t d = 0; d < batches.size(); ++d) {
-        auto& rows = batches[d];
-        if (rows.empty()) continue;
-        const std::size_t elements = rows.size();
-        const double t = model.service_seconds(std::move(rows), rng);
+    for (const core::DiskBatch& batch : plan.batches()) {
+        const double t = model.service_seconds({batch.rows.begin(), batch.rows.end()}, rng);
         slowest = std::max(slowest, t);
         if (metrics != nullptr) {
-            const obs::Labels labels{{"disk", std::to_string(d)}};
+            const obs::Labels labels{{"disk", std::to_string(batch.disk)}};
             metrics->histogram("ecfrm_sim_disk_service_seconds", labels).record(t);
             metrics->counter("ecfrm_sim_disk_elements_total", labels)
-                .add(static_cast<std::int64_t>(elements));
+                .add(static_cast<std::int64_t>(batch.rows.size()));
         }
     }
 

@@ -22,8 +22,11 @@ struct ReadTiming {
     }
 };
 
-/// Simulate one read request described by `plan`. With a registry
-/// attached, each nonempty disk batch feeds its simulated service time
+/// Simulate one read request described by `plan`: each batch of
+/// plan.batches() — the executor's submission units — is priced as one
+/// disk job, in ascending disk order, so the same plan draws the same
+/// service times here as in a one-request run_cluster. With a registry
+/// attached, each disk batch feeds its simulated service time
 /// into ecfrm_sim_disk_service_seconds{disk=i} and its element count
 /// into ecfrm_sim_disk_elements_total{disk=i}.
 ReadTiming simulate_read(const core::AccessPlan& plan, const DiskModel& model, Rng& rng,

@@ -60,34 +60,23 @@ ClusterStats run_cluster(std::vector<ClusterRequest> requests, const DiskModel& 
     ClusterStats stats;
     stats.results.resize(requests.size());
 
-    // Pre-compute per-request submission batches through the plan's own
-    // schedule model — AccessPlan::batches() for reads,
-    // WritePlan::batches() for writes and repairs: the exact units the
-    // real executor issues, so simulated and real execution cannot drift.
-    struct SimBatch {
-        int disk = -1;
-        std::vector<RowId> rows;
-    };
+    // Per-request submission batches: the plan's own schedule model
+    // (AccessPlan::batches() for reads, WritePlan::batches() for writes
+    // and repairs) — the exact units the real executor issues, so
+    // simulated and real execution cannot drift.
     struct Pending {
-        std::vector<SimBatch> batches;
+        core::PlanBatches batches;
         int outstanding = 0;
     };
     std::vector<Pending> pending(requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
         auto& p = pending[i];
-        if (requests[i].kind == SimJobKind::read) {
-            for (const core::DiskBatch& b : requests[i].plan.batches()) {
-                p.batches.push_back(SimBatch{b.disk, {b.rows.begin(), b.rows.end()}});
-            }
-            stats.results[i].requested_bytes = requests[i].plan.requested() * model.element_bytes();
-        } else {
-            for (core::WriteBatch& b : requests[i].write.batches()) {
-                p.batches.push_back(SimBatch{b.disk, std::move(b.rows)});
-            }
-            stats.results[i].requested_bytes =
-                requests[i].write.total_writes() * model.element_bytes();
-        }
+        const bool read = requests[i].kind == SimJobKind::read;
+        p.batches = read ? requests[i].plan.batches() : requests[i].write.batches();
         p.outstanding = static_cast<int>(p.batches.size());
+        stats.results[i].requested_bytes =
+            (read ? requests[i].plan.requested() : requests[i].write.total_writes()) *
+            model.element_bytes();
         stats.results[i].arrival_seconds = requests[i].arrival_seconds;
     }
 
@@ -139,7 +128,7 @@ ClusterStats run_cluster(std::vector<ClusterRequest> requests, const DiskModel& 
                 fetch_node = rt->begin(obs::RequestTrace::kRoot, phase, arrival_us);
                 fetch_nodes[i] = fetch_node;
             }
-            if (heat != nullptr && kind == SimJobKind::read && !p.batches.empty()) {
+            if (heat != nullptr && kind == SimJobKind::read && p.outstanding > 0) {
                 // Only read requests feed measured_max_load: it is the
                 // measured counterpart of the read-side closed-form
                 // analysis, and the real store feeds it per fetch only.
@@ -161,11 +150,12 @@ ClusterStats run_cluster(std::vector<ClusterRequest> requests, const DiskModel& 
                 }
                 return;
             }
-            for (auto& batch : p.batches) {
+            for (const core::DiskBatch& batch : p.batches) {
                 const int d = batch.disk;
                 const std::size_t batch_elements = batch.rows.size();
                 const double start = std::max(queue.now(), disk_free[static_cast<std::size_t>(d)]);
-                const double service = model.service_seconds(std::move(batch.rows), rng);
+                const double service =
+                    model.service_seconds({batch.rows.begin(), batch.rows.end()}, rng);
                 const double done = start + service;
                 disk_free[static_cast<std::size_t>(d)] = done;
                 if (metrics != nullptr) {

@@ -1174,50 +1174,72 @@ Status StripeStore::corrupt_element(DiskId disk, RowId row, std::size_t byte_off
 
 namespace {
 
-/// One group's n elements, read into fresh buffers in position order.
-Result<std::vector<AlignedBuffer>> read_group_buffers(const exec::PlanExecutor& executor,
-                                                      const codes::ErasureCode& code,
-                                                      StripeId stripe, int group,
-                                                      std::int64_t element_bytes) {
-    std::vector<AlignedBuffer> bufs;
-    std::vector<ByteSpan> spans(static_cast<std::size_t>(code.n()));
-    bufs.reserve(static_cast<std::size_t>(code.n()));
-    for (int p = 0; p < code.n(); ++p) {
-        bufs.emplace_back(static_cast<std::size_t>(element_bytes));
-        spans[static_cast<std::size_t>(p)] = bufs.back().span();
-    }
-    auto status = executor.read_group(stripe, group, spans);
-    if (!status.ok()) return status.error();
-    return bufs;
-}
-
-/// The parity audit of scrub and verify_parity: the first parity (0-based
-/// among the code's m) whose stored bytes differ from the encode of the
-/// group's data, or none when every parity equation holds (bufs[i] =
-/// payload of code position i).
-std::optional<int> first_parity_mismatch(const codes::ErasureCode& code,
-                                         const std::vector<AlignedBuffer>& bufs,
-                                         std::int64_t element_bytes) {
-    std::vector<ConstByteSpan> data(static_cast<std::size_t>(code.k()));
-    for (int j = 0; j < code.k(); ++j) data[static_cast<std::size_t>(j)] = bufs[static_cast<std::size_t>(j)].span();
-    std::vector<AlignedBuffer> expect_bufs;
-    std::vector<ByteSpan> expect(static_cast<std::size_t>(code.m()));
-    for (int p = 0; p < code.m(); ++p) {
-        expect_bufs.emplace_back(static_cast<std::size_t>(element_bytes));
-        expect[static_cast<std::size_t>(p)] = expect_bufs.back().span();
-    }
-    code.encode(data, expect);
-    for (int p = 0; p < code.m(); ++p) {
-        if (std::memcmp(expect_bufs[static_cast<std::size_t>(p)].data(),
-                        bufs[static_cast<std::size_t>(code.k() + p)].data(),
-                        static_cast<std::size_t>(element_bytes)) != 0) {
-            return p;
+/// The parity audit of scrub and verify_parity, with its working memory
+/// staged once per scan.
+class ParityAudit {
+  public:
+    ParityAudit(const codes::ErasureCode& code, std::int64_t element_bytes, BufferPool* arena)
+        : code_(code),
+          eb_(static_cast<std::size_t>(element_bytes)),
+          data_(static_cast<std::size_t>(code.k())) {
+        for (int p = 0; p < code.m(); ++p) {
+            staged_.push_back(staging_buffer(eb_, arena));
+            expect_.push_back(staged_.back().span().first(eb_));
         }
     }
-    return std::nullopt;
-}
+
+    /// The first parity (0-based among the code's m) whose stored bytes
+    /// differ from the encode of the group's data, or none when every
+    /// parity equation holds (group[i] = payload of code position i).
+    std::optional<int> first_mismatch(std::span<const ByteSpan> group) {
+        const auto k = static_cast<std::size_t>(code_.k());
+        for (std::size_t j = 0; j < k; ++j) data_[j] = group[j];
+        code_.encode(data_, expect_);
+        for (std::size_t p = 0; p < expect_.size(); ++p) {
+            if (std::memcmp(expect_[p].data(), group[k + p].data(), eb_) != 0) {
+                return static_cast<int>(p);
+            }
+        }
+        return std::nullopt;
+    }
+
+  private:
+    const codes::ErasureCode& code_;
+    std::size_t eb_;
+    std::vector<PooledBuffer> staged_;
+    std::vector<ConstByteSpan> data_;
+    std::vector<ByteSpan> expect_;
+};
 
 }  // namespace
+
+Status StripeStore::fetch_group(exec::RequestScratch& s, StripeId stripe, int group,
+                                std::span<ByteSpan> out) const {
+    const int n = scheme_.code().n();
+    // A fixed read set, as an overwrite's: once the executor gives up on
+    // a disk (its retries spent), the audit cannot route around it.
+    auto replanner = [&](const std::vector<DiskId>& excl, AccessPlan& plan) -> Status {
+        if (!excl.empty()) {
+            const DiskId d = excl.back();
+            std::string what = "disk " + std::to_string(d) + " unreadable mid-scan at stripe " +
+                               std::to_string(stripe) + " group " + std::to_string(group);
+            return disks_[static_cast<std::size_t>(d)]->failed() ? Error::disk_failed(what)
+                                                                 : Error::io(what);
+        }
+        plan.reset(scheme_.disks());
+        for (int p = 0; p < n; ++p) {
+            const GroupCoord coord{stripe, group, p};
+            plan.add_fetch({scheme_.layout().locate(coord), coord, false});
+        }
+        return Status::success();
+    };
+    auto fetched = executor_.fetch(s, replanner);
+    if (!fetched.ok()) return fetched;
+    for (int p = 0; p < n; ++p) {
+        out[static_cast<std::size_t>(p)] = s.elements.find({stripe, group, p});
+    }
+    return Status::success();
+}
 
 Result<ScrubReport> StripeStore::scrub() {
     std::lock_guard<std::mutex> wl(writer_mu_);
@@ -1249,17 +1271,21 @@ Result<ScrubReport> StripeStore::scrub() {
 
 Result<ScrubReport> StripeStore::scrub_locked(obs::RequestTrace* rt, std::uint32_t scan_node) {
     const auto& code = scheme_.code();
+    const auto n = static_cast<std::size_t>(code.n());
     ScrubReport report;
+    exec::ScratchLease scratch;
+    ParityAudit audit(code, element_bytes_, arena_);
+    std::vector<ByteSpan> elements(n);
+    std::vector<ByteSpan> trial(n);
+    PooledBuffer rebuilt = staging_buffer(static_cast<std::size_t>(element_bytes_), arena_);
 
     for (StripeId s = 0; s < stripes_; ++s) {
         if (unencoded_.count(s) != 0) continue;  // parity-pending: nothing to audit yet
         for (int g = 0; g < scheme_.layout().groups_per_stripe(); ++g) {
             ++report.groups_scanned;
-
-            auto read = read_group_buffers(executor_, code, s, g, element_bytes_);
-            if (!read.ok()) return read.error();
-            const std::vector<AlignedBuffer>& bufs = read.value();
-            if (!first_parity_mismatch(code, bufs, element_bytes_).has_value()) continue;
+            auto fetched = fetch_group(*scratch, s, g, elements);
+            if (!fetched.ok()) return fetched.error();
+            if (!audit.first_mismatch(elements).has_value()) continue;
             ++report.groups_inconsistent;
             const double repair_t0 = rt != nullptr ? obs::forensic_now_us() : 0.0;
 
@@ -1276,19 +1302,18 @@ Result<ScrubReport> StripeStore::scrub_locked(obs::RequestTrace* rt, std::uint32
                 auto repair = code.solve_repair(z, sources);
                 if (!repair.ok()) continue;
 
-                std::vector<AlignedBuffer> trial = bufs;
-                std::vector<ByteSpan> trial_spans(static_cast<std::size_t>(code.n()));
-                for (int p = 0; p < code.n(); ++p) trial_spans[static_cast<std::size_t>(p)] = trial[static_cast<std::size_t>(p)].span();
-                codes::ErasureCode::apply_repair(repair.value(), trial_spans);
-
-                if (first_parity_mismatch(code, trial, element_bytes_).has_value()) continue;
+                trial = elements;
+                trial[static_cast<std::size_t>(z)] =
+                    rebuilt.span().first(static_cast<std::size_t>(element_bytes_));
+                codes::ErasureCode::apply_repair(repair.value(), trial);
+                if (audit.first_mismatch(trial).has_value()) continue;
 
                 // Hypothesis accepted: persist the corrected element
                 // through the executor's write path.
                 const GroupCoord coord{s, g, z};
                 WritePlan plan(scheme_.disks());
                 plan.add_write({scheme_.layout().locate(coord), coord, 0, z >= code.k()});
-                const ConstByteSpan payload[] = {trial[static_cast<std::size_t>(z)].span()};
+                const ConstByteSpan payload[] = {trial[static_cast<std::size_t>(z)]};
                 auto wrote = executor_.write(plan, payload, {}, /*allow_degraded=*/false);
                 if (!wrote.ok()) return wrote.error();
                 ++report.elements_repaired;
@@ -1310,12 +1335,15 @@ Result<ScrubReport> StripeStore::scrub_locked(obs::RequestTrace* rt, std::uint32
 Status StripeStore::verify_parity() {
     auto lk = reader_lock();
     const auto& code = scheme_.code();
+    exec::ScratchLease scratch;
+    ParityAudit audit(code, element_bytes_, arena_);
+    std::vector<ByteSpan> elements(static_cast<std::size_t>(code.n()));
     for (StripeId s = 0; s < stripes_; ++s) {
         if (unencoded_.count(s) != 0) continue;  // parity-pending: nothing to verify yet
         for (int g = 0; g < scheme_.layout().groups_per_stripe(); ++g) {
-            auto read = read_group_buffers(executor_, code, s, g, element_bytes_);
-            if (!read.ok()) return read.error();
-            if (const auto p = first_parity_mismatch(code, read.value(), element_bytes_)) {
+            auto fetched = fetch_group(*scratch, s, g, elements);
+            if (!fetched.ok()) return fetched;
+            if (const auto p = audit.first_mismatch(elements)) {
                 return Error::internal("parity mismatch at stripe " + std::to_string(s) + " group " +
                                        std::to_string(g) + " parity " + std::to_string(*p));
             }

@@ -231,7 +231,10 @@ class StripeStore {
 
     /// Recompute every parity element from data and compare with what is
     /// stored. Fails on the first mismatch; parity-pending stripes are
-    /// skipped. (Test/diagnostic hook.)
+    /// skipped. Each group is read through the executor's one fetch path,
+    /// so a transient read error is retried under the recovery policy; a
+    /// read that still fails surfaces as a typed error. (Test/diagnostic
+    /// hook.)
     Status verify_parity();
 
     /// Silent-corruption injection hook: flip a byte of the element at
@@ -292,6 +295,9 @@ class StripeStore {
     /// consistency. Groups with more damage than the code can pin down are
     /// counted unrecoverable and left untouched. Parity-pending stripes
     /// are skipped. Requires all disks alive and no rebuild in flight.
+    /// Groups are read as verify_parity reads them: retried under the
+    /// recovery policy, and a read that still fails ends the scan with a
+    /// typed error, never a clean report.
     Result<ScrubReport> scrub();
 
   private:
@@ -373,6 +379,14 @@ class StripeStore {
     Status execute_read_traced(ElementId start, std::int64_t count, const ReadDest& dest,
                                exec::RequestScratch& s, obs::RequestTrace* rt);
     Result<ScrubReport> scrub_locked(obs::RequestTrace* rt, std::uint32_t scan_node);
+    /// The scan step of scrub and verify_parity: fetch group (stripe,
+    /// group)'s n elements through the executor into s.elements — arena
+    /// staging, the read path's retry policy — and point out[p] at
+    /// position p. The read set is fixed: a disk the executor gives up
+    /// on fails the fetch (disk_failed for a failed device, else
+    /// io_error) instead of a replan.
+    Status fetch_group(exec::RequestScratch& s, StripeId stripe, int group,
+                       std::span<ByteSpan> out) const;
     std::vector<DiskId> failed_disks_locked() const;
     /// Disks a read plan must route around, failed plus mid-rebuild,
     /// into `out` (allocates only to grow it).

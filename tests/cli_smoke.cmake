@@ -196,37 +196,6 @@ if(NOT pl_table MATCHES "disk 1 repaired")
   message(FATAL_ERROR "pipeline table missing repair line:\n${pl_table}")
 endif()
 
-# Concurrent-read server bench: schema-tagged JSON, every read verified
-# byte-exactly against the deterministic fill pattern, in both the healthy
-# and the degraded (one disk down) configurations.
-execute_process(COMMAND ${CLI} serve-bench rs:6,3 ecfrm
-                        --threads 4 --requests 8 --seed 3 --out ${WORK}/servebench.json
-                RESULT_VARIABLE rc_sb OUTPUT_VARIABLE sb_table ERROR_VARIABLE sb_err)
-if(NOT rc_sb EQUAL 0)
-  message(FATAL_ERROR "serve-bench failed (${rc_sb}): ${sb_err}")
-endif()
-file(READ ${WORK}/servebench.json SB)
-foreach(want "ecfrm.servebench.v1" "\"threads\":4" "\"requests_ok\":32" "\"io_failures\":0"
-        "throughput_mb_s" "p50_us" "p99_us" "\"verified\":true")
-  if(NOT SB MATCHES "${want}")
-    message(FATAL_ERROR "serve-bench output missing '${want}':\n${SB}")
-  endif()
-endforeach()
-
-execute_process(COMMAND ${CLI} serve-bench lrc:6,2,2 standard
-                        --threads 4 --requests 8 --degraded --seed 3
-                        --out ${WORK}/servebench_degraded.json
-                RESULT_VARIABLE rc_sbd OUTPUT_VARIABLE sbd_table ERROR_VARIABLE sbd_err)
-if(NOT rc_sbd EQUAL 0)
-  message(FATAL_ERROR "degraded serve-bench failed (${rc_sbd}): ${sbd_err}")
-endif()
-file(READ ${WORK}/servebench_degraded.json SBD)
-foreach(want "ecfrm.servebench.v1" "\"degraded\":true" "\"io_failures\":0" "\"verified\":true")
-  if(NOT SBD MATCHES "${want}")
-    message(FATAL_ERROR "degraded serve-bench output missing '${want}':\n${SBD}")
-  endif()
-endforeach()
-
 # Tail forensics over HTTP: boot a held server on a read, fetch /slo and
 # /slow while it holds, and release it via /quitquitquit. The server picks
 # an ephemeral port and announces it on stdout.

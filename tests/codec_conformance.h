@@ -190,7 +190,7 @@ TEST_P(CodecConformance, RepairDownloadWithinDeclaredBound) {
         std::int64_t fetched = 0;
         for (const auto& batch : plan->batches()) {
             EXPECT_NE(batch.disk, node) << "repair plan reads the failed disk";
-            fetched += static_cast<std::int64_t>(batch.fetch_indices.size());
+            fetched += static_cast<std::int64_t>(batch.indices.size());
         }
         EXPECT_EQ(fetched, plan->total_fetched());
         EXPECT_LE(fetched, c.repair_elements_bound(node))

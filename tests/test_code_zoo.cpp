@@ -35,7 +35,7 @@ std::shared_ptr<codes::ErasureCode> make(const std::string& spec) {
 std::int64_t batch_bytes(const core::AccessPlan& plan, std::int64_t element_bytes) {
     std::int64_t fetched = 0;
     for (const auto& batch : plan.batches()) {
-        fetched += static_cast<std::int64_t>(batch.fetch_indices.size());
+        fetched += static_cast<std::int64_t>(batch.indices.size());
     }
     return fetched * element_bytes;
 }

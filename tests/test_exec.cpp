@@ -248,13 +248,13 @@ TEST(AccessPlanBatches, PartitionFetchesPerDiskRowSorted) {
                 for (const auto& batch : batches) {
                     EXPECT_GT(batch.disk, prev_disk);  // strictly ascending
                     prev_disk = batch.disk;
-                    ASSERT_FALSE(batch.fetch_indices.empty());
-                    ASSERT_EQ(batch.rows.size(), batch.fetch_indices.size());
-                    EXPECT_EQ(static_cast<int>(batch.fetch_indices.size()),
+                    ASSERT_FALSE(batch.indices.empty());
+                    ASSERT_EQ(batch.rows.size(), batch.indices.size());
+                    EXPECT_EQ(static_cast<int>(batch.indices.size()),
                               plan.per_disk_loads()[static_cast<std::size_t>(batch.disk)]);
                     RowId prev_row = -1;
-                    for (std::size_t i = 0; i < batch.fetch_indices.size(); ++i) {
-                        const std::size_t fi = batch.fetch_indices[i];
+                    for (std::size_t i = 0; i < batch.indices.size(); ++i) {
+                        const std::size_t fi = batch.indices[i];
                         ASSERT_LT(fi, plan.fetches().size());
                         const core::Access& a = plan.fetches()[fi];
                         EXPECT_EQ(a.loc.disk, batch.disk);
@@ -266,6 +266,31 @@ TEST(AccessPlanBatches, PartitionFetchesPerDiskRowSorted) {
                 }
                 EXPECT_EQ(seen.size(), plan.fetches().size());  // exact cover
             }
+        }
+    }
+}
+
+TEST(AccessPlanBatches, WritePlanOverTheSameLocationsBatchesIdentically) {
+    // Reads and writes share one schedule model: a WritePlan placing the
+    // elements an AccessPlan fetches, in the same order, yields the same
+    // batches — same disks, indices and rows.
+    for (LayoutKind kind : {LayoutKind::standard, LayoutKind::rotated, LayoutKind::ecfrm}) {
+        SCOPED_TRACE(layout::to_string(kind));
+        const core::Scheme scheme = make_scheme("rs:6,3", kind);
+        auto planned = core::plan_degraded_read(scheme, 2, 30, {4});
+        ASSERT_TRUE(planned.ok());
+        const core::AccessPlan& read = planned.value();
+        core::WritePlan write(scheme.disks());
+        for (const core::Access& a : read.fetches()) {
+            write.add_write({a.loc, a.coord, write.writes().size(), false});
+        }
+        const core::PlanBatches rb = read.batches();
+        const core::PlanBatches wb = write.batches();
+        ASSERT_EQ(rb.size(), wb.size());
+        for (std::size_t i = 0; i < rb.size(); ++i) {
+            EXPECT_EQ(rb[i].disk, wb[i].disk);
+            EXPECT_TRUE(std::ranges::equal(rb[i].indices, wb[i].indices)) << "batch " << i;
+            EXPECT_TRUE(std::ranges::equal(rb[i].rows, wb[i].rows)) << "batch " << i;
         }
     }
 }

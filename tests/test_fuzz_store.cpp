@@ -154,9 +154,8 @@ void run_fuzz(const char* spec, LayoutKind kind, std::uint64_t seed, bool with_f
                 break;
             }
             case 9: {  // silent corruption + scrub (only when all healthy)
-                // Scrub audits raw device bytes, so it only runs in the
-                // clean campaign — injected transients would abort it.
-                if (with_faults) break;
+                // Scrub reads through the executor's retry policy, so it
+                // runs in the faulty campaign too.
                 // Localizing a silent corruption takes two redundant
                 // symbols (one to detect, one to identify the culprit);
                 // single-parity codes like XOR(k) can only detect, so the
@@ -209,11 +208,10 @@ void run_fuzz(const char* spec, LayoutKind kind, std::uint64_t seed, bool with_f
     auto out = store->read_bytes(0, static_cast<std::int64_t>(reference.size()));
     ASSERT_TRUE(out.ok());
     EXPECT_EQ(out.value(), reference);
-    if (!with_faults) {
-        // verify_parity reads raw device bytes without the retry layer, so
-        // an injected transient would fail it spuriously.
-        EXPECT_TRUE(store->verify_parity().ok());
-    }
+    // verify_parity reads through the executor's retry policy, so faulty
+    // streams get the parity audit too.
+    const Status parity = store->verify_parity();
+    EXPECT_TRUE(parity.ok()) << parity.error().message;
 }
 
 class FuzzStoreTest : public ::testing::TestWithParam<FuzzParam> {};

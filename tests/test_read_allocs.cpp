@@ -112,8 +112,8 @@ constexpr std::uint64_t kDegradedReadBytes = 1;
 //   - the write plan: its per-disk loads and its placements (2), the
 //     payload spans (1);
 //   - PlanExecutor::write: the shared submission round with its rows,
-//     payloads and queue list (4), the per-disk schedule with its slot
-//     table and the one batch's indices and rows (4);
+//     payloads and queue list (4), the per-disk schedule, a PlanBatches:
+//     its indices, rows, batch list and fill cursors (4);
 //   - the in-memory replacement disk: one slot per rebuilt row (3).
 constexpr RowId kRebuildChunkRows = 3;
 constexpr std::uint64_t kRebuildChunk = 14;
@@ -128,12 +128,12 @@ constexpr std::uint64_t kRebuildChunk = 14;
 //   - the write plan: its per-disk loads and its placements (2), the
 //     payload spans (1);
 //   - PlanExecutor::write: the shared submission round with its rows,
-//     payloads and queue list (4), and the per-disk schedule: its slot
-//     table, its batch list reserved for the 9 disks, and each batch's
-//     indices and rows (1 + 1 + 18);
+//     payloads and queue list (4), and the per-disk schedule, a
+//     PlanBatches: its indices, rows, batch list and fill cursors (4),
+//     however many disks the stripe spans;
 //   - the in-memory disks: one slot per written element (27).
 constexpr std::int64_t kWarmStripes = 5;
-constexpr std::uint64_t kStripeAppend = 70;
+constexpr std::uint64_t kStripeAppend = 54;
 
 class ReadAllocs : public ::testing::Test {
   protected:

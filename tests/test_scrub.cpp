@@ -6,6 +6,8 @@
 
 #include "codes/factory.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
+#include "store/fault_device.h"
 #include "store/stripe_store.h"
 
 namespace ecfrm::store {
@@ -153,6 +155,91 @@ TEST(Scrub, MassiveDamageIsReportedUnrecoverable) {
     ASSERT_TRUE(report.ok());
     EXPECT_EQ(report->unrecoverable_groups, 1);
     EXPECT_EQ(report->elements_repaired, 0);
+}
+
+// ------------------------------------------------ scans under read faults --
+
+constexpr std::int64_t kFaultElem = 64;
+constexpr DiskId kFaultyDisk = 2;
+
+/// An RS(6,3) EC-FRM store of four stripes on FaultDevices that inject
+/// `kind` into reads [first_read, first_read + reads) of kFaultyDisk.
+/// Writes are never faulted, so the faults land in the scan's reads.
+std::unique_ptr<StripeStore> store_with_read_faults(FaultKind kind, std::int64_t first_read,
+                                                    std::int64_t reads) {
+    FaultRule rule;
+    rule.kind = kind;
+    rule.disk = kFaultyDisk;
+    rule.op = FaultOp::read;
+    rule.first_op = first_read;
+    rule.count = reads;
+    FaultPlan plan;
+    plan.seed = 11;
+    plan.rules = {rule};
+    auto opened = StripeStore::open(make_scheme("rs:6,3", LayoutKind::ecfrm), kFaultElem,
+                                    faulty_memory_factory(kFaultElem, plan));
+    EXPECT_TRUE(opened.ok());
+    if (!opened.ok()) return nullptr;
+    auto store = std::move(opened).take();
+    const auto data = random_bytes(static_cast<std::size_t>(4 * store->stripe_data_bytes()), 7);
+    EXPECT_TRUE(store->append(ConstByteSpan(data.data(), data.size())).ok());
+    EXPECT_TRUE(store->flush().ok());
+    return store;
+}
+
+TEST(ScrubFaults, TransientReadBurstIsRetriedNotFatal) {
+    // A burst of two failing reads on one disk, within the default two
+    // retries: the scan retries them like any read and audits clean.
+    for (const bool scrub : {false, true}) {
+        SCOPED_TRACE(scrub ? "scrub" : "verify_parity");
+        auto store = store_with_read_faults(FaultKind::transient, 1, 2);
+        ASSERT_NE(store, nullptr);
+        obs::MetricRegistry metrics;
+        store->attach_observability(&metrics);
+        if (scrub) {
+            auto report = store->scrub();
+            ASSERT_TRUE(report.ok()) << report.error().message;
+            EXPECT_TRUE(report->clean());
+            EXPECT_EQ(report->groups_scanned, 4 * store->scheme().layout().groups_per_stripe());
+        } else {
+            const Status parity = store->verify_parity();
+            EXPECT_TRUE(parity.ok()) << parity.error().message;
+        }
+        EXPECT_EQ(metrics.counter("ecfrm_store_retries_total").value(), 2);
+        store->attach_observability(nullptr);
+    }
+}
+
+TEST(ScrubFaults, PersistentReadErrorMidScanIsATypedError) {
+    // The faulty disk answers its first three reads, then never again:
+    // the scan has audited some groups when its retries run out, and
+    // must fail with the device's kind of error instead of reporting
+    // clean.
+    struct Case {
+        FaultKind kind;
+        Error::Code code;
+    };
+    for (const Case c : {Case{FaultKind::transient, Error::Code::io_error},
+                         Case{FaultKind::fail_stop, Error::Code::disk_failed}}) {
+        SCOPED_TRACE(to_string(c.kind));
+        for (const bool scrub : {false, true}) {
+            SCOPED_TRACE(scrub ? "scrub" : "verify_parity");
+            auto store = store_with_read_faults(c.kind, 3, 1'000'000'000);
+            ASSERT_NE(store, nullptr);
+            Status scanned = Status::success();
+            if (scrub) {
+                auto report = store->scrub();
+                if (!report.ok()) scanned = report.error();
+            } else {
+                scanned = store->verify_parity();
+            }
+            ASSERT_FALSE(scanned.ok());
+            EXPECT_EQ(scanned.error().code, c.code) << scanned.error().message;
+            EXPECT_NE(scanned.error().message.find("disk " + std::to_string(kFaultyDisk)),
+                      std::string::npos)
+                << scanned.error().message;
+        }
+    }
 }
 
 }  // namespace

@@ -275,6 +275,38 @@ TEST(ClusterSim, StatsAggregations) {
     EXPECT_NEAR(stats.throughput_mb_s(), 100.0 * 1.048576 / 2.0, 1e-6);
 }
 
+TEST(ArraySim, PricesTheSameBatchesAsOneRequestCluster) {
+    // simulate_read and run_cluster both price plan.batches(), one disk
+    // job per batch in ascending disk order, so a lone request arriving
+    // at t=0 draws the same service times and completes at the same
+    // instant, bit for bit.
+    auto code = codes::make_rs(6, 3);
+    ASSERT_TRUE(code.ok());
+    DiskModel model(DiskProfile::savvio_10k3(), 1 << 20);
+    for (LayoutKind kind : {LayoutKind::standard, LayoutKind::rotated, LayoutKind::ecfrm}) {
+        core::Scheme scheme(code.value(), kind);
+        for (bool degraded : {false, true}) {
+            SCOPED_TRACE(std::string(layout::to_string(kind)) + (degraded ? "/degraded" : ""));
+            for (std::int64_t count : {1, 7, 18, 40}) {
+                core::AccessPlan plan = core::plan_normal_read(scheme, 5, count);
+                if (degraded) {
+                    auto planned = core::plan_degraded_read(scheme, 5, count, 1);
+                    ASSERT_TRUE(planned.ok());
+                    plan = std::move(planned).take();
+                }
+                Rng array_rng(99);
+                const double array = simulate_read(plan, model, array_rng).seconds;
+                std::vector<ClusterRequest> reqs;
+                reqs.push_back({0.0, std::move(plan)});
+                Rng cluster_rng(99);
+                const auto stats = run_cluster(std::move(reqs), model, scheme.disks(), cluster_rng);
+                ASSERT_EQ(stats.results.size(), 1u);
+                EXPECT_EQ(array, stats.results[0].latency_seconds()) << "count " << count;
+            }
+        }
+    }
+}
+
 TEST(Determinism, SameSeedSameTimings) {
     auto code = codes::make_lrc(6, 2, 2);
     ASSERT_TRUE(code.ok());

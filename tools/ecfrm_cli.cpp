@@ -15,7 +15,6 @@
 // The archive survives process restarts: geometry and committed size live
 // in <dir>/MANIFEST, payloads in <dir>/disk_<i>.dat.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -81,9 +80,6 @@ int usage() {
                  "      [--policy immediate|delayed|threshold] [--max-pending N] [--rate ROWS_S]\n"
                  "      [--burst ROWS] [--chunk ROWS] [--repair-disk D] [--out state.json]\n"
                  "  ecfrm_cli simd [--out artifact.json]\n"
-                 "  ecfrm_cli serve-bench <code_spec> <layout> [--threads N] [--requests N]"
-                 " [--elem BYTES] [--read-elems N] [--stripes N] [--degraded] [--seed S]"
-                 " [--out artifact.json]\n"
                  "global options (any command):\n"
                  "  --metrics-out <file>   dump metrics as newline-delimited JSON\n"
                  "  --metrics-prom <file>  dump metrics in Prometheus text format\n"
@@ -708,7 +704,7 @@ struct MixConfig {
     store::RecoveryOptions recovery;
     bool use_pool = false;              // straggler_hedge needs concurrency
     bool expect_beyond_tolerance = false;
-    bool audit_parity = false;          // only safe when reads are fault-free
+    bool audit_parity = false;          // needs every read fault absorbed by retries
 };
 
 constexpr std::int64_t kAllOps = 1'000'000'000;
@@ -725,6 +721,7 @@ MixConfig make_mix(const std::string& mix, std::uint64_t seed, int n, int k) {
         rule.probability = 0.08;
         cfg.plan.rules.push_back(rule);
         cfg.recovery.max_retries = 3;
+        cfg.audit_parity = true;  // bursts of 2 under 3 retries: the audit's reads heal too
     } else if (mix == "torn_write") {
         cfg.plan.max_burst = 2;
         store::FaultRule rule;
@@ -1757,184 +1754,6 @@ int cmd_simd(const std::vector<std::string>& args) {
     return 0;
 }
 
-/// Deterministic payload byte for logical offset `i`, so any reader thread
-/// can verify any range byte-exactly without sharing the written buffer.
-std::uint8_t serve_bench_byte(std::int64_t i) {
-    return static_cast<std::uint8_t>((i * 131) ^ (i >> 9) ^ 0x3d);
-}
-
-/// Multi-reader throughput probe: an in-memory store filled with a known
-/// pattern, hammered by N threads issuing verified random-range reads
-/// (optionally degraded). The store runs with no internal pool — the reader
-/// threads are the concurrency, the shape a request-serving node has.
-int cmd_serve_bench(const std::vector<std::string>& args) {
-    if (args.size() < 4) return usage();
-    const std::string& spec = args[2];
-    const std::string& layout_name = args[3];
-    int threads = 8;
-    int requests = 64;
-    long long element_bytes = 512;
-    long long read_elems = 8;
-    long long stripes = 6;
-    bool degraded = false;
-    unsigned long long seed = 1;
-    std::string out_path;
-    for (std::size_t i = 4; i < args.size(); ++i) {
-        if (args[i] == "--threads" && i + 1 < args.size()) {
-            threads = std::atoi(args[++i].c_str());
-        } else if (args[i] == "--requests" && i + 1 < args.size()) {
-            requests = std::atoi(args[++i].c_str());
-        } else if (args[i] == "--elem" && i + 1 < args.size()) {
-            element_bytes = std::atoll(args[++i].c_str());
-        } else if (args[i] == "--read-elems" && i + 1 < args.size()) {
-            read_elems = std::atoll(args[++i].c_str());
-        } else if (args[i] == "--stripes" && i + 1 < args.size()) {
-            stripes = std::atoll(args[++i].c_str());
-        } else if (args[i] == "--degraded") {
-            degraded = true;
-        } else if (args[i] == "--seed" && i + 1 < args.size()) {
-            seed = std::strtoull(args[++i].c_str(), nullptr, 10);
-        } else if (args[i] == "--out" && i + 1 < args.size()) {
-            out_path = args[++i];
-        } else {
-            return usage();
-        }
-    }
-    if (threads <= 0 || requests <= 0 || read_elems <= 0 || stripes <= 0 ||
-        element_bytes <= 0 || element_bytes % 8 != 0) {
-        std::fprintf(stderr,
-                     "error: serve-bench parameters must be positive"
-                     " (element_bytes a multiple of 8)\n");
-        return 1;
-    }
-
-    auto code = codes::make_code(spec);
-    if (!code.ok()) return fail_with(code.error());
-    auto kind = store::parse_layout_kind(layout_name);
-    if (!kind.ok()) return fail_with(kind.error());
-    core::Scheme scheme(code.value(), kind.value());
-
-    store::StripeStore st(std::move(scheme), element_bytes, nullptr);
-    const std::int64_t total_bytes =
-        stripes * st.scheme().layout().data_per_stripe() * element_bytes;
-    {
-        std::vector<std::uint8_t> chunk(1 << 20);
-        std::int64_t written = 0;
-        while (written < total_bytes) {
-            const std::int64_t n =
-                std::min<std::int64_t>(static_cast<std::int64_t>(chunk.size()), total_bytes - written);
-            for (std::int64_t i = 0; i < n; ++i) {
-                chunk[static_cast<std::size_t>(i)] = serve_bench_byte(written + i);
-            }
-            auto status = st.append(ConstByteSpan(chunk.data(), static_cast<std::size_t>(n)));
-            if (!status.ok()) return fail_with(status.error());
-            written += n;
-        }
-        auto status = st.flush();
-        if (!status.ok()) return fail_with(status.error());
-    }
-    if (degraded) {
-        auto status = st.fail_disk(0);
-        if (!status.ok()) return fail_with(status.error());
-    }
-    st.attach_observability(g_obs.metrics.get(), g_obs.forensics.get());
-
-    const std::int64_t committed = st.committed_bytes();
-    const std::int64_t max_len = std::min<std::int64_t>(read_elems * element_bytes, committed);
-
-    std::vector<std::vector<double>> latencies(static_cast<std::size_t>(threads));
-    std::atomic<std::int64_t> bytes_read{0};
-    std::atomic<std::int64_t> requests_ok{0};
-    std::atomic<int> io_failures{0};
-    std::atomic<bool> mismatch{false};
-    auto worker = [&](int tid) {
-        // Per-thread stream: seed mixed with the thread id keeps runs
-        // reproducible for a fixed --seed and --threads.
-        Rng rng(seed ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(tid + 1)));
-        auto& samples = latencies[static_cast<std::size_t>(tid)];
-        samples.reserve(static_cast<std::size_t>(requests));
-        for (int r = 0; r < requests; ++r) {
-            const std::int64_t length =
-                1 + static_cast<std::int64_t>(rng.next_below(static_cast<std::uint64_t>(max_len)));
-            const std::int64_t offset = static_cast<std::int64_t>(
-                rng.next_below(static_cast<std::uint64_t>(committed - length + 1)));
-            const auto t0 = std::chrono::steady_clock::now();
-            auto read = st.read_bytes(offset, length);
-            const auto t1 = std::chrono::steady_clock::now();
-            if (!read.ok()) {
-                io_failures.fetch_add(1, std::memory_order_relaxed);
-                continue;
-            }
-            samples.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
-            bytes_read.fetch_add(length, std::memory_order_relaxed);
-            requests_ok.fetch_add(1, std::memory_order_relaxed);
-            for (std::int64_t i = 0; i < length; ++i) {
-                if (read.value()[static_cast<std::size_t>(i)] != serve_bench_byte(offset + i)) {
-                    mismatch.store(true, std::memory_order_relaxed);
-                    break;
-                }
-            }
-        }
-    };
-
-    const auto wall0 = std::chrono::steady_clock::now();
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) pool.emplace_back(worker, t);
-    for (auto& t : pool) t.join();
-    const double wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
-
-    std::vector<double> all;
-    for (const auto& samples : latencies) all.insert(all.end(), samples.begin(), samples.end());
-    const double p50 = percentile(all, 0.50);
-    const double p99 = percentile(std::move(all), 0.99);
-    const double throughput =
-        wall_seconds > 0.0 ? static_cast<double>(bytes_read.load()) / 1e6 / wall_seconds : 0.0;
-
-    std::printf("serve-bench %s %s: %d threads x %d requests%s\n", st.scheme().name().c_str(),
-                layout::to_string(st.scheme().kind()), threads, requests,
-                degraded ? " (degraded: disk 0 down)" : "");
-    std::printf("%-16s %12s %12s %12s %12s\n", "requests_ok", "MB/s", "p50 us", "p99 us",
-                "verify");
-    std::printf("%-16lld %12.2f %12.1f %12.1f %12s\n",
-                static_cast<long long>(requests_ok.load()), throughput, p50, p99,
-                mismatch.load() ? "FAIL" : "ok");
-
-    char num[512];
-    std::string json = "{\"schema\":\"ecfrm.servebench.v1\"";
-    json += ",\"scheme\":\"" + json_escape(st.scheme().name()) + "\"";
-    json += ",\"layout\":\"" + std::string(layout::to_string(st.scheme().kind())) + "\"";
-    std::snprintf(num, sizeof(num),
-                  ",\"threads\":%d,\"requests_per_thread\":%d,\"element_bytes\":%lld"
-                  ",\"stripes\":%lld,\"degraded\":%s,\"seed\":%llu",
-                  threads, requests, element_bytes, stripes, degraded ? "true" : "false", seed);
-    json += num;
-    std::snprintf(num, sizeof(num),
-                  ",\"requests_ok\":%lld,\"io_failures\":%d,\"bytes_read\":%lld"
-                  ",\"wall_seconds\":%.6f,\"throughput_mb_s\":%.3f,\"p50_us\":%.1f"
-                  ",\"p99_us\":%.1f,\"verified\":%s}\n",
-                  static_cast<long long>(requests_ok.load()), io_failures.load(),
-                  static_cast<long long>(bytes_read.load()), wall_seconds, throughput, p50, p99,
-                  mismatch.load() ? "false" : "true");
-    json += num;
-
-    if (!out_path.empty()) {
-        if (!ObsOutputs::write_file(out_path, json)) return 1;
-    } else {
-        std::fputs(json.c_str(), stdout);
-    }
-    if (mismatch.load()) {
-        std::fprintf(stderr, "error: read verification mismatch against the written pattern\n");
-        return 1;
-    }
-    if (io_failures.load() != 0) {
-        std::fprintf(stderr, "error: %d reads failed\n", io_failures.load());
-        return 1;
-    }
-    return 0;
-}
-
 // ---------------------------------------------------------------------------
 // pipeline: run the online write/repair pipeline end to end on an in-memory
 // store and emit its ecfrm.pipeline.v1 state — queue depth, repair policy,
@@ -2052,7 +1871,6 @@ int dispatch(const std::vector<std::string>& args) {
     if (argc >= 2 && args[1] == "faultcamp") return cmd_faultcamp(args);
     if (argc >= 2 && args[1] == "pipeline") return cmd_pipeline(args);
     if (argc >= 2 && args[1] == "simd") return cmd_simd(args);
-    if (argc >= 2 && args[1] == "serve-bench") return cmd_serve_bench(args);
     if (argc < 3) return usage();
     const std::string& cmd = args[1];
     if (cmd == "explain") return cmd_explain(args);
