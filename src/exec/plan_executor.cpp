@@ -4,7 +4,6 @@
 #include <chrono>
 #include <limits>
 #include <string>
-#include <thread>
 
 #include "codes/erasure_code.h"
 
@@ -13,20 +12,6 @@ namespace ecfrm::exec {
 using core::AccessPlan;
 
 namespace {
-
-/// Backoff before retry `attempt + 1`, with the wait recorded on the
-/// request trace (the sleep is the single biggest self-inflicted latency
-/// contributor, so it gets its own span rather than vanishing into the
-/// parent).
-void traced_backoff(const RecoveryOptions& opts, int attempt, DiskId disk, TraceCtx tc) {
-    if (opts.backoff_ms <= 0.0) return;
-    const double t0 = obs::forensic_now_us();
-    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-        opts.backoff_ms * static_cast<double>(1 << attempt)));
-    if (tc.rt == nullptr) return;
-    tc.rt->complete(tc.parent, "backoff.wait", t0, obs::forensic_now_us() - t0,
-                    {{"disk", std::to_string(disk)}, {"attempt", std::to_string(attempt + 1)}});
-}
 
 /// One fetch round's outcome: how many disks newly misbehaved (each now
 /// in the request's exclusion set), whether a hedge already replanned
@@ -41,6 +26,10 @@ struct FetchOutcome {
 
 constexpr double kNever = std::numeric_limits<double>::infinity();
 
+/// Auto-hedge deadline: this many times the median of the participating
+/// disks' windowed p99 read latency.
+constexpr double kAutoHedgeFactor = 3.0;
+
 Error timeout_error(DiskId disk, double op_timeout_ms) {
     return Error::timeout("disk " + std::to_string(disk) + " read exceeded its " +
                           std::to_string(op_timeout_ms) + " ms per-op deadline");
@@ -48,20 +37,71 @@ Error timeout_error(DiskId disk, double op_timeout_ms) {
 
 }  // namespace
 
-template <typename Chunk>
-Status PlanExecutor::submit_queue(DiskId disk, std::span<const RowId> rows,
-                                  const RecoveryOptions& opts, bool probe, std::size_t* done,
-                                  TraceCtx tc, Chunk&& chunk) const {
-    *done = 0;
-    const ExecutorMetrics& m = metrics();
-    obs::DiskHeatModel* const heat = this->heat();
+Status PlanExecutor::submit_queue(Round& r, std::size_t a, TraceCtx tc) const {
+    Round::Queue& q = r.queues[a];
+    store::BlockDevice& device = *devices_[static_cast<std::size_t>(q.disk)];
+    const bool read = r.data.empty();
+    const auto rows = std::span<const RowId>(r.rows).subspan(q.begin, q.end - q.begin);
+    const auto outs = read ? std::span<const ByteSpan>(r.outs).subspan(q.begin, rows.size())
+                           : std::span<const ByteSpan>();
+    const auto data = read ? std::span<const ConstByteSpan>()
+                           : std::span<const ConstByteSpan>(r.data).subspan(q.begin, rows.size());
+    const ExecutorMetrics& m = *r.metrics;
+    const obs::IoStats* const io = m.io(q.disk);
+    const bool latency = io != nullptr && io->timed(read);
+    // Under op_timeout_ms each read call has its own deadline, the
+    // timeout times the ops it carries, and a timed queue's first call
+    // carries one op: a stalled disk is found after one stalled op,
+    // however deep its queue. A late call keeps none of its ops and ends
+    // the queue. On a pool the reaper gives up on the call at its
+    // deadline, so the call's deadline is published under r.mu.
+    const double op_timeout_us = read ? r.opts.op_timeout_ms * 1000.0 : 0.0;
+    const bool publish = op_timeout_us > 0.0 && pool_ != nullptr;
+
+    // One device call over rows[off, off + n), counted once here.
+    auto call = [&](std::size_t off, std::size_t n, std::size_t* completed) -> Status {
+        const double deadline =
+            op_timeout_us > 0.0 ? obs::forensic_now_us() + static_cast<double>(n) * op_timeout_us
+                                : kNever;
+        if (publish) {
+            std::lock_guard<std::mutex> lock(r.mu);
+            q.call_deadline_us = deadline;
+            r.cv.notify_all();
+        }
+        double t0 = q.issue_us;  // an async first chunk went in flight at issue
+        Status status;
+        if (q.batch != nullptr) {
+            auto in_flight = std::move(q.batch);
+            status = in_flight->await(completed);
+        } else {
+            if (io != nullptr) io->on_issue(static_cast<std::int64_t>(n));
+            if (latency) t0 = obs::forensic_now_us();
+            const auto chunk = rows.subspan(off, n);
+            status = read ? device.read_batch(chunk, outs.subspan(off, n), completed)
+                          : device.write_batch(chunk, data.subspan(off, n), completed);
+        }
+        const double end = latency || deadline < kNever ? obs::forensic_now_us() : 0.0;
+        if (io != nullptr) {
+            io->on_call(read, static_cast<std::int64_t>(n), static_cast<std::int64_t>(*completed),
+                        !status.ok(), element_bytes_, latency ? (end - t0) * 1e-6 : 0.0);
+        }
+        if (publish) {  // between calls no clock runs
+            std::lock_guard<std::mutex> lock(r.mu);
+            q.call_deadline_us = kNever;
+        }
+        if (!status.ok() || end <= deadline) return status;
+        *completed = 0;
+        return timeout_error(q.disk, r.opts.op_timeout_ms);
+    };
+
+    q.done = 0;
     std::size_t offset = 0;
     while (offset < rows.size()) {
-        const std::size_t depth = probe && offset == 0 ? 1 : chunk_depth(opts);
+        const std::size_t depth = op_timeout_us > 0.0 && offset == 0 ? 1 : chunk_depth(r.opts);
         const std::size_t n = std::min(depth, rows.size() - offset);
         std::size_t completed = 0;
-        Status status = chunk(offset, n, &completed);
-        *done += completed;
+        Status status = call(offset, n, &completed);
+        q.done += completed;
         if (status.ok()) {
             offset += n;
             continue;
@@ -71,25 +111,24 @@ Status PlanExecutor::submit_queue(DiskId disk, std::span<const RowId> rows,
         // that op, as a one-op call, under the policy — its in-chunk
         // failure already consumed attempt zero; a write retry rewrites
         // the full payload, healing a torn write.
-        if (status.error().code != Error::Code::io_error || opts.max_retries < 1) return status;
+        if (status.error().code != Error::Code::io_error || r.opts.max_retries < 1) return status;
         const std::size_t j = offset + completed;
-        for (int attempt = 1; attempt <= opts.max_retries; ++attempt) {
+        for (int attempt = 1; attempt <= r.opts.max_retries; ++attempt) {
             if (m.retries != nullptr) m.retries->add(1);
-            if (heat != nullptr) heat->on_retry(disk, obs::DiskHeatModel::now_seconds());
+            if (r.heat != nullptr) r.heat->on_retry(q.disk, obs::DiskHeatModel::now_seconds());
             if (tc.rt != nullptr) {
                 tc.rt->count_retry();
                 tc.rt->complete(tc.parent, "retry", obs::forensic_now_us(), 0.0,
-                                {{"disk", std::to_string(disk)},
+                                {{"disk", std::to_string(q.disk)},
                                  {"row", std::to_string(rows[j])},
                                  {"attempt", std::to_string(attempt)},
                                  {"error", status.error().message}});
             }
-            traced_backoff(opts, attempt - 1, disk, tc);
-            status = chunk(j, 1, &completed);
+            status = call(j, 1, &completed);
             if (status.ok() || status.error().code != Error::Code::io_error) break;
         }
         if (!status.ok()) return status;
-        *done += 1;
+        q.done += 1;
         offset = j + 1;
     }
     return Status::success();
@@ -137,7 +176,10 @@ void PlanExecutor::start_queue(Round& r, std::size_t a, TraceCtx tc) const {
     const store::BlockDevice& device = *devices_[static_cast<std::size_t>(q.disk)];
     if (pool_ == nullptr && r.data.empty() && r.opts.op_timeout_ms <= 0.0 &&
         device.async_reads()) {
+        // In flight from here until submit_queue awaits it and counts it.
         const std::size_t n = std::min(q.end - q.begin, chunk_depth(r.opts));
+        const obs::IoStats* const io = r.metrics->io(q.disk);
+        if (io != nullptr) io->on_issue(static_cast<std::int64_t>(n));
         q.batch = device.submit_read_batch(std::span<const RowId>(r.rows).subspan(q.begin, n),
                                            std::span<const ByteSpan>(r.outs).subspan(q.begin, n));
         return;
@@ -147,54 +189,8 @@ void PlanExecutor::start_queue(Round& r, std::size_t a, TraceCtx tc) const {
 
 void PlanExecutor::finish_queue(Round& r, std::size_t a, TraceCtx tc) const {
     Round::Queue& q = r.queues[a];
-    store::BlockDevice& device = *devices_[static_cast<std::size_t>(q.disk)];
     const bool write = !r.data.empty();
-    const auto rows = std::span<const RowId>(r.rows).subspan(q.begin, q.end - q.begin);
-    if (write) {
-        const auto data = std::span<const ConstByteSpan>(r.data).subspan(q.begin, rows.size());
-        q.status = submit_queue(q.disk, rows, r.opts, /*probe=*/false, &q.done, tc,
-                                [&](std::size_t off, std::size_t n, std::size_t* completed) {
-                                    return device.write_batch(rows.subspan(off, n),
-                                                              data.subspan(off, n), completed);
-                                });
-    } else {
-        const auto outs = std::span<const ByteSpan>(r.outs).subspan(q.begin, rows.size());
-        auto read = [&](std::size_t off, std::size_t n, std::size_t* completed) {
-            if (q.batch == nullptr) {
-                return device.read_batch(rows.subspan(off, n), outs.subspan(off, n), completed);
-            }
-            auto in_flight = std::move(q.batch);  // the first chunk, submitted at start
-            return in_flight->await(completed);
-        };
-        // Under op_timeout_ms each read call has its own deadline, the
-        // timeout times the ops it carries, and a timed queue's first call
-        // carries one op: a stalled disk is found after one stalled op,
-        // however deep its queue. A late call keeps none of its ops and
-        // ends the queue. On a pool the reaper gives up on the call at
-        // its deadline, so the call's clock is stamped under r.mu.
-        const bool timed = r.opts.op_timeout_ms > 0.0;
-        auto timed_read = [&](std::size_t off, std::size_t n, std::size_t* completed) -> Status {
-            const double deadline = obs::forensic_now_us() +
-                                    static_cast<double>(n) * r.opts.op_timeout_ms * 1000.0;
-            if (pool_ != nullptr) {
-                std::lock_guard<std::mutex> lock(r.mu);
-                q.call_deadline_us = deadline;
-                r.cv.notify_all();
-            }
-            Status status = read(off, n, completed);
-            const double end = obs::forensic_now_us();
-            if (pool_ != nullptr) {  // between calls (a backoff, say) no clock runs
-                std::lock_guard<std::mutex> lock(r.mu);
-                q.call_deadline_us = kNever;
-            }
-            if (!status.ok() || end <= deadline) return status;
-            *completed = 0;
-            return timeout_error(q.disk, r.opts.op_timeout_ms);
-        };
-        q.status = timed ? submit_queue(q.disk, rows, r.opts, /*probe=*/true, &q.done, tc,
-                                        timed_read)
-                         : submit_queue(q.disk, rows, r.opts, /*probe=*/false, &q.done, tc, read);
-    }
+    q.status = submit_queue(r, a, tc);
     if (r.timed) q.dur_us = obs::forensic_now_us() - q.issue_us;
     if (r.heat != nullptr) {
         const double now_s = obs::DiskHeatModel::now_seconds();
@@ -245,8 +241,9 @@ Result<PlanExecutor::WriteReport> PlanExecutor::write(const core::WritePlan& pla
 
     auto r = std::make_shared<Round>();
     r->opts = options();
+    r->metrics = &m;
     r->heat = heat();
-    r->timed = tc.rt != nullptr || r->heat != nullptr;
+    r->timed = tc.rt != nullptr || r->heat != nullptr || !m.disk_io.empty();
     r->rows.reserve(writes.size());
     r->data.reserve(writes.size());
     const core::PlanBatches batches = plan.batches();
@@ -400,10 +397,10 @@ Status PlanExecutor::fetch(RequestScratch& s, Replanner replan, obs::RequestTrac
         fetched.reserve(fetched.size() + fetches.size() + p.decodes().size());
 
         // The round's deadlines: op_timeout_ms, judged per read call
-        // (see finish_queue), and the hedge deadline, timed from each
+        // (see submit_queue), and the hedge deadline, timed from each
         // queue's own start — static hedge_ms, or, under auto_hedge with
         // a warm heat window, the participating disks' live windowed p99
-        // (median * factor), which tracks the fleet's actual speed.
+        // (median * kAutoHedgeFactor), which tracks the fleet's actual speed.
         // Hedging needs a pool: the straggler must run somewhere while
         // this thread reads around it. A request hedges once: later
         // rounds read from disks that answered in time.
@@ -413,8 +410,7 @@ Status PlanExecutor::fetch(RequestScratch& s, Replanner replan, obs::RequestTrac
             std::vector<int> participating;
             for (const core::DiskBatch& b : batches) participating.push_back(b.disk);
             const double derived =
-                heat->hedge_deadline_ms(participating, opts.auto_hedge_factor,
-                                        opts.auto_hedge_min_ms,
+                heat->hedge_deadline_ms(participating, kAutoHedgeFactor, opts.auto_hedge_min_ms,
                                         obs::DiskHeatModel::now_seconds());
             if (derived > 0.0) hedge_ms = derived;
         }
@@ -428,9 +424,10 @@ Status PlanExecutor::fetch(RequestScratch& s, Replanner replan, obs::RequestTrac
         // outlive this frame, so it must own its buffers outright.
         Round& r = next_round(s);
         r.opts = opts;
+        r.metrics = &m;
         r.heat = heat;
         r.deadline = deadline;
-        r.timed = rt != nullptr || heat != nullptr || deadline;
+        r.timed = rt != nullptr || heat != nullptr || deadline || !m.disk_io.empty();
         r.rows.reserve(fetches.size());
         r.outs.reserve(fetches.size());
         r.elems.reserve(fetches.size());

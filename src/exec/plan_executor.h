@@ -8,8 +8,11 @@
 //     depth (RecoveryOptions::batch_elements), one queue per disk, all
 //     driven by one submit/reap loop — on a thread pool when one is
 //     attached, overlapped on async devices when not;
-//   - the self-healing policy: bounded retries with exponential backoff,
-//     and mid-flight replans that reuse every element already fetched —
+//   - the per-disk I/O account: every device call is counted once, by the
+//     queue that made it (ops, bytes, latency, errors, in-flight depth);
+//     devices count nothing;
+//   - the self-healing policy: bounded immediate retries, and mid-flight
+//     replans that reuse every element already fetched —
 //     around a disk that failed or whose read call timed out, or around
 //     the disks whose queues are late at a hedge deadline, timed from
 //     each queue's own start (a hedge is a replan like any degraded one);
@@ -69,13 +72,12 @@ namespace ecfrm::exec {
 struct RequestScratch;
 
 /// Self-healing knobs for the device I/O paths. Defaults are inert
-/// (no timeouts, no backoff sleeps, no hedging) so clean-path behaviour
-/// and benchmarks are unchanged until a caller opts in.
+/// (no timeouts, no hedging) so clean-path behaviour and benchmarks are
+/// unchanged until a caller opts in.
 struct RecoveryOptions {
-    /// Same-device retries after a transient I/O error (0 disables).
+    /// Same-device retries after a transient I/O error, each issued at
+    /// once (0 disables).
     int max_retries = 2;
-    /// Base backoff before retry r: backoff_ms * 2^r (0: retry immediately).
-    double backoff_ms = 0.0;
     /// >0: per-op read deadline. A vectored read call of k ops still out
     /// k * op_timeout_ms after it started surfaces as Error::timeout — its
     /// payload is discarded, its queue ends, and the read path routes
@@ -91,11 +93,10 @@ struct RecoveryOptions {
     /// Adaptive hedging (needs a thread pool and an attached
     /// DiskHeatModel): derive the hedge deadline per fetch round from the
     /// participating disks' live windowed p99 latency —
-    /// auto_hedge_factor * median(p99), floored at auto_hedge_min_ms —
+    /// 3 * median(p99), floored at auto_hedge_min_ms —
     /// instead of the static hedge_ms. Until the heat window has enough
     /// samples the static hedge_ms (possibly 0 = no hedging) applies.
     bool auto_hedge = false;
-    double auto_hedge_factor = 3.0;
     double auto_hedge_min_ms = 0.5;
     /// Degraded-read replans allowed per read as newly-misbehaving disks
     /// are discovered mid-flight.
@@ -116,6 +117,14 @@ struct ExecutorMetrics {
     obs::Counter* decodes = nullptr;
     obs::Counter* writes = nullptr;           // elements written via write()
     obs::Counter* degraded_writes = nullptr;  // elements skipped on failed devices
+    /// Per-disk device-op accounting, indexed by DiskId.
+    std::vector<obs::IoStats> disk_io;
+
+    /// `disk`'s account, or null when it has none.
+    const obs::IoStats* io(DiskId disk) const {
+        const auto d = static_cast<std::size_t>(disk);
+        return d < disk_io.size() ? &disk_io[d] : nullptr;
+    }
 };
 
 /// Request-trace context threaded down the execution pipeline: the
@@ -226,7 +235,7 @@ class PlanExecutor {
     /// When `rt` is given, the pipeline appends its causal tree to the
     /// request: contiguous `plan`/`fetch` phase spans per round directly
     /// under the root (so phase durations tile the request), with
-    /// per-disk batches, retries, backoff waits, timeouts, the hedge
+    /// per-disk batches, retries, timeouts, the hedge
     /// trigger and eager decodes as children of the round's fetch span.
     /// Safe across pool threads.
     /// `sink`, when given, routes elements straight into caller memory
@@ -278,11 +287,11 @@ class PlanExecutor {
     /// `payloads[w.payload]` supplies the bytes of each placement `w`, so
     /// one payload may back many placements (replication) and payload
     /// order is independent of submission order. Transient errors retry
-    /// with backoff under the same policy as reads (a retry rewrites the
-    /// full payload, healing torn writes). With `allow_degraded`, a failed
-    /// device's remaining placements are skipped and counted instead of
-    /// failing the plan. `tc` hangs per-disk `disk.write_batch` spans (and
-    /// retry/backoff detail) under the caller's span.
+    /// under the same policy as reads (a retry rewrites the full payload,
+    /// healing torn writes). With `allow_degraded`, a failed device's
+    /// remaining placements are skipped and counted instead of failing
+    /// the plan. `tc` hangs per-disk `disk.write_batch` spans (and retry
+    /// detail) under the caller's span.
     Result<WriteReport> write(const core::WritePlan& plan,
                               std::span<const ConstByteSpan> payloads, TraceCtx tc = {},
                               bool allow_degraded = true) const;
@@ -293,18 +302,6 @@ class PlanExecutor {
     const ExecutorMetrics& metrics() const { return *metrics_.load(std::memory_order_acquire); }
     const RecoveryOptions& options() const { return *recovery_.load(std::memory_order_acquire); }
     obs::DiskHeatModel* heat() const { return heat_.load(std::memory_order_acquire); }
-
-    /// The chunk, suffix-retry and traced-backoff loop of every per-disk
-    /// submission queue — reads and writes, timed or not:
-    /// `chunk(offset, n, &completed)` issues rows[offset, offset + n) as
-    /// one device call, chunk_depth(opts) ops deep (one op for the first
-    /// call when `probe`). A transient failure retries just the failing
-    /// op, as a one-op call, under the policy (its in-chunk failure was
-    /// attempt zero) and chunking resumes behind it. `*done` counts ops
-    /// that landed (also on failure).
-    template <typename Chunk>
-    Status submit_queue(DiskId disk, std::span<const RowId> rows, const RecoveryOptions& opts,
-                        bool probe, std::size_t* done, TraceCtx tc, Chunk&& chunk) const;
 
     /// Ops per vectored device call of a queue: opts.batch_elements, or
     /// the whole queue when that is <= 0.
@@ -354,8 +351,11 @@ class PlanExecutor {
             bool late = false;      // touched by the requesting thread only
         };
         RecoveryOptions opts;
-        obs::DiskHeatModel* heat = nullptr;  // fed as queues issue and finish
-        bool timed = false;     // a trace, heat model or deadline wants queue timings
+        const ExecutorMetrics* metrics = nullptr;  // counts the round's device calls
+        obs::DiskHeatModel* heat = nullptr;        // fed as queues issue and finish
+        /// A trace, heat model, deadline or latency histogram wants queue
+        /// timings (an async first chunk's latency runs from issue_us).
+        bool timed = false;
         bool deadline = false;  // the reaper times each started queue
         struct Elem {
             Key key;
@@ -392,6 +392,20 @@ class PlanExecutor {
     /// Run queue `a` to completion (awaiting its in-flight chunk, if
     /// any), feed the heat model, and mark it finished.
     void finish_queue(Round& r, std::size_t a, TraceCtx tc) const;
+    /// The chunk and suffix-retry loop of every per-disk submission
+    /// queue, reads and writes, timed or not: issue queue `a`'s rows as
+    /// vectored device calls chunk_depth(opts) ops deep (one op for a
+    /// timed read queue's first call), the first awaiting the chunk
+    /// start_queue put in flight, if any. A transient failure retries
+    /// just the failing op, as a one-op call, under the policy (its
+    /// in-chunk failure was attempt zero) and chunking resumes behind it.
+    /// q.done counts ops that landed (also on failure).
+    ///
+    /// This is the one per-disk I/O account: each device call is counted
+    /// into its disk's IoStats once, from the call's own result — before
+    /// a call past its op_timeout_ms deadline becomes Error::timeout, so
+    /// a late call's ops still count as served reads.
+    Status submit_queue(Round& r, std::size_t a, TraceCtx tc) const;
     /// Plan into `plan` around s.excluded and s.hedged.
     static Status plan_around(RequestScratch& s, Replanner replan, core::AccessPlan& plan);
     /// Add the disks of the late queues not yet reaped (the stragglers)

@@ -111,6 +111,24 @@ std::string MetricRegistry::help(const std::string& name) const {
     return it == help_.end() ? std::string() : it->second;
 }
 
+void IoStats::on_call(bool read, std::int64_t ops, std::int64_t landed, bool failed,
+                      std::int64_t op_bytes, double seconds) const {
+    on_settled(ops);
+    Counter* const count = read ? read_ops : write_ops;
+    Counter* const bytes = read ? read_bytes : write_bytes;
+    if (count != nullptr) count->add(landed);
+    if (bytes != nullptr) bytes->add(landed * op_bytes);
+    if (Histogram* const latency = read ? read_seconds : write_seconds; latency != nullptr) {
+        const double share = landed > 0 ? seconds / static_cast<double>(landed) : 0.0;
+        for (std::int64_t i = 0; i < landed; ++i) latency->record(share);
+    }
+    if (!failed) return;
+    Counter* const errors = read ? read_errors : write_errors;
+    Counter* const error_bytes = read ? read_error_bytes : write_error_bytes;
+    if (errors != nullptr) errors->add(1);
+    if (error_bytes != nullptr) error_bytes->add(op_bytes);
+}
+
 IoStats MetricRegistry::disk_io_stats(int disk) {
     const Labels labels{{"disk", std::to_string(disk)}};
     describe("ecfrm_disk_read_ops_total", "Successful element reads served by the device");
@@ -118,12 +136,8 @@ IoStats MetricRegistry::disk_io_stats(int disk) {
     describe("ecfrm_store_io_errors_total", "Device ops that returned an error, by op type");
     describe("ecfrm_store_io_error_bytes_total", "Payload bytes of failed device ops, by op type");
     describe("ecfrm_disk_in_flight_ops", "Device ops issued but not yet completed (live queue depth)");
-    describe("ecfrm_disk_flushes_total", "Durability flushes (fsync) the device issued");
-    describe("ecfrm_disk_batch_depth", "I/O ops one vectored submission put in flight at once");
     IoStats io;
     io.in_flight = &gauge("ecfrm_disk_in_flight_ops", labels);
-    io.flushes = &counter("ecfrm_disk_flushes_total", labels);
-    io.batch_depth = &histogram("ecfrm_disk_batch_depth", labels);
     io.read_ops = &counter("ecfrm_disk_read_ops_total", labels);
     io.read_bytes = &counter("ecfrm_disk_read_bytes_total", labels);
     io.read_seconds = &histogram("ecfrm_disk_read_seconds", labels);

@@ -114,10 +114,11 @@ class Histogram {
     std::atomic<double> max_{-1e300};
 };
 
-/// Per-device I/O accounting bundle handed to a BlockDevice (or anything
-/// else that reads/writes). All pointers may be null: an unattached
-/// device pays one branch per op. Timing is only taken when the matching
-/// histogram is attached.
+/// Per-disk I/O accounting bundle. The executor's submission queues are
+/// its one writer: they count each device call once, from the call's own
+/// result. All pointers may be null: an unattached bundle pays a few
+/// branches per call. Latency is only taken when the matching histogram
+/// is attached.
 struct IoStats {
     Counter* read_ops = nullptr;
     Counter* read_bytes = nullptr;
@@ -131,51 +132,25 @@ struct IoStats {
     Counter* read_error_bytes = nullptr;
     Counter* write_errors = nullptr;
     Counter* write_error_bytes = nullptr;
-    // Live per-device queue depth: ops issued but not yet completed
+    // Live per-device queue depth: ops issued but not yet settled
     // (ecfrm_disk_in_flight_ops). Incremented at issue, decremented at
-    // completion whether the op succeeded or failed.
+    // settle whether the op succeeded or failed.
     Gauge* in_flight = nullptr;
-    // Durability flushes the device actually issued (fsync, under
-    // ECFRM_FSYNC=1). The batched write path flushes once per batch, not
-    // once per element (ecfrm_disk_flushes_total).
-    Counter* flushes = nullptr;
-    // Submitted batch depth: how many I/O ops (SQEs / coalesced runs) one
-    // vectored submission put in flight at once — the in-kernel queue
-    // depth the async backends achieve (ecfrm_disk_batch_depth).
-    Histogram* batch_depth = nullptr;
 
-    void on_read(std::int64_t bytes, double seconds) const {
-        if (read_ops != nullptr) read_ops->add(1);
-        if (read_bytes != nullptr) read_bytes->add(bytes);
-        if (read_seconds != nullptr) read_seconds->record(seconds);
-    }
-    void on_write(std::int64_t bytes, double seconds) const {
-        if (write_ops != nullptr) write_ops->add(1);
-        if (write_bytes != nullptr) write_bytes->add(bytes);
-        if (write_seconds != nullptr) write_seconds->record(seconds);
-    }
-    void on_read_error(std::int64_t bytes) const {
-        if (read_errors != nullptr) read_errors->add(1);
-        if (read_error_bytes != nullptr) read_error_bytes->add(bytes);
-    }
-    void on_write_error(std::int64_t bytes) const {
-        if (write_errors != nullptr) write_errors->add(1);
-        if (write_error_bytes != nullptr) write_error_bytes->add(bytes);
-    }
-    void on_flush(std::int64_t count = 1) const {
-        if (flushes != nullptr) flushes->add(count);
-    }
-    void on_batch_depth(std::int64_t depth) const {
-        if (batch_depth != nullptr) batch_depth->record(static_cast<double>(depth));
-    }
     void on_issue(std::int64_t ops = 1) const {
         if (in_flight != nullptr) in_flight->add(static_cast<double>(ops));
     }
     void on_settled(std::int64_t ops = 1) const {
         if (in_flight != nullptr) in_flight->add(-static_cast<double>(ops));
     }
-    bool reads_timed() const { return read_seconds != nullptr; }
-    bool writes_timed() const { return write_seconds != nullptr; }
+    /// One device call of `ops` ops, `op_bytes` each, settled: its
+    /// `landed` leading ops are served I/O, sharing the call's `seconds`
+    /// evenly in the latency histogram, and with `failed` the op after
+    /// them is one error with its bytes. Ops past that were not counted
+    /// as either.
+    void on_call(bool read, std::int64_t ops, std::int64_t landed, bool failed,
+                 std::int64_t op_bytes, double seconds) const;
+    bool timed(bool read) const { return (read ? read_seconds : write_seconds) != nullptr; }
 };
 
 enum class MetricKind { counter, gauge, histogram };

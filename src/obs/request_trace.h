@@ -5,7 +5,7 @@
 // Every StripeStore request — read, write, scrub, and each rebuild round
 // — and every ClusterSim or ecfrm_sim request gets a RequestTrace with a
 // unique id. The execution path appends a causal tree under it (plan ->
-// per-disk batch -> retry -> backoff -> hedge trigger -> replan -> decode
+// per-disk batch -> retry -> hedge trigger -> replan -> decode
 // -> assemble, or -> write), and RequestForensics aggregates finished
 // traces into windowed percentiles and SLO burn rates per request class.
 // Requests that breach a latency threshold or that needed recovery

@@ -5,47 +5,24 @@
 // positional pread; the one device whose batch reads are truly
 // asynchronous); and the FaultDevice decorator, which injects scheduled
 // faults into either.
+//
+// Devices only move bytes: they count nothing. Every device call in src/
+// is made by a PlanExecutor submission queue, and that queue is the one
+// per-disk I/O account (ops, bytes, latency, errors, in-flight depth).
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <vector>
 
 #include "common/result.h"
 #include "common/types.h"
-#include "obs/metrics.h"
 
 namespace ecfrm::store {
 
 class BlockDevice {
   public:
     virtual ~BlockDevice() = default;
-
-    /// Attach (or clear, with a default-constructed bundle) per-device
-    /// I/O accounting. Safe against in-flight ops: the bundle is
-    /// published through an atomic pointer, so attaching mid-traffic is
-    /// race-free — ops already running keep the bundle they loaded
-    /// (every attached bundle stays alive until the device is
-    /// destroyed). Implementations count one op per successful
-    /// read/write, its payload bytes, and — only when the latency
-    /// histograms are attached — wall-clock service time.
-    void attach_io_stats(const obs::IoStats& io) {
-        auto bundle = std::make_unique<const obs::IoStats>(io);
-        const obs::IoStats* fresh = bundle.get();
-        {
-            std::lock_guard<std::mutex> lock(io_mu_);
-            io_bundles_.push_back(std::move(bundle));
-        }
-        io_.store(fresh, std::memory_order_release);
-    }
-
-    /// The current accounting bundle (never null). The acquire load pairs
-    /// with attach_io_stats' release store and is free on x86.
-    const obs::IoStats& io_stats() const { return *io_.load(std::memory_order_acquire); }
 
     virtual std::int64_t element_bytes() const = 0;
 
@@ -149,103 +126,6 @@ class BlockDevice {
 
     /// Silent-corruption injection hook (flips one stored byte).
     virtual Status corrupt_byte(RowId row, std::size_t offset) = 0;
-
-  protected:
-    /// Scoped I/O accounting for one device op: counts bytes/ops on
-    /// success and, when the histogram is attached, the op's wall-clock
-    /// seconds; failed ops land in the error counters instead. Cost when
-    /// nothing is attached: a few null checks.
-    class IoTimer {
-      public:
-        IoTimer(const obs::IoStats& io, bool is_read, std::int64_t bytes)
-            : io_(io), is_read_(is_read), bytes_(bytes),
-              timed_(is_read ? io.reads_timed() : io.writes_timed()) {
-            io.on_issue(1);
-            if (timed_) start_ = std::chrono::steady_clock::now();
-        }
-
-        void done(const Status& status) {
-            io_.on_settled(1);
-            if (!status.ok()) {
-                if (is_read_) {
-                    io_.on_read_error(bytes_);
-                } else {
-                    io_.on_write_error(bytes_);
-                }
-                return;
-            }
-            const double seconds =
-                timed_ ? std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count()
-                       : 0.0;
-            if (is_read_) {
-                io_.on_read(bytes_, seconds);
-            } else {
-                io_.on_write(bytes_, seconds);
-            }
-        }
-
-      private:
-        const obs::IoStats& io_;
-        bool is_read_;
-        std::int64_t bytes_;
-        bool timed_;
-        std::chrono::steady_clock::time_point start_{};
-    };
-
-    /// Batch-granular accounting: one timed window over the whole batch,
-    /// attributed evenly across its ops so per-op histograms stay
-    /// meaningful when implementations hold one lock per batch.
-    class BatchIoTimer {
-      public:
-        BatchIoTimer(const obs::IoStats& io, bool is_read, std::int64_t bytes_per_op,
-                     std::size_t ops)
-            : io_(io), is_read_(is_read), bytes_per_op_(bytes_per_op), ops_(ops),
-              timed_(is_read ? io.reads_timed() : io.writes_timed()) {
-            io.on_issue(static_cast<std::int64_t>(ops));
-            if (timed_) start_ = std::chrono::steady_clock::now();
-        }
-
-        /// `ok_ops` ops succeeded; `failed` marks one trailing failed op.
-        void done(std::size_t ok_ops, bool failed) {
-            io_.on_settled(static_cast<std::int64_t>(ops_));
-            const double seconds =
-                timed_ ? std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count()
-                       : 0.0;
-            const double share = ok_ops > 0 ? seconds / static_cast<double>(ok_ops) : 0.0;
-            for (std::size_t i = 0; i < ok_ops; ++i) {
-                if (is_read_) {
-                    io_.on_read(bytes_per_op_, share);
-                } else {
-                    io_.on_write(bytes_per_op_, share);
-                }
-            }
-            if (failed) {
-                if (is_read_) {
-                    io_.on_read_error(bytes_per_op_);
-                } else {
-                    io_.on_write_error(bytes_per_op_);
-                }
-            }
-        }
-
-      private:
-        const obs::IoStats& io_;
-        bool is_read_;
-        std::int64_t bytes_per_op_;
-        std::size_t ops_;
-        bool timed_;
-        std::chrono::steady_clock::time_point start_{};
-    };
-
-  private:
-    static const obs::IoStats* empty_io() {
-        static const obs::IoStats none;
-        return &none;
-    }
-
-    std::atomic<const obs::IoStats*> io_{empty_io()};
-    mutable std::mutex io_mu_;  // guards io_bundles_
-    std::vector<std::unique_ptr<const obs::IoStats>> io_bundles_;
 };
 
 }  // namespace ecfrm::store

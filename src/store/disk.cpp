@@ -9,22 +9,17 @@ Status Disk::write(RowId row, ConstByteSpan data) {
     if (static_cast<std::int64_t>(data.size()) != element_bytes_) {
         return Error::invalid("element size mismatch on write");
     }
-    IoTimer timer(io_stats(), /*is_read=*/false, static_cast<std::int64_t>(data.size()));
-    auto status = [&]() -> Status {
-        std::lock_guard lk(mu_);
-        if (failed_) return Error::disk_failed("write to failed disk");
-        if (static_cast<std::size_t>(row) >= slots_.size()) {
-            slots_.resize(static_cast<std::size_t>(row) + 1);
-            written_.resize(static_cast<std::size_t>(row) + 1, false);
-        }
-        auto& slot = slots_[static_cast<std::size_t>(row)];
-        if (slot.size() == 0) slot = AlignedBuffer::uninitialized(static_cast<std::size_t>(element_bytes_));
-        std::memcpy(slot.data(), data.data(), data.size());
-        written_[static_cast<std::size_t>(row)] = true;
-        return Status::success();
-    }();
-    timer.done(status);
-    return status;
+    std::lock_guard lk(mu_);
+    if (failed_) return Error::disk_failed("write to failed disk");
+    if (static_cast<std::size_t>(row) >= slots_.size()) {
+        slots_.resize(static_cast<std::size_t>(row) + 1);
+        written_.resize(static_cast<std::size_t>(row) + 1, false);
+    }
+    auto& slot = slots_[static_cast<std::size_t>(row)];
+    if (slot.size() == 0) slot = AlignedBuffer::uninitialized(static_cast<std::size_t>(element_bytes_));
+    std::memcpy(slot.data(), data.data(), data.size());
+    written_[static_cast<std::size_t>(row)] = true;
+    return Status::success();
 }
 
 Status Disk::read(RowId row, ByteSpan out) const {
@@ -32,18 +27,13 @@ Status Disk::read(RowId row, ByteSpan out) const {
     if (static_cast<std::int64_t>(out.size()) != element_bytes_) {
         return Error::invalid("element size mismatch on read");
     }
-    IoTimer timer(io_stats(), /*is_read=*/true, static_cast<std::int64_t>(out.size()));
-    auto status = [&]() -> Status {
-        std::lock_guard lk(mu_);
-        if (failed_) return Error::disk_failed("read from failed disk");
-        if (static_cast<std::size_t>(row) >= slots_.size() || !written_[static_cast<std::size_t>(row)]) {
-            return Error::range("row never written");
-        }
-        std::memcpy(out.data(), slots_[static_cast<std::size_t>(row)].data(), out.size());
-        return Status::success();
-    }();
-    timer.done(status);
-    return status;
+    std::lock_guard lk(mu_);
+    if (failed_) return Error::disk_failed("read from failed disk");
+    if (static_cast<std::size_t>(row) >= slots_.size() || !written_[static_cast<std::size_t>(row)]) {
+        return Error::range("row never written");
+    }
+    std::memcpy(out.data(), slots_[static_cast<std::size_t>(row)].data(), out.size());
+    return Status::success();
 }
 
 Status Disk::read_batch(std::span<const RowId> rows, std::span<const ByteSpan> outs,
@@ -56,22 +46,15 @@ Status Disk::read_batch(std::span<const RowId> rows, std::span<const ByteSpan> o
             return Error::invalid("element size mismatch on read");
         }
     }
-    BatchIoTimer timer(io_stats(), /*is_read=*/true, element_bytes_, rows.size());
-    std::size_t done = 0;
-    auto status = [&]() -> Status {
-        std::lock_guard lk(mu_);
-        if (failed_) return Error::disk_failed("read from failed disk");
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            const auto row = static_cast<std::size_t>(rows[i]);
-            if (row >= slots_.size() || !written_[row]) return Error::range("row never written");
-            std::memcpy(outs[i].data(), slots_[row].data(), outs[i].size());
-            done = i + 1;
-        }
-        return Status::success();
-    }();
-    timer.done(done, !status.ok());
-    if (completed != nullptr) *completed = done;
-    return status;
+    std::lock_guard lk(mu_);
+    if (failed_) return Error::disk_failed("read from failed disk");
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const auto row = static_cast<std::size_t>(rows[i]);
+        if (row >= slots_.size() || !written_[row]) return Error::range("row never written");
+        std::memcpy(outs[i].data(), slots_[row].data(), outs[i].size());
+        if (completed != nullptr) *completed = i + 1;
+    }
+    return Status::success();
 }
 
 Status Disk::write_batch(std::span<const RowId> rows, std::span<const ConstByteSpan> payloads,
@@ -84,28 +67,21 @@ Status Disk::write_batch(std::span<const RowId> rows, std::span<const ConstByteS
             return Error::invalid("element size mismatch on write");
         }
     }
-    BatchIoTimer timer(io_stats(), /*is_read=*/false, element_bytes_, rows.size());
-    std::size_t done = 0;
-    auto status = [&]() -> Status {
-        std::lock_guard lk(mu_);
-        if (failed_) return Error::disk_failed("write to failed disk");
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            const auto row = static_cast<std::size_t>(rows[i]);
-            if (row >= slots_.size()) {
-                slots_.resize(row + 1);
-                written_.resize(row + 1, false);
-            }
-            auto& slot = slots_[row];
-            if (slot.size() == 0) slot = AlignedBuffer::uninitialized(static_cast<std::size_t>(element_bytes_));
-            std::memcpy(slot.data(), payloads[i].data(), payloads[i].size());
-            written_[row] = true;
-            done = i + 1;
+    std::lock_guard lk(mu_);
+    if (failed_) return Error::disk_failed("write to failed disk");
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const auto row = static_cast<std::size_t>(rows[i]);
+        if (row >= slots_.size()) {
+            slots_.resize(row + 1);
+            written_.resize(row + 1, false);
         }
-        return Status::success();
-    }();
-    timer.done(done, !status.ok());
-    if (completed != nullptr) *completed = done;
-    return status;
+        auto& slot = slots_[row];
+        if (slot.size() == 0) slot = AlignedBuffer::uninitialized(static_cast<std::size_t>(element_bytes_));
+        std::memcpy(slot.data(), payloads[i].data(), payloads[i].size());
+        written_[row] = true;
+        if (completed != nullptr) *completed = i + 1;
+    }
+    return Status::success();
 }
 
 Status Disk::corrupt_byte(RowId row, std::size_t offset) {

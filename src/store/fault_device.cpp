@@ -194,19 +194,12 @@ FaultDevice::Decision FaultDevice::decide(bool is_read, RowId row, std::int64_t*
 }
 
 Status FaultDevice::read(RowId row, ByteSpan out) const {
-    IoTimer timer(io_stats(), /*is_read=*/true, static_cast<std::int64_t>(out.size()));
     double stall_ms = 0.0;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (tripped_) {
-            Status status = Error::disk_failed("fault-injected fail-stop");
-            timer.done(status);
-            return status;
-        }
+        if (tripped_) return Error::disk_failed("fault-injected fail-stop");
         if (detected_rows_.count(row) != 0) {
-            Status status = Error::corrupt("device EDC: row damaged by injected bit flip");
-            timer.done(status);
-            return status;
+            return Error::corrupt("device EDC: row damaged by injected bit flip");
         }
         std::int64_t seq = 0;
         const Decision d = decide(/*is_read=*/true, row, &seq);
@@ -215,15 +208,10 @@ Status FaultDevice::read(RowId row, ByteSpan out) const {
                 case FaultKind::fail_stop: {
                     tripped_ = true;
                     inner_->fail();
-                    Status status = Error::disk_failed("fault-injected fail-stop");
-                    timer.done(status);
-                    return status;
+                    return Error::disk_failed("fault-injected fail-stop");
                 }
-                case FaultKind::transient: {
-                    Status status = Error::io("fault-injected transient read error");
-                    timer.done(status);
-                    return status;
-                }
+                case FaultKind::transient:
+                    return Error::io("fault-injected transient read error");
                 case FaultKind::bit_flip: {
                     const std::int64_t eb = inner_->element_bytes();
                     const std::size_t offset =
@@ -232,10 +220,7 @@ Status FaultDevice::read(RowId row, ByteSpan out) const {
                     (void)inner_->corrupt_byte(row, offset);
                     if (d.rule->detected) {
                         detected_rows_.insert(row);
-                        Status status =
-                            Error::corrupt("device EDC: row damaged by injected bit flip");
-                        timer.done(status);
-                        return status;
+                        return Error::corrupt("device EDC: row damaged by injected bit flip");
                     }
                     break;  // silent: the read below serves the flipped bytes
                 }
@@ -250,21 +235,14 @@ Status FaultDevice::read(RowId row, ByteSpan out) const {
     if (stall_ms > 0.0) {
         std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(stall_ms));
     }
-    Status status = inner_->read(row, out);
-    timer.done(status);
-    return status;
+    return inner_->read(row, out);
 }
 
 Status FaultDevice::write(RowId row, ConstByteSpan data) {
-    IoTimer timer(io_stats(), /*is_read=*/false, static_cast<std::int64_t>(data.size()));
     double stall_ms = 0.0;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (tripped_) {
-            Status status = Error::disk_failed("fault-injected fail-stop");
-            timer.done(status);
-            return status;
-        }
+        if (tripped_) return Error::disk_failed("fault-injected fail-stop");
         std::int64_t seq = 0;
         const Decision d = decide(/*is_read=*/false, row, &seq);
         if (d.fired) {
@@ -272,15 +250,10 @@ Status FaultDevice::write(RowId row, ConstByteSpan data) {
                 case FaultKind::fail_stop: {
                     tripped_ = true;
                     inner_->fail();
-                    Status status = Error::disk_failed("fault-injected fail-stop");
-                    timer.done(status);
-                    return status;
+                    return Error::disk_failed("fault-injected fail-stop");
                 }
-                case FaultKind::transient: {
-                    Status status = Error::io("fault-injected transient write error");
-                    timer.done(status);
-                    return status;
-                }
+                case FaultKind::transient:
+                    return Error::io("fault-injected transient write error");
                 case FaultKind::torn_write: {
                     // A prefix of the payload lands over whatever the row
                     // held before; the op still reports failure, exactly
@@ -295,9 +268,7 @@ Status FaultDevice::write(RowId row, ConstByteSpan data) {
                     }
                     std::copy(data.begin(), data.begin() + landed, merged.begin());
                     (void)inner_->write(row, ConstByteSpan(merged));
-                    Status status = Error::io("fault-injected torn write");
-                    timer.done(status);
-                    return status;
+                    return Error::io("fault-injected torn write");
                 }
                 case FaultKind::latency:
                     stall_ms = d.rule->latency_ms;
@@ -310,9 +281,7 @@ Status FaultDevice::write(RowId row, ConstByteSpan data) {
     if (stall_ms > 0.0) {
         std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(stall_ms));
     }
-    Status status = inner_->write(row, data);
-    timer.done(status);
-    return status;
+    return inner_->write(row, data);
 }
 
 void FaultDevice::fail() {

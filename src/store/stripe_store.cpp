@@ -86,11 +86,9 @@ void StripeStore::attach_observability(obs::MetricRegistry* metrics,
     exec::ExecutorMetrics exec_metrics;
     fresh.forensics = forensics;
     fresh.heat = heat;
-    if (metrics == nullptr) {
-        for (auto& disk : disks_) disk->attach_io_stats({});
-    } else {
+    if (metrics != nullptr) {
         for (int d = 0; d < scheme_.disks(); ++d) {
-            disks_[static_cast<std::size_t>(d)]->attach_io_stats(metrics->disk_io_stats(d));
+            exec_metrics.disk_io.push_back(metrics->disk_io_stats(d));
         }
         fresh.reads_total = &metrics->counter("ecfrm_store_reads_total");
         fresh.degraded_reads_total = &metrics->counter("ecfrm_store_degraded_reads_total");

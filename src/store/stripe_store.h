@@ -12,8 +12,8 @@
 // device I/O flow through exec::PlanExecutor: reads execute an
 // AccessPlan, writes execute a WritePlan — so stripe commits, parity
 // writes, overwrites, rebuild and scrub repairs all get batched
-// submission, the retry/backoff policy and request-trace spans from one
-// engine.
+// submission, the retry policy, the per-disk I/O account and
+// request-trace spans from one engine.
 //
 // Concurrency: mutators serialise on a writer mutex, but hold the
 // reader/writer lock exclusively only for the manifest/commit window —
@@ -260,7 +260,8 @@ class StripeStore {
     RecoveryOptions recovery() const { return executor_.recovery(); }
 
     /// Attach (or detach, with nulls) observability: per-disk I/O
-    /// accounting under ecfrm_disk_*{disk=i} and store-level counters
+    /// accounting under ecfrm_disk_*{disk=i}, counted by the executor's
+    /// queues (the devices count nothing), and store-level counters
     /// under ecfrm_store_*. With a `forensics`, every read (and scrub
     /// pass) gets a per-request causal span tree (plan -> per-disk batch
     /// -> decode -> assemble), feeds the per-class SLO windows, and is
@@ -302,8 +303,8 @@ class StripeStore {
 
   private:
     /// Store-level observability sinks, bundled so attach_observability
-    /// can swap them atomically under live traffic (the executor and the
-    /// devices hold their own bundles).
+    /// can swap them atomically under live traffic (the executor holds its
+    /// own bundle).
     struct StoreObs {
         obs::RequestForensics* forensics = nullptr;
         obs::DiskHeatModel* heat = nullptr;

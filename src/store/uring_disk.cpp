@@ -460,12 +460,11 @@ Status UringDisk::load_map() {
 Status UringDisk::flush_files() {
     // fd-based backend: nothing is buffered in userspace, so the page
     // cache is already the durability point; only the opt-in fsync costs
-    // (and counts) anything.
+    // anything.
     if (!fsync_enabled()) return Status::success();
     if (::fsync(data_fd_) != 0 || ::fsync(map_fd_) != 0) {
         return Error::io("fsync failed on device files");
     }
-    io_stats().on_flush(2);
     return Status::success();
 }
 
@@ -474,26 +473,20 @@ Status UringDisk::write(RowId row, ConstByteSpan data) {
     if (static_cast<std::int64_t>(data.size()) != element_bytes_) {
         return Error::invalid("element size mismatch on write");
     }
-    IoTimer timer(io_stats(), /*is_read=*/false, static_cast<std::int64_t>(data.size()));
-    auto status = [&]() -> Status {
-        std::lock_guard lk(mu_);
-        if (failed_) return Error::disk_failed("write to failed disk");
-        auto st =
-            pwrite_full(data_fd_, data.data(), data.size(), element_offset(row, element_bytes_));
-        if (!st.ok()) return st;
-        // pwrite past EOF zero-fills the gap, so skipped map rows read
-        // back as 0 with no explicit padding writes.
-        const std::uint8_t one = 1;
-        st = pwrite_full(map_fd_, &one, 1, static_cast<off_t>(row));
-        if (!st.ok()) return Error::io("write failed on map file");
-        if (static_cast<std::size_t>(row) >= written_.size()) {
-            written_.resize(static_cast<std::size_t>(row) + 1, false);
-        }
-        written_[static_cast<std::size_t>(row)] = true;
-        return flush_files();
-    }();
-    timer.done(status);
-    return status;
+    std::lock_guard lk(mu_);
+    if (failed_) return Error::disk_failed("write to failed disk");
+    auto st = pwrite_full(data_fd_, data.data(), data.size(), element_offset(row, element_bytes_));
+    if (!st.ok()) return st;
+    // pwrite past EOF zero-fills the gap, so skipped map rows read back
+    // as 0 with no explicit padding writes.
+    const std::uint8_t one = 1;
+    st = pwrite_full(map_fd_, &one, 1, static_cast<off_t>(row));
+    if (!st.ok()) return Error::io("write failed on map file");
+    if (static_cast<std::size_t>(row) >= written_.size()) {
+        written_.resize(static_cast<std::size_t>(row) + 1, false);
+    }
+    written_[static_cast<std::size_t>(row)] = true;
+    return flush_files();
 }
 
 Status UringDisk::read(RowId row, ByteSpan out) const {
@@ -501,18 +494,13 @@ Status UringDisk::read(RowId row, ByteSpan out) const {
     if (static_cast<std::int64_t>(out.size()) != element_bytes_) {
         return Error::invalid("element size mismatch on read");
     }
-    IoTimer timer(io_stats(), /*is_read=*/true, static_cast<std::int64_t>(out.size()));
-    auto status = [&]() -> Status {
-        std::shared_lock lk(mu_);
-        if (failed_) return Error::disk_failed("read from failed disk");
-        if (static_cast<std::size_t>(row) >= written_.size() ||
-            !written_[static_cast<std::size_t>(row)]) {
-            return Error::range("row never written");
-        }
-        return pread_full(data_fd_, out.data(), out.size(), element_offset(row, element_bytes_));
-    }();
-    timer.done(status);
-    return status;
+    std::shared_lock lk(mu_);
+    if (failed_) return Error::disk_failed("read from failed disk");
+    if (static_cast<std::size_t>(row) >= written_.size() ||
+        !written_[static_cast<std::size_t>(row)]) {
+        return Error::range("row never written");
+    }
+    return pread_full(data_fd_, out.data(), out.size(), element_offset(row, element_bytes_));
 }
 
 std::vector<UringDisk::Run> UringDisk::coalesce(std::span<const RowId> rows,
@@ -564,27 +552,21 @@ class UringDisk::UringBatch final : public BlockDevice::AsyncBatch {
           runs_(std::move(runs)),
           outs_(std::move(outs)),
           run_ok_(runs_.size(), false),
-          run_pending_(runs_.size(), true),
-          timer_(disk->io_stats(), /*is_read=*/true, disk->element_bytes_, outs_.size()) {
+          run_pending_(runs_.size(), true) {
         submit_all();
     }
 
     ~UringBatch() override {
         // An abandoned batch still has kernel writes targeting caller
         // buffers; drain them before those buffers can die.
-        if (!awaited_) {
-            (void)finish();
-            timer_.done(prefix_elements(), !error_.ok());
-        }
+        if (!awaited_) (void)finish();
         disk_->rings_->release(ring_);
     }
 
     Status await(std::size_t* completed) override {
         Status status = finish();
         awaited_ = true;
-        const std::size_t done = prefix_elements();
-        timer_.done(done, !status.ok());
-        if (completed != nullptr) *completed = done;
+        if (completed != nullptr) *completed = prefix_elements();
         return status;
     }
 
@@ -602,7 +584,6 @@ class UringDisk::UringBatch final : public BlockDevice::AsyncBatch {
     }
 
     void submit_all() {
-        std::size_t sqes = 0;
         for (std::size_t r = 0; r < runs_.size(); ++r) {
             const Run& run = runs_[r];
             if (!run.contiguous) {
@@ -619,7 +600,6 @@ class UringDisk::UringBatch final : public BlockDevice::AsyncBatch {
             while (!ring_->prep_read(dst, len, static_cast<off_t>(run.offset), r)) {
                 if (!drain(1)) return;
             }
-            ++sqes;
         }
         if (ring_->submit_and_wait(0)) {
             // Opportunistically reap whatever already finished.
@@ -630,8 +610,6 @@ class UringDisk::UringBatch final : public BlockDevice::AsyncBatch {
             if (error_.ok()) error_ = Error::io("io_uring_enter failed");
             fail_pending();
         }
-        // In-kernel queue depth actually achieved by this batch.
-        disk_->io_stats().on_batch_depth(static_cast<std::int64_t>(sqes));
     }
 
     /// Submit anything prepped, wait for ≥`min` completions, reap them.
@@ -690,7 +668,6 @@ class UringDisk::UringBatch final : public BlockDevice::AsyncBatch {
     std::vector<ByteSpan> outs_;
     std::vector<bool> run_ok_;
     std::vector<bool> run_pending_;
-    BlockDevice::BatchIoTimer timer_;
     Status error_ = Status::success();
     bool awaited_ = false;
 };
@@ -725,15 +702,11 @@ std::unique_ptr<BlockDevice::AsyncBatch> UringDisk::submit_read_batch(
 
     std::shared_lock lk(mu_);
     if (failed_) {
-        BatchIoTimer timer(io_stats(), /*is_read=*/true, element_bytes_, rows.size());
-        timer.done(0, true);
         return std::make_unique<DoneBatch>(Error::disk_failed("read from failed disk"), 0);
     }
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const auto row = static_cast<std::size_t>(rows[i]);
         if (row >= written_.size() || !written_[row]) {
-            BatchIoTimer timer(io_stats(), /*is_read=*/true, element_bytes_, rows.size());
-            timer.done(0, true);
             return std::make_unique<DoneBatch>(Error::range("row never written"), 0);
         }
     }
@@ -750,20 +723,13 @@ std::unique_ptr<BlockDevice::AsyncBatch> UringDisk::submit_read_batch(
 
     // Blocking positional path (pread mode, uring unavailable, or every
     // ring busy). Still batched: one shared-lock hold, coalesced runs.
-    BatchIoTimer timer(io_stats(), /*is_read=*/true, element_bytes_, rows.size());
     std::size_t done = 0;
-    auto status = [&]() -> Status {
-        const auto runs = coalesce(rows, outs, element_bytes_);
-        for (const Run& run : runs) {
-            auto st = read_run(run, outs);
-            if (!st.ok()) return st;
-            done += run.count;
-        }
-        io_stats().on_batch_depth(static_cast<std::int64_t>(runs.size()));
-        return Status::success();
-    }();
-    timer.done(done, !status.ok());
-    return std::make_unique<DoneBatch>(std::move(status), done);
+    for (const Run& run : coalesce(rows, outs, element_bytes_)) {
+        auto st = read_run(run, outs);
+        if (!st.ok()) return std::make_unique<DoneBatch>(std::move(st), done);
+        done += run.count;
+    }
+    return std::make_unique<DoneBatch>(Status::success(), done);
 }
 
 Status UringDisk::read_batch(std::span<const RowId> rows, std::span<const ByteSpan> outs,
@@ -790,29 +756,22 @@ Status UringDisk::write_batch(std::span<const RowId> rows, std::span<const Const
             return Error::invalid("element size mismatch on write");
         }
     }
-    BatchIoTimer timer(io_stats(), /*is_read=*/false, element_bytes_, rows.size());
-    std::size_t done = 0;
-    auto status = [&]() -> Status {
-        std::lock_guard lk(mu_);
-        if (failed_) return Error::disk_failed("write to failed disk");
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            auto st = pwrite_full(data_fd_, payloads[i].data(), payloads[i].size(),
-                                  element_offset(rows[i], element_bytes_));
-            if (!st.ok()) return st;
-            const std::uint8_t one = 1;
-            st = pwrite_full(map_fd_, &one, 1, static_cast<off_t>(rows[i]));
-            if (!st.ok()) return Error::io("write failed on map file");
-            const auto row = static_cast<std::size_t>(rows[i]);
-            if (row >= written_.size()) written_.resize(row + 1, false);
-            written_[row] = true;
-            done = i + 1;
-        }
-        // One durability point per batch (counted only under ECFRM_FSYNC).
-        return flush_files();
-    }();
-    timer.done(done, !status.ok());
-    if (completed != nullptr) *completed = done;
-    return status;
+    std::lock_guard lk(mu_);
+    if (failed_) return Error::disk_failed("write to failed disk");
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        auto st = pwrite_full(data_fd_, payloads[i].data(), payloads[i].size(),
+                              element_offset(rows[i], element_bytes_));
+        if (!st.ok()) return st;
+        const std::uint8_t one = 1;
+        st = pwrite_full(map_fd_, &one, 1, static_cast<off_t>(rows[i]));
+        if (!st.ok()) return Error::io("write failed on map file");
+        const auto row = static_cast<std::size_t>(rows[i]);
+        if (row >= written_.size()) written_.resize(row + 1, false);
+        written_[row] = true;
+        if (completed != nullptr) *completed = i + 1;
+    }
+    // One durability point per batch (an fsync only under ECFRM_FSYNC).
+    return flush_files();
 }
 
 void UringDisk::fail() {

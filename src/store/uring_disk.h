@@ -88,7 +88,7 @@ class UringDisk final : public BlockDevice {
     void close_files();
     Status load_map();
     Status ensure_map(RowId row);  // pad map bytes up to `row` (excl.), exclusive lock held
-    Status flush_files();          // fsync both files under ECFRM_FSYNC=1 (counted), else nothing
+    Status flush_files();          // fsync both files under ECFRM_FSYNC=1, else nothing
 
     /// One coalesced transfer: `count` elements starting at batch index
     /// `first`, file offset `offset`. `contiguous` when the destination

@@ -4,7 +4,8 @@
 // byte-identical on the same files, concurrent same-disk readers see
 // consistent bytes without serializing, offsets survive >2 GiB files,
 // content and the failed state survive reopen, coalesced batches match
-// per-op reads, write batches flush once, the async batch contract holds,
+// per-op reads, the async batch contract holds, the store counts an async
+// first chunk once,
 // a replacement that cannot come online stays failed, and the BufferPool
 // arena behaves.
 #include <gtest/gtest.h>
@@ -166,30 +167,6 @@ TEST_P(BackendTest, OffsetsBeyondTwoGiB) {
     const auto size = fs::file_size(fs::path(dir.path()) / "disk_0.dat", ec);
     ASSERT_FALSE(ec);
     EXPECT_GT(size, std::uint64_t{2} * 1024 * 1024 * 1024);
-}
-
-// A write batch takes at most ONE flush point, not one per element: the
-// fd backends have no userspace buffers and count 0 flushes without
-// ECFRM_FSYNC.
-TEST(IoBackend, WriteBatchFlushesOncePerBatch) {
-    TempDir dir("backend_flush");
-    constexpr std::int64_t kElem = 32;
-    obs::MetricRegistry registry;
-    const auto payload = random_bytes(static_cast<std::size_t>(kElem) * 16, 3);
-    std::vector<RowId> rows;
-    std::vector<ConstByteSpan> payloads;
-    for (RowId r = 0; r < 16; ++r) {
-        rows.push_back(r);
-        payloads.emplace_back(payload.data() + r * kElem, kElem);
-    }
-
-    auto disk = open_file_device(dir.path(), 0, kElem, IoBackend::pread);
-    ASSERT_TRUE(disk.ok());
-    const obs::IoStats stats = registry.disk_io_stats(0);
-    disk.value()->attach_io_stats(stats);
-    ASSERT_TRUE(disk.value()->write_batch(rows, payloads).ok());
-    ASSERT_NE(stats.flushes, nullptr);
-    EXPECT_EQ(stats.flushes->value(), 0);
 }
 
 // Content written by one device instance is there after reopen; rows()
@@ -532,6 +509,54 @@ TEST_P(BackendTest, HealthyReadsPerformZeroStagingCopies) {
     ASSERT_TRUE(store->read_elements(0, payload_elems, ByteSpan(out.data(), out.size())).ok());
     EXPECT_EQ(out, payload);
     EXPECT_EQ(store->assemble_staging_copies(), 0);
+}
+
+// On a serial store each read queue's first chunk (here the whole
+// queue) goes in flight at issue, asynchronously on uring, and is
+// counted when it is awaited. Every element read is one op of its disk,
+// exactly as the in-memory devices' synchronous path counts it, and
+// each disk's in-flight gauge settles back to 0.
+TEST_P(BackendTest, AsyncFirstChunkIsCountedOncePerElement) {
+    const IoBackend backend = GetParam();
+    TempDir dir("account");
+    const std::int64_t elem = 512;
+    const std::int64_t elems = 40;
+    auto code = codes::make_code("rs:6,3");
+    ASSERT_TRUE(code.ok());
+    auto scheme = [&] { return core::Scheme(code.value(), layout::LayoutKind::ecfrm); };
+    auto opened = StripeStore::open(scheme(), elem,
+                                    [&](int index) -> Result<std::unique_ptr<BlockDevice>> {
+                                        return open_file_device(dir.path(), index, elem, backend);
+                                    });
+    ASSERT_TRUE(opened.ok()) << opened.error().message;
+    auto files = std::move(opened).take();
+    StripeStore memory(scheme(), elem);
+
+    const auto payload = random_bytes(static_cast<std::size_t>(elems * elem), 13);
+    obs::MetricRegistry file_metrics;
+    obs::MetricRegistry memory_metrics;
+    const std::pair<StripeStore*, obs::MetricRegistry*> runs[] = {
+        {files.get(), &file_metrics}, {&memory, &memory_metrics}};
+    for (const auto& [st, reg] : runs) {
+        ASSERT_TRUE(st->append(ConstByteSpan(payload.data(), payload.size())).ok());
+        ASSERT_TRUE(st->flush().ok());
+        st->attach_observability(reg);
+        std::vector<std::uint8_t> out(payload.size());
+        ASSERT_TRUE(st->read_elements(0, elems, ByteSpan(out.data(), out.size())).ok());
+        EXPECT_EQ(out, payload);
+        st->attach_observability(nullptr);
+    }
+    std::int64_t total = 0;
+    for (int d = 0; d < memory.scheme().disks(); ++d) {
+        const obs::Labels disk{{"disk", std::to_string(d)}};
+        const std::int64_t ops = file_metrics.counter("ecfrm_disk_read_ops_total", disk).value();
+        EXPECT_EQ(ops, memory_metrics.counter("ecfrm_disk_read_ops_total", disk).value())
+            << "disk " << d;
+        EXPECT_EQ(file_metrics.histogram("ecfrm_disk_read_seconds", disk).count(), ops);
+        EXPECT_EQ(file_metrics.gauge("ecfrm_disk_in_flight_ops", disk).value(), 0.0);
+        total += ops;
+    }
+    EXPECT_EQ(total, elems);
 }
 
 TEST(BufferPool, AcquireReleaseAndHeapFallback) {

@@ -1,7 +1,8 @@
 // Observability substrate: counters, gauges, log-bucketed histograms,
-// registry identity, exporters, and the per-device IoStats hook —
-// including a threaded stress run that doubles as the sanitizer target
-// (build with -DECFRM_SANITIZE=address or =undefined). Also the
+// registry identity, exporters, and the per-disk IoStats account that
+// the store's executor keeps — including a threaded stress run that
+// doubles as the sanitizer target (build with
+// -DECFRM_SANITIZE=address or =undefined). Also the
 // tail-forensics layer: sliding-window histograms, the SLO tracker,
 // per-request span trees, the exemplar store and its chrome export.
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "codes/factory.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
@@ -19,7 +21,8 @@
 #include "obs/json.h"
 #include "obs/request_trace.h"
 #include "obs/window.h"
-#include "store/disk.h"
+#include "store/fault_device.h"
+#include "store/stripe_store.h"
 
 namespace ecfrm::obs {
 namespace {
@@ -223,59 +226,97 @@ TEST(Registry, DiskIoStatsRegistersFullFamily) {
     IoStats io = reg.disk_io_stats(3);
     ASSERT_NE(io.read_ops, nullptr);
     ASSERT_NE(io.write_seconds, nullptr);
-    EXPECT_TRUE(io.reads_timed());
-    EXPECT_TRUE(io.writes_timed());
-    io.on_read(4096, 0.001);
-    io.on_read(4096, 0.002);
-    io.on_write(512, 0.003);
+    EXPECT_TRUE(io.timed(/*read=*/true));
+    EXPECT_TRUE(io.timed(/*read=*/false));
+    io.on_issue(3);
+    io.on_call(/*read=*/true, 2, 2, false, 4096, 0.004);
+    io.on_call(/*read=*/false, 1, 1, false, 512, 0.003);
     EXPECT_EQ(io.read_ops->value(), 2);
     EXPECT_EQ(io.read_bytes->value(), 8192);
     EXPECT_EQ(io.read_seconds->count(), 2);
+    EXPECT_DOUBLE_EQ(io.read_seconds->sum(), 0.004);
     EXPECT_EQ(io.write_ops->value(), 1);
     EXPECT_EQ(io.write_bytes->value(), 512);
+    EXPECT_DOUBLE_EQ(io.in_flight->value(), 0.0);
     // Same disk again: same instances.
     IoStats again = reg.disk_io_stats(3);
     EXPECT_EQ(again.read_ops, io.read_ops);
     // Unattached bundle is a no-op, not a crash.
     IoStats detached;
-    detached.on_read(1, 1.0);
-    detached.on_write(1, 1.0);
-    EXPECT_FALSE(detached.reads_timed());
+    detached.on_issue(1);
+    detached.on_call(/*read=*/true, 1, 0, true, 1, 1.0);
+    EXPECT_FALSE(detached.timed(/*read=*/true));
 }
 
+std::unique_ptr<store::StripeStore> open_store(const store::FaultPlan& plan) {
+    auto code = codes::make_code("rs:6,3");
+    EXPECT_TRUE(code.ok());
+    auto opened = store::StripeStore::open(core::Scheme(code.value(), layout::LayoutKind::ecfrm),
+                                           64, store::faulty_memory_factory(64, plan));
+    EXPECT_TRUE(opened.ok());
+    return std::move(opened).take();
+}
+
+// Appends `stripes` full stripes and reads them back, counted into `reg`.
+void write_and_read(store::StripeStore& st, MetricRegistry& reg, int stripes) {
+    st.attach_observability(&reg);
+    const std::vector<std::uint8_t> data(static_cast<std::size_t>(stripes * st.stripe_data_bytes()),
+                                         0xAB);
+    ASSERT_TRUE(st.append(ConstByteSpan(data.data(), data.size())).ok());
+    auto out = st.read_bytes(0, static_cast<std::int64_t>(data.size()));
+    ASSERT_TRUE(out.ok()) << out.error().message;
+    EXPECT_EQ(out.value(), data);
+    st.attach_observability(nullptr);
+}
+
+// The store's executor is the one per-disk account: every element a
+// store write or read moves is one op of its disk, with its bytes and
+// one latency sample.
 TEST(Registry, DiskInstrumentationCountsDeviceOps) {
     MetricRegistry reg;
-    store::Disk disk(64);
-    disk.attach_io_stats(reg.disk_io_stats(0));
-
-    std::vector<std::uint8_t> data(64, 0xAB);
-    ASSERT_TRUE(disk.write(0, ConstByteSpan(data.data(), data.size())).ok());
-    ASSERT_TRUE(disk.write(1, ConstByteSpan(data.data(), data.size())).ok());
-    std::vector<std::uint8_t> out(64);
-    ASSERT_TRUE(disk.read(0, ByteSpan(out.data(), out.size())).ok());
-    // Failed reads must not count as served I/O.
-    std::vector<std::uint8_t> wrong(32);
-    ASSERT_FALSE(disk.read(0, ByteSpan(wrong.data(), wrong.size())).ok());
-
-    EXPECT_EQ(reg.counter("ecfrm_disk_write_ops_total", {{"disk", "0"}}).value(), 2);
-    EXPECT_EQ(reg.counter("ecfrm_disk_write_bytes_total", {{"disk", "0"}}).value(), 128);
-    EXPECT_EQ(reg.counter("ecfrm_disk_read_ops_total", {{"disk", "0"}}).value(), 1);
-    EXPECT_EQ(reg.counter("ecfrm_disk_read_bytes_total", {{"disk", "0"}}).value(), 64);
-    EXPECT_EQ(reg.histogram("ecfrm_disk_read_seconds", {{"disk", "0"}}).count(), 1);
+    auto st = open_store({});
+    write_and_read(*st, reg, 2);
+    std::int64_t writes = 0;
+    std::int64_t reads = 0;
+    for (int d = 0; d < 9; ++d) {
+        const Labels disk{{"disk", std::to_string(d)}};
+        const std::int64_t w = reg.counter("ecfrm_disk_write_ops_total", disk).value();
+        const std::int64_t r = reg.counter("ecfrm_disk_read_ops_total", disk).value();
+        EXPECT_EQ(reg.counter("ecfrm_disk_write_bytes_total", disk).value(), 64 * w);
+        EXPECT_EQ(reg.counter("ecfrm_disk_read_bytes_total", disk).value(), 64 * r);
+        EXPECT_EQ(reg.histogram("ecfrm_disk_write_seconds", disk).count(), w);
+        EXPECT_EQ(reg.histogram("ecfrm_disk_read_seconds", disk).count(), r);
+        writes += w;
+        reads += r;
+    }
+    // A healthy read fetches the data only; a stripe writes its data and
+    // its parity, 9 elements per 6 of data.
+    const std::int64_t data_elements = 2 * st->stripe_data_bytes() / 64;
+    EXPECT_EQ(reads, data_elements);
+    EXPECT_EQ(writes, data_elements * 9 / 6);
 }
 
+// Disk 2's first write and its first two reads fail once each and are
+// retried: each op type counts its errors and their bytes, and the
+// failed ops are never served I/O — disk 2 serves exactly the ops of a
+// fault-free twin.
 TEST(Registry, IoErrorsCountedPerDiskAndOp) {
+    store::FaultPlan plan;
+    store::FaultRule write_eio;
+    write_eio.kind = store::FaultKind::transient;
+    write_eio.disk = 2;
+    write_eio.op = store::FaultOp::write;
+    write_eio.first_op = 0;
+    store::FaultRule read_eio = write_eio;
+    read_eio.op = store::FaultOp::read;
+    read_eio.count = 2;
+    plan.rules = {write_eio, read_eio};
     MetricRegistry reg;
-    store::Disk disk(64);
-    disk.attach_io_stats(reg.disk_io_stats(2));
-
-    std::vector<std::uint8_t> data(64, 0xCD);
-    ASSERT_TRUE(disk.write(0, ConstByteSpan(data.data(), data.size())).ok());
-    disk.fail();
-    std::vector<std::uint8_t> out(64);
-    ASSERT_FALSE(disk.read(0, ByteSpan(out.data(), out.size())).ok());
-    ASSERT_FALSE(disk.read(0, ByteSpan(out.data(), out.size())).ok());
-    ASSERT_FALSE(disk.write(0, ConstByteSpan(data.data(), data.size())).ok());
+    MetricRegistry clean;
+    auto st = open_store(plan);
+    write_and_read(*st, reg, 5);
+    auto twin = open_store({});
+    write_and_read(*twin, clean, 5);
 
     const Labels read_labels{{"disk", "2"}, {"op", "read"}};
     const Labels write_labels{{"disk", "2"}, {"op", "write"}};
@@ -283,9 +324,11 @@ TEST(Registry, IoErrorsCountedPerDiskAndOp) {
     EXPECT_EQ(reg.counter("ecfrm_store_io_error_bytes_total", read_labels).value(), 128);
     EXPECT_EQ(reg.counter("ecfrm_store_io_errors_total", write_labels).value(), 1);
     EXPECT_EQ(reg.counter("ecfrm_store_io_error_bytes_total", write_labels).value(), 64);
-    // Failed ops never count as served I/O.
-    EXPECT_EQ(reg.counter("ecfrm_disk_read_ops_total", {{"disk", "2"}}).value(), 0);
-    EXPECT_EQ(reg.counter("ecfrm_disk_write_ops_total", {{"disk", "2"}}).value(), 1);
+    for (const char* name : {"ecfrm_disk_read_ops_total", "ecfrm_disk_write_ops_total"}) {
+        const std::int64_t served = reg.counter(name, {{"disk", "2"}}).value();
+        EXPECT_GT(served, 0) << name;
+        EXPECT_EQ(served, clean.counter(name, {{"disk", "2"}}).value()) << name;
+    }
     EXPECT_NE(reg.help("ecfrm_store_io_errors_total"), "");
 }
 

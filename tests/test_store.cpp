@@ -16,6 +16,7 @@
 #include "codes/factory.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "obs/heat.h"
 #include "obs/metrics.h"
 #include "obs/request_trace.h"
 #include "core/read_planner.h"
@@ -973,6 +974,158 @@ TEST(StoreRecovery, ForensicsCaptureReplannedReadWithTiledPhases) {
     EXPECT_EQ(forensics.finished_total(obs::RequestClass::degraded), 2);
     EXPECT_EQ(forensics.finished_total(obs::RequestClass::normal), 0);
     f.store->attach_observability(nullptr);
+}
+
+/// A FaultDevice-backed RS(6,3) store of 90 elements, and the fault
+/// devices behind it, for the one-account tests.
+struct AccountFixture {
+    std::vector<FaultDevice*> devices;
+    std::unique_ptr<StripeStore> store;
+    std::vector<std::uint8_t> data;
+
+    AccountFixture(const FaultPlan& plan, ThreadPool* pool) {
+        auto opened = StripeStore::open(
+            make_scheme("rs:6,3", LayoutKind::ecfrm), 64,
+            [&](int index) -> Result<std::unique_ptr<BlockDevice>> {
+                auto device = std::make_unique<FaultDevice>(std::make_unique<Disk>(64), plan,
+                                                            static_cast<DiskId>(index));
+                devices.push_back(device.get());
+                return std::unique_ptr<BlockDevice>(std::move(device));
+            },
+            pool);
+        EXPECT_TRUE(opened.ok());
+        store = std::move(opened).take();
+        data = random_bytes(64 * 90, 5);
+        EXPECT_TRUE(store->append(ConstByteSpan(data.data(), data.size())).ok());
+        EXPECT_TRUE(store->flush().ok());
+    }
+
+    /// Read [offset, offset + length) and check its bytes.
+    void read(std::int64_t offset, std::int64_t length) {
+        auto out = store->read_bytes(offset, length);
+        ASSERT_TRUE(out.ok()) << out.error().message;
+        EXPECT_TRUE(std::equal(out.value().begin(), out.value().end(), data.begin() + offset));
+    }
+};
+
+double in_flight(obs::MetricRegistry& metrics, int disk) {
+    return metrics.gauge("ecfrm_disk_in_flight_ops", {{"disk", std::to_string(disk)}}).value();
+}
+
+// The executor's queues are the one per-disk I/O account. Over a fixed
+// read mix — healthy reads, one transient read error that is retried,
+// reads with a failed disk — each disk's read-op counter equals the heat
+// model's ops and the `done` of its disk.batch spans, its read errors
+// equal the transient faults its device fired, and after every read
+// nothing is in flight.
+TEST(StoreAccount, ReadMixCountsEachDeviceOpOnce) {
+    FaultPlan plan;
+    FaultRule eio;
+    eio.kind = FaultKind::transient;
+    eio.disk = 3;
+    eio.op = FaultOp::read;
+    eio.first_op = 2;
+    eio.count = 1;
+    plan.rules = {eio};
+    ThreadPool pool(4);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        SCOPED_TRACE(p == nullptr ? "serial" : "pool of 4");
+        AccountFixture f(plan, p);
+        obs::MetricRegistry metrics;
+        obs::ForensicsOptions fopts;
+        fopts.slow_threshold_us = 0.0;  // capture every request
+        fopts.max_exemplars = 1024;
+        obs::RequestForensics forensics(fopts);
+        obs::DiskHeatModel heat(9);
+        f.store->attach_observability(&metrics, &forensics, &heat);  // after writes: reads only
+
+        const auto size = static_cast<std::int64_t>(f.data.size());
+        const std::pair<std::int64_t, std::int64_t> ranges[] = {
+            {0, size}, {64 * 7, 64 * 20}, {64 * 33 + 5, 64 * 40}};
+        for (const bool degraded : {false, true}) {
+            if (degraded) {
+                ASSERT_TRUE(f.store->fail_disk(5).ok());
+            }
+            for (const auto& [offset, length] : ranges) {
+                f.read(offset, length);
+                for (int d = 0; d < 9; ++d) EXPECT_EQ(in_flight(metrics, d), 0.0) << "disk " << d;
+            }
+        }
+        f.store->attach_observability(nullptr);
+
+        std::vector<std::int64_t> done(9, 0);
+        for (const auto& rt : forensics.exemplars()) {
+            for (const obs::SpanNode& node : rt->nodes()) {
+                if (node.name != "disk.batch") continue;
+                int disk = -1;
+                std::int64_t landed = 0;
+                for (const auto& [key, value] : node.attrs) {
+                    if (key == "disk") disk = std::stoi(value);
+                    if (key == "done") landed = std::stoll(value);
+                }
+                ASSERT_GE(disk, 0);
+                done[static_cast<std::size_t>(disk)] += landed;
+            }
+        }
+        std::int64_t fired_total = 0;
+        for (int d = 0; d < 9; ++d) {
+            SCOPED_TRACE("disk " + std::to_string(d));
+            const std::int64_t ops =
+                metrics.counter("ecfrm_disk_read_ops_total", {{"disk", std::to_string(d)}}).value();
+            EXPECT_EQ(ops, heat.disk_snapshot(d, obs::DiskHeatModel::now_seconds()).total_ops);
+            EXPECT_EQ(ops, done[static_cast<std::size_t>(d)]);
+            std::int64_t fired = 0;
+            for (const FaultDevice::Event& e : f.devices[static_cast<std::size_t>(d)]->events()) {
+                fired += e.is_read && e.kind == FaultKind::transient ? 1 : 0;
+            }
+            EXPECT_EQ(metrics
+                          .counter("ecfrm_store_io_errors_total",
+                                   {{"disk", std::to_string(d)}, {"op", "read"}})
+                          .value(),
+                      fired);
+            fired_total += fired;
+        }
+        EXPECT_EQ(fired_total, 1);
+        EXPECT_EQ(metrics.counter("ecfrm_store_retries_total").value(), 1);
+    }
+}
+
+// A read call that returns past its op_timeout_ms deadline is a timeout
+// to the read path, which routes around the disk, but to the disk's
+// account it is what the device returned: one served read, no error.
+// On a pool the reaper gives up on the call at its deadline, and the
+// orphaned queue counts the read when the call returns.
+TEST(StoreAccount, LateCallCountsAsServedReadsAndATimeout) {
+    FaultPlan plan;
+    FaultRule slow;
+    slow.kind = FaultKind::latency;
+    slow.disk = 0;
+    slow.op = FaultOp::read;
+    slow.first_op = 0;
+    slow.count = 1;
+    slow.latency_ms = 40.0;
+    plan.rules = {slow};
+    RecoveryOptions recovery;
+    recovery.op_timeout_ms = 5.0;
+    ThreadPool pool(4);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        SCOPED_TRACE(p == nullptr ? "serial" : "pool of 4");
+        AccountFixture f(plan, p);
+        f.store->set_recovery(recovery);
+        obs::MetricRegistry metrics;
+        f.store->attach_observability(&metrics);
+        f.read(0, static_cast<std::int64_t>(f.data.size()));
+        f.store->attach_observability(&metrics);  // drains an orphaned queue
+
+        const obs::Labels disk0{{"disk", "0"}};
+        EXPECT_EQ(metrics.counter("ecfrm_store_timeouts_total").value(), 1);
+        EXPECT_EQ(metrics.counter("ecfrm_disk_read_ops_total", disk0).value(), 1);
+        EXPECT_EQ(metrics.counter("ecfrm_store_io_errors_total", {{"disk", "0"}, {"op", "read"}})
+                      .value(),
+                  0);
+        for (int d = 0; d < 9; ++d) EXPECT_EQ(in_flight(metrics, d), 0.0) << "disk " << d;
+        f.store->attach_observability(nullptr);
+    }
 }
 
 /// Counts every element read per (disk, row) on its way to `inner`.
