@@ -1,13 +1,19 @@
 // One simulated in-memory storage device: a growable array of fixed-size
-// element slots plus a failure flag. Thread-safe; reads copy out under the
-// lock so callers never hold references into resizable storage.
+// element slots plus a failure flag. Slots live in slabs: anonymous
+// mappings of whole 2 MiB units, advised for transparent huge pages, that
+// hold rows_per_slab consecutive rows each. A disk that is destroyed,
+// failed or replaced retires its slabs to one process-wide free list, and
+// a growing disk takes from that list before it maps new memory, so a
+// fresh store reuses pages that are already faulted in. Thread-safe;
+// reads copy out under the lock.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
+#include <memory>
 #include <mutex>
 #include <vector>
 
-#include "common/aligned_buffer.h"
 #include "common/result.h"
 #include "common/types.h"
 #include "store/block_device.h"
@@ -16,7 +22,7 @@ namespace ecfrm::store {
 
 class Disk final : public BlockDevice {
   public:
-    explicit Disk(std::int64_t element_bytes) : element_bytes_(element_bytes) {}
+    explicit Disk(std::int64_t element_bytes);
 
     std::int64_t element_bytes() const override { return element_bytes_; }
 
@@ -52,9 +58,25 @@ class Disk final : public BlockDevice {
     RowId rows() const override;
 
   private:
+    /// Returns a slab of `bytes` to the process-wide free list.
+    struct SlabRetire {
+        std::size_t bytes;
+        void operator()(std::uint8_t* base) const noexcept;
+    };
+    using Slab = std::unique_ptr<std::uint8_t[], SlabRetire>;
+
+    /// Make rows [0, rows) addressable. Caller holds mu_.
+    Status grow(std::size_t rows);
+    /// Row `row`'s bytes; the row must be below written_.size().
+    std::uint8_t* slot(std::size_t row) const;
+
     mutable std::mutex mu_;
     std::int64_t element_bytes_;
-    std::vector<AlignedBuffer> slots_;
+    std::size_t rows_per_slab_;
+    std::size_t slab_bytes_;
+    std::vector<Slab> slabs_;
+    /// A slot's bytes are served only once written: slabs are recycled,
+    /// so an unwritten slot may hold another disk's stale bytes.
     std::vector<bool> written_;
     /// Written under mu_; failed() reads it without the lock.
     std::atomic<bool> failed_{false};

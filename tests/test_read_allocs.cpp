@@ -113,16 +113,18 @@ constexpr std::uint64_t kDegradedReadBytes = 1;
 //     payload spans (1);
 //   - PlanExecutor::write: the shared submission round with its rows,
 //     payloads and queue list (4), the per-disk schedule, a PlanBatches:
-//     its indices, rows, batch list and fill cursors (4);
-//   - the in-memory replacement disk: one slot per rebuilt row (3).
+//     its indices, rows, batch list and fill cursors (4).
+// The in-memory replacement disk adds none: its rows land in a slab the
+// warm-up chunk already took.
 constexpr RowId kRebuildChunkRows = 3;
-constexpr std::uint64_t kRebuildChunk = 14;
+constexpr std::uint64_t kRebuildChunk = 11;
 
 // One full stripe appended after warm-up stripes, pool-less, on the
-// fixture's store grown to 9 stripes (27 rows, so no device slot table
-// grows under the measured stripe's rows 27-29). StripeStore::append and
-// a pool-less EcPipeline::append commit the same way, data and parity in
-// one WritePlan round, so both cost the same:
+// fixture's store grown to 9 stripes (27 rows; the measured stripe's rows
+// 27-29 lie in each disk's first slab, so no device table grows under
+// them). StripeStore::append and a pool-less EcPipeline::append commit
+// the same way, data and parity in one WritePlan round, so both cost the
+// same:
 //   - the parity encode: the buffer list and its 9 elements (10), and
 //     each of the 3 groups' data and parity span lists (6);
 //   - the write plan: its per-disk loads and its placements (2), the
@@ -130,10 +132,10 @@ constexpr std::uint64_t kRebuildChunk = 14;
 //   - PlanExecutor::write: the shared submission round with its rows,
 //     payloads and queue list (4), and the per-disk schedule, a
 //     PlanBatches: its indices, rows, batch list and fill cursors (4),
-//     however many disks the stripe spans;
-//   - the in-memory disks: one slot per written element (27).
+//     however many disks the stripe spans.
+// The in-memory disks add none: each row lands in a slab slot.
 constexpr std::int64_t kWarmStripes = 5;
-constexpr std::uint64_t kStripeAppend = 54;
+constexpr std::uint64_t kStripeAppend = 27;
 
 class ReadAllocs : public ::testing::Test {
   protected:

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -489,6 +490,207 @@ TEST(Disk, SizeMismatchRejected) {
     std::vector<std::uint8_t> ok(16, 1);
     ASSERT_TRUE(disk.write(0, ConstByteSpan(ok.data(), ok.size())).ok());
     EXPECT_FALSE(disk.read(0, ByteSpan(small.data(), small.size())).ok());
+}
+
+// A Disk keeps its rows in slabs of whole 2 MiB mappings.
+constexpr std::int64_t kSlabBytes = std::int64_t{2} << 20;
+
+/// The payload row `row` of a Disk test holds: a pattern that differs
+/// between neighbouring rows and between byte offsets.
+std::vector<std::uint8_t> row_payload(RowId row, std::int64_t elem) {
+    std::vector<std::uint8_t> payload(static_cast<std::size_t>(elem));
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+        payload[i] = static_cast<std::uint8_t>(static_cast<std::uint64_t>(row) * 131 + i * 7 + 1);
+    }
+    return payload;
+}
+
+/// Write `rows` one by one, then read them back one by one and as one
+/// batch.
+void expect_rows_round_trip(Disk& disk, const std::vector<RowId>& rows) {
+    const std::int64_t elem = disk.element_bytes();
+    for (RowId row : rows) {
+        const auto payload = row_payload(row, elem);
+        ASSERT_TRUE(disk.write(row, ConstByteSpan(payload.data(), payload.size())).ok()) << row;
+    }
+    std::vector<std::vector<std::uint8_t>> outs(rows.size(),
+                                                std::vector<std::uint8_t>(static_cast<std::size_t>(elem)));
+    std::vector<ByteSpan> spans;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        ASSERT_TRUE(disk.read(rows[i], ByteSpan(outs[i].data(), outs[i].size())).ok()) << rows[i];
+        EXPECT_EQ(outs[i], row_payload(rows[i], elem)) << "row " << rows[i];
+        std::fill(outs[i].begin(), outs[i].end(), std::uint8_t{0});
+        spans.emplace_back(outs[i].data(), outs[i].size());
+    }
+    std::size_t completed = 0;
+    ASSERT_TRUE(disk.read_batch(rows, spans, &completed).ok());
+    EXPECT_EQ(completed, rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(outs[i], row_payload(rows[i], elem)) << "batched row " << rows[i];
+    }
+}
+
+TEST(Disk, RowsOnBothSidesOfASlabBoundary) {
+    constexpr std::int64_t kElem = 4096;
+    constexpr RowId kRowsPerSlab = kSlabBytes / kElem;
+    Disk disk(kElem);
+    expect_rows_round_trip(disk, {kRowsPerSlab - 2, kRowsPerSlab - 1, kRowsPerSlab, kRowsPerSlab + 1,
+                                  2 * kRowsPerSlab - 1, 2 * kRowsPerSlab, 0});
+    // Corruption lands in the addressed row only, on either side.
+    ASSERT_TRUE(disk.corrupt_byte(kRowsPerSlab, 5).ok());
+    std::vector<std::uint8_t> out(static_cast<std::size_t>(kElem));
+    ASSERT_TRUE(disk.read(kRowsPerSlab, ByteSpan(out.data(), out.size())).ok());
+    auto expected = row_payload(kRowsPerSlab, kElem);
+    expected[5] ^= 0xff;
+    EXPECT_EQ(out, expected);
+    ASSERT_TRUE(disk.read(kRowsPerSlab - 1, ByteSpan(out.data(), out.size())).ok());
+    EXPECT_EQ(out, row_payload(kRowsPerSlab - 1, kElem));
+}
+
+TEST(Disk, ElementThatDoesNotDivideTheSlab) {
+    constexpr std::int64_t kElem = 3000;  // 699 rows per slab, 152 bytes spare
+    constexpr RowId kRowsPerSlab = kSlabBytes / kElem;
+    Disk disk(kElem);
+    expect_rows_round_trip(disk, {0, kRowsPerSlab - 1, kRowsPerSlab, 2 * kRowsPerSlab - 1,
+                                  2 * kRowsPerSlab, 2 * kRowsPerSlab + 1});
+    EXPECT_EQ(disk.rows(), 2 * kRowsPerSlab + 2);
+}
+
+TEST(Disk, ElementLargerThanASlabTakesOneSlabPerRow) {
+    constexpr std::int64_t kElem = kSlabBytes + 4096;
+    Disk disk(kElem);
+    expect_rows_round_trip(disk, {2, 0, 1});
+    EXPECT_EQ(disk.rows(), 3);
+    ASSERT_TRUE(disk.corrupt_byte(1, static_cast<std::size_t>(kElem - 1)).ok());
+    EXPECT_FALSE(disk.corrupt_byte(1, static_cast<std::size_t>(kElem)).ok());
+}
+
+TEST(Disk, RowsIsTheWriteHighWaterMark) {
+    constexpr std::int64_t kElem = 4096;
+    Disk disk(kElem);
+    EXPECT_EQ(disk.rows(), 0);
+    const auto payload = row_payload(0, kElem);
+    const ConstByteSpan data(payload.data(), payload.size());
+    ASSERT_TRUE(disk.write(10, data).ok());
+    EXPECT_EQ(disk.rows(), 11);
+    ASSERT_TRUE(disk.write(3, data).ok());
+    EXPECT_EQ(disk.rows(), 11);
+    ASSERT_TRUE(disk.write(kSlabBytes / kElem + 7, data).ok());
+    EXPECT_EQ(disk.rows(), kSlabBytes / kElem + 8);
+    // Rows below the mark that were never written still fail.
+    std::vector<std::uint8_t> out(static_cast<std::size_t>(kElem));
+    const Status gap = disk.read(5, ByteSpan(out.data(), out.size()));
+    ASSERT_FALSE(gap.ok());
+    EXPECT_EQ(gap.error().message, "row never written");
+    EXPECT_FALSE(disk.read(kSlabBytes / kElem + 8, ByteSpan(out.data(), out.size())).ok());
+}
+
+TEST(Disk, FailAndReplaceDropEverySlab) {
+    constexpr std::int64_t kElem = 4096;
+    constexpr RowId kRows = 3 * (kSlabBytes / kElem);
+    Disk disk(kElem);
+    std::vector<RowId> rows;
+    for (RowId row = 0; row < kRows; row += 97) rows.push_back(row);
+    rows.push_back(kRows - 1);
+    expect_rows_round_trip(disk, rows);
+
+    std::vector<std::uint8_t> out(static_cast<std::size_t>(kElem));
+    for (const bool fail_first : {true, false}) {
+        if (fail_first) {
+            disk.fail();
+            EXPECT_FALSE(disk.read(0, ByteSpan(out.data(), out.size())).ok());
+            EXPECT_EQ(disk.rows(), 0);
+        }
+        disk.replace();
+        EXPECT_EQ(disk.rows(), 0);
+        for (RowId row : rows) {
+            EXPECT_FALSE(disk.read(row, ByteSpan(out.data(), out.size())).ok()) << row;
+            EXPECT_FALSE(disk.corrupt_byte(row, 0).ok()) << row;
+        }
+        expect_rows_round_trip(disk, rows);
+    }
+}
+
+TEST(Disk, RecycledSlabNeverServesAnotherDisksBytes) {
+    constexpr std::int64_t kElem = 4096;
+    constexpr RowId kRows = 2 * (kSlabBytes / kElem);
+    std::vector<RowId> all(static_cast<std::size_t>(kRows));
+    for (RowId row = 0; row < kRows; ++row) all[static_cast<std::size_t>(row)] = row;
+    {
+        Disk a(kElem);
+        expect_rows_round_trip(a, all);
+    }
+    // b grows over the slabs a just retired, but serves only rows it wrote.
+    Disk b(kElem);
+    const auto payload = row_payload(kRows - 1, kElem);
+    ASSERT_TRUE(b.write(kRows - 1, ConstByteSpan(payload.data(), payload.size())).ok());
+    std::vector<std::uint8_t> out(static_cast<std::size_t>(kElem));
+    for (RowId row = 0; row < kRows - 1; ++row) {
+        const Status status = b.read(row, ByteSpan(out.data(), out.size()));
+        ASSERT_FALSE(status.ok()) << row;
+        EXPECT_EQ(status.error().message, "row never written") << row;
+        ASSERT_FALSE(b.corrupt_byte(row, 0).ok()) << row;
+    }
+    const std::vector<RowId> batch = {kRows - 1, 0};
+    std::vector<std::uint8_t> first(static_cast<std::size_t>(kElem));
+    const std::vector<ByteSpan> outs = {ByteSpan(first.data(), first.size()),
+                                        ByteSpan(out.data(), out.size())};
+    std::size_t completed = 0;
+    const Status status = b.read_batch(batch, outs, &completed);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.error().message, "row never written");
+    EXPECT_EQ(completed, 1u);
+    EXPECT_EQ(first, payload);
+}
+
+TEST(Disk, ConcurrentWritersGrowAcrossSlabsWhileReadersReadCommittedRows) {
+    constexpr std::int64_t kElem = 64 * 1024;  // 32 rows per slab
+    constexpr int kWriters = 2;
+    constexpr RowId kRowsPerWriter = 96;       // 192 rows: 6 slabs
+    Disk disk(kElem);
+    // committed[w]: rows w, w + kWriters, ... below this count are written.
+    std::array<std::atomic<RowId>, kWriters> committed{};
+    std::atomic<bool> done{false};
+    std::atomic<int> bad{0};
+    std::atomic<std::int64_t> reads{0};
+
+    std::vector<std::thread> threads;
+    for (int w = 0; w < kWriters; ++w) {
+        threads.emplace_back([&, w] {
+            for (RowId i = 0; i < kRowsPerWriter; ++i) {
+                const RowId row = i * kWriters + w;
+                const auto payload = row_payload(row, kElem);
+                if (!disk.write(row, ConstByteSpan(payload.data(), payload.size())).ok()) ++bad;
+                committed[static_cast<std::size_t>(w)].store(i + 1, std::memory_order_release);
+            }
+        });
+    }
+    for (int r = 0; r < 2; ++r) {
+        threads.emplace_back([&, r] {
+            Rng rng(static_cast<std::uint64_t>(r) + 11);
+            std::vector<std::uint8_t> out(static_cast<std::size_t>(kElem));
+            // At least 64 reads each, and on until both writers are done.
+            for (int n = 0; n < 64 || !done.load(std::memory_order_acquire);) {
+                const int w = static_cast<int>(rng.next_below(kWriters));
+                const RowId written = committed[static_cast<std::size_t>(w)].load(std::memory_order_acquire);
+                if (written == 0) continue;
+                const RowId row =
+                    static_cast<RowId>(rng.next_below(static_cast<std::uint64_t>(written))) * kWriters + w;
+                if (!disk.read(row, ByteSpan(out.data(), out.size())).ok() ||
+                    out != row_payload(row, kElem) || disk.rows() <= row) {
+                    ++bad;
+                }
+                ++reads;
+                ++n;
+            }
+        });
+    }
+    for (int w = 0; w < kWriters; ++w) threads[static_cast<std::size_t>(w)].join();
+    done.store(true, std::memory_order_release);
+    for (std::size_t t = kWriters; t < threads.size(); ++t) threads[t].join();
+    EXPECT_EQ(bad.load(), 0);
+    EXPECT_GE(reads.load(), 2 * 64);
+    EXPECT_EQ(disk.rows(), kWriters * kRowsPerWriter);
 }
 
 // ---- Self-healing read path -----------------------------------------------
