@@ -2,8 +2,10 @@
 // fixed-size element slots addressed by row. Implementations: the
 // in-memory Disk (tests, benches, simulations); the persistent UringDisk
 // that store::open_file_device builds (io_uring, falling back to
-// positional pread; the one device whose batch reads are truly
-// asynchronous); and the FaultDevice decorator, which injects scheduled
+// positional pread; the one device whose submitted batch reads run on an
+// I/O thread of its own, so batches to different disks overlap even when
+// the kernel serves each read inside the syscall, as it does from the
+// page cache); and the FaultDevice decorator, which injects scheduled
 // faults into either.
 //
 // Devices only move bytes: they count nothing. Every device call in src/
@@ -70,9 +72,12 @@ class BlockDevice {
     /// simply runs the synchronous read_batch() at submit time and hands
     /// back its result, so every existing device (Disk, FaultDevice,
     /// decorators) gets the async interface for free with unchanged
-    /// semantics; truly asynchronous backends (UringDisk) override it to
-    /// put the whole batch in flight and complete it in await(). `rows`
-    /// and `outs` must stay valid until await() returns.
+    /// semantics; UringDisk overrides it to queue the batch for its I/O
+    /// thread and finish it in await(). `rows` and `outs` must stay valid
+    /// until await() returns. A device holds no lock from submit to
+    /// await: a caller submits to every disk before awaiting any, and
+    /// reads other disks in between, so a lock held across that window
+    /// would be taken in a different order on each request.
     virtual std::unique_ptr<AsyncBatch> submit_read_batch(
         std::span<const RowId> rows, std::span<const ByteSpan> outs) const {
         class SyncBatch final : public AsyncBatch {
@@ -92,9 +97,10 @@ class BlockDevice {
         return std::make_unique<SyncBatch>(std::move(status), done);
     }
 
-    /// True when submit_read_batch genuinely overlaps I/O (submission
-    /// returns before completion). The executor uses this to decide
-    /// whether submitting every disk's batch up front buys overlap.
+    /// True when submit_read_batch returns before the batch is served, so
+    /// batches submitted to different devices overlap. The executor uses
+    /// this to decide whether submitting every disk's batch up front buys
+    /// overlap.
     virtual bool async_reads() const { return false; }
 
     /// Vectored batch write: write payloads[i] to rows[i], in order,

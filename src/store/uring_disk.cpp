@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <mutex>
+#include <system_error>
 
 #if defined(ECFRM_HAVE_URING)
 #include <linux/io_uring.h>
@@ -72,7 +73,7 @@ Status pwrite_full(int fd, const std::uint8_t* src, std::size_t len, off_t offse
 
 /// Vectored positional read that finishes every iovec (advances the list
 /// across partial transfers). Mutates `iov`.
-Status preadv_full(int fd, std::vector<::iovec>& iov, off_t offset) {
+Status preadv_full(int fd, std::span<::iovec> iov, off_t offset) {
     std::size_t idx = 0;
     while (idx < iov.size()) {
         const int cnt = static_cast<int>(std::min<std::size_t>(iov.size() - idx, IOV_MAX));
@@ -360,7 +361,6 @@ class RingPool {
     static std::unique_ptr<RingPool> create(int /*data_fd*/, const BufferPool* /*arena*/) {
         return nullptr;
     }
-    void release(void*) {}
 };
 
 #endif  // ECFRM_HAVE_URING
@@ -380,7 +380,15 @@ UringDisk::UringDisk(std::string data_path, std::string map_path, std::string fa
       mode_(mode),
       arena_(arena) {}
 
-UringDisk::~UringDisk() { close_files(); }
+UringDisk::~UringDisk() {
+    {
+        std::lock_guard lk(io_.mu);
+        io_.stop = true;
+    }
+    io_.work.notify_one();
+    if (io_.thread.joinable()) io_.thread.join();
+    close_files();
+}
 
 bool UringDisk::uring_available() {
 #if defined(ECFRM_HAVE_URING)
@@ -503,243 +511,290 @@ Status UringDisk::read(RowId row, ByteSpan out) const {
     return pread_full(data_fd_, out.data(), out.size(), element_offset(row, element_bytes_));
 }
 
-std::vector<UringDisk::Run> UringDisk::coalesce(std::span<const RowId> rows,
-                                                std::span<const ByteSpan> outs,
-                                                std::int64_t element_bytes) {
-    std::vector<Run> runs;
+Status UringDisk::check_batch(std::span<const RowId> rows, std::span<const ByteSpan> outs) const {
+    if (rows.size() != outs.size()) return Error::invalid("batch rows/buffers size mismatch");
     for (std::size_t i = 0; i < rows.size(); ++i) {
-        if (!runs.empty() && rows[i] == rows[i - 1] + 1) {
-            Run& run = runs.back();
-            if (run.contiguous && outs[i].data() != outs[i - 1].data() + outs[i - 1].size()) {
-                run.contiguous = false;
-            }
-            ++run.count;
-        } else {
-            runs.push_back({i, 1, element_offset(rows[i], element_bytes), true});
+        if (rows[i] < 0) return Error::range("negative row");
+        if (static_cast<std::int64_t>(outs[i].size()) != element_bytes_) {
+            return Error::invalid("element size mismatch on read");
         }
     }
-    return runs;
+    return Status::success();
 }
 
-Status UringDisk::read_run(const Run& run, std::span<const ByteSpan> outs) const {
-    if (run.contiguous) {
-        const std::size_t total = outs[run.first].size() * run.count;
-        return pread_full(data_fd_, outs[run.first].data(), total, static_cast<off_t>(run.offset));
+void UringDisk::plan_reads(std::span<const RowId> rows, std::span<const ByteSpan> outs,
+                           ReadPlan& plan) const {
+    auto adjacent = [&](std::size_t i) { return i > 0 && rows[i] == rows[i - 1] + 1; };
+    auto contiguous = [&](std::size_t i) {
+        return adjacent(i) && outs[i - 1].data() + outs[i - 1].size() == outs[i].data();
+    };
+    // Size both lists exactly: one small allocation each.
+    std::size_t runs = 0;
+    std::size_t iovs = 0;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        runs += adjacent(i) ? 0 : 1;
+        iovs += contiguous(i) ? 0 : 1;
     }
-    std::vector<::iovec> iov(run.count);
-    for (std::size_t j = 0; j < run.count; ++j) {
-        iov[j].iov_base = outs[run.first + j].data();
-        iov[j].iov_len = outs[run.first + j].size();
+    plan.runs.reserve(runs);
+    plan.iov.reserve(iovs);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        if (!adjacent(i)) {
+            plan.runs.push_back({0, element_offset(rows[i], element_bytes_), plan.iov.size(), 0});
+        }
+        Run& run = plan.runs.back();
+        ++run.count;
+        if (contiguous(i)) {
+            plan.iov.back().iov_len += outs[i].size();
+        } else {
+            plan.iov.push_back({outs[i].data(), outs[i].size()});
+            ++run.iov_count;
+        }
     }
-    return preadv_full(data_fd_, iov, static_cast<off_t>(run.offset));
+}
+
+Status UringDisk::read_run(const Run& run, std::span<::iovec> iov) const {
+    if (run.iov_count == 1) {
+        // One destination: plain pread, which costs the kernel less than
+        // importing a one-entry iovec (it shows at small elements).
+        const ::iovec& dst = iov[run.iov_first];
+        return pread_full(data_fd_, static_cast<std::uint8_t*>(dst.iov_base), dst.iov_len,
+                          static_cast<off_t>(run.offset));
+    }
+    return preadv_full(data_fd_, iov.subspan(run.iov_first, run.iov_count),
+                       static_cast<off_t>(run.offset));
+}
+
+Status UringDisk::transfer(std::span<const RowId> rows, ReadPlan& plan, std::size_t& done) const {
+    done = 0;
+    std::shared_lock lk(mu_);
+    if (failed_) return Error::disk_failed("read from failed disk");
+    for (const RowId row : rows) {
+        const auto r = static_cast<std::size_t>(row);
+        if (r >= written_.size() || !written_[r]) return Error::range("row never written");
+    }
+#if defined(ECFRM_HAVE_URING)
+    if (rings_ != nullptr && !plan.runs.empty()) {
+        if (uring_detail::Ring* ring = rings_->try_acquire()) {
+            Status status = ring_read(*ring, plan);
+            rings_->release(ring);
+            for (const Run& run : plan.runs) {
+                if (!run.ok) break;
+                done += run.count;
+            }
+            return status;
+        }
+    }
+#endif
+    // pread mode, uring unavailable, or every ring busy (the contended
+    // case is exactly when the disk is already saturated).
+    for (const Run& run : plan.runs) {
+        auto status = read_run(run, plan.iov);
+        if (!status.ok()) return status;
+        done += run.count;
+    }
+    return Status::success();
 }
 
 #if defined(ECFRM_HAVE_URING)
 
-/// One in-flight io_uring batch: holds the device's shared lock (keeping
-/// fds open and failed() stable), a leased Ring, and the coalesced run
-/// list. Every run's SQE goes into the kernel at submit time; await()
-/// reaps. Contiguous runs become single READ/READ_FIXED SQEs; scattered
-/// runs use the blocking vectored path inline (one preadv beats burning
-/// a per-element SQE storm for what is one transfer either way).
-class UringDisk::UringBatch final : public BlockDevice::AsyncBatch {
-  public:
-    UringBatch(const UringDisk* disk, std::shared_lock<std::shared_mutex> lock,
-               uring_detail::Ring* ring, std::vector<Run> runs, std::vector<ByteSpan> outs)
-        : disk_(disk),
-          lock_(std::move(lock)),
-          ring_(ring),
-          runs_(std::move(runs)),
-          outs_(std::move(outs)),
-          run_ok_(runs_.size(), false),
-          run_pending_(runs_.size(), true) {
-        submit_all();
-    }
-
-    ~UringBatch() override {
-        // An abandoned batch still has kernel writes targeting caller
-        // buffers; drain them before those buffers can die.
-        if (!awaited_) (void)finish();
-        disk_->rings_->release(ring_);
-    }
-
-    Status await(std::size_t* completed) override {
-        Status status = finish();
-        awaited_ = true;
-        if (completed != nullptr) *completed = prefix_elements();
-        return status;
-    }
-
-  private:
-    /// Completed prefix implied by per-run outcomes: elements of leading
-    /// fully-successful runs. Runs complete out of order under io_uring,
-    /// so this is computed after every CQE has settled.
-    std::size_t prefix_elements() const {
-        std::size_t done = 0;
-        for (std::size_t r = 0; r < runs_.size(); ++r) {
-            if (!run_ok_[r]) break;
-            done += runs_[r].count;
-        }
-        return done;
-    }
-
-    void submit_all() {
-        for (std::size_t r = 0; r < runs_.size(); ++r) {
-            const Run& run = runs_[r];
-            if (!run.contiguous) {
-                auto st = disk_->read_run(run, outs_);
-                run_pending_[r] = false;
-                run_ok_[r] = st.ok();
-                if (!st.ok() && error_.ok()) error_ = st;
-                continue;
-            }
-            std::uint8_t* dst = outs_[run.first].data();
-            const std::size_t len = outs_[run.first].size() * run.count;
-            // Batches larger than the ring still work: drain completions
-            // whenever the SQ/CQ budget fills, then keep pushing.
-            while (!ring_->prep_read(dst, len, static_cast<off_t>(run.offset), r)) {
-                if (!drain(1)) return;
-            }
-        }
-        if (ring_->submit_and_wait(0)) {
-            // Opportunistically reap whatever already finished.
-            std::uint64_t tag = 0;
-            std::int32_t res = 0;
-            while (ring_->reap(&tag, &res)) handle_cqe(tag, res);
+Status UringDisk::ring_read(uring_detail::Ring& ring, ReadPlan& plan) const {
+    Status error = Status::success();
+    auto note = [&](Status status) {
+        if (!status.ok() && error.ok()) error = std::move(status);
+    };
+    auto complete = [&](std::uint64_t tag, std::int32_t res) {
+        Run& run = plan.runs[static_cast<std::size_t>(tag)];
+        if (res >= 0 && static_cast<std::size_t>(res) == plan.iov[run.iov_first].iov_len) {
+            run.ok = true;
+        } else if (res > 0) {
+            // Short read (signal, racing truncate): redo the run with the
+            // blocking path — re-reading the whole run is idempotent.
+            Status status = read_run(run, plan.iov);
+            run.ok = status.ok();
+            note(std::move(status));
         } else {
-            if (error_.ok()) error_ = Error::io("io_uring_enter failed");
-            fail_pending();
+            note(res == 0 ? Error::io("short read on data file")
+                          : Error::io("io_uring read failed on data file"));
         }
-    }
-
-    /// Submit anything prepped, wait for ≥`min` completions, reap them.
-    bool drain(unsigned min) {
-        if (!ring_->submit_and_wait(min)) {
-            if (error_.ok()) error_ = Error::io("io_uring_enter failed");
-            fail_pending();
+    };
+    // Submit everything prepped, wait for `min` completions (capped at
+    // what is in flight) and settle every reapable one.
+    auto drain = [&](unsigned min) {
+        if (!ring.submit_and_wait(min)) {
+            note(Error::io("io_uring_enter failed"));
             return false;
         }
         std::uint64_t tag = 0;
         std::int32_t res = 0;
-        while (ring_->reap(&tag, &res)) handle_cqe(tag, res);
+        while (ring.reap(&tag, &res)) complete(tag, res);
         return true;
-    }
-
-    void handle_cqe(std::uint64_t tag, std::int32_t res) {
-        const auto r = static_cast<std::size_t>(tag);
-        const Run& run = runs_[r];
-        if (!run_pending_[r]) return;
-        run_pending_[r] = false;
-        const auto want = static_cast<std::int64_t>(outs_[run.first].size()) *
-                          static_cast<std::int64_t>(run.count);
-        if (res >= 0 && static_cast<std::int64_t>(res) == want) {
-            run_ok_[r] = true;
-            return;
+    };
+    for (std::size_t r = 0; r < plan.runs.size(); ++r) {
+        Run& run = plan.runs[r];
+        run.ok = false;
+        if (run.iov_count != 1) {
+            // A scattered run is one preadv, not an SQE per element.
+            Status status = read_run(run, plan.iov);
+            run.ok = status.ok();
+            note(std::move(status));
+            continue;
         }
-        if (res > 0) {
-            // Short read (signal, racing truncate): redo the run with the
-            // blocking path — re-reading the whole run is idempotent.
-            auto st = disk_->read_run(run, outs_);
-            run_ok_[r] = st.ok();
-            if (!st.ok() && error_.ok()) error_ = st;
-            return;
-        }
-        if (error_.ok()) {
-            error_ = res == 0 ? Error::io("short read on data file")
-                              : Error::io("io_uring read failed on data file");
+        const ::iovec& dst = plan.iov[run.iov_first];
+        // Batches larger than the ring still work: drain completions
+        // whenever the SQ/CQ budget fills, then keep pushing.
+        while (!ring.prep_read(static_cast<std::uint8_t*>(dst.iov_base), dst.iov_len,
+                               static_cast<off_t>(run.offset), r)) {
+            if (!drain(1)) return error;
         }
     }
-
-    void fail_pending() {
-        for (std::size_t r = 0; r < runs_.size(); ++r) run_pending_[r] = false;
+    // Submit the rest and wait until every completion has settled.
+    while (drain(~0u) && ring.inflight() > 0) {
     }
-
-    Status finish() {
-        while (ring_->inflight() > 0) {
-            if (!drain(1)) break;
-        }
-        return error_;
-    }
-
-    const UringDisk* disk_;
-    std::shared_lock<std::shared_mutex> lock_;
-    uring_detail::Ring* ring_;
-    std::vector<Run> runs_;
-    std::vector<ByteSpan> outs_;
-    std::vector<bool> run_ok_;
-    std::vector<bool> run_pending_;
-    Status error_ = Status::success();
-    bool awaited_ = false;
-};
+    return error;
+}
 
 #endif  // ECFRM_HAVE_URING
 
+/// One submitted batch. It sits in its disk's FIFO while queued, until
+/// claimed — by the disk's I/O thread, or by await() when the thread has
+/// not reached it yet. Both claims are made under the FIFO's mutex and
+/// take the job out of the FIFO, so the thread never touches a job an
+/// awaiter took, and a claimed job can be freed as soon as it is served.
+/// Served, it holds the device lock only while it runs.
+class UringDisk::ReadJob final : public BlockDevice::AsyncBatch {
+  public:
+    /// A batch refused at submit: settled already.
+    explicit ReadJob(Status status) : status_(std::move(status)) {}
+
+    ReadJob(const UringDisk* disk, std::span<const RowId> rows, std::span<const ByteSpan> outs)
+        : disk_(disk), rows_(rows) {
+        disk->plan_reads(rows, outs, plan_);
+    }
+
+    // The FIFO and the I/O thread hold the job's address.
+    ReadJob(const ReadJob&) = delete;
+    ReadJob& operator=(const ReadJob&) = delete;
+
+    ~ReadJob() override {
+        // An abandoned batch still has a transfer targeting caller
+        // buffers; finish it before those buffers can die.
+        if (!awaited_) settle();
+    }
+
+    Status await(std::size_t* completed) override {
+        settle();
+        awaited_ = true;
+        if (completed != nullptr) *completed = done_;
+        return std::move(status_);
+    }
+
+  private:
+    friend class UringDisk;
+
+    void serve() {
+        try {
+            status_ = disk_->transfer(rows_, plan_, done_);
+        } catch (...) {
+            // Only a failing allocation or lock throws here, and an
+            // exception escaping the I/O thread would end the process:
+            // the batch reports it instead.
+            status_ = Error{Error::Code::internal, {}};
+        }
+    }
+
+    /// Runs once per job: from await(), or from the destructor of a job
+    /// never awaited.
+    void settle() {
+        if (disk_ == nullptr) return;  // refused at submit
+        IoThread& io = disk_->io_;
+        std::unique_lock lk(io.mu);
+        if (claimed_) {
+            io.done.wait(lk, [this] { return served_; });
+            return;
+        }
+        // Not started: serve it here rather than wait for the thread.
+        ReadJob** link = &io.head;
+        ReadJob* prev = nullptr;
+        while (*link != this) {
+            prev = *link;
+            link = &prev->next_;
+        }
+        *link = next_;
+        if (io.tail == this) io.tail = prev;
+        claimed_ = true;
+        lk.unlock();
+        serve();
+    }
+
+    const UringDisk* disk_ = nullptr;
+    std::span<const RowId> rows_;
+    ReadPlan plan_;
+    Status status_ = Status::success();
+    std::size_t done_ = 0;
+    // Under IoThread::mu:
+    ReadJob* next_ = nullptr;  // FIFO link
+    bool claimed_ = false;     // out of the FIFO, being served
+    bool served_ = false;      // served by the I/O thread
+    bool awaited_ = false;     // the owner's alone
+};
+
+void UringDisk::serve_jobs() const {
+    std::unique_lock lk(io_.mu);
+    for (;;) {
+        io_.work.wait(lk, [this] { return io_.head != nullptr || io_.stop; });
+        ReadJob* job = io_.head;
+        if (job == nullptr) return;  // stopped, FIFO drained
+        io_.head = job->next_;
+        if (io_.head == nullptr) io_.tail = nullptr;
+        job->claimed_ = true;
+        lk.unlock();
+        job->serve();
+        lk.lock();
+        job->served_ = true;
+        io_.done.notify_all();
+    }
+}
+
 std::unique_ptr<BlockDevice::AsyncBatch> UringDisk::submit_read_batch(
     std::span<const RowId> rows, std::span<const ByteSpan> outs) const {
-    // Immediate-result batch: validation errors and the blocking path.
-    class DoneBatch final : public AsyncBatch {
-      public:
-        DoneBatch(Status status, std::size_t done) : status_(std::move(status)), done_(done) {}
-        Status await(std::size_t* completed) override {
-            if (completed != nullptr) *completed = done_;
-            return status_;
+    Status valid = check_batch(rows, outs);
+    if (!valid.ok()) return std::make_unique<ReadJob>(std::move(valid));
+    auto job = std::make_unique<ReadJob>(this, rows, outs);
+    {
+        std::lock_guard lk(io_.mu);
+        if (!io_.thread.joinable()) {
+            try {
+                io_.thread = std::thread([this] { serve_jobs(); });
+            } catch (const std::system_error&) {
+                // No thread to be had: the job waits in the FIFO and its
+                // await() serves it, as read_batch would have.
+            }
         }
-
-      private:
-        Status status_;
-        std::size_t done_;
-    };
-
-    if (rows.size() != outs.size()) {
-        return std::make_unique<DoneBatch>(Error::invalid("batch rows/buffers size mismatch"), 0);
-    }
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        if (rows[i] < 0) return std::make_unique<DoneBatch>(Error::range("negative row"), 0);
-        if (static_cast<std::int64_t>(outs[i].size()) != element_bytes_) {
-            return std::make_unique<DoneBatch>(Error::invalid("element size mismatch on read"), 0);
+        if (io_.tail != nullptr) {
+            io_.tail->next_ = job.get();
+        } else {
+            io_.head = job.get();
         }
+        io_.tail = job.get();
     }
-
-    std::shared_lock lk(mu_);
-    if (failed_) {
-        return std::make_unique<DoneBatch>(Error::disk_failed("read from failed disk"), 0);
-    }
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const auto row = static_cast<std::size_t>(rows[i]);
-        if (row >= written_.size() || !written_[row]) {
-            return std::make_unique<DoneBatch>(Error::range("row never written"), 0);
-        }
-    }
-
-#if defined(ECFRM_HAVE_URING)
-    if (rings_ != nullptr && !rows.empty()) {
-        if (uring_detail::Ring* ring = rings_->try_acquire()) {
-            auto runs = coalesce(rows, outs, element_bytes_);
-            return std::make_unique<UringBatch>(this, std::move(lk), ring, std::move(runs),
-                                                std::vector<ByteSpan>(outs.begin(), outs.end()));
-        }
-    }
-#endif
-
-    // Blocking positional path (pread mode, uring unavailable, or every
-    // ring busy). Still batched: one shared-lock hold, coalesced runs.
-    std::size_t done = 0;
-    for (const Run& run : coalesce(rows, outs, element_bytes_)) {
-        auto st = read_run(run, outs);
-        if (!st.ok()) return std::make_unique<DoneBatch>(std::move(st), done);
-        done += run.count;
-    }
-    return std::make_unique<DoneBatch>(Status::success(), done);
+    io_.work.notify_one();
+    return job;
 }
 
 Status UringDisk::read_batch(std::span<const RowId> rows, std::span<const ByteSpan> outs,
                              std::size_t* completed) const {
-    // One implementation for both entry points: the sync form is just
-    // submit + immediate await.
-    return submit_read_batch(rows, outs)->await(completed);
+    if (completed != nullptr) *completed = 0;
+    Status valid = check_batch(rows, outs);
+    if (!valid.ok()) return valid;
+    ReadPlan plan;
+    plan_reads(rows, outs, plan);
+    std::size_t done = 0;
+    Status status = transfer(rows, plan, done);
+    if (completed != nullptr) *completed = done;
+    return status;
 }
 
-bool UringDisk::async_reads() const { return uring_active(); }
+bool UringDisk::async_reads() const { return true; }
 
 bool UringDisk::uring_active() const {
     std::shared_lock lk(mu_);

@@ -12,23 +12,36 @@
 //     destination buffers are also contiguous in memory collapse into a
 //     single large read (the zero-copy fast path: an EC-FRM per-disk
 //     sequential batch lands in the caller's buffer with one op);
-//   - in `uring` mode, a batch's coalesced runs map 1:1 onto io_uring
-//     SQEs submitted together (true per-disk in-kernel queue depth), with
-//     the data file registered as a fixed file and — when a BufferPool
-//     arena is attached — destinations inside the arena issued as
-//     registered-buffer fixed reads. The ring layer is a minimal raw
-//     syscall shim (no liburing dependency); when the kernel lacks
-//     io_uring the device transparently degrades to the pread path.
+//   - in `uring` mode, a batch's contiguous runs map 1:1 onto io_uring
+//     SQEs submitted together, with the data file registered as a fixed
+//     file and — when a BufferPool arena is attached — destinations
+//     inside the arena issued as registered-buffer fixed reads. The ring
+//     layer is a minimal raw syscall shim (no liburing dependency); when
+//     the kernel lacks io_uring the device transparently degrades to the
+//     pread path.
 //
-// submit_read_batch() genuinely overlaps: it puts the whole batch in
-// flight and completes it in await(), which is how PlanExecutor overlaps
-// submission across disks.
+// Each device serves its submitted batches on an I/O thread of its own,
+// so batches submitted to different disks overlap. A buffered read that
+// hits the page cache is a copy the kernel makes inside the syscall that
+// issues it — io_uring_enter included — on the calling thread, so
+// without a thread per disk one reader pays the sum of its disks' copies,
+// not the busiest disk's. submit_read_batch() checks its arguments, plans
+// the batch's runs and iovecs on the caller's thread (so serving it
+// allocates nothing) and queues it on the disk's FIFO; await() serves it
+// on the waiting thread instead when the I/O thread has not started it
+// yet. The thread starts at the first submit_read_batch() and is joined
+// by the destructor. read_batch() serves the same transfer inline.
 #pragma once
 
+#include <sys/uio.h>
+
 #include <atomic>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/buffer_pool.h"
@@ -38,6 +51,7 @@
 namespace ecfrm::store {
 
 namespace uring_detail {
+class Ring;      // one io_uring instance (uring_disk.cpp)
 class RingPool;  // per-device pool of io_uring instances (uring_disk.cpp)
 }
 
@@ -90,23 +104,61 @@ class UringDisk final : public BlockDevice {
     Status ensure_map(RowId row);  // pad map bytes up to `row` (excl.), exclusive lock held
     Status flush_files();          // fsync both files under ECFRM_FSYNC=1, else nothing
 
-    /// One coalesced transfer: `count` elements starting at batch index
-    /// `first`, file offset `offset`. `contiguous` when the destination
-    /// buffers also form one memory run (single-iovec fast path).
+    /// One coalesced transfer: `count` elements of adjacent rows from file
+    /// offset `offset` into the batch's iovecs [iov_first, iov_first +
+    /// iov_count) — one iovec when the destinations form one memory run.
     struct Run {
-        std::size_t first = 0;
         std::size_t count = 0;
         std::int64_t offset = 0;
-        bool contiguous = false;
+        std::size_t iov_first = 0;
+        std::size_t iov_count = 0;
+        bool ok = false;  // settled successfully (ring completions arrive out of order)
     };
-    static std::vector<Run> coalesce(std::span<const RowId> rows, std::span<const ByteSpan> outs,
-                                     std::int64_t element_bytes);
 
-    /// Blocking positional read of one run (preadv loop handling partial
-    /// transfers). Shared lock held by the caller.
-    Status read_run(const Run& run, std::span<const ByteSpan> outs) const;
+    /// A batch's transfers, built on the submitting thread so that serving
+    /// the batch allocates nothing.
+    struct ReadPlan {
+        std::vector<Run> runs;
+        std::vector<::iovec> iov;
+    };
 
-    class UringBatch;  // AsyncBatch implementation (uring_disk.cpp)
+    Status check_batch(std::span<const RowId> rows, std::span<const ByteSpan> outs) const;
+    void plan_reads(std::span<const RowId> rows, std::span<const ByteSpan> outs,
+                    ReadPlan& plan) const;
+
+    /// Serve a planned batch: take the shared lock, check failed_ and
+    /// written_ under it, then read through a leased ring or run by run
+    /// with preadv. `done` is the completed prefix (read_batch contract).
+    Status transfer(std::span<const RowId> rows, ReadPlan& plan, std::size_t& done) const;
+
+    /// Blocking positional read of one run (pread for one iovec, else a
+    /// preadv loop; both handle partial transfers). Shared lock held by
+    /// the caller.
+    Status read_run(const Run& run, std::span<::iovec> iov) const;
+
+    /// The ring half of transfer(): contiguous runs as one SQE each,
+    /// scattered runs through read_run. Shared lock held by the caller.
+    Status ring_read(uring_detail::Ring& ring, ReadPlan& plan) const;
+
+    class ReadJob;  // AsyncBatch implementation (uring_disk.cpp)
+
+    /// The device's I/O thread: serves queued jobs in FIFO order.
+    void serve_jobs() const;
+
+    /// The I/O thread and its FIFO of queued jobs (linked through
+    /// ReadJob::next_). `mu` guards the FIFO, every job's claim and
+    /// `stop`, and is never held together with the device lock mu_, which
+    /// a job takes only while it is served: no thread holds the locks of
+    /// two devices at once.
+    struct IoThread {
+        std::mutex mu;
+        std::condition_variable work;  // a job was queued, or stop was set
+        std::condition_variable done;  // a job the thread claimed is served
+        ReadJob* head = nullptr;
+        ReadJob* tail = nullptr;
+        bool stop = false;
+        std::thread thread;
+    };
 
     std::string data_path_;
     std::string map_path_;
@@ -115,9 +167,10 @@ class UringDisk final : public BlockDevice {
     IoBackend mode_;
     BufferPool* arena_;
 
-    /// Guards written_/failed_ and fd lifecycle: reads + in-flight async
-    /// batches hold it shared (positional I/O needs no serialization),
-    /// writes and fail()/replace() hold it exclusive.
+    /// Guards written_/failed_ and fd lifecycle: reads and jobs being
+    /// served hold it shared (positional I/O needs no serialization),
+    /// writes and fail()/replace() hold it exclusive. A submitted batch
+    /// holds nothing until it is served.
     mutable std::shared_mutex mu_;
     int data_fd_ = -1;
     int map_fd_ = -1;
@@ -126,6 +179,8 @@ class UringDisk final : public BlockDevice {
     std::atomic<bool> failed_{false};
 
     std::unique_ptr<uring_detail::RingPool> rings_;
+
+    mutable IoThread io_;
 };
 
 }  // namespace ecfrm::store

@@ -4,14 +4,17 @@
 // byte-identical on the same files, concurrent same-disk readers see
 // consistent bytes without serializing, offsets survive >2 GiB files,
 // content and the failed state survive reopen, coalesced batches match
-// per-op reads, the async batch contract holds, the store counts an async
-// first chunk once,
-// a replacement that cannot come online stays failed, and the BufferPool
-// arena behaves.
+// per-op reads, the async batch contract holds (also while fail() and
+// replace() race batches on the device's I/O thread), each I/O thread
+// ends with its device, the store counts an async first chunk once and
+// reads byte-exact over short chunks, a replacement that cannot come
+// online stays failed, and the BufferPool arena behaves.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <thread>
@@ -331,6 +334,134 @@ TEST_P(BackendTest, AsyncBatchContract) {
     EXPECT_EQ(bad_done, 0u);
 }
 
+// fail() and replace() race batches queued on, and being served by, the
+// device's I/O thread. A batch checks the device state under the device
+// lock when it is served, not when it is submitted, so each one returns
+// the written bytes or a typed error (disk_failed while failed, range
+// while the replacement is still being rewritten), never success with
+// other bytes. Awaiting a batch's batches newest first makes await()
+// serve jobs from the middle of the FIFO as well as its head.
+TEST_P(BackendTest, FailAndReplaceRaceInFlightBatches) {
+    TempDir dir("backend_fail_race");
+    constexpr std::int64_t kElem = 512;
+    constexpr RowId kRows = 16;
+    const auto payload = random_bytes(static_cast<std::size_t>(kElem) * kRows, 41);
+    auto disk = open_file_device(dir.path(), 0, kElem, GetParam());
+    ASSERT_TRUE(disk.ok());
+    BlockDevice& dev = *disk.value();
+    auto write_all = [&] {
+        for (RowId r = 0; r < kRows; ++r) {
+            if (!dev.write(r, ConstByteSpan(payload.data() + r * kElem, kElem)).ok()) return false;
+        }
+        return true;
+    };
+    ASSERT_TRUE(write_all());
+
+    std::atomic<int> readers_left{2};
+    std::atomic<int> chaos_errors{0};
+    std::thread chaos([&] {
+        while (readers_left.load() > 0) {
+            dev.fail();
+            std::this_thread::yield();
+            dev.replace();
+            if (dev.failed() || !write_all()) ++chaos_errors;
+        }
+    });
+
+    struct Tally {
+        int ok = 0;
+        int typed = 0;
+        int wrong = 0;
+    };
+    std::vector<Tally> tallies(2);
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 2; ++t) {
+        readers.emplace_back([&, t] {
+            constexpr std::size_t kBatches = 3;
+            constexpr std::size_t kPerBatch = 4;
+            Rng rng(500 + static_cast<std::uint64_t>(t));
+            std::vector<std::uint8_t> out(static_cast<std::size_t>(kElem) * kBatches * kPerBatch);
+            for (int iter = 0; iter < 150; ++iter) {
+                std::vector<RowId> rows;
+                std::vector<ByteSpan> outs;
+                for (std::size_t i = 0; i < kBatches * kPerBatch; ++i) {
+                    rows.push_back(static_cast<RowId>(rng.next_below(kRows)));
+                    outs.emplace_back(out.data() + i * kElem, kElem);
+                }
+                std::fill(out.begin(), out.end(), std::uint8_t{0});
+                std::vector<std::unique_ptr<BlockDevice::AsyncBatch>> batches;
+                for (std::size_t b = 0; b < kBatches; ++b) {
+                    batches.push_back(dev.submit_read_batch(
+                        std::span<const RowId>(rows).subspan(b * kPerBatch, kPerBatch),
+                        std::span<const ByteSpan>(outs).subspan(b * kPerBatch, kPerBatch)));
+                }
+                for (std::size_t b = kBatches; b-- > 0;) {
+                    std::size_t done = 99;
+                    const Status status = batches[b]->await(&done);
+                    Tally& tally = tallies[static_cast<std::size_t>(t)];
+                    if (!status.ok()) {
+                        const Error::Code code = status.error().code;
+                        const bool typed = code == Error::Code::disk_failed ||
+                                           code == Error::Code::out_of_range;
+                        ++(typed && done == 0 ? tally.typed : tally.wrong);
+                        continue;
+                    }
+                    bool exact = done == kPerBatch;
+                    for (std::size_t i = b * kPerBatch; i < (b + 1) * kPerBatch; ++i) {
+                        exact = exact && std::memcmp(out.data() + i * kElem,
+                                                     payload.data() + rows[i] * kElem,
+                                                     static_cast<std::size_t>(kElem)) == 0;
+                    }
+                    ++(exact ? tally.ok : tally.wrong);
+                }
+            }
+            --readers_left;
+        });
+    }
+    for (auto& th : readers) th.join();
+    chaos.join();
+    EXPECT_EQ(chaos_errors.load(), 0);
+    for (const Tally& tally : tallies) {
+        EXPECT_EQ(tally.wrong, 0);
+        EXPECT_EQ(tally.ok + tally.typed, 450);
+    }
+}
+
+// Every device's I/O thread ends with the device: 64 devices opened and
+// destroyed one after another, each serving one async read, leave the
+// process with the threads it started with.
+TEST_P(BackendTest, IoThreadEndsWithItsDevice) {
+    auto tasks = [] {
+        std::size_t n = 0;
+        for ([[maybe_unused]] const auto& entry : fs::directory_iterator("/proc/self/task")) ++n;
+        return n;
+    };
+    TempDir dir("backend_lifecycle");
+    constexpr std::int64_t kElem = 64;
+    const auto payload = random_bytes(kElem, 43);
+    const std::size_t before = tasks();
+    for (int i = 0; i < 64; ++i) {
+        auto disk = open_file_device(dir.path(), i, kElem, GetParam());
+        ASSERT_TRUE(disk.ok());
+        ASSERT_TRUE(disk.value()->write(0, ConstByteSpan(payload.data(), payload.size())).ok());
+        std::vector<std::uint8_t> out(kElem);
+        const std::vector<RowId> rows{0};
+        const std::vector<ByteSpan> outs{ByteSpan(out.data(), out.size())};
+        auto batch = disk.value()->submit_read_batch(rows, outs);
+        if (i == 0) {
+            EXPECT_EQ(tasks(), before + 1);  // the device's I/O thread
+        }
+        ASSERT_TRUE(batch->await().ok());
+        EXPECT_EQ(out, payload);
+    }
+    // A joined thread can linger in /proc for a moment after join().
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (tasks() != before && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(tasks(), before);
+}
+
 // Reads from a failed device fail, and a replaced device starts empty.
 TEST_P(BackendTest, FailAndReplaceSemantics) {
     TempDir dir("backend_fail");
@@ -557,6 +688,40 @@ TEST_P(BackendTest, AsyncFirstChunkIsCountedOncePerElement) {
         total += ops;
     }
     EXPECT_EQ(total, elems);
+}
+
+// A serial store whose queues are longer than one vectored call: each
+// disk's first chunk is served on its I/O thread while the reaper reads
+// later chunks of earlier disks inline. No thread holds two device locks
+// at once (ThreadSanitizer reports any lock-order inversion), and reads
+// healthy and degraded are byte-exact.
+TEST_P(BackendTest, ShortChunksOnASerialStoreAreByteExact) {
+    const IoBackend backend = GetParam();
+    TempDir dir("short_chunks");
+    const std::int64_t elem = 512;
+    const std::int64_t elems = 40;
+    auto code = codes::make_code("rs:6,3");
+    ASSERT_TRUE(code.ok());
+    auto opened = StripeStore::open(core::Scheme(code.value(), layout::LayoutKind::ecfrm), elem,
+                                    [&](int index) -> Result<std::unique_ptr<BlockDevice>> {
+                                        return open_file_device(dir.path(), index, elem, backend);
+                                    });
+    ASSERT_TRUE(opened.ok()) << opened.error().message;
+    auto store = std::move(opened).take();
+    RecoveryOptions recovery = store->recovery();
+    recovery.batch_elements = 2;
+    store->set_recovery(recovery);
+
+    const auto payload = random_bytes(static_cast<std::size_t>(elems * elem), 47);
+    ASSERT_TRUE(store->append(ConstByteSpan(payload.data(), payload.size())).ok());
+    ASSERT_TRUE(store->flush().ok());
+    std::vector<std::uint8_t> out(payload.size());
+    ASSERT_TRUE(store->read_elements(0, elems, ByteSpan(out.data(), out.size())).ok());
+    EXPECT_EQ(out, payload);
+    ASSERT_TRUE(store->fail_disk(1).ok());
+    std::fill(out.begin(), out.end(), std::uint8_t{0});
+    ASSERT_TRUE(store->read_elements(0, elems, ByteSpan(out.data(), out.size())).ok());
+    EXPECT_EQ(out, payload);
 }
 
 TEST(BufferPool, AcquireReleaseAndHeapFallback) {

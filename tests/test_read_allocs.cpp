@@ -9,13 +9,20 @@
 // EcPipeline, which share one write path.
 // Everything on that path runs on the calling thread and allocates the
 // same way every time, so the counts are exact, not bounds: a change that
-// adds an allocation anywhere on the path fails here.
+// adds an allocation anywhere on the path fails here. Over file devices a
+// read's batches are served on the disks' own I/O threads; a process-wide
+// counter checks that those threads allocate nothing, so the calling
+// thread's count is still the read's whole count.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <new>
 #include <thread>
 #include <vector>
@@ -24,6 +31,7 @@
 #include "common/rng.h"
 #include "obs/heat.h"
 #include "store/ec_pipeline.h"
+#include "store/io_backend.h"
 #include "store/stripe_store.h"
 
 namespace {
@@ -31,14 +39,18 @@ namespace {
 // A plain thread_local integer: no constructor, so operator new can bump
 // it without a TLS initialisation guard.
 thread_local std::uint64_t t_allocs = 0;
+// Every thread's allocations.
+std::atomic<std::uint64_t> g_allocs{0};
 
 void* counted_alloc(std::size_t size) {
     ++t_allocs;
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
     return std::malloc(size == 0 ? 1 : size);
 }
 
 void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
     ++t_allocs;
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
     std::size_t alignment = static_cast<std::size_t>(align);
     if (alignment < sizeof(void*)) alignment = sizeof(void*);
     void* p = nullptr;
@@ -309,6 +321,54 @@ TEST_F(ReadAllocs, ElementAlignedReadsMakeNoStagingCopies) {
     ASSERT_TRUE(store_->fail_disk(kFailed).ok());
     (void)read_bytes_allocs();
     EXPECT_EQ(store_->assemble_staging_copies(), 0);
+}
+
+// A read over file devices, healthy and degraded, in both backend modes:
+// every disk's first chunk is served on that disk's I/O thread, and those
+// threads allocate nothing (each batch's runs and iovecs are planned on
+// the reading thread), so every allocation the read causes is the
+// reading thread's own.
+TEST(ReadAllocsFileDevices, IoThreadsAllocateNothing) {
+    namespace fs = std::filesystem;
+    for (const IoBackend backend : {IoBackend::pread, IoBackend::uring}) {
+        SCOPED_TRACE(to_string(backend));
+        const fs::path dir = fs::temp_directory_path() /
+                             ("ecfrm_test_read_allocs_" + std::to_string(::getpid()));
+        fs::remove_all(dir);
+        fs::create_directories(dir);
+        {
+            auto code = codes::make_code("rs:6,3");
+            ASSERT_TRUE(code.ok());
+            auto opened = StripeStore::open(
+                core::Scheme(code.value(), layout::LayoutKind::ecfrm), kElem,
+                [&](int index) -> Result<std::unique_ptr<BlockDevice>> {
+                    return open_file_device(dir.string(), index, kElem, backend);
+                });
+            ASSERT_TRUE(opened.ok()) << opened.error().message;
+            auto store = std::move(opened).take();
+            std::vector<std::uint8_t> data(static_cast<std::size_t>(kElem * 18 * 4));
+            Rng rng(9);
+            for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_below(256));
+            ASSERT_TRUE(store->append(ConstByteSpan(data.data(), data.size())).ok());
+            ASSERT_TRUE(store->flush().ok());
+            std::vector<std::uint8_t> out(static_cast<std::size_t>(kCount * kElem));
+            for (const bool degraded : {false, true}) {
+                if (degraded) {
+                    ASSERT_TRUE(store->fail_disk(kFailed).ok());
+                }
+                const ByteSpan span(out.data(), out.size());
+                ASSERT_TRUE(store->read_elements(kStart, kCount, span).ok());  // warm-up
+                const std::uint64_t all_before = g_allocs.load();
+                const std::uint64_t mine_before = t_allocs;
+                ASSERT_TRUE(store->read_elements(kStart, kCount, span).ok());
+                const std::uint64_t mine = t_allocs - mine_before;
+                EXPECT_EQ(g_allocs.load() - all_before, mine) << "degraded " << degraded;
+                EXPECT_GT(mine, 0u) << "degraded " << degraded;  // the batches' plans
+                EXPECT_EQ(std::memcmp(out.data(), data.data() + kStart * kElem, out.size()), 0);
+            }
+        }
+        fs::remove_all(dir);
+    }
 }
 
 }  // namespace
